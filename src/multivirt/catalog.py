@@ -76,7 +76,6 @@ _ENTRIES = (
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
 
 KNOT_NAMES = tuple(e.name for e in _ENTRIES if ";" not in e.code)
-ABSTRACT_NAMES: tuple[str, ...] = ()  # every entry is planar
 
 
 def names() -> tuple[str, ...]:

@@ -2,13 +2,14 @@
 
 Every subcommand reads a diagram from --code (a VGC string) or --name (a
 catalog entry) and writes JSON to stdout (--pretty for indented output).
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog
@@ -211,8 +212,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _run(args)
+        sys.stdout.flush()
     except MultivirtError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the interpreter's own flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
 

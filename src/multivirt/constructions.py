@@ -22,7 +22,7 @@ flip that congruence to j - i.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadComponent, BadR, NotAKnot
 from .invariants import crossing_indices
@@ -108,15 +108,6 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     comp = d.components[0]
     m = len(comp)
 
-    # Source-side bookkeeping: which bundle each passage rides.  The over
-    # strand of a real crossing and the canonically first passage of a
-    # virtual crossing are bundle A; frames below are frame(dir A, dir B).
-    vfirst: dict[int, int] = {}
-    for cid, rec in d.crossings.items():
-        if rec.virtual:
-            idxs = [i for i, p in enumerate(comp) if p.crossing == cid]
-            vfirst[cid] = min(idxs)
-
     slot_ids: dict[tuple, int] = {}
     slot_info: dict[int, dict] = {}
     next_id = 1
@@ -143,6 +134,9 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
             slot_info[cid]["passages"].append((ell - 1, len(trace), tag))
             trace.append(Passage(cid, role))
 
+        # Which bundle each passage rides: the over strand of a real crossing
+        # and the canonically first passage of a virtual crossing are bundle
+        # A; frames below are frame(dir A, dir B).
         for t, p in enumerate(comp):
             rec = d.crossings[p.crossing]
             f = rec.sign
@@ -160,7 +154,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                         cid = slot(("grid", p.crossing, a, cur), f)
                         emit(cid, my_role if a == cur else Role.THROUGH, "B")
             else:
-                on_a = vfirst[p.crossing] == t
+                on_a = d.passage_index[p.crossing][0] == (0, t)
                 tag = "A" if on_a else "B"
                 if on_a:
                     bs = range(1, r + 1) if f > 0 else range(r, 0, -1)
@@ -257,14 +251,10 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     ci = i - 1
-    keep: set[int] = set()
-    counts: dict[int, int] = {}
-    for cj, _, p in d.passages():
-        if cj == ci:
-            counts[p.crossing] = counts.get(p.crossing, 0) + 1
-    for cid, n in counts.items():
-        if n == 2:
-            keep.add(cid)
+    pos = d.passage_index
+    keep = {
+        p.crossing for p in d.components[ci] if all(cj == ci for cj, _ in pos[p.crossing])
+    }
     comp = tuple(p for p in d.components[ci] if p.crossing in keep)
     crossings = {cid: d.crossings[cid] for cid in keep}
     out = Diagram((comp,), crossings)

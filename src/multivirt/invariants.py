@@ -16,9 +16,9 @@ genus) codes, which are accepted everywhere here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BadComponent, MixedCrossing, NotAKnot, NotReal, UnknownCrossing
+from .errors import BadComponent, MixedCrossing, NotAKnot
 from .model import Diagram, Passage, Role
 
 
@@ -81,34 +81,8 @@ class InvariantReport:
         return out
 
 
-def _require_real(d: Diagram, cid: int) -> None:
-    if cid not in d.crossings:
-        raise UnknownCrossing(f"no crossing {cid}")
-    if d.crossings[cid].virtual:
-        raise NotReal(f"crossing {cid} is virtual")
-
-
-def _positions(d: Diagram) -> dict[int, list[tuple[int, int]]]:
-    """Passage positions per crossing, in canonical order, in one sweep."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for ci, i, p in d.passages():
-        out.setdefault(p.crossing, []).append((ci, i))
-    return out
-
-
-def _role_positions(d: Diagram, cid: int, pos=None):
-    ps = (pos or _positions(d))[cid]
-    over = under = None
-    for ci, i in ps:
-        if d.components[ci][i].role is Role.OVER:
-            over = (ci, i)
-        elif d.components[ci][i].role is Role.UNDER:
-            under = (ci, i)
-    return over, under
-
-
-def _path_positions(d: Diagram, cid: int, pos=None) -> tuple[int, list[int]]:
-    (co, io), (cu, iu) = _role_positions(d, cid, pos)
+def _path_positions(d: Diagram, cid: int) -> tuple[int, list[int]]:
+    (co, io), (cu, iu) = d.real_positions(cid)
     if co != cu:
         raise MixedCrossing(
             f"crossing {cid} joins components {co + 1} and {cu + 1}; "
@@ -122,15 +96,15 @@ def _path_positions(d: Diagram, cid: int, pos=None) -> tuple[int, list[int]]:
 def specified_path(d: Diagram, cid: int) -> list[Passage]:
     """Passages strictly between the over and the under passage of `cid`,
     in traversal order along its component."""
-    _require_real(d, cid)
     ci, idxs = _path_positions(d, cid)
     return [d.components[ci][i] for i in idxs]
 
 
-def crossing_indices(d: Diagram, cid: int, _pos=None) -> IndexPair:
-    _require_real(d, cid)
-    pos = _pos or _positions(d)
-    ci, idxs = _path_positions(d, cid, pos)
+def crossing_indices(d: Diagram, cid: int) -> IndexPair:
+    """(ind, ind_v) of the real self-crossing `cid`, counted along its
+    specified path."""
+    ci, idxs = _path_positions(d, cid)
+    pos = d.passage_index
     ind = ind_v = 0
     for i in idxs:
         p = d.components[ci][i]
@@ -148,9 +122,9 @@ def writhe(d: Diagram) -> int:
     return sum(rec.sign for rec in d.crossings.values() if not rec.virtual)
 
 
-def _self_crossings(d: Diagram, ci: int, pos=None) -> list[int]:
+def _self_crossings(d: Diagram, ci: int) -> list[int]:
     """Real crossings whose both passages lie on component `ci`."""
-    pos = pos or _positions(d)
+    pos = d.passage_index
     out = []
     for cid, rec in d.crossings.items():
         if rec.virtual:
@@ -161,12 +135,11 @@ def _self_crossings(d: Diagram, ci: int, pos=None) -> list[int]:
     return sorted(out)
 
 
-def _writhe_table(d: Diagram, cids: list[int], pos=None) -> WritheTable:
-    pos = pos or _positions(d)
+def _writhe_table(d: Diagram, cids: list[int]) -> WritheTable:
     entries: dict[int, int] = {}
     j0 = 0
     for cid in cids:
-        n = crossing_indices(d, cid, pos).ind
+        n = crossing_indices(d, cid).ind
         s = d.crossings[cid].sign
         if n == 0:
             j0 += s
@@ -179,8 +152,11 @@ def n_writhes(d: Diagram) -> WritheTable:
     """J_n table of a knot diagram; stable under the generalized moves for n != 0."""
     if d.n_components() != 1:
         raise NotAKnot(f"expected 1 component, found {d.n_components()}")
-    pos = _positions(d)
-    return _writhe_table(d, _self_crossings(d, 0, pos), pos)
+    return _writhe_table(d, _self_crossings(d, 0))
+
+
+def _component_writhes(d: Diagram, i: int, lam: tuple[int, ...]) -> ComponentWrithes:
+    return ComponentWrithes(i, _writhe_table(d, _self_crossings(d, i - 1)), lam[i - 1])
 
 
 def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
@@ -189,23 +165,19 @@ def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
     {0, lambda_i}."""
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
-    pos = _positions(d)
-    table = _writhe_table(d, _self_crossings(d, i - 1, pos), pos)
-    lam = linking_and_lambda(d).lam[i - 1]
-    return ComponentWrithes(i, table, lam)
+    return _component_writhes(d, i, linking_and_lambda(d).lam)
 
 
 def linking_and_lambda(d: Diagram) -> InvariantReport:
     """Linking matrix lk[i][j] = sum of signs of real crossings where component
     i passes over component j, plus lambda_i = sum_j (lk[j][i] - lk[i][j])."""
     r = d.n_components()
-    pos = _positions(d)
     lk = [[0] * r for _ in range(r)]
     lam_direct = [0] * r
     for cid, rec in d.crossings.items():
         if rec.virtual:
             continue
-        (co, _), (cu, _) = _role_positions(d, cid, pos)
+        (co, _), (cu, _) = d.real_positions(cid)
         if co != cu:
             lk[co][cu] += rec.sign
             lam_direct[cu] += rec.sign
@@ -226,17 +198,16 @@ def linking_and_lambda(d: Diagram) -> InvariantReport:
 def invariant_report(d: Diagram) -> InvariantReport:
     """Full report: writhe, J_n (knots only), per-component tables, lk, lambda."""
     base = linking_and_lambda(d)
-    jn = n_writhes(d) if d.n_components() == 1 else None
-    jni = tuple(ith_n_writhes(d, i) for i in range(1, d.n_components() + 1))
+    jni = tuple(_component_writhes(d, i, base.lam) for i in range(1, d.n_components() + 1))
+    jn = jni[0].table if d.n_components() == 1 else None
     return InvariantReport(base.writhe, jn, jni, base.lk, base.lam)
 
 
 def index_defect(d: Diagram) -> int:
     """Max |ind + ind_v| over real self-crossings; 0 on every planar diagram."""
     worst = 0
-    pos = _positions(d)
     for ci in range(d.n_components()):
-        for cid in _self_crossings(d, ci, pos):
-            pair = crossing_indices(d, cid, pos)
+        for cid in _self_crossings(d, ci):
+            pair = crossing_indices(d, cid)
             worst = max(worst, abs(pair.ind + pair.ind_v))
     return worst

@@ -17,6 +17,12 @@ VGC grammar (serialized form is bit-exact):
     passage   := ("O" | "U" | "V") id sign      id >= 1, sign in "+-"
 
 Both tokens of one crossing carry the same sign character.
+
+Every diagram carries one passage index: crossing id -> positions
+(component, index) of its passages, in canonical order.  It depends only on
+`components`, is built on first use (`validate` builds it as its own sweep)
+and is cached on the instance; `positions_of`, `real_positions` and every
+module that needs to know where a crossing sits read it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import NotReal, ParseError, UnknownCrossing, ValidationError
 
 _TOKEN_RE = re.compile(r"([OUV])([0-9]+)([+-])\Z")
 
@@ -79,36 +87,45 @@ class Diagram:
             for i, p in enumerate(comp):
                 yield ci, i, p
 
+    @property
+    def passage_index(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
+        """Read-only map from crossing id to the positions of its passages, in
+        canonical order.  Built once on demand; it depends only on `components`."""
+        if not hasattr(self, "_passage_index"):
+            index: dict[int, list[tuple[int, int]]] = {}
+            for ci, i, p in self.passages():
+                index.setdefault(p.crossing, []).append((ci, i))
+            object.__setattr__(
+                self,
+                "_passage_index",
+                MappingProxyType({cid: tuple(ps) for cid, ps in index.items()}),
+            )
+        return self._passage_index
+
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
-        out = [(ci, i) for ci, i, p in self.passages() if p.crossing == cid]
-        out.sort()
-        return out
+        return list(self.passage_index.get(cid, ()))
 
     def real_positions(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(over position, under position) of a real crossing."""
-        over = under = None
-        for ci, i, p in self.passages():
-            if p.crossing == cid:
-                if p.role is Role.OVER:
-                    over = (ci, i)
-                elif p.role is Role.UNDER:
-                    under = (ci, i)
-        assert over is not None and under is not None
-        return over, under
+        if cid not in self.crossings:
+            raise UnknownCrossing(f"no crossing {cid}")
+        if self.crossings[cid].virtual:
+            raise NotReal(f"crossing {cid} is virtual")
+        a, b = self.passage_index[cid]
+        return (a, b) if self.components[a[0]][a[1]].role is Role.OVER else (b, a)
 
     def validate(self) -> None:
         """Raise ValidationError unless every crossing invariant holds."""
-        seen: dict[int, list[Role]] = {}
-        for _, _, p in self.passages():
-            seen.setdefault(p.crossing, []).append(p.role)
-        if set(seen) != set(self.crossings):
-            extra = set(seen) - set(self.crossings)
-            missing = set(self.crossings) - set(seen)
+        index = self.passage_index
+        if set(index) != set(self.crossings):
+            extra = set(index) - set(self.crossings)
+            missing = set(self.crossings) - set(index)
             raise ValidationError(
                 f"crossing table mismatch: unrecorded={sorted(extra)} unused={sorted(missing)}"
             )
-        for cid, roles in seen.items():
+        for cid, ps in index.items():
+            roles = [self.components[ci][i].role for ci, i in ps]
             rec = self.crossings[cid]
             if rec.sign not in (+1, -1):
                 raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
@@ -271,10 +288,6 @@ def canonical_form(d: Diagram) -> str:
 def _used_crossings(d: Diagram, n_comps: int) -> dict[int, CrossingRecord]:
     used = {p.crossing for comp in d.components[:n_comps] for p in comp}
     return {cid: rec for cid, rec in d.crossings.items() if cid in used}
-
-
-def diagrams_equal_up_to_rotation(a: Diagram, b: Diagram) -> bool:
-    return canonical_form(a) == canonical_form(b)
 
 
 # -- segmentation ----------------------------------------------------------

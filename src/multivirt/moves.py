@@ -34,7 +34,7 @@ from itertools import permutations, product
 
 from .errors import StaleSite, ValidationError
 from .model import CrossingRecord, Diagram, Passage, Role
-from .planar import faces
+from .planar import _next_dart, _port_slots, faces
 
 MOVE_KINDS = (
     "R1+ins",
@@ -54,6 +54,7 @@ MOVE_KINDS = (
 
 DEFAULT_SIZE_CAP = 64
 _POKE_WINDOW = 2  # how far around a face boundary a poke may reach
+_POKE_VARIANTS = {"R2ins": (("over",), ("under",)), "VR2ins": (("virtual",),)}
 
 
 def size_cap_from_env() -> int:
@@ -196,16 +197,6 @@ def _with_component(d: Diagram, ci: int, comp, crossings) -> Diagram:
     return out
 
 
-def _virtual_first(d: Diagram, cid: int) -> tuple[int, int]:
-    return d.positions_of(cid)[0]
-
-
-def _canonical_sign(d: Diagram, cid: int, ref_pos: tuple[int, int], frame: int) -> int:
-    """Stored sign of a virtual crossing given the frame relative to the strand
-    whose passage sits at `ref_pos` being named first."""
-    return frame if _virtual_first(d, cid) == ref_pos else -frame
-
-
 # -- kink sites --------------------------------------------------------------
 
 
@@ -296,26 +287,43 @@ def _poke_candidates(d: Diagram):
     return out
 
 
+def _is_poke_candidate(d: Diagram, d1, d2) -> bool:
+    """Whether `_poke_candidates` yields (d1, d2), found by walking at most
+    `_POKE_WINDOW` steps around d1's face instead of tracing every face."""
+    for ci, g, direction in (d1, d2):
+        if not (0 <= ci < len(d.components) and 0 <= g < len(d.components[ci])):
+            return False
+        if direction not in (1, -1):
+            return False
+    if d1[:2] == d2[:2]:
+        return False
+    by_port, slot_table = _port_slots(d)
+    dart = d1
+    for _ in range(_POKE_WINDOW):
+        dart = _next_dart(d, by_port, slot_table, dart)
+        if dart == d1:  # the face is shorter than the window
+            return False
+        if dart == d2:
+            return True
+    return False
+
+
 def _poke_insertions(d: Diagram, kind: str):
-    sites = []
-    for d1, d2 in _poke_candidates(d):
-        if kind == "R2ins":
-            for variant in ("over", "under"):
-                sites.append(MoveSite(kind, (variant,), (d1, d2)))
-        else:
-            sites.append(MoveSite(kind, ("virtual",), (d1, d2)))
-    return sites
+    return [
+        MoveSite(kind, variant, (d1, d2))
+        for d1, d2 in _poke_candidates(d)
+        for variant in _POKE_VARIANTS[kind]
+    ]
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     (d1, d2) = site.locus
+    if site.variant not in _POKE_VARIANTS[site.kind]:
+        raise StaleSite(f"{site.kind} has no variant {site.variant!r}")
+    if not _is_poke_candidate(d, d1, d2):
+        raise StaleSite("the recorded darts are not a poke site of a common face")
     (variant,) = site.variant
     (c1, g1, dir1), (c2, g2, dir2) = d1, d2
-    for ci, g in ((c1, g1), (c2, g2)):
-        if ci >= len(d.components) or g >= len(d.components[ci]):
-            raise StaleSite("poke locus out of range")
-    if (c1, g1) == (c2, g2):
-        raise StaleSite("poke needs two distinct edges")
     o1 = dir1
     o2 = -dir2
     cid_c, cid_d = _fresh_ids(d, 2)
@@ -330,7 +338,6 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     frame_c, frame_d = -o2, o2
 
     components = [list(c) for c in d.components]
-    pos1: dict[int, tuple[int, int]] = {}
     if c1 == c2:
         g_lo, ins_lo, g_hi, ins_hi = (
             (g1, pair1, g2, pair2) if g1 < g2 else (g2, pair2, g1, pair1)
@@ -339,25 +346,17 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
         components[c1] = (
             comp[: g_lo + 1] + ins_lo + comp[g_lo + 1 : g_hi + 1] + ins_hi + comp[g_hi + 1 :]
         )
-        lo_at, hi_at = g_lo + 1, g_hi + 3
-        strand1_at = lo_at if g1 < g2 else hi_at
     else:
         components[c1] = components[c1][: g1 + 1] + pair1 + components[c1][g1 + 1 :]
         components[c2] = components[c2][: g2 + 1] + pair2 + components[c2][g2 + 1 :]
-        strand1_at = g1 + 1
 
     crossings = dict(d.crossings)
     if virtual:
-        tmp = Diagram(tuple(tuple(c) for c in components), {})
-        for cid, frame, offset in ((cid_c, frame_c, 0), (cid_d, frame_d, 1)):
-            ref = (c1, strand1_at + offset)
-            first = min(
-                (ci, i)
-                for ci, comp in enumerate(tmp.components)
-                for i, p in enumerate(comp)
-                if p.crossing == cid
-            )
-            crossings[cid] = CrossingRecord(cid, True, frame if first == ref else -frame)
+        # Both poking-strand passages come first in canonical order exactly
+        # when the poking strand's edge does.
+        first = 1 if (c1, g1) < (c2, g2) else -1
+        crossings[cid_c] = CrossingRecord(cid_c, True, first * frame_c)
+        crossings[cid_d] = CrossingRecord(cid_d, True, first * frame_d)
     else:
         s1_over = variant == "over"
         eps_c = -o2 if s1_over else o2
@@ -371,72 +370,63 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 def _pair_frame(d: Diagram, cid: int, pos_a: tuple[int, int]) -> int:
     """Frame of a virtual crossing read with the strand at pos_a named first."""
     rec = d.crossings[cid]
-    return rec.sign if _virtual_first(d, cid) == pos_a else -rec.sign
+    return rec.sign if d.passage_index[cid][0] == pos_a else -rec.sign
+
+
+def _is_poke_deletion(d: Diagram, kind: str, loc1, loc2) -> bool:
+    """Whether the gaps loc1 < loc2 (each (component, gap)) hold a cancelling
+    pair of the kind: two real crossings of opposite sign, one gap over both
+    and the other under both (R2del), or two virtual crossings of opposite
+    frame read from loc1 (VR2del)."""
+    if not loc1 < loc2:
+        return False
+    flanks = []
+    for ci, g in (loc1, loc2):
+        if not 0 <= ci < len(d.components):
+            return False
+        comp = d.components[ci]
+        L = len(comp)
+        if L < 2 or not 0 <= g < L:
+            return False
+        flanks.append(((ci, g), comp[g], (ci, (g + 1) % L), comp[(g + 1) % L]))
+    (s1, p1, t1, q1), (s2, p2, t2, q2) = flanks
+    cids = {p1.crossing, q1.crossing}
+    if len(cids) != 2 or cids != {p2.crossing, q2.crossing} or {s1, t1} & {s2, t2}:
+        return False
+    if any(d.crossings[c].virtual != (kind == "VR2del") for c in cids):
+        return False
+    if kind == "VR2del":
+        return _pair_frame(d, p1.crossing, s1) == -_pair_frame(d, q1.crossing, t1)
+    roles = ({p1.role, q1.role}, {p2.role, q2.role})
+    if roles not in (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER})):
+        return False
+    return d.crossings[p1.crossing].sign == -d.crossings[q1.crossing].sign
 
 
 def _poke_deletions(d: Diagram, kind: str):
-    want_virtual = kind == "VR2del"
-    pairs = _gap_pairs(d)
     by_set: dict[frozenset, list] = {}
-    for ci, g, p, q in pairs:
-        by_set.setdefault(frozenset((p.crossing, q.crossing)), []).append((ci, g, p, q))
-    sites = []
-    for key, locs in by_set.items():
-        if len(key) != 2:
-            continue
-        cids = sorted(key)
-        if any(d.crossings[c].virtual != want_virtual for c in cids):
-            continue
-        for (ci1, g1, p1, q1), (ci2, g2, p2, q2) in permutations(locs, 2):
-            if (ci1, g1) >= (ci2, g2):
-                continue
-            slots1 = {(ci1, g1), (ci1, (g1 + 1) % len(d.components[ci1]))}
-            slots2 = {(ci2, g2), (ci2, (g2 + 1) % len(d.components[ci2]))}
-            if slots1 & slots2:
-                continue
-            if want_virtual:
-                f1 = _pair_frame(d, cids[0], _passage_pos(d, ci1, g1, cids[0]))
-                f2 = _pair_frame(d, cids[1], _passage_pos(d, ci1, g1, cids[1]))
-                if f1 != -f2:
-                    continue
-            else:
-                roles1 = {p1.role, q1.role}
-                roles2 = {p2.role, q2.role}
-                if not (
-                    (roles1 == {Role.OVER} and roles2 == {Role.UNDER})
-                    or (roles1 == {Role.UNDER} and roles2 == {Role.OVER})
-                ):
-                    continue
-                if d.crossings[cids[0]].sign != -d.crossings[cids[1]].sign:
-                    continue
-            sites.append(MoveSite(kind, (), ((ci1, g1), (ci2, g2))))
-    return sites
-
-
-def _passage_pos(d: Diagram, ci: int, g: int, cid: int) -> tuple[int, int]:
-    L = len(d.components[ci])
-    for i in (g, (g + 1) % L):
-        if d.components[ci][i].crossing == cid:
-            return (ci, i)
-    raise StaleSite(f"crossing {cid} not at gap ({ci}, {g})")
+    for ci, g, p, q in _gap_pairs(d):
+        by_set.setdefault(frozenset((p.crossing, q.crossing)), []).append((ci, g))
+    return [
+        MoveSite(kind, (), (loc1, loc2))
+        for locs in by_set.values()
+        for loc1, loc2 in permutations(locs, 2)
+        if _is_poke_deletion(d, kind, loc1, loc2)
+    ]
 
 
 def _apply_poke_deletion(d: Diagram, site: MoveSite) -> Diagram:
-    (ci1, g1), (ci2, g2) = site.locus
-    try:
-        L1 = len(d.components[ci1])
-        L2 = len(d.components[ci2])
-        ps = [
-            (ci1, g1),
-            (ci1, (g1 + 1) % L1),
-            (ci2, g2),
-            (ci2, (g2 + 1) % L2),
-        ]
-        cids = {d.components[ci][i].crossing for ci, i in ps}
-    except IndexError:
-        raise StaleSite("poke deletion locus out of range") from None
-    if len({(ci, i) for ci, i in ps}) != 4 or len(cids) != 2:
+    loc1, loc2 = site.locus
+    if not _is_poke_deletion(d, site.kind, loc1, loc2):
         raise StaleSite("the recorded gaps no longer hold a cancelling pair")
+    (ci1, g1), (ci2, g2) = loc1, loc2
+    ps = [
+        (ci1, g1),
+        (ci1, (g1 + 1) % len(d.components[ci1])),
+        (ci2, g2),
+        (ci2, (g2 + 1) % len(d.components[ci2])),
+    ]
+    cids = {d.components[ci][i].crossing for ci, i in ps}
     components = [list(c) for c in d.components]
     by_comp: dict[int, list[int]] = {}
     for ci, i in ps:

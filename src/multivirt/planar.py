@@ -33,24 +33,15 @@ def _port_slots(d: Diagram):
     """Map (component, position, side) -> (crossing id, ccw slot 0..3) and back."""
     by_port: dict[tuple[int, int, str], tuple[int, int]] = {}
     slot_table: dict[tuple[int, int], tuple[int, int, str]] = {}
-    pos_cache: dict[int, list[tuple[int, int]]] = {}
-    for ci, i, p in d.passages():
-        pos_cache.setdefault(p.crossing, []).append((ci, i))
     for cid, rec in d.crossings.items():
-        ps = sorted(pos_cache[cid])
         if rec.virtual:
-            first, second = ps
+            first, second = d.passage_index[cid]
             if rec.sign > 0:
                 order = [(first, _OUT), (second, _OUT), (first, _IN), (second, _IN)]
             else:
                 order = [(first, _OUT), (second, _IN), (first, _IN), (second, _OUT)]
         else:
-            over = under = None
-            for ci, i in ps:
-                if d.components[ci][i].role is Role.OVER:
-                    over = (ci, i)
-                else:
-                    under = (ci, i)
+            over, under = d.real_positions(cid)
             if rec.sign > 0:
                 order = [(over, _OUT), (under, _OUT), (over, _IN), (under, _IN)]
             else:

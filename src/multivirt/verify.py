@@ -30,7 +30,7 @@ from .colorings import (
 )
 from .constructions import covering, extract_component, multiplex
 from .errors import MultivirtError, TooLarge
-from .invariants import ith_n_writhes, linking_and_lambda, n_writhes
+from .invariants import invariant_report, linking_and_lambda, n_writhes
 from .model import Diagram, canonical_form
 
 THEOREMS = ("linking", "self_writhe", "components", "colorings")
@@ -88,8 +88,8 @@ def _check_linking(name: str, d: Diagram, r: int) -> CheckResult:
 def _check_self_writhe(name: str, d: Diagram, r: int) -> CheckResult:
     J = n_writhes(d)
     L, _ = multiplex(d, r)
-    for i in range(1, r + 1):
-        table = ith_n_writhes(L, i).table
+    for cw in invariant_report(L).jni:
+        i, table = cw.component, cw.table
         support = set(table.entries) | set(J.entries)
         for n in support:
             if n == 0:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,24 @@ class TestVerifyAndCatalog:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "catalog", "--name", "nope")
         assert code == 1 and "error" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    """`multivirt ... | head -n 1` must not end in a BrokenPipeError traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multivirt.cli", "catalog", "--list", "--pretty"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

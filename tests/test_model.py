@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 
 from conftest import diagrams
-from multivirt.errors import ParseError, ValidationError
+from multivirt.errors import NotReal, ParseError, UnknownCrossing, ValidationError
 from multivirt.model import (
     Granularity,
+    Passage,
     Role,
     canonical_form,
     parse_vgc,
@@ -75,6 +76,36 @@ class TestPassageMultiplicities:
         throughs = sum(1 for _, _, p in d.passages() if p.role is Role.THROUGH)
         assert overs == unders == d.n_real()
         assert throughs == 2 * d.n_virtual()
+
+
+class TestPassageIndex:
+    @given(diagrams())
+    def test_lookups_match_a_brute_force_sweep(self, d):
+        for cid, rec in d.crossings.items():
+            sweep = sorted((ci, i) for ci, i, p in d.passages() if p.crossing == cid)
+            assert d.positions_of(cid) == sweep
+            if rec.virtual:
+                with pytest.raises(NotReal):
+                    d.real_positions(cid)
+                continue
+            over, under = d.real_positions(cid)
+            assert d.components[over[0]][over[1]] == Passage(cid, Role.OVER)
+            assert d.components[under[0]][under[1]] == Passage(cid, Role.UNDER)
+            assert sorted((over, under)) == sweep
+        unknown = max(d.crossings, default=0) + 1
+        assert d.positions_of(unknown) == []
+        with pytest.raises(UnknownCrossing):
+            d.real_positions(unknown)
+
+    @given(diagrams())
+    def test_returned_values_do_not_alias_the_index(self, d):
+        for cid in d.crossings:
+            before = d.positions_of(cid)
+            d.positions_of(cid).clear()
+            d.positions_of(cid).append((99, 99))
+            assert d.positions_of(cid) == before
+        with pytest.raises(TypeError):
+            d.passage_index[0] = ()
 
 
 class TestCanonicalForm:

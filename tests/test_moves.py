@@ -1,18 +1,26 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import diagrams
 from multivirt import catalog
+from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
 from multivirt.errors import StaleSite
-from multivirt.invariants import linking_and_lambda, n_writhes
+from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
 from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
     MOVE_KINDS,
     MoveSite,
+    _is_poke_candidate,
+    _poke_candidates,
     apply_move,
     find_moves,
     random_walk,
 )
-from multivirt.planar import genus
+from multivirt.planar import _darts, genus
 
 NONFU = tuple(k for k in MOVE_KINDS if k != "FU")
 
@@ -64,6 +72,57 @@ class TestApply:
             back = MoveSite.from_json(site.to_json())
             assert back == site
             assert apply_move(trefoil, back) == apply_move(trefoil, site)
+
+
+# Sites that find_moves never lists but that used to apply: a VR2del bound to
+# two same-sign real crossings (it returned ". ; ." and lost lk), and an R2ins
+# across darts of different faces (it returned a genus-1 diagram).
+CRAFTED = [
+    ("O1+ O2+ ; U1+ U2+", MoveSite("VR2del", (), ((0, 0), (1, 0)))),
+    ("O1+ U2+ O3+ U1+ O2+ U3+", MoveSite("R2ins", ("over",), ((0, 0, 1), (0, 2, -1)))),
+]
+
+
+class TestCraftedSites:
+    @pytest.mark.parametrize("code,site", CRAFTED)
+    def test_api_raises_stale_site(self, code, site):
+        d = parse_vgc(code)
+        assert site not in find_moves(d)
+        with pytest.raises(StaleSite):
+            apply_move(d, site)
+
+    @pytest.mark.parametrize("code,site", CRAFTED)
+    def test_cli_exits_with_domain_error(self, code, site, capsys):
+        rc = main(["moves", "--code", code, "--apply", json.dumps(site.to_json())])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == "" and "error" in out.err
+
+    @given(diagrams())
+    def test_poke_check_agrees_with_face_enumeration(self, d):
+        candidates = set(_poke_candidates(d))
+        darts = _darts(d) + [(len(d.components), 0, 1), (0, -1, 1), (0, 0, 0)]
+        for d1 in darts:
+            for d2 in darts:
+                assert _is_poke_candidate(d, d1, d2) == ((d1, d2) in candidates)
+
+    @given(diagrams(), st.data())
+    def test_crafted_poke_raises_or_preserves_genus_and_invariants(self, d, data):
+        valid = _darts(d)
+        any_dart = st.tuples(st.integers(-1, 3), st.integers(-1, 12), st.sampled_from((1, -1, 0)))
+        dart = st.one_of(st.sampled_from(valid), any_dart) if valid else any_dart
+        kind, variant = data.draw(
+            st.sampled_from(
+                [("R2ins", ("over",)), ("R2ins", ("under",)), ("VR2ins", ("virtual",)),
+                 ("R2ins", ("virtual",)), ("VR2ins", ("over",))]
+            )
+        )
+        site = MoveSite(kind, variant, (data.draw(dart), data.draw(dart)))
+        try:
+            out = apply_move(d, site)
+        except StaleSite:
+            return
+        assert genus(out) == genus(d)
+        assert invariant_report(out).to_json() == invariant_report(d).to_json()
 
 
 @pytest.mark.parametrize("name", catalog.names())
