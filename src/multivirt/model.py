@@ -96,11 +96,9 @@ class Diagram:
             for ci, i, p in self.passages():
                 index.setdefault(p.crossing, []).append((ci, i))
             object.__setattr__(
-                self,
-                "_passage_index",
-                MappingProxyType({cid: tuple(ps) for cid, ps in index.items()}),
+                self, "_passage_index", {cid: tuple(ps) for cid, ps in index.items()}
             )
-        return self._passage_index
+        return MappingProxyType(self._passage_index)
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""

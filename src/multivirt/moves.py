@@ -34,7 +34,7 @@ from itertools import permutations, product
 
 from .errors import StaleSite, ValidationError
 from .model import CrossingRecord, Diagram, Passage, Role
-from .planar import _next_dart, _port_slots, faces
+from .planar import faces
 
 MOVE_KINDS = (
     "R1+ins",
@@ -287,27 +287,6 @@ def _poke_candidates(d: Diagram):
     return out
 
 
-def _is_poke_candidate(d: Diagram, d1, d2) -> bool:
-    """Whether `_poke_candidates` yields (d1, d2), found by walking at most
-    `_POKE_WINDOW` steps around d1's face instead of tracing every face."""
-    for ci, g, direction in (d1, d2):
-        if not (0 <= ci < len(d.components) and 0 <= g < len(d.components[ci])):
-            return False
-        if direction not in (1, -1):
-            return False
-    if d1[:2] == d2[:2]:
-        return False
-    by_port, slot_table = _port_slots(d)
-    dart = d1
-    for _ in range(_POKE_WINDOW):
-        dart = _next_dart(d, by_port, slot_table, dart)
-        if dart == d1:  # the face is shorter than the window
-            return False
-        if dart == d2:
-            return True
-    return False
-
-
 def _poke_insertions(d: Diagram, kind: str):
     return [
         MoveSite(kind, variant, (d1, d2))
@@ -320,7 +299,7 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     (d1, d2) = site.locus
     if site.variant not in _POKE_VARIANTS[site.kind]:
         raise StaleSite(f"{site.kind} has no variant {site.variant!r}")
-    if not _is_poke_candidate(d, d1, d2):
+    if (d1, d2) not in _poke_candidates(d):
         raise StaleSite("the recorded darts are not a poke site of a common face")
     (variant,) = site.variant
     (c1, g1, dir1), (c2, g2, dir2) = d1, d2

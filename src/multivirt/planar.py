@@ -241,12 +241,6 @@ def _rail_layout(d: Diagram) -> Diagram:
                 out.append(Passage(cid, Role.THROUGH))
         new_components.append(out)
 
-    # Stored virtual signs are relative to the canonical passage order.
-    positions: dict[int, list[tuple[int, int, str]]] = {}
-    for ci, comp in enumerate(new_components):
-        for i, p in enumerate(comp):
-            if p.crossing in frames:
-                positions.setdefault(p.crossing, []).append((ci, i, ""))
     # Tag each passage of an intersection as the vertical or horizontal side:
     # it is the vertical side when it sits inside the expansion of the edge
     # whose leg produced it.
@@ -262,14 +256,14 @@ def _rail_layout(d: Diagram) -> Diagram:
             for cid in seq:
                 side_tag[(ci, cursor)] = "v" if cid in vert_here else "h"
                 cursor += 1
+    # Stored virtual signs are relative to the canonical passage order, which
+    # the passage index gives; the index depends only on the components, so
+    # the new records can be filled in after the diagram is built.
+    out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
     for cid in frames:
-        ps = sorted(positions[cid])
-        (c1, i1, _), (c2, i2, _) = ps
-        first_is_vertical = side_tag[(c1, i1)] == "v"
+        first_is_vertical = side_tag[out_d.passage_index[cid][0]] == "v"
         sign = frames[cid] if first_is_vertical else -frames[cid]
         crossings[cid] = CrossingRecord(cid, True, sign)
-
-    out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
     out_d.validate()
     if genus(out_d) != 0:
         raise ValidationError("rail layout produced a non-planar code")

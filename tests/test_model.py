@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -106,6 +109,13 @@ class TestPassageIndex:
             assert d.positions_of(cid) == before
         with pytest.raises(TypeError):
             d.passage_index[0] = ()
+
+    @given(diagrams())
+    def test_validated_diagram_pickles_and_deep_copies(self, d):
+        d.validate()
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert twin == d
+            assert dict(twin.passage_index) == dict(d.passage_index)
 
 
 class TestCanonicalForm:

@@ -14,8 +14,6 @@ from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
     MOVE_KINDS,
     MoveSite,
-    _is_poke_candidate,
-    _poke_candidates,
     apply_move,
     find_moves,
     random_walk,
@@ -96,14 +94,6 @@ class TestCraftedSites:
         rc = main(["moves", "--code", code, "--apply", json.dumps(site.to_json())])
         out = capsys.readouterr()
         assert rc == 1 and out.out == "" and "error" in out.err
-
-    @given(diagrams())
-    def test_poke_check_agrees_with_face_enumeration(self, d):
-        candidates = set(_poke_candidates(d))
-        darts = _darts(d) + [(len(d.components), 0, 1), (0, -1, 1), (0, 0, 0)]
-        for d1 in darts:
-            for d2 in darts:
-                assert _is_poke_candidate(d, d1, d2) == ((d1, d2) in candidates)
 
     @given(diagrams(), st.data())
     def test_crafted_poke_raises_or_preserves_genus_and_invariants(self, d, data):
