@@ -14,22 +14,30 @@ Three kinds of integer relation systems over arc unknowns:
                per source edge, linking the arcs that carry its two parallel
                copies (read off the multiplexing provenance).
 
+Each relation is stored sparsely, as (unknown, coefficient) pairs sorted by
+unknown with zero coefficients dropped; a relation that cancels completely is
+the empty tuple, so the row count never changes.
+
 Solutions are counted modulo n exactly for every n >= 1: if the relation
 matrix has Smith divisors d_1 | ... | d_k and q free unknowns, the count is
-n^q * prod gcd(d_i, n).  A brute-force enumerator provides the independent
-oracle for the same counts.
+n^q * prod gcd(d_i, n).  The divisors come in two phases, after Dumas,
+Saunders and Villard ("On efficient sparse integer matrix Smith normal form
+computations", J. Symb. Comput. 2001): Markowitz-ordered elimination of +-1
+pivots on the sparse rows, then the dense `smith_normal_form` on the small
+residual that has no +-1 entry left.  The dense form on the whole matrix and a
+brute-force enumerator are the independent oracles for the same counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from math import gcd
-
-import numpy as np
 
 from .constructions import Provenance
 from .errors import (
+    BadMatrix,
     BadModulus,
     InvalidColoring,
     MissingProvenance,
@@ -48,18 +56,33 @@ class ColoringMode(Enum):
 class ColoringSystem:
     mode: ColoringMode
     unknowns: Segments
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]  # sparse (unknown, coefficient) pairs
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns.pieces)
 
     def matrix(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+        """The dense relation matrix, one list of n_unknowns entries per row."""
+        out = []
+        for r in self.rows:
+            dense = [0] * self.n_unknowns
+            for j, c in r:
+                dense[j] = c
+            out.append(dense)
+        return out
 
     def snf(self) -> "SNF":
         if not hasattr(self, "_snf"):
-            object.__setattr__(self, "_snf", smith_normal_form(self.matrix()))
+            units, residual = _eliminate_unit_pivots(self.rows)
+            rest = smith_normal_form(residual)
+            size = min(len(self.rows), self.n_unknowns)
+            diagonal = (1,) * units + rest.diagonal[: rest.rank]
+            object.__setattr__(
+                self,
+                "_snf",
+                SNF(diagonal + (0,) * (size - len(diagonal)), units + rest.rank),
+            )
         return self._snf
 
     def to_json(self, moduli: tuple[int, ...] = ()) -> dict:
@@ -100,14 +123,13 @@ def build_system(
         Granularity.VIRTUAL_ARC if mode is ColoringMode.VIRTUAL_FOX else Granularity.ARC
     )
     segs = segments(d, gran)
-    k = len(segs.pieces)
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
 
-    def row(*coeffs: tuple[int, int]) -> tuple[int, ...]:
-        r = [0] * k
+    def row(*coeffs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        r: dict[int, int] = {}
         for idx, c in coeffs:
-            r[idx] += c
-        return tuple(r)
+            r[idx] = r.get(idx, 0) + c
+        return tuple(sorted((idx, c) for idx, c in r.items() if c))
 
     for cid, rec in sorted(d.crossings.items()):
         if rec.virtual:
@@ -143,14 +165,81 @@ def build_system(
 # -- exact counting ---------------------------------------------------------
 
 
+def _eliminate_unit_pivots(
+    rows: tuple[tuple[tuple[int, int], ...], ...],
+) -> tuple[int, list[list[int]]]:
+    """Eliminate +-1 pivots from sparse rows, cheapest first; return how many
+    were eliminated and the dense residual left over.
+
+    A pivot at (i, j) clears column j from the other rows by row operations,
+    then row i by column operations, so it adds one unit divisor and drops out
+    with its row and column.  The pivot taken is the +-1 entry of lowest
+    Markowitz cost (row length - 1) * (column length - 1), which bounds the
+    fill-in, ties broken by (row, column).  Whenever a row or a column changes,
+    its +-1 entries are pushed on the heap again with their new cost, so a
+    popped entry whose cost is no longer current is stale and skipped.  The
+    residual keeps the remaining nonzero rows and columns in their order."""
+    live = {i: dict(r) for i, r in enumerate(rows) if r}
+    col_rows: dict[int, set[int]] = {}
+    for i, r in live.items():
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(live[i]) - 1) * (len(col_rows[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, r in live.items() for j, c in r.items() if c in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        c0, i, j = heappop(heap)
+        r = live.get(i)
+        if r is None or r.get(j) not in (1, -1) or cost(i, j) != c0:
+            continue
+        units += 1
+        del live[i]
+        for k in r:
+            col_rows[k].discard(i)
+        touched = col_rows.pop(j)
+        p = r.pop(j)
+        for i2 in touched:
+            r2 = live[i2]
+            f = r2.pop(j) * p  # p is its own inverse
+            for k, c in r.items():
+                v = r2.get(k, 0) - f * c
+                if v:
+                    r2[k] = v
+                    col_rows[k].add(i2)
+                else:
+                    del r2[k]
+                    col_rows[k].discard(i2)
+            if not r2:
+                del live[i2]
+        fresh = {
+            (i2, k)
+            for i2 in touched
+            if i2 in live
+            for k, c in live[i2].items()
+            if c in (1, -1)
+        }
+        fresh.update((i2, k) for k in r for i2 in col_rows[k] if live[i2][k] in (1, -1))
+        for i2, k in fresh:
+            heappush(heap, (cost(i2, k), i2, k))
+    cols = sorted(k for k, rs in col_rows.items() if rs)
+    return units, [[live[i].get(k, 0) for k in cols] for i in sorted(live)]
+
+
 def smith_normal_form(mat: list[list[int]]) -> SNF:
     """Diagonalize an integer matrix by invertible row/column operations.
 
     Exact arbitrary-precision arithmetic throughout; returns the divisor
-    chain d_1 | d_2 | ... padded with zeros to min(rows, cols)."""
+    chain d_1 | d_2 | ... padded with zeros to min(rows, cols).  Raises
+    BadMatrix when the rows differ in length."""
     m = [list(map(int, r)) for r in mat]
     nr = len(m)
     nc = len(m[0]) if nr else 0
+    if any(len(r) != nc for r in m):
+        raise BadMatrix(f"rows of unequal length {sorted({len(r) for r in m})}")
     size = min(nr, nc)
     t = 0
     while t < size:
@@ -237,6 +326,8 @@ def enumerate_colorings(
         raise TooLarge(f"{n}^{k} assignments exceed limit {limit}")
     if k == 0:
         return [Coloring((), n)]
+    import numpy as np  # local: numpy costs more than the rest of `import multivirt`
+
     A = np.array(sys.matrix(), dtype=np.int64).T if sys.rows else None
     out: list[Coloring] = []
     powers = n ** np.arange(k, dtype=np.int64)
@@ -254,9 +345,9 @@ def enumerate_colorings(
 
 
 def is_solution(sys: ColoringSystem, col: Coloring) -> bool:
-    n = col.modulus
-    return all(
-        sum(c * v for c, v in zip(r, col.values)) % n == 0 for r in sys.rows
+    n, values = col.modulus, col.values
+    return len(values) == sys.n_unknowns and all(
+        sum(c * values[j] for j, c in r) % n == 0 for r in sys.rows
     )
 
 
@@ -286,7 +377,7 @@ def psi(
     vsegs = segments(d, Granularity.VIRTUAL_ARC)
     esegs = segments(d, Granularity.EDGE)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
-    if len(col.values) != len(vsegs.pieces) or not is_solution(vsys, col):
+    if not is_solution(vsys, col):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
     arcs = segments(l2, Granularity.ARC)
     values: dict[int, int] = {}

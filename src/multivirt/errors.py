@@ -42,6 +42,10 @@ class BadModulus(MultivirtError):
     """Coloring modulus must be >= 1."""
 
 
+class BadMatrix(MultivirtError):
+    """Matrix rows differ in length."""
+
+
 class TooLarge(MultivirtError):
     """Brute-force search space exceeds the configured limit."""
 

@@ -1,13 +1,19 @@
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import multivirt
 from multivirt import catalog
 from multivirt.colorings import (
     Coloring,
     ColoringMode,
+    ColoringSystem,
+    _eliminate_unit_pivots,
     build_system,
     count_colorings,
     enumerate_colorings,
@@ -16,15 +22,21 @@ from multivirt.colorings import (
     smith_normal_form,
 )
 from multivirt.constructions import multiplex
-from multivirt.errors import BadModulus, InvalidColoring, MissingProvenance, TooLarge
-from multivirt.model import parse_vgc
+from multivirt.errors import (
+    BadMatrix,
+    BadModulus,
+    InvalidColoring,
+    MissingProvenance,
+    TooLarge,
+)
+from multivirt.model import Granularity, Segments, parse_vgc
 
 
 class TestBuildSystem:
     def test_kink_row_collapses(self):
         sys_ = build_system(parse_vgc("O1+ U1+"), ColoringMode.FOX)
         assert sys_.n_unknowns == 1
-        assert sys_.rows == ((0,),)
+        assert sys_.matrix() == [[0]]
 
     def test_virtual_rows(self):
         sys_ = build_system(parse_vgc("O1+ U1+ V2+ V2+"), ColoringMode.VIRTUAL_FOX)
@@ -35,7 +47,7 @@ class TestBuildSystem:
         l2, prov = multiplex(parse_vgc("."), 2)
         sys_ = build_system(l2, ColoringMode.CONSTRAINED, prov)
         assert sys_.n_unknowns == 2
-        assert sys_.rows == ((1, 1),)
+        assert sys_.matrix() == [[1, 1]]
 
     def test_constrained_needs_provenance(self):
         l2, _ = multiplex(parse_vgc("O1+ U1+"), 2)
@@ -53,6 +65,11 @@ class TestSmithNormalForm:
 
     def test_identity(self):
         assert smith_normal_form([[1, 0], [0, 1]]).diagonal == (1, 1)
+
+    @pytest.mark.parametrize("mat", [[[2], [0, 1]], [[0], [0, 1]], [[0, 5], [3]]])
+    def test_ragged_rows_rejected(self, mat):
+        with pytest.raises(BadMatrix):
+            smith_normal_form(mat)
 
     @given(
         st.lists(
@@ -80,6 +97,75 @@ class TestSmithNormalForm:
             if all(sum(c * v for c, v in zip(r, x)) % n == 0 for r in rows):
                 brute += 1
         assert brute == want
+
+
+def _system(rows, n_cols: int) -> ColoringSystem:
+    """A system with the given sparse rows over n_cols placeholder unknowns."""
+    return ColoringSystem(
+        ColoringMode.FOX, Segments(Granularity.ARC, (None,) * n_cols), tuple(rows)
+    )
+
+
+@st.composite
+def unit_heavy_rows(draw, max_rows=7, max_cols=7):
+    """Sparse integer rows of any shape, mostly +-1 entries, with empty rows;
+    one draw in four takes its coefficients from a pool without +-1."""
+    n_cols = draw(st.integers(0, max_cols))
+    no_units = draw(st.integers(0, 3)) == 0
+    pool = (2, -2, 3, 4, -6) if no_units else (1, -1, 1, -1, 2, -2, 3)
+    row = st.dictionaries(
+        st.integers(0, max(n_cols - 1, 0)), st.sampled_from(pool), max_size=4 if n_cols else 0
+    )
+    rows = draw(st.lists(row, max_size=max_rows))
+    return [tuple(sorted(r.items())) for r in rows], n_cols
+
+
+class TestSparseSNF:
+    """The two-phase `ColoringSystem.snf` against the dense form on the whole matrix."""
+
+    @given(unit_heavy_rows())
+    @example(([((0, 1), (2, 1))], 3))  # wide
+    @example(([(), ((0, 1),), ()], 2))  # all-zero rows
+    @example(([((0, 2), (1, 4)), ((0, 6), (1, 3))], 2))  # no +-1 entry
+    @example(([((0, 1), (1, 1)), ((0, 1), (1, -1))], 2))  # fill-in leaves a -2
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense(self, case):
+        rows, n_cols = case
+        sys_ = _system(rows, n_cols)
+        assert sys_.snf() == smith_normal_form(sys_.matrix())
+        if not any(c in (1, -1) for r in rows for _, c in r):
+            assert _eliminate_unit_pivots(sys_.rows)[0] == 0
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_systems_match_dense(self, name):
+        d = catalog.diagram(name)
+        modes = (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX)
+        systems = [build_system(d, m) for m in modes]
+        if d.n_components() == 1:
+            l2, prov = multiplex(d, 2)
+            systems += [build_system(l2, m) for m in modes]
+            systems.append(build_system(l2, ColoringMode.CONSTRAINED, prov))
+        for sys_ in systems:
+            assert sys_.snf() == smith_normal_form(sys_.matrix())
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("name", ["asym3", "index2"])
+    def test_virtual_fox_matches_sympy(self, name, r):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        L, _ = multiplex(catalog.diagram(name), r)
+        sys_ = build_system(L, ColoringMode.VIRTUAL_FOX)
+        theirs = sympy_snf(sympy.Matrix(sys_.matrix()), domain=sympy.ZZ)
+        size = min(len(sys_.rows), sys_.n_unknowns)
+        assert sorted(abs(int(theirs[i, i])) for i in range(size)) == sorted(sys_.snf().diagonal)
+
+    def test_asym3_r4_leaves_small_residual(self):
+        L, _ = multiplex(catalog.diagram("asym3"), 4)
+        sys_ = build_system(L, ColoringMode.VIRTUAL_FOX)
+        units, residual = _eliminate_unit_pivots(sys_.rows)
+        assert units == 608
+        assert len(residual) <= 4 and all(len(r) <= 4 for r in residual)
 
 
 class TestCounts:
@@ -161,6 +247,10 @@ class TestPairingMap:
         zero = Coloring((0,) * vsys.n_unknowns, 4)
         assert set(psi(trefoil, zero, l2, prov).values) == {0}
 
+    def test_short_assignment_is_no_solution(self, trefoil):
+        vsys = build_system(trefoil, ColoringMode.VIRTUAL_FOX)
+        assert not is_solution(vsys, Coloring((0,) * (vsys.n_unknowns - 1), 3))
+
     def test_rejects_non_solutions(self, trefoil):
         l2, prov = multiplex(trefoil, 2)
         bad = Coloring((0, 0, 1), 2)  # mod 2 only constant colorings survive
@@ -179,3 +269,10 @@ class TestPairingMap:
         assert all(is_solution(csys, im) for im in images)
         assert len({im.values for im in images}) == len(images)
         assert len(images) == count_colorings(csys, n)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(multivirt.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import multivirt; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
