@@ -3,7 +3,8 @@
 The pinned file covers every catalog entry for parse, canon, genus, realize,
 invariants and colorings (all three modes, n = 2..9); on knots also
 multiplex --provenance (r = 2..5), cover (r = 1..5) and component -i for every
-component of the r <= 5 multiplexes; and verify --r-max 5.  Refactors must
+component of the r <= 5 multiplexes; moves --find and moves --walk 40 with
+seeds 0 and 1 on every catalog entry; and verify --r-max 5.  Refactors must
 leave it unchanged.  To write it from the current code (only when the output
 is meant to change):
 
@@ -23,6 +24,8 @@ from multivirt.model import serialize_vgc
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_sha256.json"
 R_MAX = 5
+WALK_STEPS = 40
+WALK_SEEDS = (0, 1)
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -35,6 +38,10 @@ def cases() -> list[tuple[str, list[str]]]:
             for n in range(2, 10):
                 argv = ["colorings", "--name", name, "--mode", mode, "-n", str(n)]
                 out.append((f"colorings {name} {mode} {n}", argv))
+        out.append((f"moves find {name}", ["moves", "--name", name, "--find"]))
+        for seed in WALK_SEEDS:
+            argv = ["moves", "--name", name, "--walk", str(WALK_STEPS), "--seed", str(seed)]
+            out.append((f"moves walk {name} {seed}", argv))
     for name in catalog.KNOT_NAMES:
         for r in range(2, R_MAX + 1):
             argv = ["multiplex", "--name", name, "-r", str(r), "--provenance"]
