@@ -20,7 +20,7 @@ from .colorings import (
     enumerate_colorings,
 )
 from .constructions import covering, extract_component, multiplex
-from .errors import MultivirtError
+from .errors import MultivirtError, ParseError
 from .invariants import invariant_report
 from .model import canonical_form, parse_vgc, serialize_vgc
 from .moves import MoveSite, apply_move, find_moves, random_walk, size_cap_from_env
@@ -57,6 +57,15 @@ def _get_diagram(args):
     if args.code is not None:
         return parse_vgc(args.code)
     return catalog.diagram(args.name)
+
+
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _emit(args, payload) -> None:
@@ -179,10 +188,13 @@ def _run(args) -> None:
         if args.find:
             _emit(args, {"sites": [s.to_json() for s in find_moves(d, kinds)]})
         elif args.apply is not None:
-            site = MoveSite.from_json(json.loads(args.apply))
+            site = MoveSite.from_json(_json_arg(args.apply))
             _emit(args, {"code": serialize_vgc(apply_move(d, site))})
         elif args.replay is not None:
-            for obj in json.loads(args.replay):
+            trace = _json_arg(args.replay)
+            if not isinstance(trace, list):
+                raise ParseError("--replay takes a JSON list of move sites")
+            for obj in trace:
                 d = apply_move(d, MoveSite.from_json(obj))
             _emit(args, {"code": serialize_vgc(d)})
         else:

@@ -78,9 +78,6 @@ class Diagram:
     def n_passages(self) -> int:
         return sum(len(c) for c in self.components)
 
-    def record(self, cid: int) -> CrossingRecord:
-        return self.crossings[cid]
-
     def passages(self):
         """Yield (component index, position, Passage) over the whole diagram."""
         for ci, comp in enumerate(self.components):

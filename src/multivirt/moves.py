@@ -7,6 +7,10 @@ adjacent passage pairs.  Insertion loci are taken from the face structure of
 the embedding, so every applied rewrite is a local planar patch and genus-0
 diagrams stay genus-0.
 
+One enumeration per move kind defines the sites: `apply_move` accepts exactly
+the sites that `find_moves` lists for the diagram (ignoring the size cap) and
+raises `StaleSite` for any other.
+
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
 x = A^B, y = A^C, z = B^C, with all eight orientation choices.  The crossing
@@ -32,7 +36,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import StaleSite, ValidationError
+from .errors import ParseError, StaleSite, ValidationError
 from .model import CrossingRecord, Diagram, Passage, Role
 from .planar import faces
 
@@ -54,14 +58,25 @@ MOVE_KINDS = (
 
 DEFAULT_SIZE_CAP = 64
 _POKE_WINDOW = 2  # how far around a face boundary a poke may reach
+_KINK_VARIANTS = {
+    "R1+ins": (("OU", 1), ("UO", 1)),
+    "R1-ins": (("OU", -1), ("UO", -1)),
+    "VR1ins": (("VV", 1), ("VV", -1)),
+}
 _POKE_VARIANTS = {"R2ins": (("over",), ("under",)), "VR2ins": (("virtual",),)}
+_INSERTION_KINDS = {*_KINK_VARIANTS, *_POKE_VARIANTS}
+_TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
+_FACE_KINDS = {*_POKE_VARIANTS, *_TRIANGLE_KINDS}
 
 
 def size_cap_from_env() -> int:
-    try:
-        return int(os.environ.get("MULTIVIRT_SIZE_CAP", DEFAULT_SIZE_CAP))
-    except ValueError:
+    raw = os.environ.get("MULTIVIRT_SIZE_CAP")
+    if raw is None:
         return DEFAULT_SIZE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"MULTIVIRT_SIZE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,7 +90,17 @@ class MoveSite:
 
     @staticmethod
     def from_json(obj: dict) -> "MoveSite":
-        return MoveSite(obj["kind"], _deep_tuple(obj["variant"]), _deep_tuple(obj["locus"]))
+        if not isinstance(obj, dict):
+            raise ParseError(f"a move site is a JSON object, got {type(obj).__name__}")
+        missing = [key for key in ("kind", "variant", "locus") if key not in obj]
+        if missing:
+            raise ParseError(f"move site lacks {', '.join(missing)}")
+        if not isinstance(obj["kind"], str):
+            raise ParseError("move site kind must be a string")
+        try:
+            return MoveSite(obj["kind"], _deep_tuple(obj["variant"]), _deep_tuple(obj["locus"]))
+        except RecursionError:
+            raise ParseError("move site nested too deeply") from None
 
 
 def _deep_list(x):
@@ -175,24 +200,21 @@ def _gap_pairs(d: Diagram):
     return out
 
 
-def _insert_gaps(d: Diagram):
-    out = []
-    for ci, comp in enumerate(d.components):
-        for g in range(max(1, len(comp))):
-            out.append((ci, g))
-    return out
-
-
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
     base = max(d.crossings, default=0)
     return [base + i + 1 for i in range(k)]
 
 
-def _with_component(d: Diagram, ci: int, comp, crossings) -> Diagram:
-    components = tuple(
-        tuple(comp) if j == ci else c for j, c in enumerate(d.components)
+def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
+    """Remove the crossings flanking the first bound gap (a kink's one, a
+    cancelling pair's two) together with all their passages."""
+    ci, g = site.locus[0] if site.kind in ("R2del", "VR2del") else site.locus
+    comp = d.components[ci]
+    cids = {comp[g].crossing, comp[(g + 1) % len(comp)].crossing}
+    out = Diagram(
+        tuple(tuple(p for p in c if p.crossing not in cids) for c in d.components),
+        {k: v for k, v in d.crossings.items() if k not in cids},
     )
-    out = Diagram(components, crossings)
     out.validate()
     return out
 
@@ -201,16 +223,12 @@ def _with_component(d: Diagram, ci: int, comp, crossings) -> Diagram:
 
 
 def _kink_insertions(d: Diagram, kind: str):
-    sites = []
-    for ci, g in _insert_gaps(d):
-        if kind == "VR1ins":
-            for sign in (1, -1):
-                sites.append(MoveSite(kind, ("VV", sign), (ci, g)))
-        else:
-            sign = 1 if kind == "R1+ins" else -1
-            for order in ("OU", "UO"):
-                sites.append(MoveSite(kind, (order, sign), (ci, g)))
-    return sites
+    return [
+        MoveSite(kind, variant, (ci, g))
+        for ci, comp in enumerate(d.components)
+        for g in range(max(1, len(comp)))
+        for variant in _KINK_VARIANTS[kind]
+    ]
 
 
 def _kink_deletions(d: Diagram, kind: str):
@@ -218,6 +236,8 @@ def _kink_deletions(d: Diagram, kind: str):
     want_virtual = kind == "VR1del"
     for ci, comp in enumerate(d.components):
         L = len(comp)
+        if L < 2:
+            continue  # a lone passage is not a kink: its partner is elsewhere
         for g in range(L):
             p, q = comp[g], comp[(g + 1) % L]
             if p.crossing != q.crossing:
@@ -234,8 +254,6 @@ def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
     ci, g = site.locus
     order, sign = site.variant
     comp = list(d.components[ci])
-    if g >= max(1, len(comp)):
-        raise StaleSite("gap out of range")
     (cid,) = _fresh_ids(d, 1)
     if order == "VV":
         pair = [Passage(cid, Role.THROUGH), Passage(cid, Role.THROUGH)]
@@ -246,37 +264,21 @@ def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
         rec = CrossingRecord(cid, False, sign)
     pos = g + 1 if comp else 0
     comp[pos:pos] = pair
-    crossings = dict(d.crossings)
-    crossings[cid] = rec
-    return _with_component(d, ci, comp, crossings)
-
-
-def _apply_kink_deletion(d: Diagram, site: MoveSite) -> Diagram:
-    ci, g = site.locus
-    comp = list(d.components[ci])
-    L = len(comp)
-    if L < 2:
-        raise StaleSite("no adjacent pair at the recorded gap")
-    p, q = comp[g], comp[(g + 1) % L]
-    if p.crossing != q.crossing:
-        raise StaleSite("the recorded gap no longer holds a kink")
-    rec = d.crossings[p.crossing]
-    if rec.virtual != (site.kind == "VR1del"):
-        raise StaleSite("kink kind changed")
-    for i in sorted({g, (g + 1) % L}, reverse=True):
-        del comp[i]
-    crossings = {k: v for k, v in d.crossings.items() if k != p.crossing}
-    return _with_component(d, ci, comp, crossings)
+    components = tuple(tuple(comp) if j == ci else c for j, c in enumerate(d.components))
+    out = Diagram(components, {**d.crossings, cid: rec})
+    out.validate()
+    return out
 
 
 # -- poke (two-crossing) sites -----------------------------------------------
 
 
-def _poke_candidates(d: Diagram):
+def _poke_candidates(cycles):
     """Ordered co-facial dart pairs (d1, d2) within the poke window, d1 and d2
-    on distinct edges.  d1 is the poking strand, d2 the edge poked across."""
+    on distinct edges, over the face cycles of a diagram.  d1 is the poking
+    strand, d2 the edge poked across."""
     out = []
-    for cycle in faces(d):
+    for cycle in cycles:
         size = len(cycle)
         for i in range(size):
             for w in range(1, min(_POKE_WINDOW, size - 1) + 1):
@@ -287,20 +289,16 @@ def _poke_candidates(d: Diagram):
     return out
 
 
-def _poke_insertions(d: Diagram, kind: str):
+def _poke_insertions(candidates, kind: str):
     return [
         MoveSite(kind, variant, (d1, d2))
-        for d1, d2 in _poke_candidates(d)
+        for d1, d2 in candidates
         for variant in _POKE_VARIANTS[kind]
     ]
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     (d1, d2) = site.locus
-    if site.variant not in _POKE_VARIANTS[site.kind]:
-        raise StaleSite(f"{site.kind} has no variant {site.variant!r}")
-    if (d1, d2) not in _poke_candidates(d):
-        raise StaleSite("the recorded darts are not a poke site of a common face")
     (variant,) = site.variant
     (c1, g1, dir1), (c2, g2, dir2) = d1, d2
     o1 = dir1
@@ -361,13 +359,9 @@ def _is_poke_deletion(d: Diagram, kind: str, loc1, loc2) -> bool:
         return False
     flanks = []
     for ci, g in (loc1, loc2):
-        if not 0 <= ci < len(d.components):
-            return False
         comp = d.components[ci]
-        L = len(comp)
-        if L < 2 or not 0 <= g < L:
-            return False
-        flanks.append(((ci, g), comp[g], (ci, (g + 1) % L), comp[(g + 1) % L]))
+        h = (g + 1) % len(comp)
+        flanks.append(((ci, g), comp[g], (ci, h), comp[h]))
     (s1, p1, t1, q1), (s2, p2, t2, q2) = flanks
     cids = {p1.crossing, q1.crossing}
     if len(cids) != 2 or cids != {p2.crossing, q2.crossing} or {s1, t1} & {s2, t2}:
@@ -392,31 +386,6 @@ def _poke_deletions(d: Diagram, kind: str):
         for loc1, loc2 in permutations(locs, 2)
         if _is_poke_deletion(d, kind, loc1, loc2)
     ]
-
-
-def _apply_poke_deletion(d: Diagram, site: MoveSite) -> Diagram:
-    loc1, loc2 = site.locus
-    if not _is_poke_deletion(d, site.kind, loc1, loc2):
-        raise StaleSite("the recorded gaps no longer hold a cancelling pair")
-    (ci1, g1), (ci2, g2) = loc1, loc2
-    ps = [
-        (ci1, g1),
-        (ci1, (g1 + 1) % len(d.components[ci1])),
-        (ci2, g2),
-        (ci2, (g2 + 1) % len(d.components[ci2])),
-    ]
-    cids = {d.components[ci][i].crossing for ci, i in ps}
-    components = [list(c) for c in d.components]
-    by_comp: dict[int, list[int]] = {}
-    for ci, i in ps:
-        by_comp.setdefault(ci, []).append(i)
-    for ci, idxs in by_comp.items():
-        for i in sorted(set(idxs), reverse=True):
-            del components[ci][i]
-    crossings = {k: v for k, v in d.crossings.items() if k not in cids}
-    out = Diagram(tuple(tuple(c) for c in components), crossings)
-    out.validate()
-    return out
 
 
 # -- triangle sites ----------------------------------------------------------
@@ -527,13 +496,13 @@ def _match_triangle(d: Diagram, trio, families):
                 yield fam, ti, perm
 
 
-def _triangle_faces(d: Diagram) -> set[frozenset]:
-    """Edge sets of the 3-sided faces.  A slide is only geometric when its
-    three bound edges border a common empty triangle of the embedding; the
-    role and sign patterns alone cannot see strands threaded through the
-    corner vertices."""
+def _triangle_faces(cycles) -> set[frozenset]:
+    """Edge sets of the 3-sided faces among a diagram's face cycles.  A slide
+    is only geometric when its three bound edges border a common empty
+    triangle of the embedding; the role and sign patterns alone cannot see
+    strands threaded through the corner vertices."""
     out = set()
-    for cycle in faces(d):
+    for cycle in cycles:
         if len(cycle) == 3:
             edges = frozenset(dart[:2] for dart in cycle)
             if len(edges) == 3:
@@ -541,11 +510,11 @@ def _triangle_faces(d: Diagram) -> set[frozenset]:
     return out
 
 
-def _triangle_sites(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
+def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
         return out
-    facial = _triangle_faces(d)
+    facial = _triangle_faces(cycles)
     for trio in _triangles(d):
         if frozenset((ci, g) for ci, g, _, _ in trio) not in facial:
             continue
@@ -560,25 +529,9 @@ def _triangle_sites(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
 
 
 def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
-    trio = []
-    for ci, g in site.locus:
-        if ci >= len(d.components) or g >= len(d.components[ci]):
-            raise StaleSite("triangle locus out of range")
-        comp = d.components[ci]
-        L = len(comp)
-        trio.append((ci, g, comp[g], comp[(g + 1) % L]))
-    ti, perm = site.variant
-    matched = any(
-        (fam, mti, mperm) == (site.kind, ti, tuple(perm))
-        for fam, mti, mperm in _match_triangle(d, tuple(trio), {site.kind})
-    )
-    if not matched:
-        raise StaleSite("the recorded gaps no longer match the slide template")
-    if frozenset((ci, g) for ci, g, _, _ in trio) not in _triangle_faces(d):
-        raise StaleSite("the recorded gaps no longer border a common triangle face")
     components = [list(c) for c in d.components]
     moved: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci, g, _, _ in trio:
+    for ci, g in site.locus:
         L = len(components[ci])
         h = (g + 1) % L
         components[ci][g], components[ci][h] = components[ci][h], components[ci][g]
@@ -589,8 +542,9 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
     # crossing counts as first; the stored sign must follow.
     crossings = dict(d.crossings)
     seen: set[int] = set()
-    for ci, g, p, q in trio:
-        for cid in (p.crossing, q.crossing):
+    for ci, g in site.locus:
+        comp = d.components[ci]
+        for cid in (comp[g].crossing, comp[(g + 1) % len(comp)].crossing):
             if cid in seen or not crossings[cid].virtual:
                 continue
             seen.add(cid)
@@ -607,6 +561,33 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
 # -- public API ---------------------------------------------------------------
 
 
+_REWRITES = {
+    **dict.fromkeys(_KINK_VARIANTS, _apply_kink_insertion),
+    **dict.fromkeys(("R1del", "VR1del", "R2del", "VR2del"), _apply_deletion),
+    **dict.fromkeys(_POKE_VARIANTS, _apply_poke),
+    **dict.fromkeys(_TRIANGLE_KINDS, _apply_triangle),
+}
+
+
+def _sites(d: Diagram, kinds) -> list[MoveSite]:
+    """Every site of the given kinds, in MOVE_KINDS order: the one definition
+    of a site, shared by find_moves and apply_move.  Faces are traced at most
+    once."""
+    cycles = faces(d) if kinds & _FACE_KINDS else ()
+    by_kind = _triangle_sites(d, kinds & _TRIANGLE_KINDS, cycles)
+    poke_kinds = kinds & _POKE_VARIANTS.keys()
+    candidates = _poke_candidates(cycles) if poke_kinds else ()
+    for kind in poke_kinds:
+        by_kind[kind] = _poke_insertions(candidates, kind)
+    for kind in kinds & _KINK_VARIANTS.keys():
+        by_kind[kind] = _kink_insertions(d, kind)
+    for kind in kinds & {"R1del", "VR1del"}:
+        by_kind[kind] = _kink_deletions(d, kind)
+    for kind in kinds & {"R2del", "VR2del"}:
+        by_kind[kind] = _poke_deletions(d, kind)
+    return [site for kind in MOVE_KINDS if kind in kinds for site in by_kind[kind]]
+
+
 def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[MoveSite]:
     """Every applicable rewriting site of the requested kinds.
 
@@ -616,40 +597,22 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
     if unknown:
         raise ValidationError(f"unknown move kinds: {sorted(unknown)}")
     cap = size_cap_from_env() if size_cap is None else size_cap
-    allow_ins = len(d.crossings) < cap
-    triangle_kinds = kinds & {"R3", "VR3", "VR4", "FU"}
-    triangle_found = _triangle_sites(d, triangle_kinds) if triangle_kinds else {}
-    sites: list[MoveSite] = []
-    for kind in MOVE_KINDS:
-        if kind not in kinds:
-            continue
-        if kind in ("R1+ins", "R1-ins", "VR1ins"):
-            if allow_ins:
-                sites.extend(_kink_insertions(d, kind))
-        elif kind in ("R1del", "VR1del"):
-            sites.extend(_kink_deletions(d, kind))
-        elif kind in ("R2ins", "VR2ins"):
-            if allow_ins:
-                sites.extend(_poke_insertions(d, kind))
-        elif kind in ("R2del", "VR2del"):
-            sites.extend(_poke_deletions(d, kind))
-        else:
-            sites.extend(triangle_found[kind])
-    return sites
+    if len(d.crossings) >= cap:
+        kinds -= _INSERTION_KINDS
+    return _sites(d, kinds)
 
 
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
-    if site.kind in ("R1+ins", "R1-ins", "VR1ins"):
-        return _apply_kink_insertion(d, site)
-    if site.kind in ("R1del", "VR1del"):
-        return _apply_kink_deletion(d, site)
-    if site.kind in ("R2ins", "VR2ins"):
-        return _apply_poke(d, site)
-    if site.kind in ("R2del", "VR2del"):
-        return _apply_poke_deletion(d, site)
-    if site.kind in ("R3", "VR3", "VR4", "FU"):
-        return _apply_triangle(d, site)
-    raise ValidationError(f"unknown move kind {site.kind!r}")
+    """Apply a site that `find_moves` lists for `d`, whatever the size cap.
+    Any other site raises StaleSite."""
+    if site.kind not in _REWRITES:
+        raise ValidationError(f"unknown move kind {site.kind!r}")
+    for listed in _sites(d, {site.kind}):
+        if listed == site:
+            # Rewrite the listed site: a given one may compare equal to it
+            # while holding floats where the rewrite indexes with integers.
+            return _REWRITES[site.kind](d, listed)
+    raise StaleSite(f"not a {site.kind} site of this diagram")
 
 
 def random_walk(

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from multivirt.cli import main
+from multivirt.errors import ValidationError
+from multivirt.moves import size_cap_from_env
 
 
 def run(capsys, *argv):
@@ -115,6 +117,33 @@ class TestMoves:
         )
         assert code == 0
         assert json.loads(replayed)["code"] == payload["code"]
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            ("--apply", '{"kind": "R1del"}'),
+            ("--apply", "[1, 2]"),
+            ("--apply", "not json"),
+            ("--apply", '{"kind": 5, "variant": [], "locus": [0, 0]}'),
+            ("--apply", "[" * 100_000),
+            ("--apply", '{"kind": "R1del", "variant": [], "locus": ' + "[" * 900 + "]" * 900 + "}"),
+            ("--replay", '{"kind": "R1del"}'),
+            ("--replay", "[[1, 2]]"),
+        ],
+    )
+    def test_hostile_site_json_is_a_domain_error(self, capsys, flag, text):
+        code, out, err = run(capsys, "moves", "--name", "trefoil", flag, text)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_size_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("MULTIVIRT_SIZE_CAP", "abc")
+        with pytest.raises(ValidationError, match="MULTIVIRT_SIZE_CAP"):
+            size_cap_from_env()
+        code, out, err = run(capsys, "moves", "--name", "trefoil", "--walk", "3")
+        assert code == 1 and out == "" and "MULTIVIRT_SIZE_CAP" in err
+        monkeypatch.setenv("MULTIVIRT_SIZE_CAP", "5")
+        assert size_cap_from_env() == 5
 
 
 class TestVerifyAndCatalog:

@@ -8,7 +8,7 @@ from conftest import diagrams
 from multivirt import catalog
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
-from multivirt.errors import StaleSite
+from multivirt.errors import MultivirtError, StaleSite
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
 from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
@@ -27,6 +27,10 @@ class TestDetection:
     def test_kink_deletion(self):
         sites = find_moves(parse_vgc("O1+ U1+"), {"R1del"})
         assert [s.locus for s in sites] == [(0, 0)]
+
+    def test_lone_passage_is_not_a_kink(self):
+        # Each component holds one passage of the mixed crossing 1.
+        assert not find_moves(parse_vgc("O1+ ; U1+"), {"R1del"})
 
     def test_virtual_kink_deletion(self):
         assert find_moves(parse_vgc("V1+ V1+"), {"VR1del"})
@@ -71,14 +75,55 @@ class TestApply:
             assert back == site
             assert apply_move(trefoil, back) == apply_move(trefoil, site)
 
+    def test_site_with_float_entries_applies_as_the_listed_site(self, trefoil):
+        site = MoveSite("R1+ins", ("OU", 1), (0, 1))
+        floats = MoveSite("R1+ins", ("OU", 1.0), (0, 1.0))
+        assert apply_move(trefoil, floats) == apply_move(trefoil, site)
+
+
+TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 
 # Sites that find_moves never lists but that used to apply: a VR2del bound to
-# two same-sign real crossings (it returned ". ; ." and lost lk), and an R2ins
-# across darts of different faces (it returned a genus-1 diagram).
+# two same-sign real crossings (it returned ". ; ." and lost lk), an R2ins
+# across darts of different faces (it returned a genus-1 diagram), kink
+# insertions with the wrong sign, roles or gap (a negative kink labelled R1+,
+# a real kink labelled VR1, an unknown order, gap -1), and kink deletions out
+# of range (they raised IndexError).
 CRAFTED = [
     ("O1+ O2+ ; U1+ U2+", MoveSite("VR2del", (), ((0, 0), (1, 0)))),
-    ("O1+ U2+ O3+ U1+ O2+ U3+", MoveSite("R2ins", ("over",), ((0, 0, 1), (0, 2, -1)))),
+    (TREFOIL, MoveSite("R2ins", ("over",), ((0, 0, 1), (0, 2, -1)))),
+    (TREFOIL, MoveSite("R1+ins", ("OU", -1), (0, 0))),
+    (TREFOIL, MoveSite("VR1ins", ("OU", 1), (0, 0))),
+    (TREFOIL, MoveSite("R1-ins", ("XX", -1), (0, 0))),
+    (TREFOIL, MoveSite("R1+ins", ("OU", 1), (0, -1))),
+    (TREFOIL, MoveSite("R1del", (), (5, 0))),
+    (TREFOIL, MoveSite("R1del", (), (0, 9))),
 ]
+
+_JUNK_VARIANTS = [
+    (), ("OU", 1), ("UO", -1), ("OU", -1), ("VV", 1), ("VV", -1), ("XX", 1),
+    ("over",), ("under",), ("virtual",),
+]
+
+
+@st.composite
+def crafted_sites(draw, d):
+    """Sites of any kind built from junk and from the parts of listed sites:
+    variants and loci of other kinds, out-of-range and negative indices, and
+    float entries that compare equal to integers."""
+    listed = find_moves(d, size_cap=10**9)
+    ints = st.integers(-2, 12)
+    index = st.one_of(ints, ints.map(float))
+    gap = st.tuples(index, index)
+    dart = st.tuples(index, index, st.sampled_from((1, -1, 0)))
+    perm = st.permutations(sorted(d.crossings)).map(tuple)
+    variants = [st.sampled_from(_JUNK_VARIANTS), st.tuples(st.integers(-1, 8), perm)]
+    loci = [gap, st.tuples(dart, dart), st.tuples(gap, gap), st.tuples(gap, gap, gap)]
+    if listed:
+        variants.append(st.sampled_from([s.variant for s in listed]))
+        loci.append(st.sampled_from([s.locus for s in listed]))
+    kind = draw(st.sampled_from(MOVE_KINDS))
+    return MoveSite(kind, draw(st.one_of(variants)), draw(st.one_of(loci)))
 
 
 class TestCraftedSites:
@@ -113,6 +158,15 @@ class TestCraftedSites:
             return
         assert genus(out) == genus(d)
         assert invariant_report(out).to_json() == invariant_report(d).to_json()
+
+    @given(diagrams(), st.data())
+    def test_crafted_site_raises_or_is_listed(self, d, data):
+        site = data.draw(crafted_sites(d))
+        try:
+            apply_move(d, site)
+        except MultivirtError:
+            return
+        assert site in find_moves(d, {site.kind}, size_cap=10**9)
 
 
 @pytest.mark.parametrize("name", catalog.names())
