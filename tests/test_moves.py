@@ -1,7 +1,8 @@
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import diagrams
@@ -14,11 +15,12 @@ from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
     MOVE_KINDS,
     MoveSite,
+    _match_triangle,
     apply_move,
     find_moves,
     random_walk,
 )
-from multivirt.planar import _darts, genus
+from multivirt.planar import _darts, faces, genus
 
 NONFU = tuple(k for k in MOVE_KINDS if k != "FU")
 
@@ -213,6 +215,68 @@ def test_insertion_deletion_duality(name):
                 restored = True
                 break
         assert restored, site
+
+
+TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
+
+
+def _brute_force_triangle_sites(d):
+    """Triangle sites from every triple of gaps: keep the triples that are the
+    edge set of a 3-sided face and whose edges join three distinct crossings
+    pairwise, then the first template match per family.  Listed by kind, then
+    by the lowest edge, the edge that shares that edge's first crossing, and
+    the third edge."""
+    facial = {frozenset(dart[:2] for dart in cycle) for cycle in faces(d) if len(cycle) == 3}
+    gaps = [
+        (ci, g, comp[g], comp[(g + 1) % len(comp)])
+        for ci, comp in enumerate(d.components)
+        for g in range(len(comp))
+    ]
+    found = []
+    for trio in combinations(gaps, 3):
+        locus = tuple((ci, g) for ci, g, _, _ in trio)
+        if frozenset(locus) not in facial:
+            continue
+        pairs = {frozenset((p.crossing, q.crossing)) for _, _, p, q in trio}
+        if len(pairs) != 3 or len(set().union(*pairs)) != 3:
+            continue  # three distinct edges, each joining two of three crossings
+        first = trio[0][2].crossing
+        second, third = sorted(
+            trio[1:], key=lambda rec: first not in (rec[2].crossing, rec[3].crossing)
+        )
+        order = (locus[0], second[:2], third[:2])
+        families = set()
+        for fam, ti, perm in _match_triangle(d, trio, TRIANGLE_KINDS):
+            if fam not in families:
+                families.add(fam)
+                found.append((MOVE_KINDS.index(fam), order, MoveSite(fam, (ti, perm), locus)))
+    return [site for _, _, site in sorted(found, key=lambda entry: entry[:2])]
+
+
+# A walk state where two triangles share their lowest edge and the documented
+# order differs from the order of the sorted loci.
+SHARED_LOWEST_EDGE = (
+    "O1+ V8- U2+ V9+ O7+ O6- O3+ V5- V9+ V4+ V8- U1+ "
+    "U10- U11+ U6- U7+ V4+ O2+ V5- U3+ O11+ O10-"
+)
+
+
+@given(diagrams())
+@example(parse_vgc(SHARED_LOWEST_EDGE))
+def test_triangle_sites_match_a_brute_force_over_gap_triples(d):
+    sites = find_moves(d, TRIANGLE_KINDS, size_cap=10**9)
+    assert sites == _brute_force_triangle_sites(d)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_walk_trace_replays_through_apply_move(name):
+    d = catalog.diagram(name)
+    for seed in range(4):
+        out, trace = random_walk(d, 40, seed)
+        cur = d
+        for site in trace:
+            cur = apply_move(cur, site)
+        assert serialize_vgc(cur) == serialize_vgc(out), (name, seed)
 
 
 class TestRandomWalk:
