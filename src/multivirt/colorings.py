@@ -30,6 +30,7 @@ brute-force enumerator are the independent oracles for the same counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -234,8 +235,12 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
 
     Exact arbitrary-precision arithmetic throughout; returns the divisor
     chain d_1 | d_2 | ... padded with zeros to min(rows, cols).  Raises
-    BadMatrix when the rows differ in length."""
-    m = [list(map(int, r)) for r in mat]
+    BadMatrix when the rows differ in length or an entry is not an integer
+    (ints, bools and numpy integers are; floats and strings are not)."""
+    try:
+        m = [list(map(operator.index, r)) for r in mat]
+    except TypeError as exc:
+        raise BadMatrix(f"matrix entries must be integers: {exc}") from None
     nr = len(m)
     nc = len(m[0]) if nr else 0
     if any(len(r) != nc for r in m):

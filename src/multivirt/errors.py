@@ -43,7 +43,7 @@ class BadModulus(MultivirtError):
 
 
 class BadMatrix(MultivirtError):
-    """Matrix rows differ in length."""
+    """Matrix rows differ in length, or an entry is not an integer."""
 
 
 class TooLarge(MultivirtError):

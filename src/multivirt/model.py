@@ -33,7 +33,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import NotReal, ParseError, UnknownCrossing, ValidationError
+from .errors import BadComponent, NotReal, ParseError, UnknownCrossing, ValidationError
 
 _TOKEN_RE = re.compile(r"([OUV])([0-9]+)([+-])\Z")
 
@@ -203,8 +203,11 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
     """Move the basepoint of component `ci` forward by `k` passages.
 
     Stored signs of virtual crossings with both passages on `ci` are negated
-    whenever the rotation swaps which passage comes first.
+    whenever the rotation swaps which passage comes first.  Raises
+    BadComponent unless 0 <= ci < n_components.
     """
+    if not 0 <= ci < d.n_components():
+        raise BadComponent(f"component {ci} of {d.n_components()}")
     comp = d.components[ci]
     L = len(comp)
     if L == 0 or k % L == 0:

@@ -2,9 +2,9 @@
 face, triangle slides, and the underpass slide through a virtual crossing.
 
 All rewrites are strict token-level templates: deletions require the bound
-passages to be literally adjacent, and triangle slides bind three pairwise
-adjacent passage pairs.  Insertion loci are taken from the face structure of
-the embedding, so every applied rewrite is a local planar patch and genus-0
+passages to be literally adjacent, and triangle slides are read off the
+triangular faces of the embedding.  Insertion loci are taken from the face
+structure too, so every applied rewrite is a local planar patch and genus-0
 diagrams stay genus-0.
 
 One enumeration per move kind defines the sites: `apply_move` accepts exactly
@@ -391,56 +391,39 @@ def _poke_deletions(d: Diagram, kind: str):
 # -- triangle sites ----------------------------------------------------------
 
 
-def _triangles(d: Diagram):
-    pairs = _gap_pairs(d)
-    by_crossing: dict[int, list[int]] = {}
-    for k, (ci, g, p, q) in enumerate(pairs):
-        by_crossing.setdefault(p.crossing, []).append(k)
-        by_crossing.setdefault(q.crossing, []).append(k)
-    found = set()
-    out = []
-    for k1, (ci1, g1, p1, q1) in enumerate(pairs):
-        a, b = p1.crossing, q1.crossing
-        for k2 in by_crossing.get(a, ()):
-            if k2 == k1:
-                continue
-            ci2, g2, p2, q2 = pairs[k2]
-            cset2 = {p2.crossing, q2.crossing}
-            (c,) = cset2 - {a} if len(cset2 - {a}) == 1 else (None,)
-            if c is None or c == b:
-                continue
-            for k3 in by_crossing.get(b, ()):
-                ci3, g3, p3, q3 = pairs[k3]
-                if {p3.crossing, q3.crossing} != {b, c}:
-                    continue
-                trio = tuple(sorted((k1, k2, k3)))
-                if trio in found:
-                    continue
-                slots = set()
-                ok = True
-                for kk in trio:
-                    ci, g, _, _ = pairs[kk]
-                    L = len(d.components[ci])
-                    s = {(ci, g), (ci, (g + 1) % L)}
-                    if slots & s:
-                        ok = False
-                        break
-                    slots |= s
-                if ok:
-                    found.add(trio)
-                    out.append(tuple(pairs[kk] for kk in trio))
-    return out
+def _facial_trios(d: Diagram, cycles):
+    """Gap records (ci, g, p, q) of the triangular faces among a diagram's face
+    cycles: 3-dart faces whose three distinct edges join three distinct
+    crossings.  A slide is only geometric when its three bound edges border a
+    common empty triangle of the embedding; the role and sign patterns alone
+    cannot see strands threaded through the corner vertices.
+
+    Each edge set is listed once, ordered by its lowest edge (ci, g), then by
+    the edge that shares that lowest edge's first crossing comp[g].crossing,
+    then by the third edge.  Each trio is sorted by edge."""
+    keyed = {}
+    for cycle in cycles:
+        if len(cycle) != 3:
+            continue
+        trio = []
+        for ci, g, _ in sorted(cycle):
+            comp = d.components[ci]
+            trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
+        edges = {(ci, g) for ci, g, _, _ in trio}
+        crossings = {c for _, _, p, q in trio for c in (p.crossing, q.crossing)}
+        if len(edges) != 3 or len(crossings) != 3:
+            continue
+        first, u, v = trio
+        if first[2].crossing not in (u[2].crossing, u[3].crossing):
+            u, v = v, u
+        keyed[(first[:2], u[:2], v[:2])] = tuple(trio)
+    return [keyed[key] for key in sorted(keyed)]
 
 
 def _match_triangle(d: Diagram, trio, families):
     """Yield (family, template index, strand assignment) for every way the
     three bound gaps fit a slide template of one of the families."""
-    crossings = set()
-    for ci, g, p, q in trio:
-        crossings |= {p.crossing, q.crossing}
-    cids = sorted(crossings)
-    if len(cids) != 3:
-        return
+    cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
     gap_of_pair = {}
     for rec in trio:
         ci, g, p, q = rec
@@ -496,29 +479,12 @@ def _match_triangle(d: Diagram, trio, families):
                 yield fam, ti, perm
 
 
-def _triangle_faces(cycles) -> set[frozenset]:
-    """Edge sets of the 3-sided faces among a diagram's face cycles.  A slide
-    is only geometric when its three bound edges border a common empty
-    triangle of the embedding; the role and sign patterns alone cannot see
-    strands threaded through the corner vertices."""
-    out = set()
-    for cycle in cycles:
-        if len(cycle) == 3:
-            edges = frozenset(dart[:2] for dart in cycle)
-            if len(edges) == 3:
-                out.add(edges)
-    return out
-
-
 def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
         return out
-    facial = _triangle_faces(cycles)
-    for trio in _triangles(d):
-        if frozenset((ci, g) for ci, g, _, _ in trio) not in facial:
-            continue
-        locus = tuple(sorted((ci, g) for ci, g, _, _ in trio))
+    for trio in _facial_trios(d, cycles):
+        locus = tuple((ci, g) for ci, g, _, _ in trio)
         seen_families = set()
         for fam, ti, perm in _match_triangle(d, trio, kinds):
             if fam in seen_families:
@@ -632,6 +598,7 @@ def random_walk(
         if not sites:
             break
         site = sites[rng.randrange(len(sites))]
-        cur = apply_move(cur, site)
+        # The site is listed for cur, so apply_move's membership check holds.
+        cur = _REWRITES[site.kind](cur, site)
         trace.append(site)
     return cur, trace

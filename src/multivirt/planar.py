@@ -79,9 +79,10 @@ def _next_dart(d: Diagram, by_port, slot_table, dart):
 def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
     """Face boundaries as dart cycles, in a deterministic order."""
     by_port, slot_table = _port_slots(d)
-    remaining = set(_darts(d))
+    darts = _darts(d)
+    remaining = set(darts)
     out = []
-    for start in _darts(d):
+    for start in darts:
         if start not in remaining:
             continue
         cycle = []

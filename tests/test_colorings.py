@@ -71,6 +71,17 @@ class TestSmithNormalForm:
         with pytest.raises(BadMatrix):
             smith_normal_form(mat)
 
+    # int() would truncate or parse these into (1, 6), (0,) and (7,).
+    @pytest.mark.parametrize("mat", [[[2.7, 0], [0, 3]], [[0.5]], [["7"]]])
+    def test_non_integer_entries_rejected(self, mat):
+        with pytest.raises(BadMatrix):
+            smith_normal_form(mat)
+
+    def test_bools_and_numpy_integers_accepted(self):
+        np = pytest.importorskip("numpy")
+        mat = [[True, np.int64(0)], [False, np.int32(3)]]
+        assert smith_normal_form(mat).diagonal == (1, 3)
+
     @given(
         st.lists(
             st.lists(st.integers(-6, 6), min_size=1, max_size=4),

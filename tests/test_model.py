@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 
 from conftest import diagrams
-from multivirt.errors import NotReal, ParseError, UnknownCrossing, ValidationError
+from multivirt.errors import (
+    BadComponent,
+    NotReal,
+    ParseError,
+    UnknownCrossing,
+    ValidationError,
+)
 from multivirt.model import (
     Granularity,
     Passage,
@@ -148,6 +154,13 @@ class TestCanonicalForm:
         assert r.crossings[1].sign == -1
         assert parse_vgc(serialize_vgc(r)) == r
         assert canonical_form(r) == canonical_form(d)
+
+    @pytest.mark.parametrize("ci", [-1, 1, 3])
+    def test_rotation_of_a_missing_component_rejected(self, ci):
+        # Unchecked, -1 would flip the virtual sign without rotating, and 3
+        # would raise a bare IndexError.
+        with pytest.raises(BadComponent):
+            rotate(parse_vgc("O1+ V2- U1+ V2-"), ci, 2)
 
 
 class TestSegments:
