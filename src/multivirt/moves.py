@@ -394,7 +394,8 @@ def _poke_deletions(d: Diagram, kind: str):
 def _facial_trios(d: Diagram, cycles):
     """Gap records (ci, g, p, q) of the triangular faces among a diagram's face
     cycles: 3-dart faces whose three distinct edges join three distinct
-    crossings.  A slide is only geometric when its three bound edges border a
+    crossings.  Consecutive darts of a face meet at a corner, so three
+    distinct crossings make the edges distinct as well.  A slide is only geometric when its three bound edges border a
     common empty triangle of the embedding; the role and sign patterns alone
     cannot see strands threaded through the corner vertices.
 
@@ -409,9 +410,7 @@ def _facial_trios(d: Diagram, cycles):
         for ci, g, _ in sorted(cycle):
             comp = d.components[ci]
             trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
-        edges = {(ci, g) for ci, g, _, _ in trio}
-        crossings = {c for _, _, p, q in trio for c in (p.crossing, q.crossing)}
-        if len(edges) != 3 or len(crossings) != 3:
+        if len({c for _, _, p, q in trio for c in (p.crossing, q.crossing)}) != 3:
             continue
         first, u, v = trio
         if first[2].crossing not in (u[2].crossing, u[3].crossing):
