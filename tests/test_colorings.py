@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import diagrams
 import multivirt
 from multivirt import catalog
 from multivirt.colorings import (
@@ -29,7 +30,7 @@ from multivirt.errors import (
     MissingProvenance,
     TooLarge,
 )
-from multivirt.model import Granularity, Segments, parse_vgc
+from multivirt.model import Granularity, Role, Segments, parse_vgc
 
 
 class TestBuildSystem:
@@ -53,6 +54,64 @@ class TestBuildSystem:
         l2, _ = multiplex(parse_vgc("O1+ U1+"), 2)
         with pytest.raises(MissingProvenance):
             build_system(l2, ColoringMode.CONSTRAINED)
+
+    @pytest.mark.parametrize("mode", [ColoringMode.FOX, ColoringMode.VIRTUAL_FOX])
+    @settings(max_examples=150, deadline=None)
+    @given(d=diagrams())
+    def test_rows_match_walking_oracle(self, mode, d):
+        """Rows equal those of an oracle that numbers the pieces itself (by
+        component, then by cut passage) and finds the piece at a passage by
+        walking back along the component to the nearest cut."""
+        cut_roles = {Role.UNDER}
+        if mode is ColoringMode.VIRTUAL_FOX:
+            cut_roles.add(Role.THROUGH)
+        number: dict[tuple[int, int | None], int] = {}
+        for ci, comp in enumerate(d.components):
+            cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
+            for i in cuts or [None]:
+                number[(ci, i)] = len(number)
+
+        def piece_before(ci: int, i: int) -> int:
+            """The piece running along the edge that enters passage i."""
+            comp = d.components[ci]
+            for back in range(1, len(comp) + 1):
+                j = (i - back) % len(comp)
+                if comp[j].role in cut_roles:
+                    return number[(ci, j)]
+            return number[(ci, None)]
+
+        def piece_after(ci: int, i: int) -> int:
+            """The piece running along the edge that leaves passage i."""
+            return piece_before(ci, (i + 1) % len(d.components[ci]))
+
+        def row(*coeffs):
+            r: dict[int, int] = {}
+            for k, c in coeffs:
+                r[k] = r.get(k, 0) + c
+            return tuple(sorted((k, c) for k, c in r.items() if c))
+
+        where: dict[int, list[tuple[int, int, Role]]] = {}
+        for ci, comp in enumerate(d.components):
+            for i, p in enumerate(comp):
+                where.setdefault(p.crossing, []).append((ci, i, p.role))
+        want = []
+        for cid in sorted(d.crossings):
+            if d.crossings[cid].virtual:
+                if mode is ColoringMode.VIRTUAL_FOX:
+                    for ci, i, _ in sorted(where[cid]):
+                        want.append(row((piece_before(ci, i), 1), (piece_after(ci, i), 1)))
+                continue
+            (co, io, _), (cu, iu, _) = sorted(where[cid], key=lambda w: w[2] is Role.UNDER)
+            want.append(
+                row(
+                    (piece_before(cu, iu), 1),
+                    (piece_after(cu, iu), 1),
+                    (piece_before(co, io), -2),
+                )
+            )
+        system = build_system(d, mode)
+        assert system.n_unknowns == len(number)
+        assert system.rows == tuple(want)
 
 
 class TestSmithNormalForm:
