@@ -33,6 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -43,8 +44,10 @@ from .errors import (
     InvalidColoring,
     MissingProvenance,
     TooLarge,
+    ValidationError,
+    checked,
 )
-from .model import Diagram, Granularity, Role, Segments, segments
+from .model import Diagram, Granularity, Segments, segments
 
 
 class ColoringMode(Enum):
@@ -74,17 +77,15 @@ class ColoringSystem:
         return out
 
     def snf(self) -> "SNF":
-        if not hasattr(self, "_snf"):
-            units, residual = _eliminate_unit_pivots(self.rows)
-            rest = smith_normal_form(residual)
-            size = min(len(self.rows), self.n_unknowns)
-            diagonal = (1,) * units + rest.diagonal[: rest.rank]
-            object.__setattr__(
-                self,
-                "_snf",
-                SNF(diagonal + (0,) * (size - len(diagonal)), units + rest.rank),
-            )
         return self._snf
+
+    @cached_property
+    def _snf(self) -> "SNF":
+        units, residual = _eliminate_unit_pivots(self.rows)
+        rest = smith_normal_form(residual)
+        size = min(len(self.rows), self.n_unknowns)
+        diagonal = (1,) * units + rest.diagonal[: rest.rank]
+        return SNF(diagonal + (0,) * (size - len(diagonal)), units + rest.rank)
 
     def to_json(self, moduli: tuple[int, ...] = ()) -> dict:
         s = self.snf()
@@ -120,6 +121,7 @@ def build_system(
     provenance: Provenance | None = None,
 ) -> ColoringSystem:
     """Assemble the relation system of `d` for the requested coloring mode."""
+    mode = checked(mode, ColoringMode, ValidationError, "coloring mode")
     gran = (
         Granularity.VIRTUAL_ARC if mode is ColoringMode.VIRTUAL_FOX else Granularity.ARC
     )
@@ -132,19 +134,18 @@ def build_system(
             r[idx] = r.get(idx, 0) + c
         return tuple(sorted((idx, c) for idx, c in r.items() if c))
 
+    def into(ci: int, i: int) -> int:
+        """The piece entering passage i, which covers gap i - 1."""
+        return segs.index_of_gap(ci, (i - 1) % len(d.components[ci]))
+
     for cid, rec in sorted(d.crossings.items()):
         if rec.virtual:
             if mode is ColoringMode.VIRTUAL_FOX:
-                for ci, i in d.positions_of(cid):
-                    rows.append(
-                        row((segs.index_into(ci, i), 1), (segs.index_out_of(ci, i), 1))
-                    )
+                for ci, i in d.passage_index[cid]:
+                    rows.append(row((into(ci, i), 1), (segs.index_of_gap(ci, i), 1)))
             continue
         (co, io), (cu, iu) = d.real_positions(cid)
-        y = segs.index_at(co, io)
-        x = segs.index_into(cu, iu)
-        z = segs.index_out_of(cu, iu)
-        rows.append(row((x, 1), (z, 1), (y, -2)))
+        rows.append(row((into(cu, iu), 1), (segs.index_of_gap(cu, iu), 1), (into(co, io), -2)))
 
     if mode is ColoringMode.CONSTRAINED:
         if provenance is None:
@@ -376,14 +377,14 @@ def psi(
     """Send a virtual coloring of `d` to the constrained coloring of its 2-fold
     multiplex that puts the source value on the right copy of every edge and
     its negative on the left copy."""
+    col = checked(col, Coloring, InvalidColoring, "coloring")
     if prov.r != 2:
         raise MissingProvenance("the pairing map is defined on 2-fold multiplexes")
     n = col.modulus
-    vsegs = segments(d, Granularity.VIRTUAL_ARC)
-    esegs = segments(d, Granularity.EDGE)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     if not is_solution(vsys, col):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
+    esegs = segments(d, Granularity.EDGE)
     arcs = segments(l2, Granularity.ARC)
     values: dict[int, int] = {}
 
@@ -393,8 +394,7 @@ def psi(
             raise InvalidColoring("pairing map produced an inconsistent assignment")
 
     for t, piece in enumerate(esegs.pieces):
-        gap = piece.start if piece.start is not None else None
-        v = col.values[vsegs.index_of_gap(piece.component, gap)]
+        v = col.values[vsys.unknowns.index_of_gap(piece.component, piece.start)]
         right = prov.edge_map[(t, _RIGHT_COPY)]
         left = prov.edge_map[(t, _LEFT_COPY)]
         assign(arcs.index_of_gap(*right), v)

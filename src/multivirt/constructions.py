@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import BadComponent, BadR, NotAKnot
+from .errors import BadComponent, BadR, NotAKnot, checked
 from .invariants import crossing_indices
 from .model import CrossingRecord, Diagram, Passage, Role
 from .planar import genus
@@ -96,6 +96,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     """Build the r-component multiplexed link of a knot diagram, with provenance."""
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
+    r = checked(r, int, BadR, "r")
     if r < 2:
         raise BadR(f"need r >= 2, got {r}")
     if d.crossings and genus(d) != 0:
@@ -136,36 +137,21 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
 
         # Which bundle each passage rides: the over strand of a real crossing
         # and the canonically first passage of a virtual crossing are bundle
-        # A; frames below are frame(dir A, dir B).
+        # A; frames below are frame(dir A, dir B).  A passage meets the other
+        # bundle's copies in the order its frame fixes, and only the diagonal
+        # intersection of a real tile keeps the passage's role.
         for t, p in enumerate(comp):
             rec = d.crossings[p.crossing]
             f = rec.sign
-            if not rec.virtual:
-                on_a = p.role is Role.OVER
-                my_role = Role.OVER if on_a else Role.UNDER
-                if on_a:
-                    bs = range(1, r + 1) if f > 0 else range(r, 0, -1)
-                    for b in bs:
-                        cid = slot(("grid", p.crossing, cur, b), f)
-                        emit(cid, my_role if b == cur else Role.THROUGH, "A")
-                else:
-                    as_ = range(r, 0, -1) if f > 0 else range(1, r + 1)
-                    for a in as_:
-                        cid = slot(("grid", p.crossing, a, cur), f)
-                        emit(cid, my_role if a == cur else Role.THROUGH, "B")
-            else:
+            if rec.virtual:
                 on_a = d.passage_index[p.crossing][0] == (0, t)
-                tag = "A" if on_a else "B"
-                if on_a:
-                    bs = range(1, r + 1) if f > 0 else range(r, 0, -1)
-                    for b in bs:
-                        cid = slot(("grid", p.crossing, cur, b), f)
-                        emit(cid, Role.THROUGH, "A")
-                else:
-                    as_ = range(r, 0, -1) if f > 0 else range(1, r + 1)
-                    for a in as_:
-                        cid = slot(("grid", p.crossing, a, cur), f)
-                        emit(cid, Role.THROUGH, "B")
+            else:
+                on_a = p.role is Role.OVER
+            tag = "A" if on_a else "B"
+            for o in range(1, r + 1) if (f > 0) == on_a else range(r, 0, -1):
+                key = ("grid", p.crossing, cur, o) if on_a else ("grid", p.crossing, o, cur)
+                emit(slot(key, f), p.role if o == cur else Role.THROUGH, tag)
+            if rec.virtual:
                 s = shifts(f)[0 if on_a else 1]
                 mover = r if s > 0 else 1
                 if cur == mover:
@@ -221,6 +207,7 @@ def covering(d: Diagram, r: int) -> Diagram:
     virtual crossing carrying the same frame orientation."""
     if d.n_components() != 1:
         raise NotAKnot("coverings are defined for one-component diagrams")
+    r = checked(r, int, BadR, "r")
     if r < 1:
         raise BadR(f"need r >= 1, got {r}")
     if r == 1:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the argument check
+that entry points use to turn a wrong-kind argument into one of them."""
+
+import operator
 
 
 class MultivirtError(Exception):
@@ -10,7 +13,8 @@ class ParseError(MultivirtError):
 
 
 class ValidationError(MultivirtError):
-    """Structurally invalid diagram (wrong passage multiplicity, roles, or signs)."""
+    """Structurally invalid diagram (wrong passage multiplicity, roles, or signs),
+    or an argument that is not of the kind an entry point documents."""
 
 
 class UnknownCrossing(MultivirtError):
@@ -60,3 +64,19 @@ class InvalidColoring(MultivirtError):
 
 class StaleSite(MultivirtError):
     """A move site no longer matches the diagram it was found on."""
+
+
+def checked(value, kind: type, error: type[MultivirtError], what: str):
+    """Return `value` if it is of `kind`, else raise `error` naming it.
+
+    For `kind` int, anything `operator.index` accepts passes and comes back as
+    the int it equals (bools and numpy integers do; floats and strings do
+    not).  Any other `kind`, such as an Enum, is an isinstance check."""
+    if kind is int:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise error(f"{what} must be of type {kind.__name__}, got {value!r}")

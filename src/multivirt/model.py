@@ -30,10 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BadComponent, NotReal, ParseError, UnknownCrossing, ValidationError
+from .errors import BadComponent, NotReal, ParseError, UnknownCrossing, ValidationError, checked
 
 _TOKEN_RE = re.compile(r"([OUV])([0-9]+)([+-])\Z")
 
@@ -88,14 +89,15 @@ class Diagram:
     def passage_index(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
         """Read-only map from crossing id to the positions of its passages, in
         canonical order.  Built once on demand; it depends only on `components`."""
-        if not hasattr(self, "_passage_index"):
-            index: dict[int, list[tuple[int, int]]] = {}
-            for ci, i, p in self.passages():
-                index.setdefault(p.crossing, []).append((ci, i))
-            object.__setattr__(
-                self, "_passage_index", {cid: tuple(ps) for cid, ps in index.items()}
-            )
         return MappingProxyType(self._passage_index)
+
+    # A plain dict is cached, not the proxy: a mappingproxy cannot be pickled.
+    @cached_property
+    def _passage_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        index: dict[int, list[tuple[int, int]]] = {}
+        for ci, i, p in self.passages():
+            index.setdefault(p.crossing, []).append((ci, i))
+        return {cid: tuple(ps) for cid, ps in index.items()}
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
@@ -204,8 +206,11 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
 
     Stored signs of virtual crossings with both passages on `ci` are negated
     whenever the rotation swaps which passage comes first.  Raises
-    BadComponent unless 0 <= ci < n_components.
+    BadComponent unless 0 <= ci < n_components, and ValidationError unless
+    `k` is an integer.
     """
+    ci = checked(ci, int, BadComponent, "component index")
+    k = checked(k, int, ValidationError, "rotation step")
     if not 0 <= ci < d.n_components():
         raise BadComponent(f"component {ci} of {d.n_components()}")
     comp = d.components[ci]
@@ -308,21 +313,29 @@ _CUT_ROLES = {
 class Piece:
     """A contiguous stretch of one component between two cut passages.
 
-    `start` is the cut passage the piece exits from (None for a closed piece
-    covering a whole component), `end` the cut passage it runs into.  `gaps`
-    lists the edge slots (positions g meaning "between passage g and g+1")
-    the piece covers, and `interior` the non-cut passages inside it.
+    `start` is the cut passage the piece leaves (None for a closed piece
+    covering a whole component), and `gaps` lists the edge slots it covers,
+    gap g meaning the edge from passage g to passage g+1.  The gaps say where
+    every passage sits: the piece that leaves passage i covers gap i, and the
+    piece that enters it covers gap i - 1 (mod the component length); a
+    passage that is not cut lies inside the piece that enters it.
     """
 
     component: int
     start: int | None
-    end: int | None
     gaps: tuple[int, ...]
-    interior: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Segments:
+    """The pieces of a diagram at one granularity.
+
+    `index_of_gap` is the one lookup: the piece leaving passage (ci, i) is
+    `index_of_gap(ci, i)`, the piece entering it (or containing it, when it is
+    not cut) is `index_of_gap(ci, (i - 1) % L)`, and a crossing-free circle's
+    closed piece is `index_of_gap(ci, None)`.
+    """
+
     granularity: Granularity
     pieces: tuple[Piece, ...]
 
@@ -330,66 +343,17 @@ class Segments:
         return len(self.pieces)
 
     def index_of_gap(self, ci: int, gap: int | None) -> int:
-        return self._gap_map()[(ci, gap)]
+        return self._gap_map[(ci, gap)]
 
-    def index_into(self, ci: int, idx: int) -> int:
-        """Piece that ends at cut passage (ci, idx)."""
-        return self._end_map()[(ci, idx)]
-
-    def index_out_of(self, ci: int, idx: int) -> int:
-        """Piece that starts at cut passage (ci, idx)."""
-        return self._start_map()[(ci, idx)]
-
-    def index_at(self, ci: int, idx: int) -> int:
-        """Piece containing the non-cut passage (ci, idx)."""
-        return self._interior_map()[(ci, idx)]
-
-    # Lookup tables are built once on demand; Segments is logically immutable.
-    def _gap_map(self):
-        if not hasattr(self, "_gaps"):
-            m = {}
-            for k, piece in enumerate(self.pieces):
-                if piece.start is None:
-                    m[(piece.component, None)] = k
-                for g in piece.gaps:
-                    m[(piece.component, g)] = k
-            object.__setattr__(self, "_gaps", m)
-        return self._gaps
-
-    def _start_map(self):
-        if not hasattr(self, "_starts"):
-            object.__setattr__(
-                self,
-                "_starts",
-                {
-                    (p.component, p.start): k
-                    for k, p in enumerate(self.pieces)
-                    if p.start is not None
-                },
-            )
-        return self._starts
-
-    def _end_map(self):
-        if not hasattr(self, "_ends"):
-            object.__setattr__(
-                self,
-                "_ends",
-                {
-                    (p.component, p.end): k
-                    for k, p in enumerate(self.pieces)
-                    if p.end is not None
-                },
-            )
-        return self._ends
-
-    def _interior_map(self):
-        if not hasattr(self, "_ints"):
-            m = {}
-            for k, piece in enumerate(self.pieces):
-                for i in piece.interior:
-                    m[(piece.component, i)] = k
-            object.__setattr__(self, "_ints", m)
-        return self._ints
+    @cached_property
+    def _gap_map(self) -> dict[tuple[int, int | None], int]:
+        m = {}
+        for k, piece in enumerate(self.pieces):
+            if piece.start is None:
+                m[(piece.component, None)] = k
+            for g in piece.gaps:
+                m[(piece.component, g)] = k
+        return m
 
 
 def segments(d: Diagram, granularity: Granularity) -> Segments:
@@ -399,20 +363,16 @@ def segments(d: Diagram, granularity: Granularity) -> Segments:
     Under and Through passages.  A component with no cut point contributes a
     single closed piece.
     """
-    cut_roles = _CUT_ROLES[granularity]
+    cut_roles = _CUT_ROLES[checked(granularity, Granularity, ValidationError, "granularity")]
     pieces: list[Piece] = []
     for ci, comp in enumerate(d.components):
         L = len(comp)
         cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
         if not cuts:
-            pieces.append(
-                Piece(ci, None, None, tuple(range(L)) if L else (), tuple(range(L)))
-            )
+            pieces.append(Piece(ci, None, tuple(range(L))))
             continue
         for j, s in enumerate(cuts):
             e = cuts[(j + 1) % len(cuts)]
             span = (e - s) % L or L  # s == e means the piece wraps the whole circle
-            gaps = tuple((s + t) % L for t in range(span))
-            interior = tuple((s + t) % L for t in range(1, span))
-            pieces.append(Piece(ci, s, e, gaps, interior))
+            pieces.append(Piece(ci, s, tuple((s + t) % L for t in range(span))))
     return Segments(granularity, tuple(pieces))

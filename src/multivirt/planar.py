@@ -34,18 +34,12 @@ def _port_slots(d: Diagram):
     by_port: dict[tuple[int, int, str], tuple[int, int]] = {}
     slot_table: dict[tuple[int, int], tuple[int, int, str]] = {}
     for cid, rec in d.crossings.items():
-        if rec.virtual:
-            first, second = d.passage_index[cid]
-            if rec.sign > 0:
-                order = [(first, _OUT), (second, _OUT), (first, _IN), (second, _IN)]
-            else:
-                order = [(first, _OUT), (second, _IN), (first, _IN), (second, _OUT)]
+        # (first, second) of a virtual crossing plays (over, under) of a real one.
+        a, b = d.passage_index[cid] if rec.virtual else d.real_positions(cid)
+        if rec.sign > 0:
+            order = [(a, _OUT), (b, _OUT), (a, _IN), (b, _IN)]
         else:
-            over, under = d.real_positions(cid)
-            if rec.sign > 0:
-                order = [(over, _OUT), (under, _OUT), (over, _IN), (under, _IN)]
-            else:
-                order = [(over, _OUT), (under, _IN), (over, _IN), (under, _OUT)]
+            order = [(a, _OUT), (b, _IN), (a, _IN), (b, _OUT)]
         for slot, ((ci, i), side) in enumerate(order):
             by_port[(ci, i, side)] = (cid, slot)
             slot_table[(cid, slot)] = (ci, i, side)

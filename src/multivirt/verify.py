@@ -30,7 +30,7 @@ from .colorings import (
 )
 from .constructions import covering, extract_component, multiplex
 from .errors import MultivirtError, TooLarge
-from .invariants import invariant_report, linking_and_lambda, n_writhes
+from .invariants import WritheTable, invariant_report, linking_and_lambda, n_writhes
 from .model import Diagram, canonical_form
 
 THEOREMS = ("linking", "self_writhe", "components", "colorings")
@@ -66,8 +66,7 @@ class VerifyReport:
         return {"ok": self.ok, "results": [r.to_json() for r in self.results]}
 
 
-def _check_linking(name: str, d: Diagram, r: int) -> CheckResult:
-    J = n_writhes(d)
+def _check_linking(name: str, d: Diagram, J: WritheTable, r: int) -> CheckResult:
     L, _ = multiplex(d, r)
     rep = linking_and_lambda(L)
     for i in range(r):
@@ -85,8 +84,7 @@ def _check_linking(name: str, d: Diagram, r: int) -> CheckResult:
     return CheckResult(name, "linking", r, True)
 
 
-def _check_self_writhe(name: str, d: Diagram, r: int) -> CheckResult:
-    J = n_writhes(d)
+def _check_self_writhe(name: str, d: Diagram, J: WritheTable, r: int) -> CheckResult:
     L, _ = multiplex(d, r)
     for cw in invariant_report(L).jni:
         i, table = cw.component, cw.table
@@ -171,11 +169,12 @@ def verify_theorems(
         d = catalog.diagram(name) if isinstance(name, str) else name
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {name!r} is not a knot")
+        J = n_writhes(d)
         for r in r_range:
             if "linking" in theorems:
-                report.results.append(_check_linking(name, d, r))
+                report.results.append(_check_linking(name, d, J, r))
             if "self_writhe" in theorems:
-                report.results.append(_check_self_writhe(name, d, r))
+                report.results.append(_check_self_writhe(name, d, J, r))
             if "components" in theorems:
                 report.results.append(_check_components(name, d, r))
         if "colorings" in theorems:

@@ -29,6 +29,7 @@ from multivirt.errors import (
     InvalidColoring,
     MissingProvenance,
     TooLarge,
+    ValidationError,
 )
 from multivirt.model import Granularity, Role, Segments, parse_vgc
 
@@ -54,6 +55,10 @@ class TestBuildSystem:
         l2, _ = multiplex(parse_vgc("O1+ U1+"), 2)
         with pytest.raises(MissingProvenance):
             build_system(l2, ColoringMode.CONSTRAINED)
+
+    def test_mode_must_be_a_member(self, trefoil):
+        with pytest.raises(ValidationError, match="'fox'"):
+            build_system(trefoil, "fox")
 
     @pytest.mark.parametrize("mode", [ColoringMode.FOX, ColoringMode.VIRTUAL_FOX])
     @settings(max_examples=150, deadline=None)
@@ -320,6 +325,12 @@ class TestPairingMap:
     def test_short_assignment_is_no_solution(self, trefoil):
         vsys = build_system(trefoil, ColoringMode.VIRTUAL_FOX)
         assert not is_solution(vsys, Coloring((0,) * (vsys.n_unknowns - 1), 3))
+
+    @pytest.mark.parametrize("col", [None, (0, 0, 0), [0, 0, 0]])
+    def test_rejects_non_colorings(self, trefoil, col):
+        l2, prov = multiplex(trefoil, 2)
+        with pytest.raises(InvalidColoring):
+            psi(trefoil, col, l2, prov)
 
     def test_rejects_non_solutions(self, trefoil):
         l2, prov = multiplex(trefoil, 2)

@@ -73,6 +73,17 @@ class TestMultiplexCounts:
         with pytest.raises(BadR):
             multiplex(trefoil, 1)
 
+    @pytest.mark.parametrize("r", [2.0, 2.5, "2", None])
+    def test_non_integer_r_rejected(self, trefoil, r):
+        with pytest.raises(BadR):
+            multiplex(trefoil, r)
+
+    def test_integer_like_r_acts_as_int(self, trefoil):
+        np = pytest.importorskip("numpy")
+        assert multiplex(trefoil, np.int64(2)) == multiplex(trefoil, 2)
+        with pytest.raises(BadR):
+            multiplex(trefoil, True)
+
     def test_abstract_input_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -98,6 +109,20 @@ class TestCovering:
             covering(trefoil, 0)
         with pytest.raises(NotAKnot):
             covering(parse_vgc("O1+ ; U1+"), 2)
+
+    # Unchecked, 2.5 turned every real crossing of asym3 virtual and left the
+    # trefoil unchanged.
+    @pytest.mark.parametrize("name", ["asym3", "trefoil"])
+    @pytest.mark.parametrize("r", [2.0, 2.5, "2", None])
+    def test_non_integer_r_rejected(self, name, r):
+        with pytest.raises(BadR):
+            covering(catalog.diagram(name), r)
+
+    def test_integer_like_r_acts_as_int(self):
+        np = pytest.importorskip("numpy")
+        d = catalog.diagram("asym3")
+        assert covering(d, np.int64(2)) == covering(d, 2)
+        assert covering(d, True) is d
 
 
 class TestExtraction:

@@ -155,15 +155,28 @@ class TestCanonicalForm:
         assert parse_vgc(serialize_vgc(r)) == r
         assert canonical_form(r) == canonical_form(d)
 
-    @pytest.mark.parametrize("ci", [-1, 1, 3])
+    @pytest.mark.parametrize("ci", [-1, 1, 3, 0.5, "0", None])
     def test_rotation_of_a_missing_component_rejected(self, ci):
         # Unchecked, -1 would flip the virtual sign without rotating, and 3
         # would raise a bare IndexError.
         with pytest.raises(BadComponent):
             rotate(parse_vgc("O1+ V2- U1+ V2-"), ci, 2)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+    def test_non_integer_rotation_step_rejected(self, k):
+        with pytest.raises(ValidationError):
+            rotate(parse_vgc("O1+ V2- U1+ V2-"), 0, k)
+
+    def test_bool_component_and_step_act_as_ints(self):
+        d = parse_vgc("O1+ U1+ ; V2+ V2+")
+        assert rotate(d, True, True) == rotate(d, 1, 1)
+
 
 class TestSegments:
+    def test_granularity_must_be_a_member(self):
+        with pytest.raises(ValidationError, match="'edge'"):
+            segments(parse_vgc("O1+ U1+"), "edge")
+
     def test_kink_arcs(self):
         d = parse_vgc("O1+ U1+")
         assert len(segments(d, Granularity.ARC)) == 1
