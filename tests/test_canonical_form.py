@@ -114,3 +114,24 @@ def test_matches_oracle_on_walk_states(name):
         for site in trace:
             cur = apply_move(cur, site)
             assert canonical_form(cur) == _canonical_form_oracle(cur), (seed, site)
+
+
+def _torus_2(n):
+    """The closed 2-braid T(2, n), n odd: crossing c is passed at c - 1 and n + c - 1."""
+    return parse_vgc(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+
+
+LARGE = {
+    "asym3-r16": lambda: multiplex(catalog.diagram("asym3"), 16)[0],
+    "T(2,801)": lambda: _torus_2(801),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE))
+def test_large_inputs_are_invariant_under_rotation_and_relabeling(name):
+    # Too large for the oracle, so the function is checked against itself.
+    d = LARGE[name]()
+    want = canonical_form(d)
+    rnd = random.Random(7)
+    for _ in range(3):
+        assert canonical_form(_scramble(d, rnd)) == want
