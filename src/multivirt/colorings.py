@@ -148,10 +148,7 @@ def build_system(
         rows.append(row((into(cu, iu), 1), (segs.index_of_gap(cu, iu), 1), (into(co, io), -2)))
 
     if mode is ColoringMode.CONSTRAINED:
-        if provenance is None:
-            raise MissingProvenance("constrained systems need the multiplexing provenance")
-        if provenance.r != 2:
-            raise MissingProvenance("constrained systems are defined on 2-fold multiplexes")
+        provenance = _fitted_provenance(provenance, d)
         by_edge: dict[int, dict[int, tuple[int, int | None]]] = {}
         for (t, q), loc in provenance.edge_map.items():
             by_edge.setdefault(t, {})[q] = loc
@@ -162,6 +159,34 @@ def build_system(
             rows.append(row((a, 1), (b, 1)))
 
     return ColoringSystem(mode, segs, tuple(rows))
+
+
+def _fitted_provenance(prov, l2: Diagram) -> Provenance:
+    """Return `prov` if it is the provenance of a 2-fold multiplex with both
+    copies of every source edge on a gap of `l2`; else raise MissingProvenance."""
+    prov = checked(prov, Provenance, MissingProvenance, "multiplexing provenance")
+    if prov.r != 2:
+        raise MissingProvenance("constrained colorings are defined on 2-fold multiplexes")
+    comps = l2.components
+    if len(comps) != prov.r:
+        raise MissingProvenance(
+            f"provenance of a {prov.r}-fold multiplex given with {len(comps)} components"
+        )
+    n_edges = len(prov.edge_map) // 2
+    if set(prov.edge_map) != {(t, q) for t in range(n_edges) for q in (1, 2)}:
+        raise MissingProvenance("the edge map must place both copies of every source edge")
+    for ci, gap in prov.edge_map.values():
+        if not (
+            isinstance(ci, int)
+            and 0 <= ci < len(comps)
+            and (
+                gap is None
+                if not comps[ci]
+                else isinstance(gap, int) and 0 <= gap < len(comps[ci])
+            )
+        ):
+            raise MissingProvenance(f"edge map target {(ci, gap)} is not a gap of the multiplex")
+    return prov
 
 
 # -- exact counting ---------------------------------------------------------
@@ -311,6 +336,7 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
 
 def count_colorings(sys: ColoringSystem, n: int) -> int:
     """Number of solutions of the relation system modulo n (exact, any n >= 1)."""
+    n = checked(n, int, BadModulus, "modulus")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
     s = sys.snf()
@@ -324,6 +350,8 @@ def enumerate_colorings(
     sys: ColoringSystem, n: int, limit: int = 10**6
 ) -> list[Coloring]:
     """All solutions mod n by trying every assignment (the independent oracle)."""
+    n = checked(n, int, BadModulus, "modulus")
+    limit = checked(limit, int, ValidationError, "limit")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
     k = sys.n_unknowns
@@ -378,13 +406,16 @@ def psi(
     multiplex that puts the source value on the right copy of every edge and
     its negative on the left copy."""
     col = checked(col, Coloring, InvalidColoring, "coloring")
-    if prov.r != 2:
-        raise MissingProvenance("the pairing map is defined on 2-fold multiplexes")
-    n = col.modulus
+    n = checked(col.modulus, int, BadModulus, "modulus")
+    if n < 1:
+        raise BadModulus(f"modulus must be >= 1, got {n}")
+    prov = _fitted_provenance(prov, l2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     if not is_solution(vsys, col):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
     esegs = segments(d, Granularity.EDGE)
+    if 2 * len(esegs.pieces) != len(prov.edge_map):
+        raise MissingProvenance("the provenance is not that of the source diagram's multiplex")
     arcs = segments(l2, Granularity.ARC)
     values: dict[int, int] = {}
 

@@ -235,6 +235,7 @@ def covering(d: Diagram, r: int) -> Diagram:
 
 def extract_component(d: Diagram, i: int) -> Diagram:
     """Keep component `i` (1-based) and only the crossings lying entirely on it."""
+    i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     ci = i - 1

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import ParseError, StaleSite, ValidationError
+from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import CrossingRecord, Diagram, Passage, Role
 from .planar import faces
 
@@ -589,6 +589,7 @@ def random_walk(
 ) -> tuple[Diagram, list[MoveSite]]:
     """Apply `steps` uniformly chosen applicable rewrites, deterministically in
     `seed`.  Insertions stop being offered at the size cap."""
+    steps = checked(steps, int, ValidationError, "step count")
     rng = random.Random(seed)
     trace: list[MoveSite] = []
     cur = d

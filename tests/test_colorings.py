@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -268,6 +269,14 @@ class TestCounts:
         with pytest.raises(BadModulus):
             count_colorings(build_system(trefoil, ColoringMode.FOX), 0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_modulus_rejected(self, trefoil, n):
+        sys_ = build_system(trefoil, ColoringMode.FOX)
+        with pytest.raises(BadModulus):
+            count_colorings(sys_, n)
+        with pytest.raises(BadModulus):
+            enumerate_colorings(sys_, n)
+
 
 class TestEnumeration:
     def test_kink(self):
@@ -285,6 +294,11 @@ class TestEnumeration:
     def test_too_large(self, trefoil):
         with pytest.raises(TooLarge):
             enumerate_colorings(build_system(trefoil, ColoringMode.FOX), 101, limit=10**6)
+
+    @pytest.mark.parametrize("limit", [1e6, "1000", None])
+    def test_non_integer_limit_rejected(self, trefoil, limit):
+        with pytest.raises(ValidationError):
+            enumerate_colorings(build_system(trefoil, ColoringMode.FOX), 3, limit=limit)
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_oracle_matches_divisor_formula(self, name):
@@ -337,6 +351,40 @@ class TestPairingMap:
         bad = Coloring((0, 0, 1), 2)  # mod 2 only constant colorings survive
         with pytest.raises(InvalidColoring):
             psi(trefoil, bad, l2, prov)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, "3"])
+    def test_rejects_bad_modulus(self, trefoil, n):
+        # Unchecked, 2.5 gave a coloring with float values and 0 raised
+        # ZeroDivisionError.
+        l2, prov = multiplex(trefoil, 2)
+        zeros = (0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns
+        with pytest.raises(BadModulus):
+            psi(trefoil, Coloring(zeros, n), l2, prov)
+
+    def test_rejects_a_provenance_that_does_not_fit(self, trefoil):
+        l2, prov = multiplex(trefoil, 2)
+        zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
+        off_gap = dict(prov.edge_map)
+        off_gap[(0, 1)] = (0, len(l2.components[0]))
+        l3, prov3 = multiplex(trefoil, 3)
+        bad = [
+            (l2, None),
+            (l2, "x"),
+            (trefoil, prov),  # the source where its multiplex belongs
+            (l2, replace(prov, edge_map=off_gap)),
+            (l3, prov3),
+        ]
+        for target, p in bad:
+            with pytest.raises(MissingProvenance):
+                psi(trefoil, zero, target, p)
+            with pytest.raises(MissingProvenance):
+                build_system(target, ColoringMode.CONSTRAINED, p)
+
+    def test_rejects_the_provenance_of_another_source(self, trefoil):
+        l2, prov = multiplex(catalog.diagram("kink"), 2)
+        zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
+        with pytest.raises(MissingProvenance):
+            psi(trefoil, zero, l2, prov)
 
     @pytest.mark.parametrize("name", ["unknot", "kink", "trefoil", "vtrefoil"])
     def test_bijection(self, name):

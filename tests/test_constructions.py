@@ -133,6 +133,16 @@ class TestExtraction:
         with pytest.raises(BadComponent):
             extract_component(trefoil, 2)
 
+    @pytest.mark.parametrize("i", [1.0, 1.5, "1", None])
+    def test_non_integer_component_rejected(self, trefoil, i):
+        L, _ = multiplex(trefoil, 2)
+        with pytest.raises(BadComponent):
+            extract_component(L, i)
+
+    def test_bool_component_acts_as_int(self, trefoil):
+        L, _ = multiplex(trefoil, 2)
+        assert extract_component(L, True) == extract_component(L, 1)
+
     @pytest.mark.parametrize("name", ["kink", "trefoil", "vtrefoil", "asym3"])
     @pytest.mark.parametrize("r", [2, 3])
     def test_components_are_coverings(self, name, r):

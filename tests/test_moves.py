@@ -9,7 +9,7 @@ from conftest import diagrams
 from multivirt import catalog
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
-from multivirt.errors import MultivirtError, StaleSite
+from multivirt.errors import MultivirtError, StaleSite, ValidationError
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
 from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
@@ -283,6 +283,11 @@ class TestRandomWalk:
     def test_zero_steps(self, trefoil):
         out, trace = random_walk(trefoil, 0, seed=1)
         assert out == trefoil and trace == []
+
+    @pytest.mark.parametrize("steps", [1.5, 2.0, "2", None])
+    def test_non_integer_step_count_rejected(self, trefoil, steps):
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, steps, 0)
 
     def test_deterministic(self, trefoil):
         a, ta = random_walk(trefoil, 12, seed=42, kinds=NONFU, size_cap=20)
