@@ -162,30 +162,22 @@ def build_system(
 
 
 def _fitted_provenance(prov, l2: Diagram) -> Provenance:
-    """Return `prov` if it is the provenance of a 2-fold multiplex with both
-    copies of every source edge on a gap of `l2`; else raise MissingProvenance."""
+    """Return `prov` if it is the provenance of a 2-fold multiplex that places
+    both copies of every source edge on a gap of `l2`; else raise
+    MissingProvenance."""
     prov = checked(prov, Provenance, MissingProvenance, "multiplexing provenance")
     if prov.r != 2:
         raise MissingProvenance("constrained colorings are defined on 2-fold multiplexes")
-    comps = l2.components
-    if len(comps) != prov.r:
+    if l2.n_components() != prov.r:
         raise MissingProvenance(
-            f"provenance of a {prov.r}-fold multiplex given with {len(comps)} components"
+            f"provenance of a {prov.r}-fold multiplex given with {l2.n_components()} components"
         )
     n_edges = len(prov.edge_map) // 2
     if set(prov.edge_map) != {(t, q) for t in range(n_edges) for q in (1, 2)}:
         raise MissingProvenance("the edge map must place both copies of every source edge")
-    for ci, gap in prov.edge_map.values():
-        if not (
-            isinstance(ci, int)
-            and 0 <= ci < len(comps)
-            and (
-                gap is None
-                if not comps[ci]
-                else isinstance(gap, int) and 0 <= gap < len(comps[ci])
-            )
-        ):
-            raise MissingProvenance(f"edge map target {(ci, gap)} is not a gap of the multiplex")
+    gaps = {(ci, g) for ci, comp in enumerate(l2.components) for g in range(len(comp)) or (None,)}
+    if not gaps.issuperset(prov.edge_map.values()):
+        raise MissingProvenance("the edge map places an edge off the gaps of the multiplex")
     return prov
 
 
