@@ -85,12 +85,6 @@ def test_matches_oracle_on_random_diagrams(d, rnd):
     assert canonical_form(d) == _canonical_form_oracle(d)
 
 
-def test_periodic_first_component_keeps_both_linked_rotations():
-    want = "O1+ U1+ V2+ O3+ U3+ V4+ ; O5+ U5+ V2+ V4+"
-    assert _canonical_form_oracle(PERIODIC_AND_LINKED) == want
-    assert canonical_form(PERIODIC_AND_LINKED) == want
-
-
 @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_matches_oracle_on_multiplexes(name, r):
