@@ -108,88 +108,57 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
 
     comp = d.components[0]
     m = len(comp)
-
+    crossings: dict[int, CrossingRecord] = {}
+    crossing_map: dict[int, tuple] = {}
     slot_ids: dict[tuple, int] = {}
-    slot_info: dict[int, dict] = {}
-    next_id = 1
-
-    def slot(key: tuple, frame: int) -> int:
-        nonlocal next_id
-        if key not in slot_ids:
-            slot_ids[key] = next_id
-            slot_info[next_id] = {"key": key, "frame": frame, "passages": []}
-            next_id += 1
-        return slot_ids[key]
-
-    def shifts(f: int) -> tuple[int, int]:
-        # (bundle A, bundle B); the two bundles always shift opposite ways.
-        return (-f * _SHIFT_ORIENTATION, f * _SHIFT_ORIENTATION)
-
     out_components: list[list[Passage]] = []
     edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
     for ell in range(1, r + 1):
         cur = ell
         trace: list[Passage] = []
 
-        def emit(cid: int, role: Role, tag: str) -> None:
-            slot_info[cid]["passages"].append((ell - 1, len(trace), tag))
+        def emit(key: tuple, role: Role, sign: int) -> None:
+            # Passages are emitted in canonical order, so the first emission
+            # of a slot is its first passage and `sign`, the frame read from
+            # it (the source sign for a diagonal crossing), fixes its record.
+            cid = slot_ids.get(key)
+            if cid is None:
+                cid = slot_ids[key] = len(slot_ids) + 1
+                crossings[cid] = CrossingRecord(cid, role is Role.THROUGH, sign)
+                crossing_map[cid] = key
             trace.append(Passage(cid, role))
 
-        # Which bundle each passage rides: the over strand of a real crossing
-        # and the canonically first passage of a virtual crossing are bundle
-        # A; frames below are frame(dir A, dir B).  A passage meets the other
-        # bundle's copies in the order its frame fixes, and only the diagonal
-        # intersection of a real tile keeps the passage's role.
+        # A passage rides bundle 1 when it is the over passage of a real
+        # crossing or the first passage of a virtual one, that is when the
+        # frame f read from it is the stored sign.  It meets the other
+        # bundle's copies in the order f fixes, and every intersection keeps
+        # the frame f read from it; only the diagonal intersection of a real
+        # tile keeps the passage's role.
         for t, p in enumerate(comp):
             rec = d.crossings[p.crossing]
-            f = rec.sign
-            if rec.virtual:
-                on_a = d.passage_index[p.crossing][0] == (0, t)
-            else:
-                on_a = p.role is Role.OVER
-            tag = "A" if on_a else "B"
-            for o in range(1, r + 1) if (f > 0) == on_a else range(r, 0, -1):
-                key = ("grid", p.crossing, cur, o) if on_a else ("grid", p.crossing, o, cur)
-                emit(slot(key, f), p.role if o == cur else Role.THROUGH, tag)
-            if rec.virtual:
-                s = shifts(f)[0 if on_a else 1]
-                mover = r if s > 0 else 1
-                if cur == mover:
-                    ps = range(r - 1, 0, -1) if s > 0 else range(2, r + 1)
-                    for q in ps:
-                        cid = slot(("shift", p.crossing, tag, q), -s)
-                        emit(cid, Role.THROUGH, "M")
+            f = d.frame(p.crossing, (0, t))
+            on_a = f == rec.sign
+            for o in range(1, r + 1) if f > 0 else range(r, 0, -1):
+                a, b = (cur, o) if on_a else (o, cur)
+                if a == b and not rec.virtual:
+                    emit(("diag", p.crossing, a), p.role, rec.sign)
                 else:
-                    cid = slot(("shift", p.crossing, tag, cur), -s)
-                    emit(cid, Role.THROUGH, "N")
+                    emit(("off", p.crossing, a, b), Role.THROUGH, f)
+            if rec.virtual:
+                # The mover crosses the rest of its bundle with frame -s.
+                s = -f * _SHIFT_ORIENTATION
+                bundle = 1 if on_a else 2
+                if cur == (r if s > 0 else 1):
+                    for q in range(r - 1, 0, -1) if s > 0 else range(2, r + 1):
+                        emit(("shift", p.crossing, bundle, q), Role.THROUGH, -s)
+                else:
+                    emit(("shift", p.crossing, bundle, cur), Role.THROUGH, s)
                 cur = (cur - 1 + s) % r + 1
             edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
         if m == 0:
             edge_map[(0, ell)] = (ell - 1, None)
         assert cur == ell, "bundle shifts around the circle must cancel"
         out_components.append(trace)
-
-    crossings: dict[int, CrossingRecord] = {}
-    crossing_map: dict[int, tuple] = {}
-    for cid, info in slot_info.items():
-        key = info["key"]
-        src = key[1]
-        src_rec = d.crossings[src]
-        if key[0] == "grid":
-            a, b = key[2], key[3]
-            if not src_rec.virtual and a == b:
-                crossings[cid] = CrossingRecord(cid, False, src_rec.sign)
-                crossing_map[cid] = ("diag", src, a)
-                continue
-            crossing_map[cid] = ("off", src, a, b)
-            first_tag = "A"
-        else:
-            crossing_map[cid] = ("shift", src, 1 if key[2] == "A" else 2, key[3])
-            first_tag = "M"
-        ps = sorted((ci, i, tag) for ci, i, tag in info["passages"])
-        assert len(ps) == 2
-        sign = info["frame"] if ps[0][2] == first_tag else -info["frame"]
-        crossings[cid] = CrossingRecord(cid, True, sign)
 
     out = Diagram(tuple(tuple(c) for c in out_components), crossings)
     out.validate()
@@ -221,13 +190,9 @@ def covering(d: Diagram, r: int) -> Diagram:
     crossings = dict(d.crossings)
     comp = list(d.components[0])
     for cid in to_virtualize:
-        (co, io), (cu, iu) = d.real_positions(cid)
-        # Stored sign follows the canonical passage order: the frame
-        # (over direction, under direction) equals the real sign.
-        sign = crossings[cid].sign if (co, io) < (cu, iu) else -crossings[cid].sign
-        crossings[cid] = CrossingRecord(cid, True, sign)
-        comp[io] = Passage(cid, Role.THROUGH)
-        comp[iu] = Passage(cid, Role.THROUGH)
+        a, b = d.passage_index[cid]
+        crossings[cid] = CrossingRecord(cid, True, d.frame(cid, a))
+        comp[a[1]] = comp[b[1]] = Passage(cid, Role.THROUGH)
     out = Diagram((tuple(comp),), crossings)
     out.validate()
     return out

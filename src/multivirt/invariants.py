@@ -2,12 +2,11 @@
 
 The index of a real self-crossing c is computed along its specified path: the
 stretch of the component strictly between the over passage and the under
-passage of c.  Walking that path, a real crossing met as Under contributes
-+sign, met as Over contributes -sign; a virtual crossing met as its canonical
-second passage contributes +sign, as its first passage -sign.  Both rules say
-the same thing: a transverse strand counts +1 when it crosses the path from
-left to right.  A crossing whose two passages both lie on the path contributes
-zero in total.
+passage of c.  A transverse strand counts +1 when it crosses the path from
+left to right, which by the frame rule of `model` is minus the frame read
+from the passage on the path: each passage on the path adds `-d.frame` to
+`ind` (real crossings) or `ind_v` (virtual ones).  A crossing whose two
+passages both lie on the path contributes zero in total.
 
 On genus-0 diagrams the real and virtual counts cancel: ind + ind_v = 0 for
 every real self-crossing.  No such constraint holds for abstract (positive
@@ -18,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadComponent, MixedCrossing, NotAKnot
-from .model import Diagram, Passage, Role
+from .errors import BadComponent, MixedCrossing, NotAKnot, checked
+from .model import Diagram, Passage
 
 
 @dataclass(frozen=True)
@@ -104,17 +103,13 @@ def crossing_indices(d: Diagram, cid: int) -> IndexPair:
     """(ind, ind_v) of the real self-crossing `cid`, counted along its
     specified path."""
     ci, idxs = _path_positions(d, cid)
-    pos = d.passage_index
     ind = ind_v = 0
     for i in idxs:
-        p = d.components[ci][i]
-        rec = d.crossings[p.crossing]
-        if rec.virtual:
-            ind_v += -rec.sign if pos[p.crossing][0] == (ci, i) else rec.sign
-        elif p.role is Role.UNDER:
-            ind += rec.sign
+        c = d.components[ci][i].crossing
+        if d.crossings[c].virtual:
+            ind_v -= d.frame(c, (ci, i))
         else:
-            ind += -rec.sign
+            ind -= d.frame(c, (ci, i))
     return IndexPair(ind, ind_v)
 
 
@@ -163,6 +158,7 @@ def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
     """Writhe table of the real self-crossings of component `i` (1-based),
     with indices counted against the whole diagram.  Stable for n outside
     {0, lambda_i}."""
+    i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     return _component_writhes(d, i, linking_and_lambda(d).lam)

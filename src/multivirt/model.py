@@ -2,13 +2,17 @@
 
 A diagram is an ordered list of oriented circles ("components"), each a cyclic
 sequence of passages through crossings.  A real crossing is passed once as Over
-and once as Under and carries a sign; a virtual crossing is passed twice
-(role Through) and carries an intersection sign relative to the canonical
-order of its two passages: the sign is the orientation of the frame
-(direction of the first passage, direction of the second passage), where
-"first" means lexicographically smaller (component index, position).  Rotating
-a basepoint past exactly one passage of a virtual crossing therefore negates
-the stored sign; `rotate` takes care of that.
+and once as Under; a virtual crossing is passed twice (role Through).
+
+The frame rule: every crossing carries one sign, the orientation of its frame
+read from one strand, (direction of that strand, direction of the other
+strand).  A real crossing is read from its over passage, a virtual one from
+its first passage, "first" meaning lexicographically smaller (component
+index, position); read from the other passage the frame is the negative.
+`Diagram.frame(cid, pos)` is the one reader of this rule: it returns the
+frame read from the passage at `pos`.  Rotating a basepoint past exactly one
+passage of a virtual crossing therefore negates the stored sign; `rotate`
+takes care of that.
 
 VGC grammar (serialized form is bit-exact):
 
@@ -21,14 +25,14 @@ Both tokens of one crossing carry the same sign character.
 Every diagram carries one passage index: crossing id -> positions
 (component, index) of its passages, in canonical order.  It depends only on
 `components`, is built on first use (`validate` builds it as its own sweep)
-and is cached on the instance; `positions_of`, `real_positions` and every
-module that needs to know where a crossing sits read it.
+and is kept in a dict field of the instance; `positions_of`, `real_positions`,
+`frame` and every module that needs to know where a crossing sits read it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -55,7 +59,7 @@ class Passage:
 class CrossingRecord:
     cid: int
     virtual: bool
-    sign: int  # epsilon for real crossings; frame sign of (first, second) passage for virtual
+    sign: int  # the frame read from the over passage (real) or the first passage (virtual)
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,12 @@ class Diagram:
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: dict[int, CrossingRecord]
+    # The passage index, filled on first use.  A field set in __init__ keeps
+    # attribute reads on the fast path, which writing the instance __dict__
+    # later (as functools.cached_property does) would leave for good.
+    _index: dict[int, tuple[tuple[int, int], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- basic queries ----------------------------------------------------
 
@@ -91,17 +101,37 @@ class Diagram:
         canonical order.  Built once on demand; it depends only on `components`."""
         return MappingProxyType(self._passage_index)
 
-    # A plain dict is cached, not the proxy: a mappingproxy cannot be pickled.
-    @cached_property
+    # A plain dict is kept, not the proxy: a mappingproxy cannot be pickled.
+    @property
     def _passage_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        index: dict[int, list[tuple[int, int]]] = {}
-        for ci, i, p in self.passages():
-            index.setdefault(p.crossing, []).append((ci, i))
-        return {cid: tuple(ps) for cid, ps in index.items()}
+        index = self._index
+        if not index:
+            sweep: dict[int, list[tuple[int, int]]] = {}
+            for ci, i, p in self.passages():
+                sweep.setdefault(p.crossing, []).append((ci, i))
+            index.update((cid, tuple(ps)) for cid, ps in sweep.items())
+        return index
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
         return list(self.passage_index.get(cid, ()))
+
+    def frame(self, cid: int, pos: tuple[int, int]) -> int:
+        """Orientation of the frame (direction of the strand passing `cid` at
+        `pos`, direction of the other strand): the stored sign read from the
+        over passage of a real crossing or the first passage of a virtual
+        one, its negative read from the other passage.  Raises
+        UnknownCrossing for an unknown id and ValidationError for a `pos`
+        that is not a passage of `cid`."""
+        rec = self.crossings.get(cid)
+        if rec is None:
+            raise UnknownCrossing(f"no crossing {cid}")
+        a, b = self._passage_index[cid]
+        if pos != a and pos != b:
+            raise ValidationError(f"{pos!r} is not a passage of crossing {cid}")
+        if not rec.virtual and self.components[a[0]][a[1]].role is not Role.OVER:
+            a = b
+        return rec.sign if pos == a else -rec.sign
 
     def real_positions(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(over position, under position) of a real crossing."""
@@ -292,16 +322,14 @@ def canonical_form(d: Diagram) -> str:
         for i, p in enumerate(comp):
             rec = d.crossings[p.crossing]
             (c1, p1), (c2, p2) = d.passage_index[p.crossing]
-            sign = rec.sign
+            # The sign a crossing is printed with when first met here: for a
+            # virtual one the frame read from this passage, as `rotate` stores it.
+            sign = d.frame(p.crossing, (ci, i)) if rec.virtual else rec.sign
             if c1 != c2:
                 # No other passage of this component has this crossing, so a
                 # component linked to another one has no period below L.
                 code.append((p.role, sign, None, p.crossing))
             else:
-                # A rotation that puts p2 first flips the stored sign exactly
-                # when p1 < k <= p2, as `rotate` does: the frame read from p2.
-                if rec.virtual and i == p2:
-                    sign = -sign
                 code.append((p.role, sign, ((p2 if i == p1 else p1) - i) % L, None))
             roles.append(p.role.value)
             cids.append(p.crossing)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -173,14 +174,13 @@ def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
 
 _TRIANGLE_TEMPLATES = _generate_triangle_templates()
 
-# Lookup from the role/order pattern of a bound triangle to the templates it
-# may still match (only the frame signs remain to be checked).
-_TEMPLATE_INDEX: dict[tuple, list[tuple[str, int, dict]]] = {}
-for _fam, _tpls in _TRIANGLE_TEMPLATES.items():
-    for _ti, _tpl in enumerate(_tpls):
-        _TEMPLATE_INDEX.setdefault(
-            (_tpl.orders, _tpl.roles, _tpl.virtual), []
-        ).append((_fam, _ti, dict(_tpl.frames)))
+# Lookup from the full pattern of a bound triangle to the one template it
+# matches: the key is the generator's dedup key, so no two templates share it.
+_TEMPLATE_INDEX: dict[tuple, tuple[str, int]] = {
+    (tpl.orders, tpl.roles, tpl.virtual, tpl.frames): (fam, ti)
+    for fam, tpls in _TRIANGLE_TEMPLATES.items()
+    for ti, tpl in enumerate(tpls)
+}
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -344,17 +344,11 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     return out
 
 
-def _pair_frame(d: Diagram, cid: int, pos_a: tuple[int, int]) -> int:
-    """Frame of a virtual crossing read with the strand at pos_a named first."""
-    rec = d.crossings[cid]
-    return rec.sign if d.passage_index[cid][0] == pos_a else -rec.sign
-
-
 def _is_poke_deletion(d: Diagram, kind: str, loc1, loc2) -> bool:
     """Whether the gaps loc1 < loc2 (each (component, gap)) hold a cancelling
-    pair of the kind: two real crossings of opposite sign, one gap over both
-    and the other under both (R2del), or two virtual crossings of opposite
-    frame read from loc1 (VR2del)."""
+    pair of the kind: two real crossings, one gap over both and the other
+    under both (R2del), or two virtual crossings (VR2del), whose frames read
+    from loc1 are opposite."""
     if not loc1 < loc2:
         return False
     flanks = []
@@ -368,12 +362,11 @@ def _is_poke_deletion(d: Diagram, kind: str, loc1, loc2) -> bool:
         return False
     if any(d.crossings[c].virtual != (kind == "VR2del") for c in cids):
         return False
-    if kind == "VR2del":
-        return _pair_frame(d, p1.crossing, s1) == -_pair_frame(d, q1.crossing, t1)
-    roles = ({p1.role, q1.role}, {p2.role, q2.role})
-    if roles not in (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER})):
-        return False
-    return d.crossings[p1.crossing].sign == -d.crossings[q1.crossing].sign
+    if kind == "R2del":
+        roles = ({p1.role, q1.role}, {p2.role, q2.role})
+        if roles not in (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER})):
+            return False
+    return d.frame(p1.crossing, s1) == -d.frame(q1.crossing, t1)
 
 
 def _poke_deletions(d: Diagram, kind: str):
@@ -423,59 +416,41 @@ def _match_triangle(d: Diagram, trio, families):
     """Yield (family, template index, strand assignment) for every way the
     three bound gaps fit a slide template of one of the families."""
     cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
+    # Per bound gap, its two flanking passages as (crossing, role, frame read
+    # from it); none of these depends on the labeling.
     gap_of_pair = {}
-    for rec in trio:
-        ci, g, p, q = rec
-        gap_of_pair[frozenset((p.crossing, q.crossing))] = rec
+    for ci, g, p, q in trio:
+        h = (g + 1) % len(d.components[ci])
+        gap_of_pair[frozenset((p.crossing, q.crossing))] = (
+            (p.crossing, p.role.value, d.frame(p.crossing, (ci, g))),
+            (q.crossing, q.role.value, d.frame(q.crossing, (ci, h))),
+        )
+    virtual = [c for c in cids if d.crossings[c].virtual]
     for perm in permutations(cids):
         label = dict(zip(("x", "y", "z"), perm))
         unlabel = {cid: lbl for lbl, cid in label.items()}
         strand_pair = {}
         for s in _STRANDS:
             want = frozenset(label[c] for c in ("x", "y", "z") if s in _PAIR_OF[c])
-            rec = gap_of_pair.get(want)
-            if rec is None:
+            flanks = gap_of_pair.get(want)
+            if flanks is None:
                 break
-            strand_pair[s] = rec
+            strand_pair[s] = flanks
         if len(strand_pair) != 3:
             continue
-        orders = []
-        roles = []
-        virt = set()
-        pos_of: dict[tuple[str, str], tuple[int, int]] = {}
+        orders, roles, frames = [], [], {}  # frames: read from each pair's first strand
         for s in _STRANDS:
-            ci, g, p, q = strand_pair[s]
-            L = len(d.components[ci])
-            l1, l2 = unlabel[p.crossing], unlabel[q.crossing]
-            orders.append((l1, l2))
-            roles.append((s, l1, p.role.value))
-            roles.append((s, l2, q.role.value))
-            pos_of[(s, l1)] = (ci, g)
-            pos_of[(s, l2)] = (ci, (g + 1) % L)
-        for c in ("x", "y", "z"):
-            if d.crossings[label[c]].virtual:
-                virt.add(c)
-        key = (tuple(orders), tuple(sorted(roles)), frozenset(virt))
-        role_of = {(s, c): r for s, c, r in roles}
-        for fam, ti, frames in _TEMPLATE_INDEX.get(key, ()):
-            if fam not in families:
-                continue
-            ok = True
-            for c in ("x", "y", "z"):
-                cid = label[c]
-                rec2 = d.crossings[cid]
-                s1, s2 = _PAIR_OF[c]
-                f = frames[c]
-                if rec2.virtual:
-                    first = min(pos_of[(s1, c)], pos_of[(s2, c)])
-                    want = f if first == pos_of[(s1, c)] else -f
-                else:
-                    want = f if role_of[(s1, c)] == "O" else -f
-                if rec2.sign != want:
-                    ok = False
-                    break
-            if ok:
-                yield fam, ti, perm
+            flanks = [(unlabel[cid], role, f) for cid, role, f in strand_pair[s]]
+            orders.append((flanks[0][0], flanks[1][0]))
+            for c, role, f in flanks:
+                roles.append((s, c, role))
+                if _PAIR_OF[c][0] == s:
+                    frames[c] = f
+        virt = frozenset(unlabel[c] for c in virtual)
+        key = (tuple(orders), tuple(sorted(roles)), virt, tuple(sorted(frames.items())))
+        match = _TEMPLATE_INDEX.get(key)
+        if match is not None and match[0] in families:
+            yield *match, perm
 
 
 def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
@@ -502,22 +477,16 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
         components[ci][g], components[ci][h] = components[ci][h], components[ci][g]
         moved[(ci, g)] = (ci, h)
         moved[(ci, h)] = (ci, g)
-    # Swapping the wrap-around gap of a component moves a passage between the
-    # ends of the linear order, which can flip which passage of a virtual
-    # crossing counts as first; the stored sign must follow.
+    # A slide keeps the frame read from every strand, but swapping the
+    # wrap-around gap of a component moves a passage between the ends of the
+    # linear order, which can change which passage of a virtual crossing is
+    # first; its sign is the frame read from the passage that is first now.
     crossings = dict(d.crossings)
-    seen: set[int] = set()
-    for ci, g in site.locus:
-        comp = d.components[ci]
-        for cid in (comp[g].crossing, comp[(g + 1) % len(comp)].crossing):
-            if cid in seen or not crossings[cid].virtual:
-                continue
-            seen.add(cid)
-            old = d.positions_of(cid)
-            new = sorted(moved.get(pos, pos) for pos in old)
-            if moved.get(old[0], old[0]) != new[0]:
-                rec = crossings[cid]
-                crossings[cid] = CrossingRecord(cid, True, -rec.sign)
+    for ci, i in moved:
+        cid = d.components[ci][i].crossing
+        if crossings[cid].virtual:
+            first = min(d.passage_index[cid], key=lambda pos: moved.get(pos, pos))
+            crossings[cid] = CrossingRecord(cid, True, d.frame(cid, first))
     out = Diagram(tuple(tuple(c) for c in components), crossings)
     out.validate()
     return out
@@ -557,12 +526,15 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
     """Every applicable rewriting site of the requested kinds.
 
     Insertion kinds are suppressed once the diagram has `size_cap` crossings."""
+    if kinds is not None:
+        checked(kinds, Iterable, ValidationError, "move kinds")
     kinds = set(MOVE_KINDS if kinds is None else kinds)
     unknown = kinds - set(MOVE_KINDS)
     if unknown:
         raise ValidationError(f"unknown move kinds: {sorted(unknown)}")
-    cap = size_cap_from_env() if size_cap is None else size_cap
-    if len(d.crossings) >= cap:
+    if size_cap is None:
+        size_cap = size_cap_from_env()
+    if len(d.crossings) >= checked(size_cap, int, ValidationError, "size cap"):
         kinds -= _INSERTION_KINDS
     return _sites(d, kinds)
 
@@ -590,7 +562,7 @@ def random_walk(
     """Apply `steps` uniformly chosen applicable rewrites, deterministically in
     `seed`.  Insertions stop being offered at the size cap."""
     steps = checked(steps, int, ValidationError, "step count")
-    rng = random.Random(seed)
+    rng = random.Random(checked(seed, int, ValidationError, "seed"))
     trace: list[MoveSite] = []
     cur = d
     for _ in range(steps):

@@ -1,15 +1,14 @@
 """Rotation systems, face tracing, genus, and planarization.
 
-Every crossing is a 4-valent vertex.  The counterclockwise port order at a
-vertex is fixed by the crossing kind and sign:
+Every crossing is a 4-valent vertex.  Its counterclockwise port order is fixed
+by the frame rule of `model`: for the passages (a, b) of the crossing in
+canonical order and the frame f read from a,
 
-    real   +1: out-over,  out-under, in-over,  in-under
-    real   -1: out-over,  in-under,  in-over,  out-under
-    virtual+1: out-first, out-second, in-first, in-second
-    virtual-1: out-first, in-second,  in-first, out-second
+    f = +1: out-a, out-b, in-a, in-b
+    f = -1: out-a, in-b,  in-a, out-b
 
-(sign +1 means the frame (over direction, under direction), respectively
-(first direction, second direction), is positively oriented).  Tracing the
+since the frame (direction of a, direction of b) is positively oriented
+exactly when b leaves a quarter turn counterclockwise of a.  Tracing the
 orbit that leaves each arrival port through the next port clockwise walks a
 face boundary; the face count gives the genus of the carrier surface via the
 Euler characteristic, computed per connected piece of the 4-valent graph and
@@ -33,10 +32,8 @@ def _port_slots(d: Diagram):
     """Map (component, position, side) -> (crossing id, ccw slot 0..3) and back."""
     by_port: dict[tuple[int, int, str], tuple[int, int]] = {}
     slot_table: dict[tuple[int, int], tuple[int, int, str]] = {}
-    for cid, rec in d.crossings.items():
-        # (first, second) of a virtual crossing plays (over, under) of a real one.
-        a, b = d.passage_index[cid] if rec.virtual else d.real_positions(cid)
-        if rec.sign > 0:
+    for cid, (a, b) in d.passage_index.items():
+        if d.frame(cid, a) > 0:
             order = [(a, _OUT), (b, _OUT), (a, _IN), (b, _IN)]
         else:
             order = [(a, _OUT), (b, _IN), (a, _IN), (b, _OUT)]
@@ -197,7 +194,7 @@ def _rail_layout(d: Diagram) -> Diagram:
     # Intersections: the vertical legs of an edge (x = a rising to its lane,
     # x = b dropping back) against the horizontals of lower lanes.
     next_id = max(d.crossings, default=0) + 1
-    inter: dict[tuple, int] = {}
+    vertical_edge: dict[int, tuple[int, int]] = {}
     frames: dict[int, int] = {}
     on_vert: dict[tuple, list] = {(e, leg): [] for e in edge_list for leg in (0, 1)}
     on_horiz: dict[tuple, list] = {e: [] for e in edge_list}
@@ -211,7 +208,7 @@ def _rail_layout(d: Diagram) -> Diagram:
                 if min(a2, b2) < x < max(a2, b2):
                     cid = next_id
                     next_id += 1
-                    inter[(e, leg, e2)] = cid
+                    vertical_edge[cid] = e
                     hdir = 1 if b2 > a2 else -1
                     # frame(vertical direction, horizontal direction)
                     frames[cid] = -vdir * hdir
@@ -226,6 +223,9 @@ def _rail_layout(d: Diagram) -> Diagram:
         horiz = [cid for x, cid, _ in sorted(on_horiz[e], reverse=(hdir < 0))]
         return ups + horiz + downs
 
+    # Passages are laid down in canonical order, so the first passage met of
+    # an intersection fixes its sign: the frame read from it, which is
+    # frames[cid] on the vertical side and its negative on the horizontal one.
     crossings = dict(d.crossings)
     new_components: list[list[Passage]] = []
     for ci, comp in enumerate(d.components):
@@ -233,32 +233,12 @@ def _rail_layout(d: Diagram) -> Diagram:
         for g, p in enumerate(comp):
             out.append(p)
             for cid in edge_sequence((ci, g)):
+                if cid not in crossings:
+                    f = frames[cid] if vertical_edge[cid] == (ci, g) else -frames[cid]
+                    crossings[cid] = CrossingRecord(cid, True, f)
                 out.append(Passage(cid, Role.THROUGH))
         new_components.append(out)
-
-    # Tag each passage of an intersection as the vertical or horizontal side:
-    # it is the vertical side when it sits inside the expansion of the edge
-    # whose leg produced it.
-    side_tag: dict[tuple[int, int], str] = {}
-    for ci, comp in enumerate(d.components):
-        cursor = 0
-        out = new_components[ci]
-        for g, p in enumerate(comp):
-            cursor += 1  # the real passage itself
-            e = (ci, g)
-            seq = edge_sequence(e)
-            vert_here = {cid for (ee, leg, e2), cid in inter.items() if ee == e}
-            for cid in seq:
-                side_tag[(ci, cursor)] = "v" if cid in vert_here else "h"
-                cursor += 1
-    # Stored virtual signs are relative to the canonical passage order, which
-    # the passage index gives; the index depends only on the components, so
-    # the new records can be filled in after the diagram is built.
     out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
-    for cid in frames:
-        first_is_vertical = side_tag[out_d.passage_index[cid][0]] == "v"
-        sign = frames[cid] if first_is_vertical else -frames[cid]
-        crossings[cid] = CrossingRecord(cid, True, sign)
     out_d.validate()
     if genus(out_d) != 0:
         raise ValidationError("rail layout produced a non-planar code")

@@ -113,6 +113,11 @@ class TestIthNWrithes:
         with pytest.raises(BadComponent):
             ith_n_writhes(parse_vgc("."), 2)
 
+    @pytest.mark.parametrize("i", [1.0, "1", None])
+    def test_non_integer_component_rejected(self, i):
+        with pytest.raises(BadComponent):
+            ith_n_writhes(catalog.diagram("vtrefoil"), i)
+
 
 class TestLinking:
     def test_virtual_hopf(self):

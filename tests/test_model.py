@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import diagrams
 from multivirt.errors import (
@@ -122,6 +123,40 @@ class TestPassageIndex:
         for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
             assert twin == d
             assert dict(twin.passage_index) == dict(d.passage_index)
+
+
+class TestFrame:
+    @given(diagrams())
+    def test_the_two_passages_read_opposite_frames(self, d):
+        for cid, (a, b) in d.passage_index.items():
+            assert d.frame(cid, a) == -d.frame(cid, b) in (1, -1)
+
+    @given(diagrams())
+    def test_over_or_first_passage_reads_the_stored_sign(self, d):
+        for cid, rec in d.crossings.items():
+            lead = d.positions_of(cid)[0] if rec.virtual else d.real_positions(cid)[0]
+            assert d.frame(cid, lead) == rec.sign
+
+    @given(diagrams(), st.data())
+    def test_rotation_keeps_the_frame_read_from_every_strand(self, d, data):
+        ci = data.draw(st.integers(0, d.n_components() - 1))
+        k = data.draw(st.integers(-5, 5))
+        r = rotate(d, ci, k)
+        L = len(d.components[ci])
+        for cj, i, p in d.passages():
+            moved = (ci, (i - k) % L) if cj == ci else (cj, i)
+            assert r.components[moved[0]][moved[1]] == p
+            assert r.frame(p.crossing, moved) == d.frame(p.crossing, (cj, i))
+
+    @pytest.mark.parametrize("cid", [0, -1, 3, "1", None, 1.5])
+    def test_unknown_crossing_rejected(self, cid):
+        with pytest.raises(UnknownCrossing):
+            parse_vgc("O1+ V2- U1+ V2-").frame(cid, (0, 0))
+
+    @pytest.mark.parametrize("pos", [(0, 1), (0, 4), (1, 0), (0,), 0, None, "0,0", [0, 0]])
+    def test_position_off_the_crossing_rejected(self, pos):
+        with pytest.raises(ValidationError):
+            parse_vgc("O1+ V2- U1+ V2-").frame(1, pos)
 
 
 class TestCanonicalForm:

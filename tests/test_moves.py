@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given
@@ -13,8 +13,12 @@ from multivirt.errors import MultivirtError, StaleSite, ValidationError
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
 from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
+    _PAIR_OF,
+    _STRANDS,
+    _TRIANGLE_TEMPLATES,
     MOVE_KINDS,
     MoveSite,
+    _facial_trios,
     _match_triangle,
     apply_move,
     find_moves,
@@ -36,6 +40,11 @@ class TestDetection:
 
     def test_virtual_kink_deletion(self):
         assert find_moves(parse_vgc("V1+ V1+"), {"VR1del"})
+
+    @pytest.mark.parametrize("kinds", [5, 2.5, True])
+    def test_non_iterable_kinds_rejected(self, trefoil, kinds):
+        with pytest.raises(ValidationError):
+            find_moves(trefoil, kinds=kinds)
 
     def test_unknot_only_insertions(self):
         kinds = {s.kind for s in find_moves(parse_vgc("."))}
@@ -268,6 +277,69 @@ def test_triangle_sites_match_a_brute_force_over_gap_triples(d):
     assert sites == _brute_force_triangle_sites(d)
 
 
+def _match_triangle_oracle(d, trio):
+    """The matcher as first written: templates looked up by their role and
+    order pattern, then each frame checked against the stored signs with the
+    over/first passage found by hand."""
+    cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
+    gap_of_pair = {frozenset((rec[2].crossing, rec[3].crossing)): rec for rec in trio}
+    for perm in permutations(cids):
+        label = dict(zip("xyz", perm))
+        unlabel = {cid: c for c, cid in label.items()}
+        strand_pair = {}
+        for s in _STRANDS:
+            rec = gap_of_pair.get(frozenset(label[c] for c in "xyz" if s in _PAIR_OF[c]))
+            if rec is not None:
+                strand_pair[s] = rec
+        if len(strand_pair) != 3:
+            continue
+        orders, roles, pos_of = [], [], {}
+        for s in _STRANDS:
+            ci, g, p, q = strand_pair[s]
+            l1, l2 = unlabel[p.crossing], unlabel[q.crossing]
+            orders.append((l1, l2))
+            roles += [(s, l1, p.role.value), (s, l2, q.role.value)]
+            pos_of[(s, l1)], pos_of[(s, l2)] = (ci, g), (ci, (g + 1) % len(d.components[ci]))
+        virt = frozenset(c for c in "xyz" if d.crossings[label[c]].virtual)
+        role_of = {(s, c): r for s, c, r in roles}
+        pattern = (tuple(orders), tuple(sorted(roles)), virt)
+        for fam, tpls in _TRIANGLE_TEMPLATES.items():
+            for ti, tpl in enumerate(tpls):
+                if (tpl.orders, tpl.roles, tpl.virtual) != pattern:
+                    continue
+                frames = dict(tpl.frames)
+                for c in "xyz":
+                    rec, (s1, s2), f = d.crossings[label[c]], _PAIR_OF[c], frames[c]
+                    if rec.virtual:
+                        lead = min(pos_of[(s1, c)], pos_of[(s2, c)]) == pos_of[(s1, c)]
+                    else:
+                        lead = role_of[(s1, c)] == "O"
+                    if rec.sign != (f if lead else -f):
+                        break
+                else:
+                    yield fam, ti, perm
+
+
+@given(diagrams(max_real=5, max_virtual=4))
+@example(parse_vgc(SHARED_LOWEST_EDGE))
+def test_triangle_matcher_agrees_with_the_first_matcher(d):
+    for trio in _facial_trios(d, faces(d)):
+        want = list(_match_triangle_oracle(d, trio))
+        assert list(_match_triangle(d, trio, TRIANGLE_KINDS)) == want
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_triangle_matcher_agrees_with_the_first_matcher_on_walks(name):
+    for seed in range(2):
+        _, trace = random_walk(catalog.diagram(name), 30, seed)
+        cur = catalog.diagram(name)
+        for site in trace:
+            cur = apply_move(cur, site)
+            for trio in _facial_trios(cur, faces(cur)):
+                want = list(_match_triangle_oracle(cur, trio))
+                assert list(_match_triangle(cur, trio, TRIANGLE_KINDS)) == want
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_walk_trace_replays_through_apply_move(name):
     d = catalog.diagram(name)
@@ -288,6 +360,19 @@ class TestRandomWalk:
     def test_non_integer_step_count_rejected(self, trefoil, steps):
         with pytest.raises(ValidationError):
             random_walk(trefoil, steps, 0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "x"])
+    def test_non_integer_seed_rejected(self, trefoil, seed):
+        # Random(None) would seed from the OS and give a new trace per call.
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, 3, seed)
+
+    @pytest.mark.parametrize("size_cap", ["5", 5.0, [5]])
+    def test_non_integer_size_cap_rejected(self, trefoil, size_cap):
+        with pytest.raises(ValidationError):
+            find_moves(trefoil, size_cap=size_cap)
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, 3, 0, size_cap=size_cap)
 
     def test_deterministic(self, trefoil):
         a, ta = random_walk(trefoil, 12, seed=42, kinds=NONFU, size_cap=20)
