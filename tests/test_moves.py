@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given
@@ -11,7 +11,7 @@ from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
 from multivirt.errors import MultivirtError, StaleSite, ValidationError
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
-from multivirt.model import canonical_form, parse_vgc, serialize_vgc
+from multivirt.model import Role, canonical_form, parse_vgc, serialize_vgc
 from multivirt.moves import (
     _PAIR_OF,
     _STRANDS,
@@ -338,6 +338,68 @@ def test_triangle_matcher_agrees_with_the_first_matcher_on_walks(name):
             for trio in _facial_trios(cur, faces(cur)):
                 want = list(_match_triangle_oracle(cur, trio))
                 assert list(_match_triangle(cur, trio, TRIANGLE_KINDS)) == want
+
+
+DELETION_KINDS = ("R1del", "R2del", "VR1del", "VR2del")
+_OVER_UNDER = (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER}))
+
+
+def _by_kind_and_locus(site):
+    return site.kind, site.locus
+
+
+def _brute_force_deletion_sites(d):
+    """Deletion sites from every pair of gaps, sorted by kind and locus.  A
+    kink is one gap flanked twice by the same crossing on a component of
+    length at least 2, listed once (at gap 0) on a component of length 2.  A
+    cancelling pair is two gaps loc1 < loc2 with disjoint flanks, each flanked
+    by the same two crossings, one gap over both and the other under both
+    (R2del) or all four passages virtual (VR2del), whose frames read from
+    loc1 are opposite."""
+    gaps = []
+    for ci, comp in enumerate(d.components):
+        for g in range(len(comp) if len(comp) >= 2 else 0):
+            h = (g + 1) % len(comp)
+            gaps.append(((ci, g), (ci, g), comp[g], (ci, h), comp[h]))
+    found = []
+    for (loc1, s1, p1, t1, q1), (loc2, s2, p2, t2, q2) in product(gaps, repeat=2):
+        roles = ({p1.role, q1.role}, {p2.role, q2.role})
+        if loc1 == loc2:
+            if p1.crossing == q1.crossing and (len(d.components[s1[0]]), s1[1]) != (2, 1):
+                found.append(MoveSite("VR1del" if Role.THROUGH in roles[0] else "R1del", (), loc1))
+            continue
+        if not loc1 < loc2 or p1.crossing == q1.crossing or {s1, t1} & {s2, t2}:
+            continue
+        if {p1.crossing, q1.crossing} != {p2.crossing, q2.crossing}:
+            continue
+        if roles == ({Role.THROUGH}, {Role.THROUGH}):
+            kind = "VR2del"
+        elif roles in _OVER_UNDER:
+            kind = "R2del"
+        else:
+            continue
+        if d.frame(p1.crossing, s1) == -d.frame(q1.crossing, t1):
+            found.append(MoveSite(kind, (), (loc1, loc2)))
+    return sorted(found, key=_by_kind_and_locus)
+
+
+@given(diagrams())
+@example(parse_vgc("O1+ U1+"))
+@example(parse_vgc("O1+ O2- U2- U1+"))
+def test_deletion_sites_match_a_brute_force_over_gap_pairs(d):
+    sites = find_moves(d, DELETION_KINDS)
+    assert sorted(sites, key=_by_kind_and_locus) == _brute_force_deletion_sites(d)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_deletion_sites_match_a_brute_force_on_walks(name):
+    for seed in range(2):
+        _, trace = random_walk(catalog.diagram(name), 30, seed)
+        cur = catalog.diagram(name)
+        for site in trace:
+            cur = apply_move(cur, site)
+            sites = find_moves(cur, DELETION_KINDS)
+            assert sorted(sites, key=_by_kind_and_locus) == _brute_force_deletion_sites(cur)
 
 
 @pytest.mark.parametrize("name", catalog.names())
