@@ -9,7 +9,10 @@ diagrams stay genus-0.
 
 One enumeration per move kind defines the sites: `apply_move` accepts exactly
 the sites that `find_moves` lists for the diagram (ignoring the size cap) and
-raises `StaleSite` for any other.
+raises `StaleSite` for any other.  One sweep over the gaps lists the sites of
+every deletion kind (R1del, VR1del, R2del, VR2del), and each triangular face
+costs one lookup in a table built at import from the templates and their six
+labelings, keyed by the pattern of the bound triangle with no labeling in it.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -35,7 +38,7 @@ import os
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import CrossingRecord, Diagram, Passage, Role
@@ -59,15 +62,18 @@ MOVE_KINDS = (
 
 DEFAULT_SIZE_CAP = 64
 _POKE_WINDOW = 2  # how far around a face boundary a poke may reach
-_KINK_VARIANTS = {
+# Variants of each insertion kind: kinks go into a gap, pokes across a face.
+_VARIANTS = {
     "R1+ins": (("OU", 1), ("UO", 1)),
     "R1-ins": (("OU", -1), ("UO", -1)),
     "VR1ins": (("VV", 1), ("VV", -1)),
+    "R2ins": (("over",), ("under",)),
+    "VR2ins": (("virtual",),),
 }
-_POKE_VARIANTS = {"R2ins": (("over",), ("under",)), "VR2ins": (("virtual",),)}
-_INSERTION_KINDS = {*_KINK_VARIANTS, *_POKE_VARIANTS}
+_POKE_KINDS = {"R2ins", "VR2ins"}
+_DELETION_KINDS = {"R1del", "VR1del", "R2del", "VR2del"}
 _TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
-_FACE_KINDS = {*_POKE_VARIANTS, *_TRIANGLE_KINDS}
+_FACE_KINDS = {*_POKE_KINDS, *_TRIANGLE_KINDS}
 
 
 def size_cap_from_env() -> int:
@@ -174,30 +180,35 @@ def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
 
 _TRIANGLE_TEMPLATES = _generate_triangle_templates()
 
-# Lookup from the full pattern of a bound triangle to the one template it
-# matches: the key is the generator's dedup key, so no two templates share it.
-_TEMPLATE_INDEX: dict[tuple, tuple[str, int]] = {
-    (tpl.orders, tpl.roles, tpl.virtual, tpl.frames): (fam, ti)
-    for fam, tpls in _TRIANGLE_TEMPLATES.items()
-    for ti, tpl in enumerate(tpls)
-}
+
+def _triangle_table() -> dict[tuple, list[tuple[str, int, tuple[int, int, int]]]]:
+    """Lookup from the pattern of a bound triangle to every (family, template
+    index, labeling) it matches, in labeling order.  The pattern numbers the
+    three crossings 0, 1, 2 in id order and lists each bound gap as its two
+    flanks (number, role, frame read from that passage), gaps sorted; a
+    labeling gives the numbers of the crossings x, y, z."""
+    table: dict[tuple, list] = {}
+    for perm in permutations(range(3)):
+        number = dict(zip(("x", "y", "z"), perm))
+        for fam, tpls in _TRIANGLE_TEMPLATES.items():
+            for ti, tpl in enumerate(tpls):
+                role = {(s, c): r for s, c, r in tpl.roles}
+                frame = dict(tpl.frames)  # read from the crossing's first strand
+                gaps = (
+                    tuple(
+                        (number[c], role[(s, c)], frame[c] if _PAIR_OF[c][0] == s else -frame[c])
+                        for c in order
+                    )
+                    for s, order in zip(_STRANDS, tpl.orders)
+                )
+                table.setdefault(tuple(sorted(gaps)), []).append((fam, ti, perm))
+    return table
+
+
+_TRIANGLE_TABLE = _triangle_table()
 
 
 # -- shared helpers ----------------------------------------------------------
-
-
-def _gap_pairs(d: Diagram):
-    """Gaps whose two flanking passages belong to two different crossings."""
-    out = []
-    for ci, comp in enumerate(d.components):
-        L = len(comp)
-        if L < 2:
-            continue
-        for g in range(L):
-            p, q = comp[g], comp[(g + 1) % L]
-            if p.crossing != q.crossing:
-                out.append((ci, g, p, q))
-    return out
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
@@ -219,35 +230,7 @@ def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
     return out
 
 
-# -- kink sites --------------------------------------------------------------
-
-
-def _kink_insertions(d: Diagram, kind: str):
-    return [
-        MoveSite(kind, variant, (ci, g))
-        for ci, comp in enumerate(d.components)
-        for g in range(max(1, len(comp)))
-        for variant in _KINK_VARIANTS[kind]
-    ]
-
-
-def _kink_deletions(d: Diagram, kind: str):
-    sites = []
-    want_virtual = kind == "VR1del"
-    for ci, comp in enumerate(d.components):
-        L = len(comp)
-        if L < 2:
-            continue  # a lone passage is not a kink: its partner is elsewhere
-        for g in range(L):
-            p, q = comp[g], comp[(g + 1) % L]
-            if p.crossing != q.crossing:
-                continue
-            if L == 2 and g == 1:
-                continue  # the same kink already matched at gap 0
-            rec = d.crossings[p.crossing]
-            if rec.virtual == want_virtual:
-                sites.append(MoveSite(kind, (), (ci, g)))
-    return sites
+# -- kink rewrite --------------------------------------------------------------
 
 
 def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
@@ -287,14 +270,6 @@ def _poke_candidates(cycles):
                 if d1[:2] != d2[:2]:
                     out.append((d1, d2))
     return out
-
-
-def _poke_insertions(candidates, kind: str):
-    return [
-        MoveSite(kind, variant, (d1, d2))
-        for d1, d2 in candidates
-        for variant in _POKE_VARIANTS[kind]
-    ]
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
@@ -344,41 +319,56 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     return out
 
 
-def _is_poke_deletion(d: Diagram, kind: str, loc1, loc2) -> bool:
-    """Whether the gaps loc1 < loc2 (each (component, gap)) hold a cancelling
-    pair of the kind: two real crossings, one gap over both and the other
-    under both (R2del), or two virtual crossings (VR2del), whose frames read
-    from loc1 are opposite."""
-    if not loc1 < loc2:
+# -- deletion sites ----------------------------------------------------------
+
+_CANCELLING_ROLES = (
+    ({Role.OVER}, {Role.UNDER}),
+    ({Role.UNDER}, {Role.OVER}),
+    ({Role.THROUGH}, {Role.THROUGH}),
+)
+
+
+def _is_poke_deletion(d: Diagram, gap1, gap2) -> bool:
+    """Whether two gaps (position, passage, next position, passage) flanked by
+    the same two crossings hold a cancelling pair: four distinct passages, one
+    gap over both crossings and the other under both (R2del) or all four
+    virtual (VR2del), and frames read from gap1 opposite."""
+    (s1, p1, t1, q1), (s2, p2, t2, q2) = gap1, gap2
+    if {s1, t1} & {s2, t2} or ({p1.role, q1.role}, {p2.role, q2.role}) not in _CANCELLING_ROLES:
         return False
-    flanks = []
-    for ci, g in (loc1, loc2):
-        comp = d.components[ci]
-        h = (g + 1) % len(comp)
-        flanks.append(((ci, g), comp[g], (ci, h), comp[h]))
-    (s1, p1, t1, q1), (s2, p2, t2, q2) = flanks
-    cids = {p1.crossing, q1.crossing}
-    if len(cids) != 2 or cids != {p2.crossing, q2.crossing} or {s1, t1} & {s2, t2}:
-        return False
-    if any(d.crossings[c].virtual != (kind == "VR2del") for c in cids):
-        return False
-    if kind == "R2del":
-        roles = ({p1.role, q1.role}, {p2.role, q2.role})
-        if roles not in (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER})):
-            return False
     return d.frame(p1.crossing, s1) == -d.frame(q1.crossing, t1)
 
 
-def _poke_deletions(d: Diagram, kind: str):
-    by_set: dict[frozenset, list] = {}
-    for ci, g, p, q in _gap_pairs(d):
-        by_set.setdefault(frozenset((p.crossing, q.crossing)), []).append((ci, g))
-    return [
-        MoveSite(kind, (), (loc1, loc2))
-        for locs in by_set.values()
-        for loc1, loc2 in permutations(locs, 2)
-        if _is_poke_deletion(d, kind, loc1, loc2)
-    ]
+def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
+    """Deletion sites of the given kinds from one sweep over the gaps.  A kink
+    (R1del, VR1del) is a gap flanked twice by one crossing; a cancelling pair
+    (R2del, VR2del) is two gaps loc1 < loc2 flanked by the same two crossings.
+    The kind is read off the crossings."""
+    if not kinds:
+        return {}
+    out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
+    by_pair: dict[frozenset, list] = {}
+    for ci, comp in enumerate(d.components):
+        L = len(comp)
+        if L < 2:
+            continue  # a lone passage is not a kink: its partner is elsewhere
+        for g in range(L):
+            h = (g + 1) % L
+            p, q = comp[g], comp[h]
+            if p.crossing != q.crossing:
+                by_pair.setdefault(frozenset((p.crossing, q.crossing)), []).append(
+                    ((ci, g), p, (ci, h), q)
+                )
+            elif L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
+                kind = "VR1del" if d.crossings[p.crossing].virtual else "R1del"
+                if kind in out:
+                    out[kind].append(MoveSite(kind, (), (ci, g)))
+    for gaps in by_pair.values():
+        for gap1, gap2 in combinations(gaps, 2):
+            kind = "VR2del" if d.crossings[gap1[1].crossing].virtual else "R2del"
+            if kind in out and _is_poke_deletion(d, gap1, gap2):
+                out[kind].append(MoveSite(kind, (), (gap1[0], gap2[0])))
+    return out
 
 
 # -- triangle sites ----------------------------------------------------------
@@ -416,41 +406,16 @@ def _match_triangle(d: Diagram, trio, families):
     """Yield (family, template index, strand assignment) for every way the
     three bound gaps fit a slide template of one of the families."""
     cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
-    # Per bound gap, its two flanking passages as (crossing, role, frame read
-    # from it); none of these depends on the labeling.
-    gap_of_pair = {}
-    for ci, g, p, q in trio:
-        h = (g + 1) % len(d.components[ci])
-        gap_of_pair[frozenset((p.crossing, q.crossing))] = (
-            (p.crossing, p.role.value, d.frame(p.crossing, (ci, g))),
-            (q.crossing, q.role.value, d.frame(q.crossing, (ci, h))),
+    gaps = (
+        tuple(
+            (cids.index(r.crossing), r.role.value, d.frame(r.crossing, pos))
+            for r, pos in ((p, (ci, g)), (q, (ci, (g + 1) % len(d.components[ci]))))
         )
-    virtual = [c for c in cids if d.crossings[c].virtual]
-    for perm in permutations(cids):
-        label = dict(zip(("x", "y", "z"), perm))
-        unlabel = {cid: lbl for lbl, cid in label.items()}
-        strand_pair = {}
-        for s in _STRANDS:
-            want = frozenset(label[c] for c in ("x", "y", "z") if s in _PAIR_OF[c])
-            flanks = gap_of_pair.get(want)
-            if flanks is None:
-                break
-            strand_pair[s] = flanks
-        if len(strand_pair) != 3:
-            continue
-        orders, roles, frames = [], [], {}  # frames: read from each pair's first strand
-        for s in _STRANDS:
-            flanks = [(unlabel[cid], role, f) for cid, role, f in strand_pair[s]]
-            orders.append((flanks[0][0], flanks[1][0]))
-            for c, role, f in flanks:
-                roles.append((s, c, role))
-                if _PAIR_OF[c][0] == s:
-                    frames[c] = f
-        virt = frozenset(unlabel[c] for c in virtual)
-        key = (tuple(orders), tuple(sorted(roles)), virt, tuple(sorted(frames.items())))
-        match = _TEMPLATE_INDEX.get(key)
-        if match is not None and match[0] in families:
-            yield *match, perm
+        for ci, g, p, q in trio
+    )
+    for fam, ti, perm in _TRIANGLE_TABLE.get(tuple(sorted(gaps)), ()):
+        if fam in families:
+            yield fam, ti, tuple(cids[i] for i in perm)
 
 
 def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
@@ -492,13 +457,35 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
     return out
 
 
+# -- insertion sites ---------------------------------------------------------
+
+
+def _insertions(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
+    """Insertion sites of the given kinds: every variant at every gap for a
+    kink (an empty component has one gap) and at every poke candidate of the
+    face cycles for a poke."""
+    gaps = (
+        [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(1, len(comp)))]
+        if kinds - _POKE_KINDS
+        else ()
+    )
+    pokes = _poke_candidates(cycles) if kinds & _POKE_KINDS else ()
+    return {
+        kind: [
+            MoveSite(kind, variant, locus)
+            for locus in (pokes if kind in _POKE_KINDS else gaps)
+            for variant in _VARIANTS[kind]
+        ]
+        for kind in kinds
+    }
+
+
 # -- public API ---------------------------------------------------------------
 
 
 _REWRITES = {
-    **dict.fromkeys(_KINK_VARIANTS, _apply_kink_insertion),
-    **dict.fromkeys(("R1del", "VR1del", "R2del", "VR2del"), _apply_deletion),
-    **dict.fromkeys(_POKE_VARIANTS, _apply_poke),
+    **{k: _apply_poke if k in _POKE_KINDS else _apply_kink_insertion for k in _VARIANTS},
+    **dict.fromkeys(_DELETION_KINDS, _apply_deletion),
     **dict.fromkeys(_TRIANGLE_KINDS, _apply_triangle),
 }
 
@@ -506,19 +493,13 @@ _REWRITES = {
 def _sites(d: Diagram, kinds) -> list[MoveSite]:
     """Every site of the given kinds, in MOVE_KINDS order: the one definition
     of a site, shared by find_moves and apply_move.  Faces are traced at most
-    once."""
+    once, and the gaps are swept once for all deletion kinds."""
     cycles = faces(d) if kinds & _FACE_KINDS else ()
-    by_kind = _triangle_sites(d, kinds & _TRIANGLE_KINDS, cycles)
-    poke_kinds = kinds & _POKE_VARIANTS.keys()
-    candidates = _poke_candidates(cycles) if poke_kinds else ()
-    for kind in poke_kinds:
-        by_kind[kind] = _poke_insertions(candidates, kind)
-    for kind in kinds & _KINK_VARIANTS.keys():
-        by_kind[kind] = _kink_insertions(d, kind)
-    for kind in kinds & {"R1del", "VR1del"}:
-        by_kind[kind] = _kink_deletions(d, kind)
-    for kind in kinds & {"R2del", "VR2del"}:
-        by_kind[kind] = _poke_deletions(d, kind)
+    by_kind = {
+        **_insertions(d, kinds & _VARIANTS.keys(), cycles),
+        **_deletions(d, kinds & _DELETION_KINDS),
+        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, cycles),
+    }
     return [site for kind in MOVE_KINDS if kind in kinds for site in by_kind[kind]]
 
 
@@ -535,7 +516,7 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
     if size_cap is None:
         size_cap = size_cap_from_env()
     if len(d.crossings) >= checked(size_cap, int, ValidationError, "size cap"):
-        kinds -= _INSERTION_KINDS
+        kinds -= _VARIANTS.keys()
     return _sites(d, kinds)
 
 
