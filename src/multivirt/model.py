@@ -114,7 +114,10 @@ class Diagram:
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
-        return list(self.passage_index.get(cid, ()))
+        try:
+            return list(self._passage_index.get(cid, ()))
+        except TypeError:  # an unhashable id
+            return []
 
     def frame(self, cid: int, pos: tuple[int, int]) -> int:
         """Orientation of the frame (direction of the strand passing `cid` at
@@ -123,9 +126,10 @@ class Diagram:
         one, its negative read from the other passage.  Raises
         UnknownCrossing for an unknown id and ValidationError for a `pos`
         that is not a passage of `cid`."""
-        rec = self.crossings.get(cid)
-        if rec is None:
-            raise UnknownCrossing(f"no crossing {cid}")
+        try:
+            rec = self.crossings[cid]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise UnknownCrossing(f"no crossing {cid}") from None
         a, b = self._passage_index[cid]
         if pos != a and pos != b:
             raise ValidationError(f"{pos!r} is not a passage of crossing {cid}")
@@ -135,9 +139,11 @@ class Diagram:
 
     def real_positions(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(over position, under position) of a real crossing."""
-        if cid not in self.crossings:
-            raise UnknownCrossing(f"no crossing {cid}")
-        if self.crossings[cid].virtual:
+        try:
+            rec = self.crossings[cid]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise UnknownCrossing(f"no crossing {cid}") from None
+        if rec.virtual:
             raise NotReal(f"crossing {cid} is virtual")
         a, b = self.passage_index[cid]
         return (a, b) if self.components[a[0]][a[1]].role is Role.OVER else (b, a)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -507,12 +506,13 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
     """Every applicable rewriting site of the requested kinds.
 
     Insertion kinds are suppressed once the diagram has `size_cap` crossings."""
-    if kinds is not None:
-        checked(kinds, Iterable, ValidationError, "move kinds")
-    kinds = set(MOVE_KINDS if kinds is None else kinds)
+    try:
+        kinds = set(MOVE_KINDS if kinds is None else kinds)
+    except TypeError:  # not iterable, or holding an unhashable kind
+        raise ValidationError(f"move kinds must be an iterable of names, got {kinds!r}") from None
     unknown = kinds - set(MOVE_KINDS)
     if unknown:
-        raise ValidationError(f"unknown move kinds: {sorted(unknown)}")
+        raise ValidationError(f"unknown move kinds: {sorted(unknown, key=str)}")
     if size_cap is None:
         size_cap = size_cap_from_env()
     if len(d.crossings) >= checked(size_cap, int, ValidationError, "size cap"):
@@ -523,7 +523,8 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     """Apply a site that `find_moves` lists for `d`, whatever the size cap.
     Any other site raises StaleSite."""
-    if site.kind not in _REWRITES:
+    site = checked(site, MoveSite, ValidationError, "move site")
+    if site.kind not in MOVE_KINDS:
         raise ValidationError(f"unknown move kind {site.kind!r}")
     for listed in _sites(d, {site.kind}):
         if listed == site:

@@ -43,6 +43,11 @@ class TestSpecifiedPath:
         with pytest.raises(MixedCrossing):
             specified_path(parse_vgc("O1+ ; U1+"), 1)
 
+    @pytest.mark.parametrize("lookup", [specified_path, crossing_indices])
+    def test_unhashable_id_is_unknown(self, trefoil, lookup):
+        with pytest.raises(UnknownCrossing):
+            lookup(trefoil, [1])
+
 
 class TestIndices:
     def test_classical_trefoil_all_zero(self, trefoil):

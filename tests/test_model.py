@@ -107,6 +107,11 @@ class TestPassageIndex:
         with pytest.raises(UnknownCrossing):
             d.real_positions(unknown)
 
+    def test_unhashable_id_is_unknown(self, trefoil):
+        assert trefoil.positions_of([1]) == []
+        with pytest.raises(UnknownCrossing):
+            trefoil.real_positions([1])
+
     @given(diagrams())
     def test_returned_values_do_not_alias_the_index(self, d):
         for cid in d.crossings:
@@ -148,7 +153,7 @@ class TestFrame:
             assert r.components[moved[0]][moved[1]] == p
             assert r.frame(p.crossing, moved) == d.frame(p.crossing, (cj, i))
 
-    @pytest.mark.parametrize("cid", [0, -1, 3, "1", None, 1.5])
+    @pytest.mark.parametrize("cid", [0, -1, 3, "1", None, 1.5, [1]])
     def test_unknown_crossing_rejected(self, cid):
         with pytest.raises(UnknownCrossing):
             parse_vgc("O1+ V2- U1+ V2-").frame(cid, (0, 0))

@@ -46,6 +46,11 @@ class TestDetection:
         with pytest.raises(ValidationError):
             find_moves(trefoil, kinds=kinds)
 
+    @pytest.mark.parametrize("kinds", [[["R3"]], [1, "R3", "x"]])
+    def test_unhashable_or_unordered_kinds_rejected(self, trefoil, kinds):
+        with pytest.raises(ValidationError):
+            find_moves(trefoil, kinds=kinds)
+
     def test_unknot_only_insertions(self):
         kinds = {s.kind for s in find_moves(parse_vgc("."))}
         assert kinds <= {"R1+ins", "R1-ins", "VR1ins"}
@@ -78,6 +83,11 @@ class TestApply:
         kink = parse_vgc("O1+ U1+")
         (site,) = find_moves(kink, {"R1del"})
         with pytest.raises(StaleSite):
+            apply_move(trefoil, site)
+
+    @pytest.mark.parametrize("site", [None, "R3", ("R3", (), ()), MoveSite(["R3"], (), ())])
+    def test_non_site_rejected(self, trefoil, site):
+        with pytest.raises(ValidationError):
             apply_move(trefoil, site)
 
     def test_site_json_roundtrip(self, trefoil):
