@@ -134,7 +134,7 @@ def _check_colorings(
             return CheckResult(
                 name, "colorings", 2, False, f"n={n}: enumeration found {len(sols)}, not {a}"
             )
-        images = [psi(d, c, L2, prov, csys) for c in sols]
+        images = [psi(d, c, L2, prov) for c in sols]
         if len({im.values for im in images}) != len(images):
             return CheckResult(name, "colorings", 2, False, f"n={n}: pairing map not injective")
         if not all(is_solution(csys, im) for im in images):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import diagrams
 import multivirt
-from multivirt import catalog
+from multivirt import catalog, verify
 from multivirt.colorings import (
     Coloring,
     ColoringMode,
@@ -398,6 +398,20 @@ class TestPairingMap:
         assert all(is_solution(csys, im) for im in images)
         assert len({im.values for im in images}) == len(images)
         assert len(images) == count_colorings(csys, n)
+
+    def test_verify_reports_an_image_outside_the_constrained_set(self, trefoil, monkeypatch):
+        # A faulty pairing map that shifts one arc of every image, and like
+        # psi raises when handed a system its image violates.
+        def shifted_psi(d, col, l2, prov, system=None):
+            out = psi(d, col, l2, prov)
+            out = Coloring(((out.values[0] + 1) % out.modulus, *out.values[1:]), out.modulus)
+            if system is not None and not is_solution(system, out):
+                raise InvalidColoring("pairing map image violates the constrained system")
+            return out
+
+        monkeypatch.setattr(verify, "psi", shifted_psi)
+        result = verify._check_colorings("trefoil", trefoil, [3])
+        assert (result.ok, result.detail) == (False, "n=3: pairing image leaves the constrained set")
 
 
 def test_import_leaves_numpy_unloaded():
