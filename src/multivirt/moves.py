@@ -11,7 +11,7 @@ One enumeration per move kind defines the sites: `apply_move` accepts exactly
 the sites that `find_moves` lists for the diagram (ignoring the size cap) and
 raises `StaleSite` for any other.  One sweep over the gaps lists the sites of
 every deletion kind (R1del, VR1del, R2del, VR2del), and each triangular face
-costs one lookup in a table built at import from the templates and their six
+costs one lookup in a table built once from the templates and their six
 labelings, keyed by the pattern of the bound triangle with no labeling in it.
 
 The triangle template table is generated from an explicit drawing: three
@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
@@ -180,12 +181,14 @@ def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
 _TRIANGLE_TEMPLATES = _generate_triangle_templates()
 
 
+@cache
 def _triangle_table() -> dict[tuple, list[tuple[str, int, tuple[int, int, int]]]]:
-    """Lookup from the pattern of a bound triangle to every (family, template
-    index, labeling) it matches, in labeling order.  The pattern numbers the
-    three crossings 0, 1, 2 in id order and lists each bound gap as its two
-    flanks (number, role, frame read from that passage), gaps sorted; a
-    labeling gives the numbers of the crossings x, y, z."""
+    """Lookup, built on first use, from the pattern of a bound triangle to
+    every (family, template index, labeling) it matches, in labeling order.
+    The pattern numbers the three crossings 0, 1, 2 in id order and lists
+    each bound gap as its two flanks (number, role, frame read from that
+    passage), gaps sorted; a labeling gives the numbers of the crossings x,
+    y, z."""
     table: dict[tuple, list] = {}
     for perm in permutations(range(3)):
         number = dict(zip(("x", "y", "z"), perm))
@@ -202,9 +205,6 @@ def _triangle_table() -> dict[tuple, list[tuple[str, int, tuple[int, int, int]]]
                 )
                 table.setdefault(tuple(sorted(gaps)), []).append((fam, ti, perm))
     return table
-
-
-_TRIANGLE_TABLE = _triangle_table()
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -229,7 +229,7 @@ def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
     return out
 
 
-# -- kink rewrite --------------------------------------------------------------
+# -- kink rewrite ------------------------------------------------------------
 
 
 def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
@@ -412,7 +412,7 @@ def _match_triangle(d: Diagram, trio, families):
         )
         for ci, g, p, q in trio
     )
-    for fam, ti, perm in _TRIANGLE_TABLE.get(tuple(sorted(gaps)), ()):
+    for fam, ti, perm in _triangle_table().get(tuple(sorted(gaps)), ()):
         if fam in families:
             yield fam, ti, tuple(cids[i] for i in perm)
 

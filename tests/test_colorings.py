@@ -411,7 +411,8 @@ class TestPairingMap:
 
         monkeypatch.setattr(verify, "psi", shifted_psi)
         result = verify._check_colorings("trefoil", trefoil, [3])
-        assert (result.ok, result.detail) == (False, "n=3: pairing image leaves the constrained set")
+        assert not result.ok
+        assert result.detail == "n=3: pairing image leaves the constrained set"
 
 
 def test_import_leaves_numpy_unloaded():

@@ -1,7 +1,10 @@
 """Count the code lines of each module under src/multivirt: lines that hold a
 token other than a comment, leaving out blank lines and docstrings.
 
-Run from the repository root: python tools/count_code_lines.py [directory]
+    python tools/count_code_lines.py [directory]
+
+prints the count per module and the total; the directory defaults to the
+package source next to this script.
 """
 
 import ast
@@ -27,7 +30,8 @@ def code_lines(source: str) -> int:
 
 
 if __name__ == "__main__":
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/multivirt")
+    package = Path(__file__).resolve().parents[1] / "src" / "multivirt"
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else package
     total = 0
     for path in sorted(root.glob("*.py")):
         n = code_lines(path.read_text())
