@@ -1,8 +1,16 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import diagrams
+from multivirt import catalog
+from multivirt.constructions import multiplex
 from multivirt.model import (
+    CrossingRecord,
+    Diagram,
+    Passage,
     Role,
     canonical_form,
     parse_vgc,
@@ -10,7 +18,108 @@ from multivirt.model import (
     rotate,
     serialize_vgc,
 )
+from multivirt.moves import apply_move, random_walk
 from multivirt.planar import faces, genus, realize
+
+
+def _faces_oracle(d):
+    """The first face tracer, kept verbatim as an oracle: two port tables
+    keyed by "out"/"in" and one successor lookup per dart."""
+    OUT, IN = "out", "in"
+    by_port, slot_table = {}, {}
+    for cid, (a, b) in d.passage_index.items():
+        if d.frame(cid, a) > 0:
+            order = [(a, OUT), (b, OUT), (a, IN), (b, IN)]
+        else:
+            order = [(a, OUT), (b, IN), (a, IN), (b, OUT)]
+        for slot, ((ci, i), side) in enumerate(order):
+            by_port[(ci, i, side)] = (cid, slot)
+            slot_table[(cid, slot)] = (ci, i, side)
+
+    def next_dart(dart):
+        ci, g, direction = dart
+        L = len(d.components[ci])
+        arrive = (ci, (g + 1) % L, IN) if direction > 0 else (ci, g, OUT)
+        cid, slot = by_port[arrive]
+        ci2, i2, side2 = slot_table[(cid, (slot - 1) % 4)]
+        if side2 == OUT:
+            return (ci2, i2, +1)
+        return (ci2, (i2 - 1) % len(d.components[ci2]), -1)
+
+    darts = [
+        (ci, g, direction)
+        for ci, comp in enumerate(d.components)
+        for g in range(len(comp))
+        for direction in (+1, -1)
+    ]
+    remaining = set(darts)
+    out = []
+    for start in darts:
+        if start not in remaining:
+            continue
+        cycle = []
+        dart = start
+        while True:
+            cycle.append(dart)
+            remaining.discard(dart)
+            dart = next_dart(dart)
+            if dart == start:
+                break
+        out.append(tuple(cycle))
+    return out
+
+
+def _walk_states(name, steps=40, seeds=(0, 1)):
+    d = catalog.diagram(name)
+    for seed in seeds:
+        _, trace = random_walk(d, steps, seed)
+        cur = d
+        for site in trace:
+            cur = apply_move(cur, site)
+            yield cur
+
+
+def _random_word(seed):
+    """A seeded abstract code: 1..4 real and 0..2 virtual crossings with random
+    signs, shuffled over 1..2 components."""
+    rng = random.Random(seed)
+    passages, crossings = [], {}
+    n_real = rng.randint(1, 4)
+    for cid in range(1, n_real + rng.randint(0, 2) + 1):
+        virtual = cid > n_real
+        crossings[cid] = CrossingRecord(cid, virtual, rng.choice((1, -1)))
+        roles = (Role.THROUGH, Role.THROUGH) if virtual else (Role.OVER, Role.UNDER)
+        passages += [Passage(cid, role) for role in roles]
+    rng.shuffle(passages)
+    cut = rng.randint(1, len(passages) - 1) if rng.random() < 0.3 else len(passages)
+    components = (tuple(passages[:cut]), tuple(passages[cut:]))
+    d = Diagram(components if cut < len(passages) else components[:1], crossings)
+    d.validate()
+    return d
+
+
+_RAIL_LAYOUT_SHA256 = "3921ae191ddcf517b30b7848635e0c4a850f9d781a4bd4c076436eaa02a7c932"
+
+
+class TestFacesOracle:
+    """`faces` returns the oracle's cycles, in the oracle's order."""
+
+    @given(diagrams(max_real=4, max_virtual=3, max_components=3))
+    @settings(max_examples=200, deadline=None)
+    def test_random_diagrams(self, d):
+        assert faces(d) == _faces_oracle(d)
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_walk_states(self, name):
+        assert faces(catalog.diagram(name)) == _faces_oracle(catalog.diagram(name))
+        for cur in _walk_states(name):
+            assert faces(cur) == _faces_oracle(cur)
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_catalog_multiplexes(self, name, r):
+        L, _ = multiplex(catalog.diagram(name), r)
+        assert faces(L) == _faces_oracle(L)
 
 
 class TestGenus:
@@ -85,6 +194,20 @@ class TestRealize:
         # only virtual crossings were added
         added = set(r.crossings) - set(d.crossings)
         assert all(r.crossings[c].virtual for c in added)
+
+    @pytest.mark.parametrize(
+        "word, name",
+        [("O1+ O2+ O3+ U1+ U2+ U3+", "index2"), ("O1+ O2+ U1+ O3- U2+ U3-", "asym3")],
+    )
+    def test_catalog_words_realize_to_their_entries(self, word, name):
+        # The two `realized` catalog entries were frozen from these words.
+        assert serialize_vgc(realize(parse_vgc(word))) == catalog.get(name).code
+
+    def test_rail_layout_digest(self):
+        # Pins the rail layout byte for byte on 200 seeded abstract words.
+        lines = [serialize_vgc(realize(_random_word(seed))) for seed in range(200)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == _RAIL_LAYOUT_SHA256
 
     def test_roundtrips_and_canonical_stability(self):
         r = realize(parse_vgc("O1+ O2+ O3+ U1+ U2+ U3+"))
