@@ -544,6 +544,8 @@ def random_walk(
     """Apply `steps` uniformly chosen applicable rewrites, deterministically in
     `seed`.  Insertions stop being offered at the size cap."""
     steps = checked(steps, int, ValidationError, "step count")
+    if steps < 0:
+        raise ValidationError(f"step count must be >= 0, got {steps}")
     rng = random.Random(checked(seed, int, ValidationError, "seed"))
     trace: list[MoveSite] = []
     cur = d

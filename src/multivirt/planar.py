@@ -1,19 +1,23 @@
 """Rotation systems, face tracing, genus, and planarization.
 
 Every crossing is a 4-valent vertex.  Its counterclockwise port order is fixed
-by the frame rule of `model`: for the passages (a, b) of the crossing in
-canonical order and the frame f read from a,
+by the frame rule of `model`: for the passages (a, b) of the crossing and the
+frame f read from a,
 
     f = +1: out-a, out-b, in-a, in-b
     f = -1: out-a, in-b,  in-a, out-b
 
 since the frame (direction of a, direction of b) is positively oriented
-exactly when b leaves a quarter turn counterclockwise of a.  Tracing the
-orbit that leaves each arrival port through the next port clockwise walks a
-face boundary; the face count gives the genus of the carrier surface via the
-Euler characteristic, computed per connected piece of the 4-valent graph and
-summed.  Genus 0 means the code is drawable in the plane with exactly the
-recorded virtual crossings.
+exactly when b leaves a quarter turn counterclockwise of a.  `_ccw_ports` is
+the one place this rule is written; face tracing reads it with a, b in
+canonical order, and `realize` with a the over passage, placing a station's
+ports left to right in clockwise order (the reverse of the list above).
+
+Tracing the orbit that leaves each arrival port through the next port
+clockwise walks a face boundary; the face count gives the genus of the
+carrier surface via the Euler characteristic, computed per connected piece of
+the 4-valent graph and summed.  Genus 0 means the code is drawable in the
+plane with exactly the recorded virtual crossings.
 """
 
 from __future__ import annotations
@@ -23,24 +27,16 @@ from .model import CrossingRecord, Diagram, Passage, Role
 
 # Dart: (component, gap, dir) with dir +1 = travel with the strand orientation
 # (arriving at the in-port of passage gap+1), dir -1 = against it (arriving at
-# the out-port of passage gap).
+# the out-port of passage gap).  A port is (passage, side) with side +1 for
+# the out-port and -1 for the in-port, so the dart leaving through the port of
+# passage i of component ci is (ci, g, side) and the one arriving at it is
+# (ci, g, -side), where g is i for an out-port and i-1 for an in-port.
 
-_OUT, _IN = "out", "in"
 
-
-def _port_slots(d: Diagram):
-    """Map (component, position, side) -> (crossing id, ccw slot 0..3) and back."""
-    by_port: dict[tuple[int, int, str], tuple[int, int]] = {}
-    slot_table: dict[tuple[int, int], tuple[int, int, str]] = {}
-    for cid, (a, b) in d.passage_index.items():
-        if d.frame(cid, a) > 0:
-            order = [(a, _OUT), (b, _OUT), (a, _IN), (b, _IN)]
-        else:
-            order = [(a, _OUT), (b, _IN), (a, _IN), (b, _OUT)]
-        for slot, ((ci, i), side) in enumerate(order):
-            by_port[(ci, i, side)] = (cid, slot)
-            slot_table[(cid, slot)] = (ci, i, side)
-    return by_port, slot_table
+def _ccw_ports(a, b, f: int):
+    """The four ports of the crossing passed at `a` and `b` in counterclockwise
+    order, starting at out-a, where `f` is the frame read from `a`."""
+    return ((a, 1), (b, f), (a, -1), (b, -f))
 
 
 def _darts(d: Diagram):
@@ -52,38 +48,28 @@ def _darts(d: Diagram):
     return out
 
 
-def _next_dart(d: Diagram, by_port, slot_table, dart):
-    ci, g, direction = dart
-    L = len(d.components[ci])
-    if direction > 0:
-        arrive = (ci, (g + 1) % L, _IN)
-    else:
-        arrive = (ci, g, _OUT)
-    cid, slot = by_port[arrive]
-    ci2, i2, side2 = slot_table[(cid, (slot - 1) % 4)]
-    L2 = len(d.components[ci2])
-    if side2 == _OUT:
-        return (ci2, i2, +1)
-    return (ci2, (i2 - 1) % L2, -1)
-
-
 def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
-    """Face boundaries as dart cycles, in a deterministic order."""
-    by_port, slot_table = _port_slots(d)
-    darts = _darts(d)
-    remaining = set(darts)
+    """Face boundaries as dart cycles.  Each cycle starts at the first of its
+    darts in `_darts` order (component, gap, then +1 before -1), and the
+    cycles come in the order of those first darts."""
+    # Each arriving dart leaves through the next port clockwise.
+    succ = {}
+    for cid, (a, b) in d.passage_index.items():
+        leaving = []
+        for (ci, i), side in _ccw_ports(a, b, d.frame(cid, a)):
+            g = i if side > 0 else (i - 1) % len(d.components[ci])
+            leaving.append((ci, g, side))
+        for k, (ci, g, side) in enumerate(leaving):
+            succ[(ci, g, -side)] = leaving[k - 1]
     out = []
-    for start in darts:
-        if start not in remaining:
+    for start in _darts(d):
+        if start not in succ:
             continue
-        cycle = []
-        dart = start
-        while True:
+        cycle = [start]
+        dart = succ.pop(start)
+        while dart != start:
             cycle.append(dart)
-            remaining.discard(dart)
-            dart = _next_dart(d, by_port, slot_table, dart)
-            if dart == start:
-                break
+            dart = succ.pop(dart)
         out.append(tuple(cycle))
     return out
 
@@ -158,26 +144,18 @@ def _strip_virtual(d: Diagram) -> Diagram:
 
 
 def _rail_layout(d: Diagram) -> Diagram:
-    # Station port order, left to right; all four stubs point up, so the
-    # counterclockwise order around the vertex is the reverse.
-    PORTS_POS = [("under", _IN), ("over", _IN), ("under", _OUT), ("over", _OUT)]
-    PORTS_NEG = [("under", _OUT), ("over", _IN), ("under", _IN), ("over", _OUT)]
-
     station: dict[int, int] = {}
     for _, _, p in d.passages():
         if p.crossing not in station:
             station[p.crossing] = len(station)
 
-    portx: dict[tuple[int, str, str], int] = {}
+    # All four stubs of a station point up, so left to right its ports run
+    # clockwise, ending at out-over.
+    portx: dict[tuple[tuple[int, int], int], int] = {}
     for cid, s in station.items():
-        layout = PORTS_POS if d.crossings[cid].sign > 0 else PORTS_NEG
-        for off, (strand, side) in enumerate(layout):
-            portx[(cid, strand, side)] = 4 * s + off
-
-    def port_of(ci: int, i: int, side: str) -> int:
-        p = d.components[ci][i]
-        strand = "over" if p.role is Role.OVER else "under"
-        return portx[(p.crossing, strand, side)]
+        over, under = d.real_positions(cid)
+        for k, port in enumerate(_ccw_ports(over, under, d.frame(cid, over))):
+            portx[port] = 4 * s + 3 - k
 
     # One lane per edge; edge (ci, g) runs out of passage g into passage g+1.
     edge_list = [
@@ -187,9 +165,7 @@ def _rail_layout(d: Diagram) -> Diagram:
     span = {}
     for ci, g in edge_list:
         L = len(d.components[ci])
-        a = port_of(ci, g, _OUT)
-        b = port_of(ci, (g + 1) % L, _IN)
-        span[(ci, g)] = (a, b)
+        span[(ci, g)] = (portx[(ci, g), 1], portx[(ci, (g + 1) % L), -1])
 
     # Intersections: the vertical legs of an edge (x = a rising to its lane,
     # x = b dropping back) against the horizontals of lower lanes.

@@ -29,7 +29,7 @@ from .colorings import (
     psi,
 )
 from .constructions import covering, extract_component, multiplex
-from .errors import MultivirtError, TooLarge
+from .errors import MultivirtError, TooLarge, ValidationError, checked
 from .invariants import WritheTable, invariant_report, linking_and_lambda, n_writhes
 from .model import Diagram, canonical_form
 
@@ -161,12 +161,29 @@ def verify_theorems(
 ) -> VerifyReport:
     """Run the identity checks for every named knot fixture.
 
-    Raises on non-knot fixtures; all catalog knots are used by default."""
-    if names is None:
-        names = catalog.KNOT_NAMES
+    A fixture is a catalog name or a `Diagram`; all catalog knots are used by
+    default.  Raises ValidationError for an argument that is not an iterable,
+    a fixture of another kind or an unknown theorem, and MultivirtError for a
+    non-knot fixture."""
+    try:
+        theorems = set(theorems)
+        r_range, n_range = tuple(r_range), tuple(n_range)
+        names = catalog.KNOT_NAMES if names is None else tuple(names)
+    except TypeError:
+        raise ValidationError(
+            "names, r_range, n_range and theorems must be iterables"
+        ) from None
+    unknown = theorems - set(THEOREMS)
+    if unknown:
+        raise ValidationError(
+            f"unknown theorems {sorted(map(repr, unknown))}; known: {', '.join(THEOREMS)}"
+        )
     report = VerifyReport()
     for name in names:
-        d = catalog.diagram(name) if isinstance(name, str) else name
+        if isinstance(name, str):
+            d = catalog.diagram(name)
+        else:
+            d = checked(name, Diagram, ValidationError, "a fixture")
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {name!r} is not a knot")
         J = n_writhes(d)

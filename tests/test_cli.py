@@ -136,6 +136,11 @@ class TestMoves:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_negative_walk_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "moves", "--name", "trefoil", "--walk", "-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "step count" in err
+
     def test_size_cap_must_be_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("MULTIVIRT_SIZE_CAP", "abc")
         with pytest.raises(ValidationError, match="MULTIVIRT_SIZE_CAP"):

@@ -433,6 +433,11 @@ class TestRandomWalk:
         with pytest.raises(ValidationError):
             random_walk(trefoil, steps, 0)
 
+    @pytest.mark.parametrize("steps", [-1, -3])
+    def test_negative_step_count_rejected(self, trefoil, steps):
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, steps, 0)
+
     @pytest.mark.parametrize("seed", [None, 1.5, "x"])
     def test_non_integer_seed_rejected(self, trefoil, seed):
         # Random(None) would seed from the OS and give a new trace per call.

@@ -1,0 +1,61 @@
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
+_spec = importlib.util.spec_from_file_location("count_code_lines", SCRIPT)
+count_code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(count_code_lines)
+
+# Twelve code lines: import, class, the four lines of `x = (...)`, def, the two
+# lines of the string assigned to `s`, the string statement after the
+# docstring, return, and async def.  The other fourteen lines are docstrings,
+# a comment or blank.
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = (
+        1,
+        2,
+    )
+
+    def f(self):
+        """Function
+        docstring."""
+        # a lone comment
+        s = """a string
+        that is code"""
+        "a string statement that is not the docstring"
+        return os.sep + s
+
+
+async def g():
+    """Async docstring."""
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    assert count_code_lines.code_lines(SAMPLE) == 12
+
+
+def test_a_docstring_only_body_counts_its_header():
+    assert count_code_lines.code_lines('def f():\n    """Only a docstring."""\n') == 1
+    assert count_code_lines.code_lines("") == 0
+
+
+def test_script_prints_each_module_and_the_total(tmp_path):
+    (tmp_path / "b.py").write_text(SAMPLE)
+    (tmp_path / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["     2  a.py", "    12  b.py", "    14  total"]
