@@ -183,7 +183,7 @@ def verify_theorems(
         if isinstance(name, str):
             d = catalog.diagram(name)
         else:
-            d = checked(name, Diagram, ValidationError, "a fixture")
+            d = checked(name, Diagram, ValidationError, "a fixture other than a name")
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {name!r} is not a knot")
         J = n_writhes(d)
