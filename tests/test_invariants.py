@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import diagrams
 from multivirt import catalog
 from multivirt.errors import (
     BadComponent,
@@ -10,8 +12,11 @@ from multivirt.errors import (
     NotReal,
     UnknownCrossing,
 )
-from multivirt.constructions import multiplex
+from multivirt.constructions import covering, multiplex
 from multivirt.invariants import (
+    ComponentWrithes,
+    InvariantReport,
+    WritheTable,
     crossing_indices,
     index_defect,
     invariant_report,
@@ -22,6 +27,7 @@ from multivirt.invariants import (
     writhe,
 )
 from multivirt.model import Role, parse_vgc
+from multivirt.moves import apply_move, random_walk
 from multivirt.planar import realize
 
 
@@ -155,3 +161,105 @@ class TestReportJson:
         d = catalog.diagram("asym3")
         keys = list(invariant_report(d).to_json()["jn"])
         assert keys == sorted(keys, key=int)
+
+
+# -- the theorem layer against a per-component scan ------------------------
+
+
+def _oracle_self_crossings(d, ci):
+    """Real crossings whose both passages lie on component `ci`, by ids."""
+    out = []
+    for cid, rec in d.crossings.items():
+        if not rec.virtual:
+            (co, _), (cu, _) = d.real_positions(cid)
+            if co == cu == ci:
+                out.append(cid)
+    return sorted(out)
+
+
+def _oracle_table(d, cids):
+    entries, j0 = {}, 0
+    for cid in cids:
+        n, s = crossing_indices(d, cid).ind, d.crossings[cid].sign
+        if n == 0:
+            j0 += s
+        else:
+            entries[n] = entries.get(n, 0) + s
+    return WritheTable({n: v for n, v in entries.items() if v != 0}, j0)
+
+
+def _invariants_oracle(d):
+    """(report, index defect) from one scan of the crossings per component,
+    with lambda computed both from lk and directly from the mixed crossings."""
+    r = d.n_components()
+    lk = [[0] * r for _ in range(r)]
+    lam_direct = [0] * r
+    for cid, rec in d.crossings.items():
+        if rec.virtual:
+            continue
+        (co, _), (cu, _) = d.real_positions(cid)
+        if co != cu:
+            lk[co][cu] += rec.sign
+            lam_direct[cu] += rec.sign
+            lam_direct[co] -= rec.sign
+    lam = [sum(lk[j][i] - lk[i][j] for j in range(r) if j != i) for i in range(r)]
+    assert lam == lam_direct
+    own = [_oracle_self_crossings(d, ci) for ci in range(r)]
+    jni = tuple(ComponentWrithes(ci + 1, _oracle_table(d, own[ci]), lam[ci]) for ci in range(r))
+    report = InvariantReport(
+        writhe(d), jni[0].table if r == 1 else None, jni, tuple(map(tuple, lk)), tuple(lam)
+    )
+    pairs = [crossing_indices(d, cid) for cids in own for cid in cids]
+    return report, max((abs(p.ind + p.ind_v) for p in pairs), default=0)
+
+
+def _ordered(table):
+    """A writhe table with the insertion order of its entries."""
+    return list(table.entries.items()), table.j0
+
+
+def _assert_matches_oracle(d):
+    want, defect = _invariants_oracle(d)
+    got = invariant_report(d)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert [_ordered(cw.table) for cw in got.jni] == [_ordered(cw.table) for cw in want.jni]
+    assert linking_and_lambda(d) == InvariantReport(want.writhe, None, (), want.lk, want.lam)
+    for cw in want.jni:
+        got_cw = ith_n_writhes(d, cw.component)
+        assert got_cw == cw and _ordered(got_cw.table) == _ordered(cw.table)
+    if d.n_components() == 1:
+        assert _ordered(n_writhes(d)) == _ordered(want.jn)
+    else:
+        with pytest.raises(NotAKnot):
+            n_writhes(d)
+    assert index_defect(d) == defect
+
+
+@settings(max_examples=200)
+@given(diagrams(max_real=6, max_virtual=4, max_components=4))
+def test_matches_oracle_on_random_diagrams(d):
+    _assert_matches_oracle(d)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_matches_oracle_on_catalog(name):
+    _assert_matches_oracle(catalog.diagram(name))
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+def test_matches_oracle_on_multiplexes_and_coverings(name):
+    d = catalog.diagram(name)
+    for r in range(2, 7):
+        _assert_matches_oracle(multiplex(d, r)[0])
+    for r in range(1, 7):
+        _assert_matches_oracle(covering(d, r))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_matches_oracle_on_walk_states(name):
+    for seed in range(2):
+        cur = catalog.diagram(name)
+        _, trace = random_walk(cur, 60, seed)
+        for site in trace:
+            cur = apply_move(cur, site)
+            _assert_matches_oracle(cur)
