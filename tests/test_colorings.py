@@ -410,7 +410,9 @@ class TestPairingMap:
             return out
 
         monkeypatch.setattr(verify, "psi", shifted_psi)
-        result = verify._check_colorings("trefoil", trefoil, [3])
+        (result,) = verify.verify_theorems(
+            names=["trefoil"], r_range=(), n_range=(3,), theorems=("colorings",)
+        ).results
         assert not result.ok
         assert result.detail == "n=3: pairing image leaves the constrained set"
 
