@@ -11,6 +11,11 @@ passages both lie on the path contributes zero in total.
 On genus-0 diagrams the real and virtual counts cancel: ind + ind_v = 0 for
 every real self-crossing.  No such constraint holds for abstract (positive
 genus) codes, which are accepted everywhere here.
+
+Every other fact comes from one sweep of the real crossings in id order,
+`_sweep`, which costs O(crossings) after sorting the ids.  It gives the
+linking matrix, from which lambda is read, and the real self-crossings of
+each component, whose indices fill the writhe tables.
 """
 
 from __future__ import annotations
@@ -117,17 +122,28 @@ def writhe(d: Diagram) -> int:
     return sum(rec.sign for rec in d.crossings.values() if not rec.virtual)
 
 
-def _self_crossings(d: Diagram, ci: int) -> list[int]:
-    """Real crossings whose both passages lie on component `ci`."""
-    pos = d.passage_index
-    out = []
-    for cid, rec in d.crossings.items():
+def _sweep(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
+    """One pass over the real crossings in id order: the linking matrix
+    lk[i][j] (component i passes over component j) and the real
+    self-crossings of each component."""
+    r = d.n_components()
+    lk = [[0] * r for _ in range(r)]
+    own: list[list[int]] = [[] for _ in range(r)]
+    for cid in sorted(d.crossings):
+        rec = d.crossings[cid]
         if rec.virtual:
             continue
-        (co, _), (cu, _) = pos[cid]
-        if co == ci and cu == ci:
-            out.append(cid)
-    return sorted(out)
+        (co, _), (cu, _) = d.real_positions(cid)
+        if co == cu:
+            own[co].append(cid)
+        else:
+            lk[co][cu] += rec.sign
+    return lk, own
+
+
+def _lam(lk: list[list[int]]) -> tuple[int, ...]:
+    """lambda_i = sum_j (lk[j][i] - lk[i][j]); the diagonal of lk is zero."""
+    return tuple(sum(row[i] for row in lk) - sum(lk[i]) for i in range(len(lk)))
 
 
 def _writhe_table(d: Diagram, cids: list[int]) -> WritheTable:
@@ -147,11 +163,7 @@ def n_writhes(d: Diagram) -> WritheTable:
     """J_n table of a knot diagram; stable under the generalized moves for n != 0."""
     if d.n_components() != 1:
         raise NotAKnot(f"expected 1 component, found {d.n_components()}")
-    return _writhe_table(d, _self_crossings(d, 0))
-
-
-def _component_writhes(d: Diagram, i: int, lam: tuple[int, ...]) -> ComponentWrithes:
-    return ComponentWrithes(i, _writhe_table(d, _self_crossings(d, i - 1)), lam[i - 1])
+    return _writhe_table(d, _sweep(d)[1][0])
 
 
 def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
@@ -161,49 +173,29 @@ def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
-    return _component_writhes(d, i, linking_and_lambda(d).lam)
+    lk, own = _sweep(d)
+    return ComponentWrithes(i, _writhe_table(d, own[i - 1]), _lam(lk)[i - 1])
 
 
 def linking_and_lambda(d: Diagram) -> InvariantReport:
     """Linking matrix lk[i][j] = sum of signs of real crossings where component
     i passes over component j, plus lambda_i = sum_j (lk[j][i] - lk[i][j])."""
-    r = d.n_components()
-    lk = [[0] * r for _ in range(r)]
-    lam_direct = [0] * r
-    for cid, rec in d.crossings.items():
-        if rec.virtual:
-            continue
-        (co, _), (cu, _) = d.real_positions(cid)
-        if co != cu:
-            lk[co][cu] += rec.sign
-            lam_direct[cu] += rec.sign
-            lam_direct[co] -= rec.sign
-    lam = [
-        sum(lk[j][i] - lk[i][j] for j in range(r) if j != i) for i in range(r)
-    ]
-    assert lam == lam_direct, "two lambda computations disagree"
-    return InvariantReport(
-        writhe=writhe(d),
-        jn=None,
-        jni=(),
-        lk=tuple(tuple(row) for row in lk),
-        lam=tuple(lam),
-    )
+    lk, _ = _sweep(d)
+    return InvariantReport(writhe(d), None, (), tuple(map(tuple, lk)), _lam(lk))
 
 
 def invariant_report(d: Diagram) -> InvariantReport:
     """Full report: writhe, J_n (knots only), per-component tables, lk, lambda."""
-    base = linking_and_lambda(d)
-    jni = tuple(_component_writhes(d, i, base.lam) for i in range(1, d.n_components() + 1))
-    jn = jni[0].table if d.n_components() == 1 else None
-    return InvariantReport(base.writhe, jn, jni, base.lk, base.lam)
+    lk, own = _sweep(d)
+    lam = _lam(lk)
+    jni = tuple(
+        ComponentWrithes(ci + 1, _writhe_table(d, cids), lam[ci]) for ci, cids in enumerate(own)
+    )
+    jn = jni[0].table if len(jni) == 1 else None
+    return InvariantReport(writhe(d), jn, jni, tuple(map(tuple, lk)), lam)
 
 
 def index_defect(d: Diagram) -> int:
     """Max |ind + ind_v| over real self-crossings; 0 on every planar diagram."""
-    worst = 0
-    for ci in range(d.n_components()):
-        for cid in _self_crossings(d, ci):
-            pair = crossing_indices(d, cid)
-            worst = max(worst, abs(pair.ind + pair.ind_v))
-    return worst
+    pairs = [crossing_indices(d, cid) for cids in _sweep(d)[1] for cid in cids]
+    return max((abs(p.ind + p.ind_v) for p in pairs), default=0)

@@ -13,6 +13,12 @@ independently computed quantities:
                constrained coloring count of L for each modulus, re-checked
                by brute-force enumeration and the explicit pairing map
                whenever the search space allows
+
+Each check is a function that returns "" when its identity holds and
+otherwise the first failure it meets, as one line of text.  The per-r
+checks take (d, J, r), with J the writhe table of D, and the coloring check
+takes (d, moduli).  `verify_theorems` turns every answer into a
+`CheckResult` in one place.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .colorings import (
 from .constructions import covering, extract_component, multiplex
 from .errors import MultivirtError, TooLarge, ValidationError, checked
 from .invariants import WritheTable, invariant_report, linking_and_lambda, n_writhes
-from .model import Diagram, canonical_form
+from .model import Diagram, canonical_form, serialize_vgc
 
 THEOREMS = ("linking", "self_writhe", "components", "colorings")
 
@@ -66,56 +72,44 @@ class VerifyReport:
         return {"ok": self.ok, "results": [r.to_json() for r in self.results]}
 
 
-def _check_linking(name: str, d: Diagram, J: WritheTable, r: int) -> CheckResult:
-    L, _ = multiplex(d, r)
-    rep = linking_and_lambda(L)
+# Brute-force enumeration re-checks a count only below this many assignments.
+ENUM_LIMIT = 10**6
+
+
+def _linking(d: Diagram, J: WritheTable, r: int) -> str:
+    rep = linking_and_lambda(multiplex(d, r)[0])
     for i in range(r):
         for j in range(r):
             if i == j:
                 continue
             expect = sum(v for n, v in J.entries.items() if (n - (i - j)) % r == 0)
             if rep.lk[i][j] != expect:
-                return CheckResult(
-                    name, "linking", r, False,
-                    f"lk[{i+1}][{j+1}] = {rep.lk[i][j]}, expected {expect}",
-                )
-    if any(v != 0 for v in rep.lam):
-        return CheckResult(name, "linking", r, False, f"lambda = {rep.lam}, expected zeros")
-    return CheckResult(name, "linking", r, True)
+                return f"lk[{i+1}][{j+1}] = {rep.lk[i][j]}, expected {expect}"
+    if any(rep.lam):
+        return f"lambda = {rep.lam}, expected zeros"
+    return ""
 
 
-def _check_self_writhe(name: str, d: Diagram, J: WritheTable, r: int) -> CheckResult:
-    L, _ = multiplex(d, r)
-    for cw in invariant_report(L).jni:
-        i, table = cw.component, cw.table
-        support = set(table.entries) | set(J.entries)
-        for n in support:
-            if n == 0:
-                continue
+def _self_writhe(d: Diagram, J: WritheTable, r: int) -> str:
+    for cw in invariant_report(multiplex(d, r)[0]).jni:
+        got = cw.table.entries
+        for n in set(got) | set(J.entries):
             expect = J.entries.get(n, 0) if n % r == 0 else 0
-            if table.entries.get(n, 0) != expect:
-                return CheckResult(
-                    name, "self_writhe", r, False,
-                    f"component {i}: J_{n} = {table.entries.get(n, 0)}, expected {expect}",
-                )
-    return CheckResult(name, "self_writhe", r, True)
+            if n != 0 and got.get(n, 0) != expect:
+                return f"component {cw.component}: J_{n} = {got.get(n, 0)}, expected {expect}"
+    return ""
 
 
-def _check_components(name: str, d: Diagram, r: int) -> CheckResult:
+def _components(d: Diagram, J: WritheTable, r: int) -> str:
     L, _ = multiplex(d, r)
     want = canonical_form(covering(d, r))
     for i in range(1, r + 1):
-        got = canonical_form(extract_component(L, i))
-        if got != want:
-            return CheckResult(
-                name, "components", r, False, f"component {i} differs from the covering"
-            )
-    return CheckResult(name, "components", r, True)
+        if canonical_form(extract_component(L, i)) != want:
+            return f"component {i} differs from the covering"
+    return ""
 
 
-def _check_colorings(
-    name: str, d: Diagram, moduli, enum_limit: int = 10**6
-) -> CheckResult:
+def _colorings(d: Diagram, moduli) -> str:
     L2, prov = multiplex(d, 2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     csys = build_system(L2, ColoringMode.CONSTRAINED, prov)
@@ -123,34 +117,29 @@ def _check_colorings(
         a = count_colorings(vsys, n)
         b = count_colorings(csys, n)
         if a != b:
-            return CheckResult(
-                name, "colorings", 2, False, f"n={n}: {a} virtual vs {b} constrained"
-            )
+            return f"n={n}: {a} virtual vs {b} constrained"
         try:
-            sols = enumerate_colorings(vsys, n, enum_limit)
+            sols = enumerate_colorings(vsys, n, ENUM_LIMIT)
         except TooLarge:
             continue
         if len(sols) != a:
-            return CheckResult(
-                name, "colorings", 2, False, f"n={n}: enumeration found {len(sols)}, not {a}"
-            )
+            return f"n={n}: enumeration found {len(sols)}, not {a}"
         images = [psi(d, c, L2, prov) for c in sols]
         if len({im.values for im in images}) != len(images):
-            return CheckResult(name, "colorings", 2, False, f"n={n}: pairing map not injective")
+            return f"n={n}: pairing map not injective"
         if not all(is_solution(csys, im) for im in images):
-            return CheckResult(
-                name, "colorings", 2, False, f"n={n}: pairing image leaves the constrained set"
-            )
+            return f"n={n}: pairing image leaves the constrained set"
         try:
-            constrained = enumerate_colorings(csys, n, enum_limit)
-            if len(constrained) != len(images):
-                return CheckResult(
-                    name, "colorings", 2, False,
-                    f"n={n}: image size {len(images)} vs constrained {len(constrained)}",
-                )
+            constrained = enumerate_colorings(csys, n, ENUM_LIMIT)
         except TooLarge:
-            pass
-    return CheckResult(name, "colorings", 2, True)
+            continue
+        if len(constrained) != len(images):
+            return f"n={n}: image size {len(images)} vs constrained {len(constrained)}"
+    return ""
+
+
+# The checks run once per r, in this order.
+_PER_R = {"linking": _linking, "self_writhe": _self_writhe, "components": _components}
 
 
 def verify_theorems(
@@ -161,9 +150,10 @@ def verify_theorems(
 ) -> VerifyReport:
     """Run the identity checks for every named knot fixture.
 
-    A fixture is a catalog name or a `Diagram`; all catalog knots are used by
-    default.  Raises ValidationError for an argument that is not an iterable,
-    a fixture of another kind or an unknown theorem, and MultivirtError for a
+    A fixture is a catalog name or a `Diagram`, reported by its VGC text; all
+    catalog knots are used by default.  Raises ValidationError for an
+    argument that is not an iterable, a fixture of another kind or an
+    invalid diagram, or an unknown theorem, and MultivirtError for a
     non-knot fixture."""
     try:
         theorems = set(theorems)
@@ -181,19 +171,23 @@ def verify_theorems(
     report = VerifyReport()
     for name in names:
         if isinstance(name, str):
-            d = catalog.diagram(name)
+            d, label = catalog.diagram(name), name
         else:
             d = checked(name, Diagram, ValidationError, "a fixture other than a name")
+            d.validate()
+            label = serialize_vgc(d)
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {name!r} is not a knot")
         J = n_writhes(d)
-        for r in r_range:
-            if "linking" in theorems:
-                report.results.append(_check_linking(name, d, J, r))
-            if "self_writhe" in theorems:
-                report.results.append(_check_self_writhe(name, d, J, r))
-            if "components" in theorems:
-                report.results.append(_check_components(name, d, r))
+        checks = [
+            (thm, r, check, (d, J, r))
+            for r in r_range
+            for thm, check in _PER_R.items()
+            if thm in theorems
+        ]
         if "colorings" in theorems:
-            report.results.append(_check_colorings(name, d, n_range))
+            checks.append(("colorings", 2, _colorings, (d, n_range)))
+        for thm, r, check, args in checks:
+            detail = check(*args)
+            report.results.append(CheckResult(label, thm, r, not detail, detail))
     return report

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from multivirt.colorings import (
 )
 from multivirt.errors import MultivirtError, ValidationError
 from multivirt.invariants import WritheTable, linking_and_lambda, n_writhes
-from multivirt.model import parse_vgc
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, parse_vgc
 from multivirt.verify import verify_theorems
 
 
@@ -48,6 +49,24 @@ class TestVerifyArguments:
         assert [(r.theorem, r.r) for r in by_name.results] == [
             (r.theorem, r.r) for r in by_value.results
         ]
+
+    def test_diagram_fixture_is_reported_by_its_vgc_text(self):
+        rep = verify_theorems(names=[parse_vgc("O1+ U1+")], r_range=(2,))
+        payload = json.loads(json.dumps(rep.to_json()))
+        assert payload["ok"]
+        assert {r["fixture"] for r in payload["results"]} == {"O1+ U1+"}
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Diagram(((Passage(1, Role.OVER),),), {1: CrossingRecord(1, False, 1)}),
+            Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {}),
+        ],
+        ids=["real-crossing-passed-once", "unrecorded-crossing"],
+    )
+    def test_invalid_diagram_fixture_rejected(self, d):
+        with pytest.raises(ValidationError):
+            verify_theorems(names=[d], r_range=(2,))
 
 
 def _results(rep):
