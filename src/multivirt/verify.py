@@ -24,6 +24,7 @@ takes (d, moduli).  `verify_theorems` turns every answer into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from . import catalog
 from .colorings import (
@@ -78,13 +79,10 @@ ENUM_LIMIT = 10**6
 
 def _linking(d: Diagram, J: WritheTable, r: int) -> str:
     rep = linking_and_lambda(multiplex(d, r)[0])
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            expect = sum(v for n, v in J.entries.items() if (n - (i - j)) % r == 0)
-            if rep.lk[i][j] != expect:
-                return f"lk[{i+1}][{j+1}] = {rep.lk[i][j]}, expected {expect}"
+    for i, j in permutations(range(r), 2):
+        expect = sum(v for n, v in J.entries.items() if (n - (i - j)) % r == 0)
+        if rep.lk[i][j] != expect:
+            return f"lk[{i+1}][{j+1}] = {rep.lk[i][j]}, expected {expect}"
     if any(rep.lam):
         return f"lambda = {rep.lam}, expected zeros"
     return ""
@@ -177,7 +175,7 @@ def verify_theorems(
             d.validate()
             label = serialize_vgc(d)
         if d.n_components() != 1:
-            raise MultivirtError(f"fixture {name!r} is not a knot")
+            raise MultivirtError(f"fixture {label!r} is not a knot")
         J = n_writhes(d)
         checks = [
             (thm, r, check, (d, J, r))

@@ -40,6 +40,10 @@ class TestVerifyArguments:
         with pytest.raises(MultivirtError, match="not a knot"):
             verify_theorems(names=["vhopf"], r_range=(2,))
 
+    def test_link_fixture_is_named_by_its_vgc_text(self):
+        with pytest.raises(MultivirtError, match=r"^fixture 'O1\+ ; U1\+' is not a knot$"):
+            verify_theorems(names=[parse_vgc("O1+ ; U1+")], r_range=(2,))
+
     def test_diagram_and_name_fixtures_agree(self):
         by_name = verify_theorems(names=["kink"], r_range=(2, 3), n_range=(2, 3))
         by_value = verify_theorems(
