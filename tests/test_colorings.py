@@ -33,6 +33,7 @@ from multivirt.errors import (
     ValidationError,
 )
 from multivirt.model import Granularity, Role, Segments, parse_vgc
+from multivirt.moves import random_walk
 
 
 class TestBuildSystem:
@@ -320,6 +321,70 @@ class TestEnumeration:
         for v in sols:
             assert tuple((x + 1) % n for x in v) in sols
             assert tuple((-x) % n for x in v) in sols
+
+
+def _enumerate_oracle(sys_: ColoringSystem, n: int) -> list[Coloring]:
+    """Every one of the n^k assignments tried in int64 chunks through numpy,
+    kept in index order (x_{k-1} varies slowest): the numpy brute force that
+    `enumerate_colorings` used before its pruned search."""
+    np = pytest.importorskip("numpy")
+    k = sys_.n_unknowns
+    total = n**k
+    if k == 0:
+        return [Coloring((), n)]
+    A = np.array(sys_.matrix(), dtype=np.int64).T if sys_.rows else None
+    out: list[Coloring] = []
+    powers = n ** np.arange(k, dtype=np.int64)
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        X = (idx[:, None] // powers[None, :]) % n
+        if A is None:
+            good = np.ones(len(idx), dtype=bool)
+        else:
+            good = ((X @ A) % n == 0).all(axis=1)
+        for rowv in X[good]:
+            out.append(Coloring(tuple(int(v) for v in rowv), n))
+    return out
+
+
+def _assert_enumeration_pinned(sys_: ColoringSystem) -> None:
+    """Same solutions in the same order as the numpy oracle, for n = 1..9
+    wherever n^k <= 10**6."""
+    for n in range(1, 10):
+        if n**sys_.n_unknowns <= 10**6:
+            assert enumerate_colorings(sys_, n) == _enumerate_oracle(sys_, n), n
+
+
+class TestEnumerationMatchesOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(d=diagrams())
+    def test_random_diagrams(self, d):
+        for mode in (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX):
+            _assert_enumeration_pinned(build_system(d, mode))
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog(self, name):
+        d = catalog.diagram(name)
+        for mode in (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX):
+            _assert_enumeration_pinned(build_system(d, mode))
+        if d.n_components() == 1:
+            l2, prov = multiplex(d, 2)
+            _assert_enumeration_pinned(build_system(l2, ColoringMode.CONSTRAINED, prov))
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_walk_states(self, name):
+        for seed in range(2):
+            end, _ = random_walk(catalog.diagram(name), 60, seed)
+            for mode in (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX):
+                _assert_enumeration_pinned(build_system(end, mode))
+
+    def test_asym3_multiplex(self):
+        L, _ = multiplex(catalog.diagram("asym3"), 4)
+        _assert_enumeration_pinned(build_system(L, ColoringMode.FOX))
+        sys_ = build_system(L, ColoringMode.VIRTUAL_FOX)
+        assert sys_.n_unknowns > 600  # only n = 1 fits, one level per unknown
+        _assert_enumeration_pinned(sys_)
 
 
 class TestPairingMap:
