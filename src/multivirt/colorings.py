@@ -24,8 +24,12 @@ n^q * prod gcd(d_i, n).  The divisors come in two phases, after Dumas,
 Saunders and Villard ("On efficient sparse integer matrix Smith normal form
 computations", J. Symb. Comput. 2001): Markowitz-ordered elimination of +-1
 pivots on the sparse rows, then the dense `smith_normal_form` on the small
-residual that has no +-1 entry left.  The dense form on the whole matrix and a
-brute-force enumerator are the independent oracles for the same counts.
+residual that has no +-1 entry left.  The dense form on the whole matrix and an
+exhaustive search are the independent oracles for the same counts.  The search
+assigns the unknowns from the last to the first in exact integers and tests
+each relation as soon as its lowest unknown has a value, so it lists the
+solutions in index order (x_{k-1} varies slowest) without trying every one of
+the n^k assignments; n^k is still what its `limit` bounds.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ def build_system(
     provenance: Provenance | None = None,
 ) -> ColoringSystem:
     """Assemble the relation system of `d` for the requested coloring mode."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     mode = checked(mode, ColoringMode, ValidationError, "coloring mode")
     gran = (
         Granularity.VIRTUAL_ARC if mode is ColoringMode.VIRTUAL_FOX else Granularity.ARC
@@ -148,14 +153,10 @@ def build_system(
         rows.append(row((into(cu, iu), 1), (segs.index_of_gap(cu, iu), 1), (into(co, io), -2)))
 
     if mode is ColoringMode.CONSTRAINED:
-        provenance = _fitted_provenance(provenance, d)
-        by_edge: dict[int, dict[int, tuple[int, int | None]]] = {}
-        for (t, q), loc in provenance.edge_map.items():
-            by_edge.setdefault(t, {})[q] = loc
-        for t in sorted(by_edge):
-            copies = by_edge[t]
-            a = segs.index_of_gap(*copies[1])
-            b = segs.index_of_gap(*copies[2])
+        edge_map = _fitted_provenance(provenance, d).edge_map
+        for t in range(len(edge_map) // 2):
+            a = segs.index_of_gap(*edge_map[(t, 1)])
+            b = segs.index_of_gap(*edge_map[(t, 2)])
             rows.append(row((a, 1), (b, 1)))
 
     return ColoringSystem(mode, segs, tuple(rows))
@@ -166,6 +167,7 @@ def _fitted_provenance(prov, l2: Diagram) -> Provenance:
     both copies of every source edge on a gap of `l2`; else raise
     MissingProvenance."""
     prov = checked(prov, Provenance, MissingProvenance, "multiplexing provenance")
+    l2 = checked(l2, Diagram, ValidationError, "multiplex")
     if prov.r != 2:
         raise MissingProvenance("constrained colorings are defined on 2-fold multiplexes")
     if l2.n_components() != prov.r:
@@ -328,6 +330,7 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
 
 def count_colorings(sys: ColoringSystem, n: int) -> int:
     """Number of solutions of the relation system modulo n (exact, any n >= 1)."""
+    sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
     n = checked(n, int, BadModulus, "modulus")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
@@ -341,33 +344,36 @@ def count_colorings(sys: ColoringSystem, n: int) -> int:
 def enumerate_colorings(
     sys: ColoringSystem, n: int, limit: int = 10**6
 ) -> list[Coloring]:
-    """All solutions mod n by trying every assignment (the independent oracle)."""
+    """All solutions mod n by exhaustive search (the independent oracle).
+
+    Unknown k-1 gets its values first and unknown 0 last; every surviving
+    partial assignment is extended by 0..n-1, and a relation is tested as
+    soon as its lowest unknown has a value.  The solutions come out in index
+    order, x_{k-1} varying slowest.  Raises TooLarge when n^k exceeds `limit`,
+    however few assignments the search itself visits."""
+    sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
     n = checked(n, int, BadModulus, "modulus")
     limit = checked(limit, int, ValidationError, "limit")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
     k = sys.n_unknowns
-    total = n**k
-    if total > limit:
+    if n**k > limit:
         raise TooLarge(f"{n}^{k} assignments exceed limit {limit}")
-    if k == 0:
-        return [Coloring((), n)]
-    import numpy as np  # local: numpy costs more than the rest of `import multivirt`
-
-    A = np.array(sys.matrix(), dtype=np.int64).T if sys.rows else None
-    out: list[Coloring] = []
-    powers = n ** np.arange(k, dtype=np.int64)
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        X = (idx[:, None] // powers[None, :]) % n
-        if A is None:
-            good = np.ones(len(idx), dtype=bool)
-        else:
-            good = ((X @ A) % n == 0).all(axis=1)
-        for rowv in X[good]:
-            out.append(Coloring(tuple(int(v) for v in rowv), n))
-    return out
+    due: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    for r in sys.rows:
+        if r:
+            due.setdefault(r[0][0], []).append(r)
+    found: list[tuple[int, ...]] = [()]
+    for j in reversed(range(k)):
+        rows = due.get(j, ())
+        found = [
+            t
+            for p in found
+            for v in range(n)
+            for t in [(v, *p)]
+            if all(sum(c * t[i - j] for i, c in r) % n == 0 for r in rows)
+        ]
+    return [Coloring(t, n) for t in found]
 
 
 def is_solution(sys: ColoringSystem, col: Coloring) -> bool:
@@ -387,45 +393,38 @@ _RIGHT_COPY = 2
 _LEFT_COPY = 1
 
 
-def psi(
-    d: Diagram,
-    col: Coloring,
-    l2: Diagram,
-    prov: Provenance,
-    system: ColoringSystem | None = None,
-) -> Coloring:
+def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     """Send a virtual coloring of `d` to the constrained coloring of its 2-fold
     multiplex that puts the source value on the right copy of every edge and
     its negative on the left copy."""
     col = checked(col, Coloring, InvalidColoring, "coloring")
+    values = checked(col.values, tuple, InvalidColoring, "coloring values")
+    values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
     n = checked(col.modulus, int, BadModulus, "modulus")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
     prov = _fitted_provenance(prov, l2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
-    if not is_solution(vsys, col):
+    if not is_solution(vsys, Coloring(values, n)):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
     esegs = segments(d, Granularity.EDGE)
     if 2 * len(esegs.pieces) != len(prov.edge_map):
         raise MissingProvenance("the provenance is not that of the source diagram's multiplex")
     arcs = segments(l2, Granularity.ARC)
-    values: dict[int, int] = {}
+    image: dict[int, int] = {}
 
     def assign(piece: int, v: int) -> None:
         v %= n
-        if values.setdefault(piece, v) != v:
+        if image.setdefault(piece, v) != v:
             raise InvalidColoring("pairing map produced an inconsistent assignment")
 
     for t, piece in enumerate(esegs.pieces):
-        v = col.values[vsys.unknowns.index_of_gap(piece.component, piece.start)]
+        v = values[vsys.unknowns.index_of_gap(piece.component, piece.start)]
         right = prov.edge_map[(t, _RIGHT_COPY)]
         left = prov.edge_map[(t, _LEFT_COPY)]
         assign(arcs.index_of_gap(*right), v)
         assign(arcs.index_of_gap(*left), -v)
 
-    if set(values) != set(range(len(arcs.pieces))):
+    if set(image) != set(range(len(arcs.pieces))):
         raise InvalidColoring("pairing map left an arc of the multiplex unassigned")
-    out = Coloring(tuple(values[i] for i in range(len(arcs.pieces))), n)
-    if system is not None and not is_solution(system, out):
-        raise InvalidColoring("pairing map image violates the constrained system")
-    return out
+    return Coloring(tuple(image[i] for i in range(len(arcs.pieces))), n)

@@ -137,7 +137,7 @@ def test_c5_virtual_vs_constrained_colorings():
             except TooLarge:
                 continue
             assert len(sols) == a, (name, n)
-            images = [psi(d, c, l2, prov, csys) for c in sols]
+            images = [psi(d, c, l2, prov) for c in sols]
             assert len({im.values for im in images}) == len(images), (name, n)
             assert all(is_solution(csys, im) for im in images)
             try:

@@ -411,6 +411,15 @@ class TestPairingMap:
         with pytest.raises(InvalidColoring):
             psi(trefoil, col, l2, prov)
 
+    @pytest.mark.parametrize("values", [(2.0, 1.0, 0.0), ("2", "1", "0"), [2, 1, 0], None])
+    def test_rejects_non_integer_values(self, trefoil, values):
+        # Unchecked, floats came back as a coloring of floats and strings
+        # raised a bare TypeError.
+        l2, prov = multiplex(trefoil, 2)
+        assert psi(trefoil, Coloring((2, 1, 0), 3), l2, prov).values
+        with pytest.raises(InvalidColoring):
+            psi(trefoil, Coloring(values, 3), l2, prov)
+
     def test_rejects_non_solutions(self, trefoil):
         l2, prov = multiplex(trefoil, 2)
         bad = Coloring((0, 0, 1), 2)  # mod 2 only constant colorings survive
@@ -459,20 +468,16 @@ class TestPairingMap:
         csys = build_system(l2, ColoringMode.CONSTRAINED, prov)
         n = 3
         sols = enumerate_colorings(vsys, n)
-        images = [psi(d, c, l2, prov, csys) for c in sols]
+        images = [psi(d, c, l2, prov) for c in sols]
         assert all(is_solution(csys, im) for im in images)
         assert len({im.values for im in images}) == len(images)
         assert len(images) == count_colorings(csys, n)
 
     def test_verify_reports_an_image_outside_the_constrained_set(self, trefoil, monkeypatch):
-        # A faulty pairing map that shifts one arc of every image, and like
-        # psi raises when handed a system its image violates.
-        def shifted_psi(d, col, l2, prov, system=None):
+        # A faulty pairing map that shifts one arc of every image.
+        def shifted_psi(d, col, l2, prov):
             out = psi(d, col, l2, prov)
-            out = Coloring(((out.values[0] + 1) % out.modulus, *out.values[1:]), out.modulus)
-            if system is not None and not is_solution(system, out):
-                raise InvalidColoring("pairing map image violates the constrained system")
-            return out
+            return Coloring(((out.values[0] + 1) % out.modulus, *out.values[1:]), out.modulus)
 
         monkeypatch.setattr(verify, "psi", shifted_psi)
         (result,) = verify.verify_theorems(
@@ -482,8 +487,40 @@ class TestPairingMap:
         assert result.detail == "n=3: pairing image leaves the constrained set"
 
 
+def test_wrong_kind_arguments_raise_validation_error(trefoil):
+    # Each of these raised a bare AttributeError.
+    l2, prov = multiplex(trefoil, 2)
+    col = Coloring((0, 0, 0), 3)
+    calls = [
+        lambda: count_colorings(None, 3),
+        lambda: enumerate_colorings("x", 3),
+        lambda: build_system("x", ColoringMode.FOX),
+        lambda: psi("x", col, l2, prov),
+        lambda: psi(trefoil, col, "x", prov),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_import_leaves_numpy_unloaded():
     src = Path(multivirt.__file__).resolve().parents[1]
     code = f"import sys; sys.path.insert(0, {str(src)!r}); import multivirt; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_coloring_path_leaves_numpy_unloaded():
+    src = Path(multivirt.__file__).resolve().parents[1]
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, {str(src)!r})
+from multivirt import cli, verify
+assert verify.verify_theorems(names=["trefoil"], r_range=(2,), n_range=(2, 3)).ok
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["colorings", "--name", "trefoil", "-n", "3", "--enumerate"]) == 0
+print("numpy" in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
