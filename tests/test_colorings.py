@@ -405,20 +405,24 @@ class TestPairingMap:
         vsys = build_system(trefoil, ColoringMode.VIRTUAL_FOX)
         assert not is_solution(vsys, Coloring((0,) * (vsys.n_unknowns - 1), 3))
 
-    @pytest.mark.parametrize("col", [None, (0, 0, 0), [0, 0, 0]])
+    # Unchecked, float values came back as a coloring of floats and string
+    # values raised a bare TypeError.
+    @pytest.mark.parametrize(
+        "col",
+        [
+            None,
+            (0, 0, 0),
+            [0, 0, 0],
+            Coloring((2.0, 1.0, 0.0), 3),
+            Coloring(("2", "1", "0"), 3),
+            Coloring([2, 1, 0], 3),
+            Coloring(None, 3),
+        ],
+    )
     def test_rejects_non_colorings(self, trefoil, col):
         l2, prov = multiplex(trefoil, 2)
         with pytest.raises(InvalidColoring):
             psi(trefoil, col, l2, prov)
-
-    @pytest.mark.parametrize("values", [(2.0, 1.0, 0.0), ("2", "1", "0"), [2, 1, 0], None])
-    def test_rejects_non_integer_values(self, trefoil, values):
-        # Unchecked, floats came back as a coloring of floats and strings
-        # raised a bare TypeError.
-        l2, prov = multiplex(trefoil, 2)
-        assert psi(trefoil, Coloring((2, 1, 0), 3), l2, prov).values
-        with pytest.raises(InvalidColoring):
-            psi(trefoil, Coloring(values, 3), l2, prov)
 
     def test_rejects_non_solutions(self, trefoil):
         l2, prov = multiplex(trefoil, 2)
