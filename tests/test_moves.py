@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import diagrams
 from multivirt import catalog
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
+from multivirt.constructions import multiplex
 from multivirt.errors import MultivirtError, StaleSite, ValidationError
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
 from multivirt.model import Role, canonical_form, parse_vgc, serialize_vgc
@@ -421,6 +423,55 @@ def test_walk_trace_replays_through_apply_move(name):
         for site in trace:
             cur = apply_move(cur, site)
         assert serialize_vgc(cur) == serialize_vgc(out), (name, seed)
+
+
+def _walk_oracle(d, steps, seed, kinds=None, size_cap=None):
+    """The walk as first written: list every site of the current diagram,
+    draw one uniformly and apply it through apply_move."""
+    rng = random.Random(seed)
+    trace, cur = [], d
+    for _ in range(steps):
+        sites = list(find_moves(cur, kinds, size_cap))
+        if not sites:
+            break
+        site = sites[rng.randrange(len(sites))]
+        cur = apply_move(cur, site)
+        trace.append(site)
+    return cur, trace
+
+
+def _assert_walk_matches_oracle(d, steps, seed, kinds=None, size_cap=None):
+    out, trace = random_walk(d, steps, seed, kinds, size_cap)
+    want, want_trace = _walk_oracle(d, steps, seed, kinds, size_cap)
+    assert trace == want_trace, (seed, kinds, size_cap)
+    assert serialize_vgc(out) == serialize_vgc(want), (seed, kinds, size_cap)
+
+
+INSERTION_KINDS = ("R1+ins", "R1-ins", "R2ins", "VR1ins", "VR2ins")
+WALK_KINDS = [None, NONFU, INSERTION_KINDS, {"FU"}, ()]
+WALK_SIZE_CAPS = (6, 20, 64)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_walk_matches_the_listing_oracle(name):
+    d = catalog.diagram(name)
+    for kinds, size_cap, seed in product(WALK_KINDS, WALK_SIZE_CAPS, range(4)):
+        _assert_walk_matches_oracle(d, 40, seed, kinds, size_cap)
+
+
+@given(
+    diagrams(),
+    st.integers(0, 3),
+    st.sampled_from(WALK_KINDS),
+    st.sampled_from(WALK_SIZE_CAPS),
+)
+def test_walk_matches_the_listing_oracle_on_random_diagrams(d, seed, kinds, size_cap):
+    _assert_walk_matches_oracle(d, 10, seed, kinds, size_cap)
+
+
+def test_walk_matches_the_listing_oracle_on_a_large_multiplex():
+    L, _ = multiplex(catalog.diagram("asym3"), 4)
+    _assert_walk_matches_oracle(L, 10, 0, size_cap=10**9)
 
 
 class TestRandomWalk:
