@@ -23,7 +23,7 @@ from .constructions import covering, extract_component, multiplex
 from .errors import MultivirtError, ParseError
 from .invariants import invariant_report
 from .model import canonical_form, parse_vgc, serialize_vgc
-from .moves import MoveSite, apply_move, find_moves, random_walk, size_cap_from_env
+from .moves import MoveSite, apply_move, find_moves, random_walk
 from .planar import genus, realize
 from .verify import THEOREMS, verify_theorems
 
@@ -198,8 +198,7 @@ def _run(args) -> None:
                 d = apply_move(d, MoveSite.from_json(obj))
             _emit(args, {"code": serialize_vgc(d)})
         else:
-            out, trace = random_walk(d, args.walk, args.seed, kinds,
-                                     size_cap=size_cap_from_env())
+            out, trace = random_walk(d, args.walk, args.seed, kinds)
             _emit(args, {"code": serialize_vgc(out),
                          "trace": [s.to_json() for s in trace]})
     elif cmd == "verify":

@@ -9,7 +9,11 @@ diagrams stay genus-0.
 
 One enumeration per move kind defines the sites: `apply_move` accepts exactly
 the sites that `find_moves` lists for the diagram (ignoring the size cap) and
-raises `StaleSite` for any other.  One sweep over the gaps lists the sites of
+raises `StaleSite` for any other.  The list is counted before it is built:
+the insertion sites of a kind are every variant at every locus, and one is
+built only when it is read, so a walk step draws uniformly over the counted
+list that `find_moves` returns, in its order, and builds only the site it
+applies.  One sweep over the gaps lists the sites of
 every deletion kind (R1del, VR1del, R2del, VR2del), and each triangular face
 costs one lookup in a table built once from the templates and their six
 labelings, keyed by the pattern of the bound triangle with no labeling in it.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
@@ -126,7 +131,6 @@ _PAIR_OF = {"x": ("A", "B"), "y": ("A", "C"), "z": ("B", "C")}
 
 @dataclass(frozen=True)
 class _Template:
-    family: str
     orders: tuple[tuple[str, str], ...]  # crossing labels met along A, B, C
     roles: tuple  # ((strand, crossing, role-char), ...)
     virtual: frozenset
@@ -135,7 +139,6 @@ class _Template:
 
 def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
     out: dict[str, list[_Template]] = {"R3": [], "VR3": [], "VR4": [], "FU": []}
-    seen = set()
     for dA, dB, dC in product((1, -1), repeat=3):
         orders = {
             "A": ("y", "x") if dA > 0 else ("x", "y"),
@@ -165,15 +168,12 @@ def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
                     for s in _STRANDS
                 }
                 tpl = _Template(
-                    family=family,
                     orders=tuple(o[s] for s in _STRANDS),
                     roles=tuple(sorted((s, c, r) for (s, c), r in roles.items())),
                     virtual=virt,
                     frames=tuple(sorted(frames.items())),
                 )
-                key = (tpl.orders, tpl.roles, tpl.virtual, tpl.frames)
-                if key not in seen:
-                    seen.add(key)
+                if tpl not in out[family]:
                     out[family].append(tpl)
     return {k: tuple(v) for k, v in out.items()}
 
@@ -459,7 +459,28 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
 # -- insertion sites ---------------------------------------------------------
 
 
-def _insertions(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
+class _Insertions(Sequence):
+    """The sites of one insertion kind, each built when it is read: every
+    variant at every locus, loci the outer loop, so site i is variant
+    i % len(variants) at locus i // len(variants)."""
+
+    def __init__(self, kind: str, loci):
+        self.kind, self.variants, self.loci = kind, _VARIANTS[kind], loci
+
+    def __len__(self):
+        return len(self.loci) * len(self.variants)
+
+    def __getitem__(self, i):
+        locus, variant = divmod(i, len(self.variants))
+        return MoveSite(self.kind, self.variants[variant], self.loci[locus])
+
+    def __iter__(self):
+        for locus in self.loci:
+            for variant in self.variants:
+                yield MoveSite(self.kind, variant, locus)
+
+
+def _insertions(d: Diagram, kinds, cycles) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
     face cycles for a poke."""
@@ -469,14 +490,7 @@ def _insertions(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
         else ()
     )
     pokes = _poke_candidates(cycles) if kinds & _POKE_KINDS else ()
-    return {
-        kind: [
-            MoveSite(kind, variant, locus)
-            for locus in (pokes if kind in _POKE_KINDS else gaps)
-            for variant in _VARIANTS[kind]
-        ]
-        for kind in kinds
-    }
+    return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 
 # -- public API ---------------------------------------------------------------
@@ -489,23 +503,55 @@ _REWRITES = {
 }
 
 
-def _sites(d: Diagram, kinds) -> list[MoveSite]:
-    """Every site of the given kinds, in MOVE_KINDS order: the one definition
-    of a site, shared by find_moves and apply_move.  Faces are traced at most
-    once, and the gaps are swept once for all deletion kinds."""
+def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
+    """The sites of the given kinds as one group per kind, in MOVE_KINDS
+    order: the one definition of a site, shared by find_moves and apply_move.
+    Faces are traced at most once, and the gaps are swept once for all
+    deletion kinds.  Insertion groups are counted, not built."""
     cycles = faces(d) if kinds & _FACE_KINDS else ()
     by_kind = {
         **_insertions(d, kinds & _VARIANTS.keys(), cycles),
         **_deletions(d, kinds & _DELETION_KINDS),
         **_triangle_sites(d, kinds & _TRIANGLE_KINDS, cycles),
     }
-    return [site for kind in MOVE_KINDS if kind in kinds for site in by_kind[kind]]
+    return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 
 
-def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[MoveSite]:
-    """Every applicable rewriting site of the requested kinds.
+class SiteList(Sequence):
+    """The sites `find_moves` lists, the groups of every kind one after the
+    other in MOVE_KINDS order.  Its length is counted without building a
+    site; a site is built when it is indexed or iterated to."""
 
-    Insertion kinds are suppressed once the diagram has `size_cap` crossings."""
+    def __init__(self, groups):
+        self._groups = groups
+        self._len = sum(map(len, groups))
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._len)[i]]
+        i = range(self._len)[i]  # bounds and negative indices as for a list
+        for group in self._groups:
+            if i < len(group):
+                return group[i]
+            i -= len(group)
+
+    def __iter__(self):
+        for group in self._groups:
+            yield from group
+
+    def __eq__(self, other):
+        if not isinstance(other, (SiteList, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _move_args(d, kinds, size_cap) -> tuple[Diagram, set, int]:
+    """The checked diagram, set of move kinds and size cap (from
+    MULTIVIRT_SIZE_CAP when None) of a site search."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     try:
         kinds = set(MOVE_KINDS if kinds is None else kinds)
     except TypeError:  # not iterable, or holding an unhashable kind
@@ -515,18 +561,29 @@ def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> list[Move
         raise ValidationError(f"unknown move kinds: {sorted(unknown, key=str)}")
     if size_cap is None:
         size_cap = size_cap_from_env()
-    if len(d.crossings) >= checked(size_cap, int, ValidationError, "size cap"):
+    return d, kinds, checked(size_cap, int, ValidationError, "size cap")
+
+
+def find_moves(d: Diagram, kinds=None, size_cap: int | None = None) -> SiteList:
+    """Every applicable rewriting site of the requested kinds, as a SiteList
+    whose sites are built only when read.
+
+    Insertion kinds are suppressed once the diagram has `size_cap` crossings."""
+    d, kinds, size_cap = _move_args(d, kinds, size_cap)
+    if len(d.crossings) >= size_cap:
         kinds -= _VARIANTS.keys()
-    return _sites(d, kinds)
+    return SiteList(_sites(d, kinds))
 
 
 def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     """Apply a site that `find_moves` lists for `d`, whatever the size cap.
     Any other site raises StaleSite."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     site = checked(site, MoveSite, ValidationError, "move site")
     if site.kind not in MOVE_KINDS:
         raise ValidationError(f"unknown move kind {site.kind!r}")
-    for listed in _sites(d, {site.kind}):
+    (group,) = _sites(d, {site.kind})
+    for listed in group:
         if listed == site:
             # Rewrite the listed site: a given one may compare equal to it
             # while holding floats where the rewrite indexes with integers.
@@ -541,8 +598,11 @@ def random_walk(
     kinds=None,
     size_cap: int | None = None,
 ) -> tuple[Diagram, list[MoveSite]]:
-    """Apply `steps` uniformly chosen applicable rewrites, deterministically in
-    `seed`.  Insertions stop being offered at the size cap."""
+    """Apply `steps` rewrites, deterministically in `seed`.  Each step draws
+    uniformly over the counted site list that `find_moves` returns for the
+    current diagram, in its order, and builds and applies only the chosen
+    site.  Insertions stop being offered at the size cap."""
+    d, kinds, size_cap = _move_args(d, kinds, size_cap)
     steps = checked(steps, int, ValidationError, "step count")
     if steps < 0:
         raise ValidationError(f"step count must be >= 0, got {steps}")

@@ -22,6 +22,7 @@ from multivirt.moves import (
     MoveSite,
     _facial_trios,
     _match_triangle,
+    _sites,
     apply_move,
     find_moves,
     random_walk,
@@ -474,6 +475,31 @@ def test_walk_matches_the_listing_oracle_on_a_large_multiplex():
     _assert_walk_matches_oracle(L, 10, 0, size_cap=10**9)
 
 
+@given(diagrams(), st.sets(st.sampled_from(MOVE_KINDS)))
+def test_find_moves_is_the_concatenation_of_the_groups(d, kinds):
+    sites = find_moves(d, kinds, size_cap=10**9)
+    listed = [site for group in _sites(d, kinds) for site in group]
+    assert list(sites) == listed
+    assert [sites[i] for i in range(len(sites))] == listed
+    assert [sites[i] for i in range(-len(sites), 0)] == listed
+    assert listed == [site for site in find_moves(d, size_cap=10**9) if site.kind in kinds]
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (find_moves, ("x",)),
+        (apply_move, (None, MoveSite("R1del", (), (0, 0)))),
+        (random_walk, ("x", 3, 0)),
+        (random_walk, ("x", 0, 0)),
+    ],
+    ids=["find_moves", "apply_move", "random_walk", "random_walk-0-steps"],
+)
+def test_non_diagram_rejected(call, args):
+    with pytest.raises(ValidationError):
+        call(*args)
+
+
 class TestRandomWalk:
     def test_zero_steps(self, trefoil):
         out, trace = random_walk(trefoil, 0, seed=1)
@@ -501,6 +527,16 @@ class TestRandomWalk:
             find_moves(trefoil, size_cap=size_cap)
         with pytest.raises(ValidationError):
             random_walk(trefoil, 3, 0, size_cap=size_cap)
+
+    @pytest.mark.parametrize("kw", [{"kinds": ["bogus"]}, {"kinds": 5}, {"size_cap": "5"}])
+    def test_zero_step_walk_checks_its_arguments(self, trefoil, kw):
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, 0, 0, **kw)
+
+    def test_zero_step_walk_checks_the_size_cap_from_the_environment(self, trefoil, monkeypatch):
+        monkeypatch.setenv("MULTIVIRT_SIZE_CAP", "x")
+        with pytest.raises(ValidationError):
+            random_walk(trefoil, 0, 0)
 
     def test_deterministic(self, trefoil):
         a, ta = random_walk(trefoil, 12, seed=42, kinds=NONFU, size_cap=20)
