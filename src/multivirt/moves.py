@@ -18,6 +18,13 @@ every deletion kind (R1del, VR1del, R2del, VR2del), and each triangular face
 costs one lookup in a table built once from the templates and their six
 labelings, keyed by the pattern of the bound triangle with no labeling in it.
 
+A rewrite is a set of position edits applied by one splice, `_rewrite`, which
+builds the rewritten diagram and validates it once: a deletion replaces every
+passage of the crossings it removes by nothing, a kink or poke places a pair
+of new passages after a gap, and a triangle slide swaps the two passages of
+each of its three bound gaps.  New crossing signs follow the frame rule of
+`model`.
+
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
 x = A^B, y = A^C, z = B^C, with all eight orientation choices.  The crossing
@@ -207,12 +214,48 @@ def _triangle_table() -> dict[tuple, list[tuple[str, int, tuple[int, int, int]]]
     return table
 
 
-# -- shared helpers ----------------------------------------------------------
+# -- the splice --------------------------------------------------------------
+
+# Roles of an inserted pair: a kink's two passages in order, or a poke's
+# poking strand then poked strand.
+_ROLES = {
+    "OU": (Role.OVER, Role.UNDER),
+    "UO": (Role.UNDER, Role.OVER),
+    "VV": (Role.THROUGH, Role.THROUGH),
+    "over": (Role.OVER, Role.UNDER),
+    "under": (Role.UNDER, Role.OVER),
+    "virtual": (Role.THROUGH, Role.THROUGH),
+}
+
+
+def _rewrite(d: Diagram, edits, records) -> Diagram:
+    """The one splice every rewrite goes through.  `edits` maps a passage
+    position (ci, i) to the passages that replace it, (ci, -1) standing for
+    the start of an empty component; `records` is merged into the crossing
+    table, None dropping a crossing.  Later positions are spliced first, so
+    the positions of the edits are those of `d`."""
+    components = list(d.components)
+    for (ci, i), new in sorted(edits.items(), reverse=True):
+        comp = components[ci]
+        components[ci] = comp[:i] + new + comp[i + 1 :]
+    crossings = {**d.crossings, **records}
+    for cid, rec in records.items():
+        if rec is None:
+            del crossings[cid]
+    out = Diagram(tuple(components), crossings)
+    out.validate()
+    return out
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
     base = max(d.crossings, default=0)
     return [base + i + 1 for i in range(k)]
+
+
+def _after(d: Diagram, ci: int, g: int, pair: tuple) -> dict:
+    """The edit that inserts `pair` into gap g of component ci."""
+    comp = d.components[ci]
+    return {(ci, g): (comp[g], *pair)} if comp else {(ci, -1): pair}
 
 
 def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
@@ -221,35 +264,15 @@ def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
     ci, g = site.locus[0] if site.kind in ("R2del", "VR2del") else site.locus
     comp = d.components[ci]
     cids = {comp[g].crossing, comp[(g + 1) % len(comp)].crossing}
-    out = Diagram(
-        tuple(tuple(p for p in c if p.crossing not in cids) for c in d.components),
-        {k: v for k, v in d.crossings.items() if k not in cids},
-    )
-    out.validate()
-    return out
-
-
-# -- kink rewrite ------------------------------------------------------------
+    edits = {pos: () for cid in cids for pos in d.passage_index[cid]}
+    return _rewrite(d, edits, dict.fromkeys(cids))
 
 
 def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
-    ci, g = site.locus
-    order, sign = site.variant
-    comp = list(d.components[ci])
+    (ci, g), (order, sign) = site.locus, site.variant
     (cid,) = _fresh_ids(d, 1)
-    if order == "VV":
-        pair = [Passage(cid, Role.THROUGH), Passage(cid, Role.THROUGH)]
-        rec = CrossingRecord(cid, True, sign)
-    else:
-        roles = (Role.OVER, Role.UNDER) if order == "OU" else (Role.UNDER, Role.OVER)
-        pair = [Passage(cid, roles[0]), Passage(cid, roles[1])]
-        rec = CrossingRecord(cid, False, sign)
-    pos = g + 1 if comp else 0
-    comp[pos:pos] = pair
-    components = tuple(tuple(comp) if j == ci else c for j, c in enumerate(d.components))
-    out = Diagram(components, {**d.crossings, cid: rec})
-    out.validate()
-    return out
+    pair = tuple(Passage(cid, role) for role in _ROLES[order])
+    return _rewrite(d, _after(d, ci, g, pair), {cid: CrossingRecord(cid, order == "VV", sign)})
 
 
 # -- poke (two-crossing) sites -----------------------------------------------
@@ -272,50 +295,20 @@ def _poke_candidates(cycles):
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
-    (d1, d2) = site.locus
-    (variant,) = site.variant
-    (c1, g1, dir1), (c2, g2, dir2) = d1, d2
-    o1 = dir1
-    o2 = -dir2
-    cid_c, cid_d = _fresh_ids(d, 2)
-    virtual = variant == "virtual"
-    role1 = Role.THROUGH if virtual else (Role.OVER if variant == "over" else Role.UNDER)
-    role2 = Role.THROUGH if virtual else (Role.UNDER if variant == "over" else Role.OVER)
-    pair1 = [Passage(cid_c, role1), Passage(cid_d, role1)]
-    pair2 = [Passage(cid_c, role2), Passage(cid_d, role2)]
-    if o1 * o2 < 0:
-        pair2.reverse()
-    # frame(poking strand, poked strand) at the first and second new crossing
-    frame_c, frame_d = -o2, o2
-
-    components = [list(c) for c in d.components]
-    if c1 == c2:
-        g_lo, ins_lo, g_hi, ins_hi = (
-            (g1, pair1, g2, pair2) if g1 < g2 else (g2, pair2, g1, pair1)
-        )
-        comp = components[c1]
-        components[c1] = (
-            comp[: g_lo + 1] + ins_lo + comp[g_lo + 1 : g_hi + 1] + ins_hi + comp[g_hi + 1 :]
-        )
-    else:
-        components[c1] = components[c1][: g1 + 1] + pair1 + components[c1][g1 + 1 :]
-        components[c2] = components[c2][: g2 + 1] + pair2 + components[c2][g2 + 1 :]
-
-    crossings = dict(d.crossings)
-    if virtual:
-        # Both poking-strand passages come first in canonical order exactly
-        # when the poking strand's edge does.
-        first = 1 if (c1, g1) < (c2, g2) else -1
-        crossings[cid_c] = CrossingRecord(cid_c, True, first * frame_c)
-        crossings[cid_d] = CrossingRecord(cid_d, True, first * frame_d)
-    else:
-        s1_over = variant == "over"
-        eps_c = -o2 if s1_over else o2
-        crossings[cid_c] = CrossingRecord(cid_c, False, eps_c)
-        crossings[cid_d] = CrossingRecord(cid_d, False, -eps_c)
-    out = Diagram(tuple(tuple(c) for c in components), crossings)
-    out.validate()
-    return out
+    ((c1, g1, dir1), (c2, g2, dir2)), (variant,) = site.locus, site.variant
+    cids = _fresh_ids(d, 2)
+    role1, role2 = _ROLES[variant]
+    pair1 = tuple(Passage(cid, role1) for cid in cids)
+    pair2 = tuple(Passage(cid, role2) for cid in (cids[::-1] if dir1 == dir2 else cids))
+    # The frame read from the poking strand is dir2 at the first new crossing
+    # and -dir2 at the second.  A stored sign is the frame read from the over
+    # passage, or at a virtual crossing from the first passage, which lies in
+    # the earlier of the two gaps.
+    reads_poking = (role1 is not Role.OVER, (c1, g1)) < (role2 is not Role.OVER, (c2, g2))
+    sign = dir2 if reads_poking else -dir2
+    virtual = role1 is Role.THROUGH
+    records = {cid: CrossingRecord(cid, virtual, s) for cid, s in zip(cids, (sign, -sign))}
+    return _rewrite(d, {**_after(d, c1, g1, pair1), **_after(d, c2, g2, pair2)}, records)
 
 
 # -- deletion sites ----------------------------------------------------------
@@ -433,27 +426,23 @@ def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
 
 
 def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
-    components = [list(c) for c in d.components]
+    """Transpose the two passages inside each of the three bound gaps."""
     moved: dict[tuple[int, int], tuple[int, int]] = {}
     for ci, g in site.locus:
-        L = len(components[ci])
-        h = (g + 1) % L
-        components[ci][g], components[ci][h] = components[ci][h], components[ci][g]
-        moved[(ci, g)] = (ci, h)
-        moved[(ci, h)] = (ci, g)
+        h = (g + 1) % len(d.components[ci])
+        moved[(ci, g)], moved[(ci, h)] = (ci, h), (ci, g)
     # A slide keeps the frame read from every strand, but swapping the
     # wrap-around gap of a component moves a passage between the ends of the
     # linear order, which can change which passage of a virtual crossing is
     # first; its sign is the frame read from the passage that is first now.
-    crossings = dict(d.crossings)
+    records = {}
     for ci, i in moved:
         cid = d.components[ci][i].crossing
-        if crossings[cid].virtual:
+        if d.crossings[cid].virtual:
             first = min(d.passage_index[cid], key=lambda pos: moved.get(pos, pos))
-            crossings[cid] = CrossingRecord(cid, True, d.frame(cid, first))
-    out = Diagram(tuple(tuple(c) for c in components), crossings)
-    out.validate()
-    return out
+            records[cid] = CrossingRecord(cid, True, d.frame(cid, first))
+    edits = {pos: (d.components[ci][i],) for pos, (ci, i) in moved.items()}
+    return _rewrite(d, edits, records)
 
 
 # -- insertion sites ---------------------------------------------------------
