@@ -254,24 +254,14 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
     if L == 0 or k % L == 0:
         return d
     k %= L
-    new_comp = comp[k:] + comp[:k]
-    flips: set[int] = set()
-    pos: dict[int, list[int]] = {}
-    for i, p in enumerate(comp):
-        if d.crossings[p.crossing].virtual:
-            pos.setdefault(p.crossing, []).append(i)
-    for cid, ps in pos.items():
-        if len(ps) == 2:  # both passages on this component
-            p1, p2 = ps
-            if p1 < k <= p2:
-                flips.add(cid)
     crossings = dict(d.crossings)
-    for cid in flips:
-        rec = crossings[cid]
-        crossings[cid] = CrossingRecord(cid, True, -rec.sign)
-    components = tuple(
-        new_comp if j == ci else c for j, c in enumerate(d.components)
-    )
+    for p in comp[:k]:
+        # A virtual crossing with both passages on ci, at p1 < k <= p2, flips.
+        (c1, _), (c2, p2) = d.passage_index[p.crossing]
+        rec = crossings[p.crossing]
+        if rec.virtual and c1 == c2 and p2 >= k:
+            crossings[p.crossing] = CrossingRecord(p.crossing, True, -rec.sign)
+    components = tuple(comp[k:] + comp[:k] if j == ci else c for j, c in enumerate(d.components))
     return Diagram(components, crossings)
 
 
