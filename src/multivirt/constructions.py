@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import BadComponent, BadR, NotAKnot, checked
+from .errors import BadComponent, BadR, NotAKnot, ValidationError, checked
 from .invariants import crossing_indices
 from .model import CrossingRecord, Diagram, Passage, Role
 from .planar import genus
@@ -94,6 +94,7 @@ class Provenance:
 
 def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     """Build the r-component multiplexed link of a knot diagram, with provenance."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
     r = checked(r, int, BadR, "r")
@@ -174,6 +175,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
 def covering(d: Diagram, r: int) -> Diagram:
     """Replace every real crossing whose index is not divisible by r with a
     virtual crossing carrying the same frame orientation."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("coverings are defined for one-component diagrams")
     r = checked(r, int, BadR, "r")
@@ -200,6 +202,7 @@ def covering(d: Diagram, r: int) -> Diagram:
 
 def extract_component(d: Diagram, i: int) -> Diagram:
     """Keep component `i` (1-based) and only the crossings lying entirely on it."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")

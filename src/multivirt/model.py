@@ -150,7 +150,10 @@ class Diagram:
 
     def validate(self) -> None:
         """Raise ValidationError unless every crossing invariant holds."""
-        index = self.passage_index
+        try:
+            index = self.passage_index
+        except (AttributeError, TypeError):  # a component is no sequence of Passages
+            raise ValidationError("components must be sequences of passages") from None
         if set(index) != set(self.crossings):
             extra = set(index) - set(self.crossings)
             missing = set(self.crossings) - set(index)
@@ -168,7 +171,7 @@ class Diagram:
                         f"virtual crossing {cid} must be passed exactly twice as Through"
                     )
             else:
-                if sorted(r.value for r in roles) != ["O", "U"]:
+                if roles not in ([Role.OVER, Role.UNDER], [Role.UNDER, Role.OVER]):
                     raise ValidationError(
                         f"real crossing {cid} must be passed exactly once Over and once Under"
                     )

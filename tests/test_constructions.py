@@ -4,7 +4,7 @@ import pytest
 
 from multivirt import catalog
 from multivirt.constructions import covering, extract_component, multiplex
-from multivirt.errors import BadComponent, BadR, NotAKnot
+from multivirt.errors import BadComponent, BadR, NotAKnot, ValidationError
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
 from multivirt.model import canonical_form, parse_vgc, serialize_vgc
 from multivirt.planar import genus
@@ -158,6 +158,16 @@ class TestExtraction:
         for i in (1, 2, 3):
             piece = extract_component(out, i)
             assert len(piece.crossings) == len(d.crossings)
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [(multiplex, ("x", 2)), (covering, ("x", 2)), (extract_component, ("x", 1))],
+    ids=["multiplex", "covering", "extract_component"],
+)
+def test_non_diagram_rejected(call, args):
+    with pytest.raises(ValidationError):
+        call(*args)
 
 
 class TestLinkingIdentity:

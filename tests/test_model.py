@@ -14,6 +14,8 @@ from multivirt.errors import (
     ValidationError,
 )
 from multivirt.model import (
+    CrossingRecord,
+    Diagram,
     Granularity,
     Passage,
     Role,
@@ -54,6 +56,20 @@ class TestParse:
     def test_single_passage_rejected(self):
         with pytest.raises(ValidationError):
             parse_vgc("O1+")
+
+    @pytest.mark.parametrize(
+        "components,crossings",
+        [
+            ((("x",),), {}),
+            (((Passage(1, "O"), Passage(1, "U")),), {1: CrossingRecord(1, False, 1)}),
+            (((Passage([1], Role.OVER), Passage([1], Role.UNDER)),), {}),
+            ((Passage(1, Role.OVER),), {1: CrossingRecord(1, False, 1)}),
+        ],
+        ids=["non-passage", "string-roles", "unhashable-id", "bare-passage-component"],
+    )
+    def test_malformed_components_rejected(self, components, crossings):
+        with pytest.raises(ValidationError):
+            Diagram(components, crossings).validate()
 
     def test_malformed_tokens(self):
         for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+"):
