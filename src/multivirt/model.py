@@ -258,9 +258,10 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
         return d
     k %= L
     crossings = dict(d.crossings)
+    index = d._passage_index
     for p in comp[:k]:
         # A virtual crossing with both passages on ci, at p1 < k <= p2, flips.
-        (c1, _), (c2, p2) = d.passage_index[p.crossing]
+        (c1, _), (c2, p2) = index[p.crossing]
         rec = crossings[p.crossing]
         if rec.virtual and c1 == c2 and p2 >= k:
             crossings[p.crossing] = CrossingRecord(p.crossing, True, -rec.sign)
