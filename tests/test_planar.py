@@ -69,6 +69,47 @@ def _faces_oracle(d):
     return out
 
 
+def _genus_oracle(d: Diagram) -> int:
+    """Genus of the carrier surface, summed over connected pieces of the
+    underlying 4-valent graph.  Crossing-free circles contribute 0."""
+    if not d.crossings:
+        return 0
+    parent: dict[int, int] = {cid: cid for cid in d.crossings}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        parent[find(a)] = find(b)
+
+    for comp in d.components:
+        for i in range(len(comp)):
+            union(comp[i].crossing, comp[(i + 1) % len(comp)].crossing)
+
+    verts: dict[int, int] = {}
+    edges: dict[int, int] = {}
+    faces_count: dict[int, int] = {}
+    for cid in d.crossings:
+        verts[find(cid)] = verts.get(find(cid), 0) + 1
+    for ci, comp in enumerate(d.components):
+        for i in range(len(comp)):
+            root = find(comp[i].crossing)
+            edges[root] = edges.get(root, 0) + 1
+    for cycle in faces(d):
+        ci, g, _ = cycle[0]
+        root = find(d.components[ci][g].crossing)
+        faces_count[root] = faces_count.get(root, 0) + 1
+    total = 0
+    for root, v in verts.items():
+        chi = v - edges[root] + faces_count.get(root, 0)
+        assert chi % 2 == 0, "Euler characteristic of a closed surface is even"
+        total += (2 - chi) // 2
+    return total
+
+
 def _walk_states(name, steps=40, seeds=(0, 1)):
     d = catalog.diagram(name)
     for seed in seeds:
@@ -161,6 +202,22 @@ class TestGenus:
                 assert genus(rotate(d, ci, k)) == g
         mapping = {cid: cid + 7 for cid in d.crossings}
         assert genus(relabel(d, mapping)) == g
+
+
+class TestGenusOracle:
+    """`genus` equals the first per-piece Euler sum, `_genus_oracle`."""
+
+    @given(diagrams(max_components=6))
+    @settings(max_examples=200, deadline=None)
+    def test_random_diagrams(self, d):
+        assert genus(d) == _genus_oracle(d)
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    def test_catalog_multiplexes(self, name):
+        # Every catalog knot is planar, and so is each of its multiplexes.
+        for r in range(2, 9):
+            L, _ = multiplex(catalog.diagram(name), r)
+            assert genus(L) == _genus_oracle(L) == 0, r
 
 
 class TestRealize:
