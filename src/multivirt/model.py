@@ -49,6 +49,13 @@ class Role(Enum):
     THROUGH = "V"
 
 
+# The roles a crossing is passed with, in canonical order, keyed by `virtual`.
+_PASSES = {
+    False: ([Role.OVER, Role.UNDER], [Role.UNDER, Role.OVER]),
+    True: ([Role.THROUGH, Role.THROUGH],),
+}
+
+
 @dataclass(frozen=True)
 class Passage:
     crossing: int
@@ -149,46 +156,53 @@ class Diagram:
         return (a, b) if self.components[a[0]][a[1]].role is Role.OVER else (b, a)
 
     def validate(self) -> None:
-        """Raise ValidationError unless every crossing invariant holds."""
+        """Raise ValidationError unless every rule of the model holds:
+
+        - the components are sequences of Passages and the crossing table is
+          a dict;
+        - every crossing passed has a CrossingRecord filed under its own id;
+        - every crossing id is an integer >= 1;
+        - every sign is +1 or -1;
+        - a real crossing is passed once Over and once Under, in either
+          order, and a virtual one twice Through;
+        - every record in the table is passed.
+        """
         try:
-            index = self.passage_index
-        except (AttributeError, TypeError):  # a component is no sequence of Passages
-            raise ValidationError("components must be sequences of passages") from None
-        if set(index) != set(self.crossings):
-            extra = set(index) - set(self.crossings)
-            missing = set(self.crossings) - set(index)
+            index = self._passage_index
+            for cid, ps in index.items():
+                rec = self.crossings.get(cid)
+                if not isinstance(rec, CrossingRecord) or rec.cid != cid:
+                    raise ValidationError(f"crossing {cid!r} has no record filed under its id")
+                if not isinstance(cid, int) or cid < 1:
+                    raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
+                if rec.sign not in (+1, -1):
+                    raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
+                roles = [self.components[ci][i].role for ci, i in ps]
+                if roles not in _PASSES.get(rec.virtual, ()):
+                    raise ValidationError(
+                        f"crossing {cid} must be passed once Over and once Under (real)"
+                        " or twice Through (virtual)"
+                    )
+            # Every passed crossing has its record, so any other record is unused.
+            if len(self.crossings) != len(index):
+                unused = [cid for cid in self.crossings if cid not in index]
+                raise ValidationError(f"crossings recorded but never passed: {unused!r}")
+        except (AttributeError, TypeError):
             raise ValidationError(
-                f"crossing table mismatch: unrecorded={sorted(extra)} unused={sorted(missing)}"
-            )
-        for cid, ps in index.items():
-            roles = [self.components[ci][i].role for ci, i in ps]
-            rec = self.crossings[cid]
-            if rec.sign not in (+1, -1):
-                raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
-            if rec.virtual:
-                if roles != [Role.THROUGH, Role.THROUGH]:
-                    raise ValidationError(
-                        f"virtual crossing {cid} must be passed exactly twice as Through"
-                    )
-            else:
-                if roles not in ([Role.OVER, Role.UNDER], [Role.UNDER, Role.OVER]):
-                    raise ValidationError(
-                        f"real crossing {cid} must be passed exactly once Over and once Under"
-                    )
-        for cid, rec in self.crossings.items():
-            if cid < 1:
-                raise ValidationError("crossing ids must be >= 1")
-            if rec.cid != cid:
-                raise ValidationError(f"crossing record {rec.cid} filed under id {cid}")
+                "components must be sequences of passages and crossings a dict of records"
+            ) from None
 
 
 def parse_vgc(text: str) -> Diagram:
-    """Parse VGC text into a validated Diagram."""
+    """Parse VGC text into a validated Diagram.
+
+    Only what a Diagram cannot express is checked here: the grammar, and that
+    both tokens of a crossing carry the same sign character.  A crossing is
+    recorded from its first token; every other rule is `validate`'s."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty VGC text")
     components: list[tuple[Passage, ...]] = []
-    sign_chars: dict[int, str] = {}
-    roles: dict[int, list[Role]] = {}
+    crossings: dict[int, CrossingRecord] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk == ".":
@@ -201,22 +215,12 @@ def parse_vgc(text: str) -> Diagram:
             m = _TOKEN_RE.match(token)
             if not m:
                 raise ParseError(f"malformed token {token!r}")
-            role, cid_s, sign = m.groups()
-            cid = int(cid_s)
-            if cid < 1:
-                raise ParseError(f"crossing id must be >= 1, got {token!r}")
-            prev = sign_chars.setdefault(cid, sign)
-            if prev != sign:
-                raise ValidationError(f"crossing {cid}: mismatched signs {prev!r} and {sign!r}")
-            roles.setdefault(cid, []).append(Role(role))
-            passages.append(Passage(cid, Role(role)))
+            role, cid, sign = Role(m[1]), int(m[2]), +1 if m[3] == "+" else -1
+            rec = crossings.setdefault(cid, CrossingRecord(cid, role is Role.THROUGH, sign))
+            if rec.sign != sign:
+                raise ValidationError(f"crossing {cid}: mismatched signs")
+            passages.append(Passage(cid, role))
         components.append(tuple(passages))
-    crossings: dict[int, CrossingRecord] = {}
-    for cid, rs in roles.items():
-        if len(rs) != 2:
-            raise ValidationError(f"crossing {cid} passed {len(rs)} times (expected 2)")
-        virtual = rs[0] is Role.THROUGH
-        crossings[cid] = CrossingRecord(cid, virtual, +1 if sign_chars[cid] == "+" else -1)
     d = Diagram(tuple(components), crossings)
     d.validate()
     return d
@@ -309,6 +313,7 @@ def canonical_form(d: Diagram) -> str:
     (8400 passages) take milliseconds.
     """
     last = {p.crossing: ci for ci, _, p in d.passages()}
+    index = d._passage_index
     ties: list[dict[int, str]] = [{}]  # per tie: crossing -> label and sign
     live: list[int] = []  # labelled crossings that a later component passes
     n_labels = 0
@@ -321,7 +326,7 @@ def canonical_form(d: Diagram) -> str:
         roles, cids, frames, code = [], [], [], []
         for i, p in enumerate(comp):
             rec = d.crossings[p.crossing]
-            (c1, p1), (c2, p2) = d.passage_index[p.crossing]
+            (c1, p1), (c2, p2) = index[p.crossing]
             # The sign a crossing is printed with when first met here: for a
             # virtual one the frame read from this passage, as `rotate` stores it.
             sign = d.frame(p.crossing, (ci, i)) if rec.virtual else rec.sign

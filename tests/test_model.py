@@ -64,8 +64,22 @@ class TestParse:
             (((Passage(1, "O"), Passage(1, "U")),), {1: CrossingRecord(1, False, 1)}),
             (((Passage([1], Role.OVER), Passage([1], Role.UNDER)),), {}),
             ((Passage(1, Role.OVER),), {1: CrossingRecord(1, False, 1)}),
+            (
+                ((Passage("a", Role.OVER), Passage("a", Role.UNDER)),),
+                {"a": CrossingRecord("a", False, 1)},
+            ),
+            (((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {1: "rec"}),
+            (((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), None),
         ],
-        ids=["non-passage", "string-roles", "unhashable-id", "bare-passage-component"],
+        ids=[
+            "non-passage",
+            "string-roles",
+            "unhashable-id",
+            "bare-passage-component",
+            "string-id",
+            "non-record-value",
+            "no-crossing-table",
+        ],
     )
     def test_malformed_components_rejected(self, components, crossings):
         with pytest.raises(ValidationError):
