@@ -14,9 +14,10 @@ canonical order, and `realize` with a the over passage, placing a station's
 ports left to right in clockwise order (the reverse of the list above).
 
 Tracing the orbit that leaves each arrival port through the next port
-clockwise walks a face boundary; the face count gives the genus of the
-carrier surface via the Euler characteristic, computed per connected piece of
-the 4-valent graph and summed.  Genus 0 means the code is drawable in the
+clockwise walks a face boundary.  One Euler count over the whole 4-valent
+graph, chi = crossings - passages + faces, gives the genus of the carrier
+surface summed over the connected pieces of the graph: pieces - chi / 2,
+since each piece counts 2 - 2g.  Genus 0 means the code is drawable in the
 plane with exactly the recorded virtual crossings.
 """
 
@@ -76,43 +77,26 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
 
 def genus(d: Diagram) -> int:
     """Genus of the carrier surface, summed over connected pieces of the
-    underlying 4-valent graph.  Crossing-free circles contribute 0."""
-    if not d.crossings:
-        return 0
-    parent: dict[int, int] = {cid: cid for cid in d.crossings}
+    underlying 4-valent graph.  Crossing-free circles contribute 0.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A piece of genus g has Euler characteristic 2 - 2g, so the sum is
+    pieces - chi / 2 with chi = V - E + F of the whole graph: V crossings,
+    E passages (the edges run from each passage to the next) and F faces.
+    The pieces are the classes of circles that share a crossing."""
+    piece = list(range(len(d.components)))
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
+    def find(ci: int) -> int:
+        while piece[ci] != ci:
+            piece[ci] = piece[piece[ci]]
+            ci = piece[ci]
+        return ci
 
-    for comp in d.components:
-        for i in range(len(comp)):
-            union(comp[i].crossing, comp[(i + 1) % len(comp)].crossing)
-
-    verts: dict[int, int] = {}
-    edges: dict[int, int] = {}
-    faces_count: dict[int, int] = {}
-    for cid in d.crossings:
-        verts[find(cid)] = verts.get(find(cid), 0) + 1
-    for ci, comp in enumerate(d.components):
-        for i in range(len(comp)):
-            root = find(comp[i].crossing)
-            edges[root] = edges.get(root, 0) + 1
-    for cycle in faces(d):
-        ci, g, _ = cycle[0]
-        root = find(d.components[ci][g].crossing)
-        faces_count[root] = faces_count.get(root, 0) + 1
-    total = 0
-    for root, v in verts.items():
-        chi = v - edges[root] + faces_count.get(root, 0)
-        assert chi % 2 == 0, "Euler characteristic of a closed surface is even"
-        total += (2 - chi) // 2
-    return total
+    for (c1, _), (c2, _) in d.passage_index.values():
+        piece[find(c1)] = find(c2)
+    pieces = len({find(ci) for ci, comp in enumerate(d.components) if comp})
+    chi = len(d.crossings) - d.n_passages() + len(faces(d))
+    assert chi % 2 == 0, "Euler characteristic of a closed surface is even"
+    return pieces - chi // 2
 
 
 # -- planarization ---------------------------------------------------------
