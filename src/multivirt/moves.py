@@ -468,6 +468,13 @@ class _Insertions(Sequence):
             for variant in self.variants:
                 yield MoveSite(self.kind, variant, locus)
 
+    def index(self, site):
+        """Position of the first listed site equal to `site`, read off its
+        locus and variant without building a site; ValueError if none is."""
+        if site.kind != self.kind:
+            raise ValueError(f"{site!r} is not a {self.kind} site")
+        return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
+
 
 def _insertions(d: Diagram, kinds, cycles) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
@@ -572,12 +579,13 @@ def apply_move(d: Diagram, site: MoveSite) -> Diagram:
     if site.kind not in MOVE_KINDS:
         raise ValidationError(f"unknown move kind {site.kind!r}")
     (group,) = _sites(d, {site.kind})
-    for listed in group:
-        if listed == site:
-            # Rewrite the listed site: a given one may compare equal to it
-            # while holding floats where the rewrite indexes with integers.
-            return _REWRITES[site.kind](d, listed)
-    raise StaleSite(f"not a {site.kind} site of this diagram")
+    try:
+        i = group.index(site)
+    except ValueError:
+        raise StaleSite(f"not a {site.kind} site of this diagram") from None
+    # Rewrite the listed site: a given one may compare equal to it while
+    # holding floats where the rewrite indexes with integers.
+    return _REWRITES[site.kind](d, group[i])
 
 
 def random_walk(

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import diagrams
-from multivirt import catalog
+from multivirt import catalog, moves
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
 from multivirt.constructions import multiplex
@@ -103,6 +103,22 @@ class TestApply:
         site = MoveSite("R1+ins", ("OU", 1), (0, 1))
         floats = MoveSite("R1+ins", ("OU", 1.0), (0, 1.0))
         assert apply_move(trefoil, floats) == apply_move(trefoil, site)
+
+    @pytest.mark.parametrize("kind", ["R1+ins", "R2ins"])
+    def test_insertion_site_found_without_listing_the_group(self, kind, monkeypatch):
+        # apply_move reads the position of an insertion site off its locus and
+        # variant, so it costs no walk over every site of its kind.
+        L, _ = multiplex(catalog.diagram("asym3"), 2)
+        site = find_moves(L, kinds={kind}, size_cap=10**9)[-1]
+        expected = apply_move(L, site)
+
+        def no_listing(self):
+            raise AssertionError("apply_move listed the insertion sites")
+
+        monkeypatch.setattr(moves._Insertions, "__iter__", no_listing)
+        assert apply_move(L, site) == expected
+        with pytest.raises(StaleSite):
+            apply_move(L, MoveSite(kind, site.variant, (len(L.components), 0)))
 
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
