@@ -39,13 +39,6 @@ _THEOREM_ALIASES = {
     "all": THEOREMS,
 }
 
-_MODES = {
-    "fox": ColoringMode.FOX,
-    "virtual": ColoringMode.VIRTUAL_FOX,
-    "constrained": ColoringMode.CONSTRAINED,
-}
-
-
 def _add_input(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--code", help="diagram as a VGC string")
@@ -111,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colorings", help="coloring counts via exact divisor chains")
     _add_input(p)
-    p.add_argument("--mode", choices=sorted(_MODES), default="fox")
+    p.add_argument("--mode", choices=sorted(m.value for m in ColoringMode), default="fox")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--enumerate", action="store_true", help="also enumerate solutions")
 
@@ -171,7 +164,7 @@ def _run(args) -> None:
         _emit(args, {"code": serialize_vgc(extract_component(_get_diagram(args), args.i))})
     elif cmd == "colorings":
         d = _get_diagram(args)
-        mode = _MODES[args.mode]
+        mode = ColoringMode(args.mode)
         if mode is ColoringMode.CONSTRAINED:
             l2, prov = multiplex(d, 2)
             sysm = build_system(l2, mode, prov)
