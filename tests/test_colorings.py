@@ -1,7 +1,9 @@
+import random
 import subprocess
 import sys
 from dataclasses import replace
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,31 @@ class TestBuildSystem:
         assert system.rows == tuple(want)
 
 
+def _det(m: list[list[int]]) -> int:
+    """Exact determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * v * _det([r[:j] + r[j + 1 :] for r in m[1:]]) for j, v in enumerate(m[0]) if v
+    )
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices of 1..5 rows and 1..5 columns with entries in +-40.
+    One draw in three is a product through fewer inner columns than
+    min(rows, cols), so it is rank-deficient."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.integers(0, 2)):
+        row = st.lists(st.integers(-40, 40), min_size=nc, max_size=nc)
+        return draw(st.lists(row, min_size=nr, max_size=nr))
+    k = draw(st.integers(0, min(nr, nc) - 1))
+    # |entry| <= k * 2 * 5 <= 40
+    a = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(nr)]
+    b = [[draw(st.integers(-5, 5)) for _ in range(nc)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+
+
 class TestSmithNormalForm:
     def test_diagonal_merge(self):
         assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
@@ -174,6 +201,50 @@ class TestSmithNormalForm:
             if all(sum(c * v for c, v in zip(r, x)) % n == 0 for r in rows):
                 brute += 1
         assert brute == want
+
+    @given(small_matrices())
+    @example([[7]])  # a prime last divisor
+    @example([[0, 11], [13, 0]])  # (1, 143): coprime to small moduli
+    @example([[2, 4, 6], [4, 8, 12]])  # rank 1, wide
+    @example([[0, 0], [0, 0], [0, 0]])  # rank 0, tall
+    @settings(max_examples=300, deadline=None)
+    def test_divisors_match_the_gcds_of_minors(self, mat):
+        """The definition of the Smith diagonal: d_1 | d_2 | ... with
+        d_1 * ... * d_k equal to D_k, the gcd of all k x k minors (0 when
+        every such minor vanishes), for every k up to min(rows, cols)."""
+        s = smith_normal_form(mat)
+        nr, nc = len(mat), len(mat[0])
+        assert len(s.diagonal) == min(nr, nc)
+        assert all(d >= 0 for d in s.diagonal)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(s.diagonal, s.diagonal[1:]))
+        assert s.rank == sum(1 for d in s.diagonal if d)
+        for k in range(1, min(nr, nc) + 1):
+            minors = (
+                _det([[mat[i][j] for j in cols] for i in rows])
+                for rows in combinations(range(nr), k)
+                for cols in combinations(range(nc), k)
+            )
+            assert prod(s.diagonal[:k]) == gcd(*minors)
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 8), (7, 11), (11, 7), (10, 10)], ids=["8x8", "7x11", "11x7", "10x10"]
+    )
+    def test_matches_sympy_on_mid_size_matrices(self, shape):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(repr(shape))
+        nr, nc = shape
+        full = [[rng.randint(-40, 40) for _ in range(nc)] for _ in range(nr)]
+        # A product through 4 inner rows scaled by 1, 1, 7 and 77 has rank <= 4
+        # and divisors other than 1 and 0.
+        a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(nr)]
+        b = [[s * rng.randint(-3, 3) for _ in range(nc)] for s in (1, 1, 7, 77)]
+        low = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        for mat in (full, low):
+            theirs = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+            want = sorted(abs(int(theirs[i, i])) for i in range(min(nr, nc)))
+            assert sorted(smith_normal_form(mat).diagonal) == want
 
 
 def _system(rows, n_cols: int) -> ColoringSystem:
