@@ -256,76 +256,49 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
     Exact arbitrary-precision arithmetic throughout; returns the divisor
     chain d_1 | d_2 | ... padded with zeros to min(rows, cols).  Raises
     BadMatrix when the rows differ in length or an entry is not an integer
-    (ints, bools and numpy integers are; floats and strings are not)."""
+    (ints, bools and numpy integers are; floats and strings are not).
+
+    One loop: the smallest nonzero entry moves to (0, 0) and clears its
+    column by row operations and its row by column operations.  A remainder
+    left behind is smaller than the pivot, so the loop starts over; a pivot
+    that does not divide the rest of the matrix takes an offending row into
+    the first row and starts over; otherwise |pivot| is the next divisor and
+    its row and column drop out."""
     try:
         m = [list(map(operator.index, r)) for r in mat]
     except TypeError as exc:
         raise BadMatrix(f"matrix entries must be integers: {exc}") from None
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    nc = len(m[0]) if m else 0
     if any(len(r) != nc for r in m):
         raise BadMatrix(f"rows of unequal length {sorted({len(r) for r in m})}")
-    size = min(nr, nc)
-    t = 0
-    while t < size:
-        # Smallest nonzero entry of the working submatrix becomes the pivot.
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    size = min(len(m), nc)
+    diag: list[int] = []
+    while True:
+        entries = [(abs(v), i, j) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+        if not entries:
             break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for r_ in m:
-            r_[t], r_[pj] = r_[pj], r_[t]
-        while True:
-            if m[t][t] < 0:
-                m[t] = [-v for v in m[t]]
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                q = m[i][t] // p
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                if m[i][t]:
-                    # Remainder smaller than the pivot: swap it up and restart.
-                    m[t], m[i] = m[i], m[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                q = m[t][j] // p
-                if q:
-                    for i in range(nr):
-                        m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    for i in range(nr):
-                        m[i][t], m[i][j] = m[i][j], m[i][t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # Pivot must divide the rest of the submatrix.
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            m[t] = [a + b for a, b in zip(m[t], m[bad])]
-        t += 1
-    diag = []
-    for i in range(size):
-        diag.append(abs(m[i][i]) if i < t else 0)
-    rank = sum(1 for v in diag if v)
-    return SNF(tuple(diag), rank)
+        _, i, j = min(entries)
+        m[0], m[i] = m[i], m[0]
+        for r in m:
+            r[0], r[j] = r[j], r[0]
+        top = m[0]
+        p = top[0]
+        for r in m[1:]:
+            if q := r[0] // p:
+                r[:] = [a - q * b for a, b in zip(r, top)]
+        for j in range(1, len(top)):
+            if q := top[j] // p:
+                for r in m:
+                    r[j] -= q * r[0]
+        if any(r[0] for r in m[1:]) or any(top[1:]):
+            continue
+        bad = next((r for r in m[1:] if any(v % p for v in r)), None)
+        if bad:
+            m[0] = [a + b for a, b in zip(top, bad)]
+            continue
+        diag.append(abs(p))
+        m = [r[1:] for r in m[1:]]
+    return SNF(tuple(diag) + (0,) * (size - len(diag)), len(diag))
 
 
 def count_colorings(sys: ColoringSystem, n: int) -> int:
