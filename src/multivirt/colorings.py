@@ -66,6 +66,11 @@ class ColoringSystem:
     unknowns: Segments
     rows: tuple[tuple[tuple[int, int], ...], ...]  # sparse (unknown, coefficient) pairs
 
+    def __post_init__(self) -> None:
+        unknowns = range(self.n_unknowns)
+        if not all(j in unknowns for r in self.rows for j, _ in r):
+            raise BadMatrix(f"every row must name unknowns in range({self.n_unknowns})")
+
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns.pieces)

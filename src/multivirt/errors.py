@@ -47,7 +47,8 @@ class BadModulus(MultivirtError):
 
 
 class BadMatrix(MultivirtError):
-    """Matrix rows differ in length, or an entry is not an integer."""
+    """Matrix rows differ in length, an entry is not an integer, or a sparse
+    row of a coloring system names an unknown outside range(n_unknowns)."""
 
 
 class TooLarge(MultivirtError):

@@ -254,6 +254,16 @@ def _system(rows, n_cols: int) -> ColoringSystem:
     )
 
 
+# Unknown 0 of none (count 1/3 and one empty coloring), unknown 5 of one
+# (IndexError) and unknown -1 (silently the last column of `matrix()`).
+@pytest.mark.parametrize(
+    "rows, n_cols", [([((0, 1),)], 0), ([((5, 1),)], 1), ([(), ((-1, 2),)], 2)]
+)
+def test_rows_naming_an_unknown_outside_the_system_rejected(rows, n_cols):
+    with pytest.raises(BadMatrix, match=rf"range\({n_cols}\)"):
+        _system(rows, n_cols)
+
+
 @st.composite
 def unit_heavy_rows(draw, max_rows=7, max_cols=7):
     """Sparse integer rows of any shape, mostly +-1 entries, with empty rows;
