@@ -116,7 +116,8 @@ class Diagram:
             sweep: dict[int, list[tuple[int, int]]] = {}
             for ci, i, p in self.passages():
                 sweep.setdefault(p.crossing, []).append((ci, i))
-            index.update((cid, tuple(ps)) for cid, ps in sweep.items())
+            # One update from a finished dict: another thread sees it empty or whole.
+            index.update({cid: tuple(ps) for cid, ps in sweep.items()})
         return index
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,27 @@ class TestPassageIndex:
             assert d.positions_of(cid) == before
         with pytest.raises(TypeError):
             d.passage_index[0] = ()
+
+    def test_index_is_published_whole(self, trefoil):
+        """Another thread reading the shared index while it is built sees it
+        empty or complete: every line run during the build finds one of the
+        two sizes."""
+        d = Diagram(trefoil.components, trefoil.crossings)
+        sizes = []
+
+        def trace(frame, event, arg):
+            if event == "line":
+                sizes.append(len(d._index))
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            index = d.passage_index
+        finally:
+            sys.settrace(previous)
+        assert len(index) == 3
+        assert sizes and set(sizes) <= {0, 3}
 
     @given(diagrams())
     def test_validated_diagram_pickles_and_deep_copies(self, d):
