@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadComponent, MixedCrossing, NotAKnot, checked
+from .errors import BadComponent, MixedCrossing, NotAKnot, ValidationError, checked
 from .model import Diagram, Passage
 
 
@@ -100,6 +100,7 @@ def _path_positions(d: Diagram, cid: int) -> tuple[int, list[int]]:
 def specified_path(d: Diagram, cid: int) -> list[Passage]:
     """Passages strictly between the over and the under passage of `cid`,
     in traversal order along its component."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     ci, idxs = _path_positions(d, cid)
     return [d.components[ci][i] for i in idxs]
 
@@ -107,6 +108,7 @@ def specified_path(d: Diagram, cid: int) -> list[Passage]:
 def crossing_indices(d: Diagram, cid: int) -> IndexPair:
     """(ind, ind_v) of the real self-crossing `cid`, counted along its
     specified path."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     ci, idxs = _path_positions(d, cid)
     ind = ind_v = 0
     for i in idxs:
@@ -119,6 +121,7 @@ def crossing_indices(d: Diagram, cid: int) -> IndexPair:
 
 
 def writhe(d: Diagram) -> int:
+    d = checked(d, Diagram, ValidationError, "diagram")
     return sum(rec.sign for rec in d.crossings.values() if not rec.virtual)
 
 
@@ -161,6 +164,7 @@ def _writhe_table(d: Diagram, cids: list[int]) -> WritheTable:
 
 def n_writhes(d: Diagram) -> WritheTable:
     """J_n table of a knot diagram; stable under the generalized moves for n != 0."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot(f"expected 1 component, found {d.n_components()}")
     return _writhe_table(d, _sweep(d)[1][0])
@@ -170,6 +174,7 @@ def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
     """Writhe table of the real self-crossings of component `i` (1-based),
     with indices counted against the whole diagram.  Stable for n outside
     {0, lambda_i}."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
@@ -180,12 +185,14 @@ def ith_n_writhes(d: Diagram, i: int) -> ComponentWrithes:
 def linking_and_lambda(d: Diagram) -> InvariantReport:
     """Linking matrix lk[i][j] = sum of signs of real crossings where component
     i passes over component j, plus lambda_i = sum_j (lk[j][i] - lk[i][j])."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     lk, _ = _sweep(d)
     return InvariantReport(writhe(d), None, (), tuple(map(tuple, lk)), _lam(lk))
 
 
 def invariant_report(d: Diagram) -> InvariantReport:
     """Full report: writhe, J_n (knots only), per-component tables, lk, lambda."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     lk, own = _sweep(d)
     lam = _lam(lk)
     jni = tuple(

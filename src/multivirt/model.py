@@ -229,6 +229,7 @@ def parse_vgc(text: str) -> Diagram:
 
 def serialize_vgc(d: Diagram) -> str:
     """Serialize to the canonical textual form (single spaces, ' ; ' separators)."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     parts = []
     for comp in d.components:
         if not comp:
@@ -253,6 +254,7 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
     BadComponent unless 0 <= ci < n_components, and ValidationError unless
     `k` is an integer.
     """
+    d = checked(d, Diagram, ValidationError, "diagram")
     ci = checked(ci, int, BadComponent, "component index")
     k = checked(k, int, ValidationError, "rotation step")
     if not 0 <= ci < d.n_components():
@@ -313,6 +315,7 @@ def canonical_form(d: Diagram) -> str:
     prefixes: T(2, 801) (1602 passages) and the 16-fold multiplex of asym3
     (8400 passages) take milliseconds.
     """
+    d = checked(d, Diagram, ValidationError, "diagram")
     last = {p.crossing: ci for ci, _, p in d.passages()}
     index = d._passage_index
     ties: list[dict[int, str]] = [{}]  # per tie: crossing -> label and sign
@@ -467,6 +470,7 @@ def segments(d: Diagram, granularity: Granularity) -> Segments:
     Under and Through passages.  A component with no cut point contributes a
     single closed piece.
     """
+    d = checked(d, Diagram, ValidationError, "diagram")
     cut_roles = _CUT_ROLES[checked(granularity, Granularity, ValidationError, "granularity")]
     pieces: list[Piece] = []
     for ci, comp in enumerate(d.components):

@@ -23,7 +23,7 @@ plane with exactly the recorded virtual crossings.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .model import CrossingRecord, Diagram, Passage, Role
 
 # Dart: (component, gap, dir) with dir +1 = travel with the strand orientation
@@ -53,6 +53,7 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
     """Face boundaries as dart cycles.  Each cycle starts at the first of its
     darts in `_darts` order (component, gap, then +1 before -1), and the
     cycles come in the order of those first darts."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     # Each arriving dart leaves through the next port clockwise.
     succ = {}
     for cid, (a, b) in d.passage_index.items():
@@ -83,6 +84,7 @@ def genus(d: Diagram) -> int:
     pieces - chi / 2 with chi = V - E + F of the whole graph: V crossings,
     E passages (the edges run from each passage to the next) and F faces.
     The pieces are the classes of circles that share a crossing."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     piece = list(range(len(d.components)))
 
     def find(ci: int) -> int:
@@ -111,6 +113,7 @@ def realize(d: Diagram) -> Diagram:
     down, and every incidental intersection of the routing becomes a virtual
     crossing whose sign is read off the drawing.
     """
+    d = checked(d, Diagram, ValidationError, "diagram")
     if genus(d) == 0:
         return d
     base = _strip_virtual(d)

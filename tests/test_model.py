@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import diagrams
+import multivirt
 from multivirt.errors import (
     BadComponent,
     NotReal,
@@ -335,3 +336,29 @@ class TestSegments:
                     seen[key] = k
             total_gaps = sum(len(c) for c in d.components)
             assert len(seen) == total_gaps
+
+
+# Every export that takes a diagram first, with the other arguments it needs.
+_DIAGRAM_FIRST = [
+    ("serialize_vgc", ()),
+    ("canonical_form", ()),
+    ("rotate", (0, 1)),
+    ("segments", (Granularity.ARC,)),
+    ("faces", ()),
+    ("genus", ()),
+    ("realize", ()),
+    ("crossing_indices", (1,)),
+    ("specified_path", (1,)),
+    ("writhe", ()),
+    ("n_writhes", ()),
+    ("ith_n_writhes", (1,)),
+    ("linking_and_lambda", ()),
+    ("invariant_report", ()),
+]
+
+
+@pytest.mark.parametrize("value", [None, "x", 2.5, (), [()]], ids=repr)
+@pytest.mark.parametrize("name, args", _DIAGRAM_FIRST, ids=[n for n, _ in _DIAGRAM_FIRST])
+def test_non_diagram_rejected(name, args, value):
+    with pytest.raises(ValidationError, match="diagram"):
+        getattr(multivirt, name)(value, *args)
