@@ -50,12 +50,30 @@ def test_a_docstring_only_body_counts_its_header():
     assert count_code_lines.code_lines("") == 0
 
 
+def test_definitions_count_their_own_code_lines():
+    # A: the class line, the four of `x`, def f, the two of `s`, the string
+    # statement and return; g: its header.  `import os` belongs to neither.
+    assert count_code_lines.definition_code_lines(SAMPLE) == [("A", 10), ("g", 1)]
+    decorated = "@property\n@staticmethod\ndef f():\n    return 1\n"
+    assert count_code_lines.definition_code_lines(decorated) == [("f", 4)]
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *map(str, args)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+
+
 def test_script_prints_each_module_and_the_total(tmp_path):
     (tmp_path / "b.py").write_text(SAMPLE)
     (tmp_path / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
     (tmp_path / "notes.txt").write_text("x = 1\n")
-    out = subprocess.run(
-        [sys.executable, str(SCRIPT), str(tmp_path)],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.splitlines() == ["     2  a.py", "    12  b.py", "    14  total"]
+    assert _run(tmp_path) == ["     2  a.py", "    12  b.py", "    14  total"]
+    assert _run("--functions", tmp_path) == [
+        "     2  a.py",
+        "    12  b.py",
+        "    10    A",
+        "     1    g",
+        "    14  total",
+    ]
