@@ -24,7 +24,13 @@ n^q * prod gcd(d_i, n).  The divisors come in two phases, after Dumas,
 Saunders and Villard ("On efficient sparse integer matrix Smith normal form
 computations", J. Symb. Comput. 2001): Markowitz-ordered elimination of +-1
 pivots on the sparse rows, then the dense `smith_normal_form` on the small
-residual that has no +-1 entry left.  The dense form on the whole matrix and an
+residual that has no +-1 entry left.  The dense form is one loop that moves
+the smallest nonzero entry to the corner, clears its column and row, and
+starts over while a remainder is left or while the pivot does not divide the
+rest; otherwise the pivot is the next divisor and its row and column drop out.
+The Smith diagonal is unique, d_1 ... d_k being the gcd of all k x k minors,
+so any correct pivot order gives the same divisors, and the two phases give
+those of the dense form on the whole matrix.  That dense form and an
 exhaustive search are the independent oracles for the same counts.  The search
 assigns the unknowns from the last to the first in exact integers and tests
 each relation as soon as its lowest unknown has a value, so it lists the
