@@ -318,6 +318,39 @@ class TestSparseSNF:
         size = min(len(sys_.rows), sys_.n_unknowns)
         assert sorted(abs(int(theirs[i, i])) for i in range(size)) == sorted(sys_.snf().diagonal)
 
+    @given(unit_heavy_rows())
+    @example(([((0, 2), (1, 3)), ((0, 1), (1, 1))], 2))  # a unit appears in row 0 only later
+    @settings(max_examples=300, deadline=None)
+    def test_residual_has_no_unit_entry(self, case):
+        rows, n_cols = case
+        _, residual = _eliminate_unit_pivots(_system(rows, n_cols).rows)
+        assert not any(c in (1, -1) for r in residual for c in r)
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    def test_catalog_residuals_have_no_unit_entry(self, name):
+        systems = []
+        for r in (2, 3, 4):
+            L, prov = multiplex(catalog.diagram(name), r)
+            systems += [build_system(L, m) for m in (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX)]
+            if r == 2:
+                systems.append(build_system(L, ColoringMode.CONSTRAINED, prov))
+        for sys_ in systems:
+            _, residual = _eliminate_unit_pivots(sys_.rows)
+            assert not any(c in (1, -1) for r in residual for c in r)
+
+    def test_residual_shapes_on_the_ladder(self):
+        """Rows x columns of the residual left by the Markowitz-ordered
+        elimination, the same for fox and virtual systems."""
+        want = {
+            ("asym3", 2): (0, 0), ("asym3", 3): (3, 3), ("asym3", 4): (4, 4),
+            ("index2", 2): (0, 0), ("index2", 3): (3, 3), ("index2", 4): (4, 4),
+        }  # fmt: skip
+        for (name, r), shape in want.items():
+            L, _ = multiplex(catalog.diagram(name), r)
+            for mode in (ColoringMode.FOX, ColoringMode.VIRTUAL_FOX):
+                _, residual = _eliminate_unit_pivots(build_system(L, mode).rows)
+                assert (len(residual), len(residual[0]) if residual else 0) == shape, (name, r, mode)
+
     def test_asym3_r4_leaves_small_residual(self):
         L, _ = multiplex(catalog.diagram("asym3"), 4)
         sys_ = build_system(L, ColoringMode.VIRTUAL_FOX)
