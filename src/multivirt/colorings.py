@@ -22,20 +22,22 @@ Solutions are counted modulo n exactly for every n >= 1: if the relation
 matrix has Smith divisors d_1 | ... | d_k and q free unknowns, the count is
 n^q * prod gcd(d_i, n).  The divisors come in two phases, after Dumas,
 Saunders and Villard ("On efficient sparse integer matrix Smith normal form
-computations", J. Symb. Comput. 2001): Markowitz-ordered elimination of +-1
-pivots on the sparse rows, then the dense `smith_normal_form` on the small
-residual that has no +-1 entry left.  The dense form is one loop that moves
-the smallest nonzero entry to the corner, clears its column and row, and
-starts over while a remainder is left or while the pivot does not divide the
-rest; otherwise the pivot is the next divisor and its row and column drop out.
-The Smith diagonal is unique, d_1 ... d_k being the gcd of all k x k minors,
-so any correct pivot order gives the same divisors, and the two phases give
-those of the dense form on the whole matrix.  That dense form and an
-exhaustive search are the independent oracles for the same counts.  The search
-assigns the unknowns from the last to the first in exact integers and tests
-each relation as soon as its lowest unknown has a value, so it lists the
-solutions in index order (x_{k-1} varies slowest) without trying every one of
-the n^k assignments; n^k is still what its `limit` bounds.
+computations", J. Symb. Comput. 2001): elimination of +-1 pivots on the
+sparse rows, in one first-in-first-out pass that visits every row in index
+order and again whenever an elimination changes it, then the dense
+`smith_normal_form` on the small residual that has no +-1 entry left.  The
+dense form is one loop that moves the smallest nonzero entry to the corner,
+clears its column and row, and starts over while a remainder is left or while
+the pivot does not divide the rest; otherwise the pivot is the next divisor
+and its row and column drop out.  The Smith diagonal is unique, d_1 ... d_k
+being the gcd of all k x k minors, so any pivot order gives the same
+divisors, and the two phases give those of the dense form on the whole
+matrix.  That dense form and an exhaustive search are the independent oracles
+for the same counts.  The search assigns the unknowns from the last to the
+first in exact integers and tests each relation as soon as its lowest unknown
+has a value, so it lists the solutions in index order (x_{k-1} varies
+slowest) without trying every one of the n^k assignments; n^k is still what
+its `limit` bounds.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .constructions import Provenance
@@ -200,46 +201,42 @@ def _fitted_provenance(prov, l2: Diagram) -> Provenance:
 def _eliminate_unit_pivots(
     rows: tuple[tuple[tuple[int, int], ...], ...],
 ) -> tuple[int, list[list[int]]]:
-    """Eliminate +-1 pivots from sparse rows, cheapest first; return how many
-    were eliminated and the dense residual left over.
+    """Eliminate +-1 pivots from sparse rows in one first-in-first-out pass;
+    return how many were eliminated and the dense residual left over.
 
-    A pivot at (i, j) clears column j from the other rows by row operations,
-    then row i by column operations, so it adds one unit divisor and drops out
-    with its row and column.  The pivot taken is the +-1 entry of lowest
-    Markowitz cost (row length - 1) * (column length - 1), which bounds the
-    fill-in, ties broken by (row, column).  Whenever a row or a column changes,
-    its +-1 entries are pushed on the heap again with their new cost, so a
-    popped entry whose cost is no longer current is stale and skipped.  The
-    residual keeps the remaining nonzero rows and columns in their order."""
+    Every nonzero row is visited once in index order, and again after an
+    elimination changes it (a changed row already waiting in the queue keeps
+    its place).  A visited row with a +-1 entry pivots on its first one: the
+    pivot clears its column from the other rows by row operations, then its
+    row by column operations, so it adds one unit divisor and drops out with
+    its row and column.  A row without a +-1 entry is skipped until it
+    changes; a row that becomes zero drops out.  The residual keeps the
+    remaining nonzero rows and columns in their order, and none of its
+    entries is +-1.  The Smith diagonal is unique, so the pivot order changes
+    only the work and the residual, never the divisors."""
     live = {i: dict(r) for i, r in enumerate(rows) if r}
     col_rows: dict[int, set[int]] = {}
     for i, r in live.items():
         for j in r:
             col_rows.setdefault(j, set()).add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(live[i]) - 1) * (len(col_rows[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, r in live.items() for j, c in r.items() if c in (1, -1)]
-    heapify(heap)
+    queue = list(live)
+    waiting = set(queue)
     units = 0
-    while heap:
-        c0, i, j = heappop(heap)
-        r = live.get(i)
-        if r is None or r.get(j) not in (1, -1) or cost(i, j) != c0:
+    for i in queue:  # also visits the rows appended while it runs
+        waiting.discard(i)
+        j = next((k for k, c in live.get(i, {}).items() if c in (1, -1)), None)
+        if j is None:
             continue
         units += 1
-        del live[i]
+        r = live.pop(i)
         for k in r:
             col_rows[k].discard(i)
-        touched = col_rows.pop(j)
         p = r.pop(j)
-        for i2 in touched:
+        for i2 in col_rows.pop(j):
             r2 = live[i2]
             f = r2.pop(j) * p  # p is its own inverse
             for k, c in r.items():
-                v = r2.get(k, 0) - f * c
-                if v:
+                if v := r2.get(k, 0) - f * c:
                     r2[k] = v
                     col_rows[k].add(i2)
                 else:
@@ -247,16 +244,9 @@ def _eliminate_unit_pivots(
                     col_rows[k].discard(i2)
             if not r2:
                 del live[i2]
-        fresh = {
-            (i2, k)
-            for i2 in touched
-            if i2 in live
-            for k, c in live[i2].items()
-            if c in (1, -1)
-        }
-        fresh.update((i2, k) for k in r for i2 in col_rows[k] if live[i2][k] in (1, -1))
-        for i2, k in fresh:
-            heappush(heap, (cost(i2, k), i2, k))
+            elif i2 not in waiting:
+                waiting.add(i2)
+                queue.append(i2)
     cols = sorted(k for k, rs in col_rows.items() if rs)
     return units, [[live[i].get(k, 0) for k in cols] for i in sorted(live)]
 
