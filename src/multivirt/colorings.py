@@ -74,9 +74,21 @@ class ColoringSystem:
     rows: tuple[tuple[tuple[int, int], ...], ...]  # sparse (unknown, coefficient) pairs
 
     def __post_init__(self) -> None:
-        unknowns = range(self.n_unknowns)
-        if not all(j in unknowns for r in self.rows for j, _ in r):
-            raise BadMatrix(f"every row must name unknowns in range({self.n_unknowns})")
+        checked(self.mode, ColoringMode, ValidationError, "coloring mode")
+        checked(self.unknowns, Segments, ValidationError, "unknowns")
+        n = self.n_unknowns
+        for r in self.rows:
+            try:  # js is -1, the unknowns with a nonzero coefficient, then n
+                js = [-1, *(operator.index(j) for j, c in r if operator.index(c)), n]
+                ok = isinstance(r, tuple) and len(js) == len(r) + 2
+                ok = ok and all(map(operator.lt, js, js[1:]))
+            except (TypeError, ValueError):  # not a sequence of pairs, or not integers
+                ok = False
+            if not ok:
+                raise BadMatrix(
+                    "every row must be a tuple of (unknown, nonzero integer) pairs with "
+                    f"unknowns increasing in range({n}), got {r!r}"
+                )
 
     @property
     def n_unknowns(self) -> int:

@@ -48,7 +48,8 @@ class BadModulus(MultivirtError):
 
 class BadMatrix(MultivirtError):
     """Matrix rows differ in length, an entry is not an integer, or a sparse
-    row of a coloring system names an unknown outside range(n_unknowns)."""
+    row of a coloring system is not a tuple of (unknown, nonzero integer)
+    pairs with unknowns strictly increasing in range(n_unknowns)."""
 
 
 class TooLarge(MultivirtError):

@@ -264,6 +264,31 @@ def test_rows_naming_an_unknown_outside_the_system_rejected(rows, n_cols):
         _system(rows, n_cols)
 
 
+# Unchecked, the repeated unknown was counted as two relations by the sparse
+# phase (2 solutions mod 2) and read as 2 x_0 by `enumerate_colorings` and
+# `is_solution` (4); the float was counted by the sparse phase but refused by
+# the dense form of `matrix()`; (0,) raised a bare TypeError.
+@pytest.mark.parametrize(
+    "row",
+    [((0, 1), (0, 1)), ((1, 1), (0, 1)), ((0, 1.0),), ((0, 0),), ((0, "1"),), (0,), [(0, 1)]],
+    ids=["repeated", "decreasing", "float", "zero", "string", "not-a-pair", "list"],
+)
+def test_rows_out_of_sparse_form_rejected(row):
+    with pytest.raises(BadMatrix):
+        _system([row], 2)
+
+
+# Unchecked, None raised AttributeError and the string was taken as a mode.
+@pytest.mark.parametrize(
+    "mode, unknowns",
+    [(ColoringMode.FOX, None), ("fox", Segments(Granularity.ARC, ()))],
+    ids=["unknowns-None", "mode-string"],
+)
+def test_system_of_wrong_kinds_rejected(mode, unknowns):
+    with pytest.raises(ValidationError):
+        ColoringSystem(mode, unknowns, ())
+
+
 @st.composite
 def unit_heavy_rows(draw, max_rows=7, max_cols=7):
     """Sparse integer rows of any shape, mostly +-1 entries, with empty rows;
