@@ -314,12 +314,18 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
     return SNF(tuple(diag) + (0,) * (size - len(diag)), len(diag))
 
 
-def count_colorings(sys: ColoringSystem, n: int) -> int:
-    """Number of solutions of the relation system modulo n (exact, any n >= 1)."""
-    sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
+def _modulus(n) -> int:
+    """`n` as an int if it is an integer >= 1; else raise BadModulus."""
     n = checked(n, int, BadModulus, "modulus")
     if n < 1:
         raise BadModulus(f"modulus must be >= 1, got {n}")
+    return n
+
+
+def count_colorings(sys: ColoringSystem, n: int) -> int:
+    """Number of solutions of the relation system modulo n (exact, any n >= 1)."""
+    sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
+    n = _modulus(n)
     s = sys.snf()
     count = n ** (sys.n_unknowns - s.rank)
     for d in s.diagonal[: s.rank]:
@@ -338,10 +344,8 @@ def enumerate_colorings(
     order, x_{k-1} varying slowest.  Raises TooLarge when n^k exceeds `limit`,
     however few assignments the search itself visits."""
     sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
-    n = checked(n, int, BadModulus, "modulus")
+    n = _modulus(n)
     limit = checked(limit, int, ValidationError, "limit")
-    if n < 1:
-        raise BadModulus(f"modulus must be >= 1, got {n}")
     k = sys.n_unknowns
     if n**k > limit:
         raise TooLarge(f"{n}^{k} assignments exceed limit {limit}")
@@ -386,9 +390,7 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     col = checked(col, Coloring, InvalidColoring, "coloring")
     values = checked(col.values, tuple, InvalidColoring, "coloring values")
     values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
-    n = checked(col.modulus, int, BadModulus, "modulus")
-    if n < 1:
-        raise BadModulus(f"modulus must be >= 1, got {n}")
+    n = _modulus(col.modulus)
     prov = _fitted_provenance(prov, l2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     if not is_solution(vsys, Coloring(values, n)):
