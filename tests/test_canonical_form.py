@@ -3,7 +3,9 @@
 The oracle serializes a first-appearance relabeling of the prefix for every
 rotation of every tied candidate, component by component, and keeps every
 tie.  It is the definition of the canonical form, so the fast function must
-return exactly its string.
+return exactly its string.  `_token_oracle` spells the same definition on
+plain token tuples, with no diagram built per rotation; it is pinned to the
+first oracle here.
 """
 
 import random
@@ -60,6 +62,43 @@ def _canonical_form_oracle(d):
     return serialize_vgc(_relabel_first_appearance(candidates[0]))
 
 
+def _token_oracle(d):
+    """The definition of `_canonical_form_oracle` on plain token tuples.
+
+    A passage is (role, crossing, sign character), the sign being the frame
+    read from that passage for a virtual crossing and the stored sign for a
+    real one, so a crossing labelled at its first passage in rotated order
+    prints the sign `rotate` would store.  Every tie is kept, as the list of
+    its rotated components."""
+    comps = []
+    for ci, comp in enumerate(d.components):
+        tokens = []
+        for i, p in enumerate(comp):
+            rec = d.crossings[p.crossing]
+            sign = d.frame(p.crossing, (ci, i)) if rec.virtual else rec.sign
+            tokens.append((p.role.value, p.crossing, "+" if sign > 0 else "-"))
+        comps.append(tokens)
+
+    def spell(rotated):
+        labels = {}
+        parts = []
+        for comp in rotated:
+            for _, cid, sign in comp:
+                labels.setdefault(cid, f"{len(labels) + 1}{sign}")
+            parts.append(" ".join(role + labels[cid] for role, cid, _ in comp) or ".")
+        return " ; ".join(parts)
+
+    ties = [[]]
+    for comp in comps:
+        by_prefix = {}
+        for t in ties:
+            for k in range(max(1, len(comp))):
+                cand = t + [comp[k:] + comp[:k]]
+                by_prefix.setdefault(spell(cand), []).append(cand)
+        ties = by_prefix[min(by_prefix)]
+    return spell(ties[0])
+
+
 def _scramble(d, rnd):
     """Rotate every component by a random step, then rename the crossings to
     random ids, some of several digits."""
@@ -83,6 +122,22 @@ PERIODIC_AND_LINKED = parse_vgc("O1+ U1+ V2+ O3+ U3+ V4+ ; V2+ O5+ U5+ V4+")
 def test_matches_oracle_on_random_diagrams(d, rnd):
     d = _scramble(d, rnd)
     assert canonical_form(d) == _canonical_form_oracle(d)
+
+
+@settings(max_examples=300)
+@given(diagrams(max_real=6, max_virtual=6, max_components=4), st.randoms(use_true_random=False))
+@example(PERIODIC_AND_LINKED, random.Random(0))
+@example(parse_vgc("V1+ V2+ ; V1+ O3+ U3+ V2+"), random.Random(1))
+def test_token_oracle_matches_oracle_on_random_diagrams(d, rnd):
+    d = _scramble(d, rnd)
+    assert _token_oracle(d) == _canonical_form_oracle(d)
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_token_oracle_matches_oracle_on_multiplexes(name, r):
+    L, _ = multiplex(catalog.diagram(name), r)
+    assert _token_oracle(L) == _canonical_form_oracle(L)
 
 
 @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
