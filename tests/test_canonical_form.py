@@ -5,7 +5,7 @@ rotation of every tied candidate, component by component, and keeps every
 tie.  It is the definition of the canonical form, so the fast function must
 return exactly its string.  `_token_oracle` spells the same definition on
 plain token tuples, with no diagram built per rotation; it is pinned to the
-first oracle here.
+first oracle here and checks the thousands of random-walk states.
 """
 
 import random
@@ -162,7 +162,7 @@ def test_matches_oracle_on_walk_states(name):
         _, trace = random_walk(cur, 60, seed)
         for site in trace:
             cur = apply_move(cur, site)
-            assert canonical_form(cur) == _canonical_form_oracle(cur), (seed, site)
+            assert canonical_form(cur) == _token_oracle(cur), (seed, site)
 
 
 def _torus_2(n):
