@@ -364,8 +364,9 @@ class TestSparseSNF:
             assert not any(c in (1, -1) for r in residual for c in r)
 
     def test_residual_shapes_on_the_ladder(self):
-        """Rows x columns of the residual left by the Markowitz-ordered
-        elimination, the same for fox and virtual systems."""
+        """Rows x columns of the residual on the ladder systems, the same for
+        fox and virtual ones: the shapes the Markowitz-ordered elimination
+        left, which the first-in-first-out pass keeps."""
         want = {
             ("asym3", 2): (0, 0), ("asym3", 3): (3, 3), ("asym3", 4): (4, 4),
             ("index2", 2): (0, 0), ("index2", 3): (3, 3), ("index2", 4): (4, 4),
