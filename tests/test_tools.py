@@ -77,3 +77,17 @@ def test_script_prints_each_module_and_the_total(tmp_path):
         "     1    g",
         "    14  total",
     ]
+
+
+AB_TIME = SCRIPT.parent / "ab_time.py"
+
+
+def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
+    src = SCRIPT.parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, str(AB_TIME), "--base", str(src), "--smoke", "--rounds", "2"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert [line.split(":")[0] for line in out[:2]] == ["round  0 (base first)", "round  1 (tree first)"]
+    assert out[2].startswith("median ratio base / tree over 2 rounds: ")
+    assert len(out) == 3
