@@ -107,7 +107,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
             stacklevel=2,
         )
 
-    comp = d.components[0]
+    comp, frames = d.components[0], d._frames[0]
     m = len(comp)
     crossings: dict[int, CrossingRecord] = {}
     crossing_map: dict[int, tuple] = {}
@@ -137,7 +137,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         # tile keeps the passage's role.
         for t, p in enumerate(comp):
             rec = d.crossings[p.crossing]
-            f = d.frame(p.crossing, (0, t))
+            f = frames[t]
             on_a = f == rec.sign
             for o in range(1, r + 1) if f > 0 else range(r, 0, -1):
                 a, b = (cur, o) if on_a else (o, cur)

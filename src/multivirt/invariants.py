@@ -4,7 +4,7 @@ The index of a real self-crossing c is computed along its specified path: the
 stretch of the component strictly between the over passage and the under
 passage of c.  A transverse strand counts +1 when it crosses the path from
 left to right, which by the frame rule of `model` is minus the frame read
-from the passage on the path: each passage on the path adds `-d.frame` to
+from the passage on the path: each passage on the path adds minus its frame to
 `ind` (real crossings) or `ind_v` (virtual ones).  A crossing whose two
 passages both lie on the path contributes zero in total.
 
@@ -110,13 +110,13 @@ def crossing_indices(d: Diagram, cid: int) -> IndexPair:
     specified path."""
     d = checked(d, Diagram, ValidationError, "diagram")
     ci, idxs = _path_positions(d, cid)
+    comp, frames = d.components[ci], d._frames[ci]
     ind = ind_v = 0
     for i in idxs:
-        c = d.components[ci][i].crossing
-        if d.crossings[c].virtual:
-            ind_v -= d.frame(c, (ci, i))
+        if d.crossings[comp[i].crossing].virtual:
+            ind_v -= frames[i]
         else:
-            ind -= d.frame(c, (ci, i))
+            ind -= frames[i]
     return IndexPair(ind, ind_v)
 
 

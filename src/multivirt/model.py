@@ -9,10 +9,11 @@ read from one strand, (direction of that strand, direction of the other
 strand).  A real crossing is read from its over passage, a virtual one from
 its first passage, "first" meaning lexicographically smaller (component
 index, position); read from the other passage the frame is the negative.
-`Diagram.frame(cid, pos)` is the one reader of this rule: it returns the
-frame read from the passage at `pos`.  Rotating a basepoint past exactly one
-passage of a virtual crossing therefore negates the stored sign; `rotate`
-takes care of that.
+The frame table of a diagram is the one writer of this rule: it holds the
+frame read from every passage, one list per component, and `Diagram.frame`
+and every module that needs a frame read it.  Rotating a basepoint past
+exactly one passage of a virtual crossing therefore negates the stored sign;
+`rotate` takes care of that.
 
 VGC grammar (serialized form is bit-exact):
 
@@ -26,7 +27,10 @@ Every diagram carries one passage index: crossing id -> positions
 (component, index) of its passages, in canonical order.  It depends only on
 `components`, is built on first use (`validate` builds it as its own sweep)
 and is kept in a dict field of the instance; `positions_of`, `real_positions`,
-`frame` and every module that needs to know where a crossing sits read it.
+the frame table and every module that needs to know where a crossing sits
+read it.  The frame table, `Diagram._frames`, is built from the index on
+first use and kept in a list field the same way; it is read, never written,
+outside `model`.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ class Diagram:
     _index: dict[int, tuple[tuple[int, int], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # The frame table, filled on first use in the same way.
+    _frame_table: list[list[int]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     # -- basic queries ----------------------------------------------------
 
@@ -114,11 +122,34 @@ class Diagram:
         index = self._index
         if not index:
             sweep: dict[int, list[tuple[int, int]]] = {}
-            for ci, i, p in self.passages():
-                sweep.setdefault(p.crossing, []).append((ci, i))
+            for ci, comp in enumerate(self.components):
+                for i, p in enumerate(comp):
+                    sweep.setdefault(p.crossing, []).append((ci, i))
             # One update from a finished dict: another thread sees it empty or whole.
             index.update({cid: tuple(ps) for cid, ps in sweep.items()})
         return index
+
+    @property
+    def _frames(self) -> list[list[int]]:
+        """The frame table: `_frames[ci][i]` is the frame read from passage i
+        of component ci.  Raises ValidationError when a crossing is not passed
+        exactly twice or has no record."""
+        table = self._frame_table
+        if not table:
+            comps = self.components
+            built = [[0] * len(comp) for comp in comps]
+            for cid, ps in self._passage_index.items():
+                rec = self.crossings.get(cid)
+                if len(ps) != 2 or rec is None:
+                    raise ValidationError(f"crossing {cid!r} is not passed twice with a record")
+                (c1, i1), (c2, i2) = ps
+                # Read from the over passage of a real crossing or the first
+                # passage of a virtual one, the frame is the stored sign.
+                f = rec.sign if rec.virtual or comps[c1][i1].role is Role.OVER else -rec.sign
+                built[c1][i1], built[c2][i2] = f, -f
+            # One extend from a finished list: another thread sees it empty or whole.
+            table.extend(built)
+        return table
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
@@ -131,19 +162,17 @@ class Diagram:
         """Orientation of the frame (direction of the strand passing `cid` at
         `pos`, direction of the other strand): the stored sign read from the
         over passage of a real crossing or the first passage of a virtual
-        one, its negative read from the other passage.  Raises
-        UnknownCrossing for an unknown id and ValidationError for a `pos`
-        that is not a passage of `cid`."""
+        one, its negative read from the other passage; read off the frame
+        table.  Raises UnknownCrossing for an unknown id, and ValidationError
+        for a `pos` that is not a passage of `cid` and on a diagram that
+        passes a crossing other than twice."""
         try:
-            rec = self.crossings[cid]
+            self.crossings[cid]
         except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownCrossing(f"no crossing {cid}") from None
-        a, b = self._passage_index[cid]
-        if pos != a and pos != b:
+        if pos not in self._passage_index.get(cid, ()):
             raise ValidationError(f"{pos!r} is not a passage of crossing {cid}")
-        if not rec.virtual and self.components[a[0]][a[1]].role is not Role.OVER:
-            a = b
-        return rec.sign if pos == a else -rec.sign
+        return self._frames[pos[0]][pos[1]]
 
     def real_positions(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(over position, under position) of a real crossing."""
@@ -318,6 +347,7 @@ def canonical_form(d: Diagram) -> str:
     d = checked(d, Diagram, ValidationError, "diagram")
     last = {p.crossing: ci for ci, _, p in d.passages()}
     index = d._passage_index
+    table = d._frames
     ties: list[dict[int, str]] = [{}]  # per tie: crossing -> label and sign
     live: list[int] = []  # labelled crossings that a later component passes
     n_labels = 0
@@ -333,7 +363,7 @@ def canonical_form(d: Diagram) -> str:
             (c1, p1), (c2, p2) = index[p.crossing]
             # The sign a crossing is printed with when first met here: for a
             # virtual one the frame read from this passage, as `rotate` stores it.
-            sign = d.frame(p.crossing, (ci, i)) if rec.virtual else rec.sign
+            sign = table[ci][i] if rec.virtual else rec.sign
             if c1 != c2:
                 # No other passage of this component has this crossing, so a
                 # component linked to another one has no period below L.

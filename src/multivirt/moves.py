@@ -13,10 +13,14 @@ raises `StaleSite` for any other.  The list is counted before it is built:
 the insertion sites of a kind are every variant at every locus, and one is
 built only when it is read, so a walk step draws uniformly over the counted
 list that `find_moves` returns, in its order, and builds only the site it
-applies.  One sweep over the gaps lists the sites of
-every deletion kind (R1del, VR1del, R2del, VR2del), and each triangular face
-costs one lookup in a table built once from the templates and their six
-labelings, keyed by the pattern of the bound triangle with no labeling in it.
+applies.  Kink loci are the gaps; poke loci are counted per face cycle like
+the gaps, and a dart pair is built only when it is read.  One sweep over the
+gaps lists the sites of every deletion kind (R1del, VR1del, R2del, VR2del),
+and each triangular face costs one lookup in a table built once from the
+templates and their six labelings, keyed by the pattern of the bound
+triangle with no labeling in it.  The site search reads frames off the
+diagram's frame table and compares roles by identity rather than hashing
+them.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`, which
 builds the rewritten diagram and validates it once: a deletion replaces every
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -278,20 +283,49 @@ def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
 # -- poke (two-crossing) sites -----------------------------------------------
 
 
-def _poke_candidates(cycles):
-    """Ordered co-facial dart pairs (d1, d2) within the poke window, d1 and d2
-    on distinct edges, over the face cycles of a diagram.  d1 is the poking
-    strand, d2 the edge poked across."""
-    out = []
-    for cycle in cycles:
-        size = len(cycle)
-        for i in range(size):
-            for w in range(1, min(_POKE_WINDOW, size - 1) + 1):
-                d1 = cycle[i]
-                d2 = cycle[(i + w) % size]
-                if d1[:2] != d2[:2]:
-                    out.append((d1, d2))
-    return out
+class _Pokes(Sequence):
+    """The poke candidates of a diagram's face cycles, each built when it is
+    read: ordered co-facial dart pairs (d1, d2) within the poke window, d1
+    and d2 on distinct edges, by cycle, then by the position of d1, then by
+    the distance to d2.  d1 is the poking strand, d2 the edge poked across.
+
+    A cycle of s darts on distinct edges has s * min(window, s - 1)
+    candidates and is only counted; a cycle that runs along an edge twice is
+    listed.  A candidate is found by bisecting the per-cycle ends."""
+
+    def __init__(self, cycles):
+        # ends[c] and ends[c + 1] bound the candidates of cycle c.
+        self.cycles, self.listed, self.ends, n = cycles, {}, [0], 0
+        for c, cycle in enumerate(cycles):
+            s = len(cycle)
+            reach = range(1, min(_POKE_WINDOW, s - 1) + 1)
+            if len({dart[:2] for dart in cycle}) < s:
+                pairs = ((cycle[i], cycle[(i + w) % s]) for i in range(s) for w in reach)
+                self.listed[c] = [(d1, d2) for d1, d2 in pairs if d1[:2] != d2[:2]]
+            n += len(self.listed[c]) if c in self.listed else s * len(reach)
+            self.ends.append(n)
+
+    def __len__(self):
+        return self.ends[-1]
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # bounds and negative indices as for a list
+        c = bisect_right(self.ends, k) - 1
+        k -= self.ends[c]
+        if c in self.listed:
+            return self.listed[c][k]
+        cycle = self.cycles[c]
+        i, w = divmod(k, min(_POKE_WINDOW, len(cycle) - 1))
+        return cycle[i], cycle[(i + w + 1) % len(cycle)]
+
+    def index(self, pair):
+        """Position of the candidate equal to `pair`, looked for among those
+        of the one cycle that holds its first dart; ValueError if none is."""
+        first = pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None
+        for c, cycle in enumerate(self.cycles):
+            if first in cycle:
+                return super().index(pair, self.ends[c], self.ends[c + 1])
+        raise ValueError(f"{pair!r} is not a poke candidate")
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
@@ -313,22 +347,27 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 
 # -- deletion sites ----------------------------------------------------------
 
+# The role of both flanks of the first gap and of the second, for every
+# cancelling pair.  Roles are compared by identity: hashing an Enum member
+# runs Python code.
 _CANCELLING_ROLES = (
-    ({Role.OVER}, {Role.UNDER}),
-    ({Role.UNDER}, {Role.OVER}),
-    ({Role.THROUGH}, {Role.THROUGH}),
+    (Role.OVER, Role.UNDER),
+    (Role.UNDER, Role.OVER),
+    (Role.THROUGH, Role.THROUGH),
 )
 
 
-def _is_poke_deletion(d: Diagram, gap1, gap2) -> bool:
+def _is_poke_deletion(frames, gap1, gap2) -> bool:
     """Whether two gaps (position, passage, next position, passage) flanked by
     the same two crossings hold a cancelling pair: four distinct passages, one
     gap over both crossings and the other under both (R2del) or all four
-    virtual (VR2del), and frames read from gap1 opposite."""
+    virtual (VR2del), and frames read from gap1 opposite.  `frames` is the
+    diagram's frame table."""
     (s1, p1, t1, q1), (s2, p2, t2, q2) = gap1, gap2
-    if {s1, t1} & {s2, t2} or ({p1.role, q1.role}, {p2.role, q2.role}) not in _CANCELLING_ROLES:
+    r1, r2 = p1.role, p2.role
+    if q1.role is not r1 or q2.role is not r2 or s1 in (s2, t2) or t1 in (s2, t2):
         return False
-    return d.frame(p1.crossing, s1) == -d.frame(q1.crossing, t1)
+    return (r1, r2) in _CANCELLING_ROLES and frames[s1[0]][s1[1]] == -frames[t1[0]][t1[1]]
 
 
 def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
@@ -339,7 +378,7 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
     if not kinds:
         return {}
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
-    by_pair: dict[frozenset, list] = {}
+    by_pair: dict[tuple[int, int], list] = {}  # keyed by the sorted crossing ids
     for ci, comp in enumerate(d.components):
         L = len(comp)
         if L < 2:
@@ -347,18 +386,20 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
         for g in range(L):
             h = (g + 1) % L
             p, q = comp[g], comp[h]
-            if p.crossing != q.crossing:
-                by_pair.setdefault(frozenset((p.crossing, q.crossing)), []).append(
+            a, b = p.crossing, q.crossing
+            if a != b:
+                by_pair.setdefault((a, b) if a < b else (b, a), []).append(
                     ((ci, g), p, (ci, h), q)
                 )
             elif L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
-                kind = "VR1del" if d.crossings[p.crossing].virtual else "R1del"
+                kind = "VR1del" if d.crossings[a].virtual else "R1del"
                 if kind in out:
                     out[kind].append(MoveSite(kind, (), (ci, g)))
+    frames = d._frames
     for gaps in by_pair.values():
         for gap1, gap2 in combinations(gaps, 2):
             kind = "VR2del" if d.crossings[gap1[1].crossing].virtual else "R2del"
-            if kind in out and _is_poke_deletion(d, gap1, gap2):
+            if kind in out and _is_poke_deletion(frames, gap1, gap2):
                 out[kind].append(MoveSite(kind, (), (gap1[0], gap2[0])))
     return out
 
@@ -370,9 +411,10 @@ def _facial_trios(d: Diagram, cycles):
     """Gap records (ci, g, p, q) of the triangular faces among a diagram's face
     cycles: 3-dart faces whose three distinct edges join three distinct
     crossings.  Consecutive darts of a face meet at a corner, so three
-    distinct crossings make the edges distinct as well.  A slide is only geometric when its three bound edges border a
-    common empty triangle of the embedding; the role and sign patterns alone
-    cannot see strands threaded through the corner vertices.
+    distinct crossings make the edges distinct as well.  A slide is only
+    geometric when its three bound edges border a common empty triangle of
+    the embedding; the role and sign patterns alone cannot see strands
+    threaded through the corner vertices.
 
     Each edge set is listed once, ordered by its lowest edge (ci, g), then by
     the edge that shares that lowest edge's first crossing comp[g].crossing,
@@ -398,14 +440,15 @@ def _match_triangle(d: Diagram, trio, families):
     """Yield (family, template index, strand assignment) for every way the
     three bound gaps fit a slide template of one of the families."""
     cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
-    gaps = (
-        tuple(
-            (cids.index(r.crossing), r.role.value, d.frame(r.crossing, pos))
-            for r, pos in ((p, (ci, g)), (q, (ci, (g + 1) % len(d.components[ci]))))
-        )
+    number = {c: k for k, c in enumerate(cids)}
+    frames = d._frames
+    # `_value_` is the role character; `.value` reads it through a descriptor.
+    gaps = sorted(
+        ((number[p.crossing], p.role._value_, frames[ci][g]),
+         (number[q.crossing], q.role._value_, frames[ci][(g + 1) % len(frames[ci])]))
         for ci, g, p, q in trio
     )
-    for fam, ti, perm in _triangle_table().get(tuple(sorted(gaps)), ()):
+    for fam, ti, perm in _triangle_table().get(tuple(gaps), ()):
         if fam in families:
             yield fam, ti, tuple(cids[i] for i in perm)
 
@@ -440,7 +483,7 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
         cid = d.components[ci][i].crossing
         if d.crossings[cid].virtual:
             first = min(d.passage_index[cid], key=lambda pos: moved.get(pos, pos))
-            records[cid] = CrossingRecord(cid, True, d.frame(cid, first))
+            records[cid] = CrossingRecord(cid, True, d._frames[first[0]][first[1]])
     edits = {pos: (d.components[ci][i],) for pos, (ci, i) in moved.items()}
     return _rewrite(d, edits, records)
 
@@ -479,13 +522,13 @@ class _Insertions(Sequence):
 def _insertions(d: Diagram, kinds, cycles) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
-    face cycles for a poke."""
+    face cycles for a poke, the candidates counted per cycle."""
     gaps = (
         [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(1, len(comp)))]
         if kinds - _POKE_KINDS
         else ()
     )
-    pokes = _poke_candidates(cycles) if kinds & _POKE_KINDS else ()
+    pokes = _Pokes(cycles) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 

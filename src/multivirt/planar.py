@@ -8,14 +8,18 @@ frame f read from a,
     f = -1: out-a, in-b,  in-a, out-b
 
 since the frame (direction of a, direction of b) is positively oriented
-exactly when b leaves a quarter turn counterclockwise of a.  `_ccw_ports` is
-the one place this rule is written; face tracing reads it with a, b in
-canonical order, and `realize` with a the over passage, placing a station's
-ports left to right in clockwise order (the reverse of the list above).
+exactly when b leaves a quarter turn counterclockwise of a.  `_ccw_ports`
+writes this rule down; `realize` reads it with a the over passage, placing a
+station's ports left to right in clockwise order (the reverse of the list
+above), and face tracing applies it unrolled, with a, b in canonical order.
 
 Tracing the orbit that leaves each arrival port through the next port
-clockwise walks a face boundary.  One Euler count over the whole 4-valent
-graph, chi = crossings - passages + faces, gives the genus of the carrier
+clockwise walks a face boundary.  `faces` traces integer darts: the dart on
+gap g of component ci is 2 * (offset of ci + g), plus 1 when it runs against
+the strand, so one flat list holds every successor, and each finished cycle
+is turned into the public (component, gap, dir) darts once.  One Euler count
+over the whole 4-valent graph, chi = crossings - passages + faces, gives the
+genus of the carrier
 surface summed over the connected pieces of the graph: pieces - chi / 2,
 since each piece counts 2 - 2g.  Genus 0 means the code is drawable in the
 plane with exactly the recorded virtual crossings.
@@ -41,12 +45,10 @@ def _ccw_ports(a, b, f: int):
 
 
 def _darts(d: Diagram):
-    out = []
-    for ci, comp in enumerate(d.components):
-        for g in range(len(comp)):
-            out.append((ci, g, +1))
-            out.append((ci, g, -1))
-    return out
+    """Every dart in order: component, gap, then +1 before -1.  Integer dart
+    k of `faces` is entry k."""
+    comps = enumerate(d.components)
+    return [(ci, g, s) for ci, comp in comps for g in range(len(comp)) for s in (1, -1)]
 
 
 def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
@@ -54,25 +56,35 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
     darts in `_darts` order (component, gap, then +1 before -1), and the
     cycles come in the order of those first darts."""
     d = checked(d, Diagram, ValidationError, "diagram")
-    # Each arriving dart leaves through the next port clockwise.
-    succ = {}
-    for cid, (a, b) in d.passage_index.items():
-        leaving = []
-        for (ci, i), side in _ccw_ports(a, b, d.frame(cid, a)):
-            g = i if side > 0 else (i - 1) % len(d.components[ci])
-            leaving.append((ci, g, side))
-        for k, (ci, g, side) in enumerate(leaving):
-            succ[(ci, g, -side)] = leaving[k - 1]
+    frames = d._frames
+    # Passage P is offset[ci] + i; prev[P] is 2P' for the passage P' before
+    # it on ci.  Leaving P through its out-port is dart 2P, through its
+    # in-port 2P' + 1, and arriving at either port is the leaving dart ^ 1.
+    offset, prev = [], []
+    for comp in d.components:
+        n = len(prev)
+        offset.append(n)
+        prev += [2 * (n + len(comp) - 1), *range(2 * n, 2 * (n + len(comp) - 1), 2)] if comp else []
+    # The dart arriving at a port of `_ccw_ports(a, b, f)` leaves through the
+    # port before it, written out for f = +1 and f = -1.
+    succ = [0] * (2 * len(prev))
+    for (c1, i1), (c2, i2) in d._passage_index.values():
+        p, q = offset[c1] + i1, offset[c2] + i2
+        a, b, pa, pb = 2 * p, 2 * q, prev[p], prev[q]
+        if frames[c1][i1] > 0:
+            succ[a + 1], succ[pa], succ[b + 1], succ[pb] = pb + 1, b, a, pa + 1
+        else:
+            succ[a + 1], succ[pa], succ[b + 1], succ[pb] = b, pb + 1, pa + 1, a
+    names = _darts(d)
     out = []
-    for start in _darts(d):
-        if start not in succ:
+    for start in range(len(succ)):
+        if succ[start] < 0:  # traced already
             continue
-        cycle = [start]
-        dart = succ.pop(start)
-        while dart != start:
+        cycle, dart = [], start
+        while succ[dart] >= 0:
             cycle.append(dart)
-            dart = succ.pop(dart)
-        out.append(tuple(cycle))
+            succ[dart], dart = -1, succ[dart]
+        out.append(tuple(map(names.__getitem__, cycle)))
     return out
 
 

@@ -40,7 +40,8 @@ def walks():
 
 def digest(final, trace) -> str:
     obj = {"trace": [site.to_json() for site in trace], "final": serialize_vgc(final)}
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:

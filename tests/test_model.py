@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import diagrams
 import multivirt
+from multivirt import catalog
+from multivirt.constructions import multiplex
 from multivirt.errors import (
     BadComponent,
     NotReal,
@@ -215,6 +217,76 @@ class TestFrame:
     def test_position_off_the_crossing_rejected(self, pos):
         with pytest.raises(ValidationError):
             parse_vgc("O1+ V2- U1+ V2-").frame(1, pos)
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            ((Passage(1, Role.OVER),),),
+            ((Passage(1, Role.OVER), Passage(1, Role.UNDER), Passage(1, Role.OVER)),),
+            ((),),
+        ],
+        ids=["passed-once", "passed-three-times", "never-passed"],
+    )
+    def test_unvalidated_diagram_raises_validation_error(self, components):
+        # A crossing not passed twice has no frame to read.
+        d = Diagram(components, {1: CrossingRecord(1, False, 1)})
+        with pytest.raises(ValidationError):
+            d.frame(1, (0, 0))
+        with pytest.raises(UnknownCrossing):
+            d.frame(2, (0, 0))
+        with pytest.raises(UnknownCrossing):
+            d.frame([1], (0, 0))
+        with pytest.raises(ValidationError):
+            d.frame(1, [0, 0])
+
+    def test_another_crossings_position_rejected_on_an_unvalidated_diagram(self):
+        passages = (Passage(1, Role.OVER), Passage(2, Role.OVER))
+        d = Diagram((passages,), {1: CrossingRecord(1, False, 1), 2: CrossingRecord(2, False, 1)})
+        with pytest.raises(ValidationError):
+            d.frame(1, (0, 1))
+
+    @given(diagrams())
+    def test_frame_table_matches_the_first_frame_reader(self, d):
+        for ci, i, p in d.passages():
+            assert d._frames[ci][i] == d.frame(p.crossing, (ci, i)) == _frame_oracle(d, p.crossing, (ci, i))
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_frame_table_matches_the_first_frame_reader_on_multiplexes(self, name, r):
+        L, _ = multiplex(catalog.diagram(name), r)
+        for ci, i, p in L.passages():
+            assert L._frames[ci][i] == _frame_oracle(L, p.crossing, (ci, i))
+
+    def test_frame_table_is_published_whole(self):
+        """Another thread reading the shared table while it is built sees it
+        empty or complete."""
+        d = parse_vgc("O1+ V2- ; U1+ V2- ; .")
+        sizes = []
+
+        def trace(frame, event, arg):
+            if event == "line":
+                sizes.append(len(d._frame_table))
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            table = d._frames
+        finally:
+            sys.settrace(previous)
+        assert table == [[1, -1], [-1, 1], []]
+        assert sizes and set(sizes) <= {0, 3}
+
+
+def _frame_oracle(d, cid, pos):
+    """The first frame reader, kept as an oracle: the stored sign read from
+    the over passage of a real crossing or the first passage of a virtual
+    one, its negative read from the other passage."""
+    rec = d.crossings[cid]
+    a, b = d.passage_index[cid]
+    if not rec.virtual and d.components[a[0]][a[1]].role is not Role.OVER:
+        a = b
+    return rec.sign if pos == a else -rec.sign
 
 
 class TestCanonicalForm:

@@ -516,6 +516,71 @@ def test_non_diagram_rejected(call, args):
         call(*args)
 
 
+def _poke_candidates(cycles):
+    """The poke candidates as first listed, kept as an oracle: ordered
+    co-facial dart pairs (d1, d2) within the poke window, d1 and d2 on
+    distinct edges, over the face cycles of a diagram."""
+    out = []
+    for cycle in cycles:
+        size = len(cycle)
+        for i in range(size):
+            for w in range(1, min(moves._POKE_WINDOW, size - 1) + 1):
+                d1 = cycle[i]
+                d2 = cycle[(i + w) % size]
+                if d1[:2] != d2[:2]:
+                    out.append((d1, d2))
+    return out
+
+
+def _assert_pokes_match_the_oracle(d):
+    cycles = faces(d)
+    pokes, want = moves._Pokes(cycles), _poke_candidates(cycles)
+    assert len(pokes) == len(want)
+    assert list(pokes) == want
+    assert [pokes[k] for k in range(-len(want), len(want))] == want + want
+    for k, (d1, d2) in enumerate(want):
+        assert pokes.index((d1, d2)) == k
+        # A neighbouring gap is a candidate only if the oracle lists it.
+        for near in ((d1, (d2[0], d2[1] + 1, d2[2])), ((d1[0], d1[1] + 1, d1[2]), d2)):
+            if near in want:
+                assert pokes.index(near) == want.index(near)
+            else:
+                with pytest.raises(ValueError):
+                    pokes.index(near)
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            pokes[k]
+
+
+@given(diagrams())
+@example(parse_vgc("O1+ U1+"))
+@example(parse_vgc("U1- ; O1-"))
+@example(parse_vgc("."))
+def test_counted_pokes_match_the_listing_oracle(d):
+    _assert_pokes_match_the_oracle(d)
+
+
+def test_poke_filter_drops_pairs_along_one_edge():
+    # One 4-dart face runs along both edges twice: of its 8 pairs in the
+    # window, the 4 at distance 2 lie on one edge.
+    d = parse_vgc("U1- ; O1-")
+    assert [len(cycle) for cycle in faces(d)] == [4]
+    assert len(moves._Pokes(faces(d))) == 4
+    sizes = sorted(len(cycle) for cycle in faces(parse_vgc("O1+ U1+")))
+    assert sizes == [1, 1, 2]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_counted_pokes_match_the_listing_oracle_on_walks(name):
+    for seed in range(2):
+        _, trace = random_walk(catalog.diagram(name), 30, seed)
+        cur = catalog.diagram(name)
+        for site in trace:
+            cur = apply_move(cur, site)
+            cycles = faces(cur)
+            assert list(moves._Pokes(cycles)) == _poke_candidates(cycles)
+
+
 class TestRandomWalk:
     def test_zero_steps(self, trefoil):
         out, trace = random_walk(trefoil, 0, seed=1)
