@@ -82,9 +82,12 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
             continue
         cycle, dart = [], start
         while succ[dart] >= 0:
-            cycle.append(dart)
+            cycle.append(names[dart])
             succ[dart], dart = -1, succ[dart]
-        out.append(tuple(map(names.__getitem__, cycle)))
+        # From a list of known length: tuple() over an iterator starts from a
+        # 10-slot tuple and resizes it, so freed cycles would pile up in the
+        # interpreter's per-size tuple free lists and raise the peak RSS.
+        out.append(tuple(cycle))
     return out
 
 
