@@ -19,10 +19,9 @@ gap g of component ci is 2 * (offset of ci + g), plus 1 when it runs against
 the strand, so one flat list holds every successor, and each finished cycle
 is turned into the public (component, gap, dir) darts once.  One Euler count
 over the whole 4-valent graph, chi = crossings - passages + faces, gives the
-genus of the carrier
-surface summed over the connected pieces of the graph: pieces - chi / 2,
-since each piece counts 2 - 2g.  Genus 0 means the code is drawable in the
-plane with exactly the recorded virtual crossings.
+genus of the carrier surface summed over the connected pieces of the graph:
+pieces - chi / 2, since each piece counts 2 - 2g.  Genus 0 means the code is
+drawable in the plane with exactly the recorded virtual crossings.
 """
 
 from __future__ import annotations
