@@ -1,12 +1,21 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import diagrams
 from multivirt import catalog
-from multivirt.constructions import covering, extract_component, multiplex
-from multivirt.errors import BadComponent, BadR, NotAKnot, ValidationError
+from multivirt.constructions import (
+    _SHIFT_ORIENTATION,
+    Provenance,
+    covering,
+    extract_component,
+    multiplex,
+)
+from multivirt.errors import BadComponent, BadR, NotAKnot, ValidationError, checked
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
-from multivirt.model import canonical_form, parse_vgc, serialize_vgc
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, canonical_form, parse_vgc, serialize_vgc
 from multivirt.planar import genus
 
 
@@ -187,3 +196,136 @@ class TestLinkingIdentity:
                     )
                     assert rep.lk[i][j] == want
             assert all(v == 0 for v in rep.lam)
+
+
+def _multiplex_oracle(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
+    """The first `multiplex`, kept as an oracle: every passage goes through
+    `emit`, which looks its slot up by a tuple key."""
+    d = checked(d, Diagram, ValidationError, "diagram")
+    if d.n_components() != 1:
+        raise NotAKnot("multiplexing is defined for one-component diagrams")
+    r = checked(r, int, BadR, "r")
+    if r < 2:
+        raise BadR(f"need r >= 2, got {r}")
+    if d.crossings and genus(d) != 0:
+        warnings.warn(
+            "multiplexing an abstract (positive genus) code; "
+            "identities tied to planarity are not guaranteed",
+            stacklevel=2,
+        )
+
+    comp, frames = d.components[0], d._frames[0]
+    m = len(comp)
+    crossings: dict[int, CrossingRecord] = {}
+    crossing_map: dict[int, tuple] = {}
+    slot_ids: dict[tuple, int] = {}
+    out_components: list[list[Passage]] = []
+    edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
+    for ell in range(1, r + 1):
+        cur = ell
+        trace: list[Passage] = []
+
+        def emit(key: tuple, role: Role, sign: int) -> None:
+            # Passages are emitted in canonical order, so the first emission
+            # of a slot is its first passage and `sign`, the frame read from
+            # it (the source sign for a diagonal crossing), fixes its record.
+            cid = slot_ids.get(key)
+            if cid is None:
+                cid = slot_ids[key] = len(slot_ids) + 1
+                crossings[cid] = CrossingRecord(cid, role is Role.THROUGH, sign)
+                crossing_map[cid] = key
+            trace.append(Passage(cid, role))
+
+        # A passage rides bundle 1 when it is the over passage of a real
+        # crossing or the first passage of a virtual one, that is when the
+        # frame f read from it is the stored sign.  It meets the other
+        # bundle's copies in the order f fixes, and every intersection keeps
+        # the frame f read from it; only the diagonal intersection of a real
+        # tile keeps the passage's role.
+        for t, p in enumerate(comp):
+            rec = d.crossings[p.crossing]
+            f = frames[t]
+            on_a = f == rec.sign
+            for o in range(1, r + 1) if f > 0 else range(r, 0, -1):
+                a, b = (cur, o) if on_a else (o, cur)
+                if a == b and not rec.virtual:
+                    emit(("diag", p.crossing, a), p.role, rec.sign)
+                else:
+                    emit(("off", p.crossing, a, b), Role.THROUGH, f)
+            if rec.virtual:
+                # The mover crosses the rest of its bundle with frame -s.
+                s = -f * _SHIFT_ORIENTATION
+                bundle = 1 if on_a else 2
+                if cur == (r if s > 0 else 1):
+                    for q in range(r - 1, 0, -1) if s > 0 else range(2, r + 1):
+                        emit(("shift", p.crossing, bundle, q), Role.THROUGH, -s)
+                else:
+                    emit(("shift", p.crossing, bundle, cur), Role.THROUGH, s)
+                cur = (cur - 1 + s) % r + 1
+            edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
+        if m == 0:
+            edge_map[(0, ell)] = (ell - 1, None)
+        assert cur == ell, "bundle shifts around the circle must cancel"
+        out_components.append(trace)
+
+    out = Diagram(tuple(tuple(c) for c in out_components), crossings)
+    out.validate()
+    prov = Provenance(
+        r=r,
+        crossing_map=crossing_map,
+        edge_map=edge_map,
+        component_map={i: i for i in range(1, r + 1)},
+    )
+    return out, prov
+
+
+def _extract_oracle(d: Diagram, i: int) -> Diagram:
+    """The first `extract_component`, kept as an oracle: a set of the kept
+    crossings, then a second pass over the component."""
+    d = checked(d, Diagram, ValidationError, "diagram")
+    i = checked(i, int, BadComponent, "component index")
+    if not 1 <= i <= d.n_components():
+        raise BadComponent(f"component {i} of {d.n_components()}")
+    ci = i - 1
+    pos = d.passage_index
+    keep = {
+        p.crossing for p in d.components[ci] if all(cj == ci for cj, _ in pos[p.crossing])
+    }
+    comp = tuple(p for p in d.components[ci] if p.crossing in keep)
+    crossings = {cid: d.crossings[cid] for cid in keep}
+    out = Diagram((comp,), crossings)
+    out.validate()
+    return out
+
+
+def _assert_same_multiplex(d: Diagram, r: int) -> None:
+    """`multiplex` and `extract_component` give what their oracles give.  The
+    multiplex is compared with every dict in its insertion order.  An
+    extracted component's crossing table is compared as a dict: the oracle
+    files it in the iteration order of a set of ids, which is an artifact
+    of hashing that no caller reads."""
+    got, prov = multiplex(d, r)
+    want, want_prov = _multiplex_oracle(d, r)
+    assert got.components == want.components
+    assert list(got.crossings.items()) == list(want.crossings.items())
+    assert prov == want_prov
+    for name in ("crossing_map", "edge_map", "component_map"):
+        assert list(getattr(prov, name).items()) == list(getattr(want_prov, name).items())
+    for i in range(1, r + 1):
+        piece, want_piece = extract_component(got, i), _extract_oracle(want, i)
+        assert piece.components == want_piece.components
+        assert piece.crossings == want_piece.crossings
+
+
+class TestAgainstTheOracles:
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_catalog_multiplexes(self, name, r):
+        _assert_same_multiplex(catalog.diagram(name), r)
+
+    @settings(deadline=None)
+    @given(diagrams(max_components=1), st.integers(2, 5))
+    def test_random_knots(self, d, r):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "multiplexing an abstract")
+            _assert_same_multiplex(d, r)

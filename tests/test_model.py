@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import sys
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from multivirt.errors import (
     ValidationError,
 )
 from multivirt.model import (
+    _PASSES,
     CrossingRecord,
     Diagram,
     Granularity,
@@ -276,6 +279,143 @@ class TestFrame:
             sys.settrace(previous)
         assert table == [[1, -1], [-1, 1], []]
         assert sizes and set(sizes) <= {0, 3}
+
+
+def _validate_oracle(self) -> None:
+    """The first `Diagram.validate`, kept as an oracle: it builds the list of
+    roles of every crossing and looks it up among the passing patterns."""
+    try:
+        index = self._passage_index
+        for cid, ps in index.items():
+            rec = self.crossings.get(cid)
+            if not isinstance(rec, CrossingRecord) or rec.cid != cid:
+                raise ValidationError(f"crossing {cid!r} has no record filed under its id")
+            if not isinstance(cid, int) or cid < 1:
+                raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
+            if rec.sign not in (+1, -1):
+                raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
+            roles = [self.components[ci][i].role for ci, i in ps]
+            if roles not in _PASSES.get(rec.virtual, ()):
+                raise ValidationError(
+                    f"crossing {cid} must be passed once Over and once Under (real)"
+                    " or twice Through (virtual)"
+                )
+        # Every passed crossing has its record, so any other record is unused.
+        if len(self.crossings) != len(index):
+            unused = [cid for cid in self.crossings if cid not in index]
+            raise ValidationError(f"crossings recorded but never passed: {unused!r}")
+    except (AttributeError, TypeError):
+        raise ValidationError(
+            "components must be sequences of passages and crossings a dict of records"
+        ) from None
+
+
+def _verdicts(components, crossings):
+    """The message `validate` and its oracle raise on fresh diagrams built
+    from these parts, or None when they accept."""
+    out = []
+    for check in (Diagram.validate, _validate_oracle):
+        parts = [list(c) for c in components], dict(crossings) if isinstance(crossings, dict) else crossings
+        d = Diagram(tuple(tuple(c) for c in parts[0]), parts[1])
+        try:
+            check(d)
+        except ValidationError as e:
+            out.append(str(e))
+        else:
+            out.append(None)
+    return out
+
+
+# Crossing 1 is real, 3 virtual; on one circle, and on two.
+_HOSTS = ("O1+ V3- O2+ U1+ V3- U2+", "O1+ V3- U2+ ; O2+ V3- U1+")
+_ROLE = {"O": Role.OVER, "U": Role.UNDER, "V": Role.THROUGH}
+_FLAGS = [False, True, 1, 1.0, 0, "yes", None, []]
+_NoRole = namedtuple("_NoRole", "crossing")
+
+
+def _parts(code):
+    d = parse_vgc(code)
+    return [list(c) for c in d.components], dict(d.crossings)
+
+
+def _positions(comps, cid):
+    return [(ci, i) for ci, c in enumerate(comps) for i, p in enumerate(c) if p.crossing == cid]
+
+
+class TestValidateAgainstTheOracle:
+    @given(diagrams())
+    def test_valid_diagrams(self, d):
+        assert _verdicts(d.components, d.crossings) == [None, None]
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_and_multiplexes(self, name):
+        d = catalog.diagram(name)
+        assert _verdicts(d.components, d.crossings) == [None, None]
+        if d.n_components() == 1:
+            L, _ = multiplex(d, 3)
+            assert _verdicts(L.components, L.crossings) == [None, None]
+
+    @pytest.mark.parametrize("host", _HOSTS)
+    @pytest.mark.parametrize("flag", _FLAGS, ids=repr)
+    @pytest.mark.parametrize("cid", [1, 3])
+    def test_passed_one_to_three_times_with_any_roles_and_flag(self, host, flag, cid):
+        """Every role word of length 1..3 on a crossing (OO, UU, OV, VO among
+        them), under every `virtual` flag, truthy and falsy alike."""
+        for k in (1, 2, 3):
+            for word in itertools.product("OUV", repeat=k):
+                comps, crossings = _parts(host)
+                (c1, i1), (c2, i2) = _positions(comps, cid)
+                del comps[c2][i2]
+                del comps[c1][i1]
+                # Put the passages back at the first position, in order.
+                comps[c1][i1:i1] = [Passage(cid, _ROLE[x]) for x in word]
+                crossings[cid] = CrossingRecord(cid, flag, crossings[cid].sign)
+                got, want = _verdicts(comps, crossings)
+                assert got == want, word
+
+    @pytest.mark.parametrize("host", _HOSTS)
+    @pytest.mark.parametrize("cid", [1, 3])
+    @pytest.mark.parametrize("change", [
+        ("sign", 0), ("sign", 2), ("sign", True), ("sign", -1.0),
+        ("id", 0), ("id", -1), ("id", "a"), ("id", 2.0),
+        ("filed", 2), ("filed", 99), ("filed", "a"),
+        ("record", None), ("record", (1, False, 1)), ("record", "missing"),
+        ("unused", 99), ("unused", "a"),
+        ("item", 1), ("item", "O1+"), ("item", (1, Role.OVER)), ("item", None),
+        ("item", CrossingRecord(1, False, 1)), ("item", _NoRole(1)), ("item", _NoRole(3)),
+    ], ids=repr)
+    def test_hostile_mutations(self, host, cid, change):
+        comps, crossings = _parts(host)
+        what, value = change
+        rec = crossings[cid]
+        if what == "sign":
+            crossings[cid] = CrossingRecord(cid, rec.virtual, value)
+        elif what == "id":
+            for ci, i in _positions(comps, cid):
+                comps[ci][i] = Passage(value, comps[ci][i].role)
+            del crossings[cid]
+            crossings[value] = CrossingRecord(value, rec.virtual, rec.sign)
+        elif what == "filed":
+            crossings[cid] = CrossingRecord(value, rec.virtual, rec.sign)
+        elif what == "record":
+            if value == "missing":
+                del crossings[cid]
+            else:
+                crossings[cid] = value
+        elif what == "unused":
+            crossings[value] = CrossingRecord(value, rec.virtual, rec.sign)
+        else:
+            ci, i = _positions(comps, cid)[0]
+            comps[ci][i] = value
+        got, want = _verdicts(comps, crossings)
+        assert got == want
+
+    @pytest.mark.parametrize("crossings", [None, [], "x", ((1, 2),)], ids=repr)
+    def test_crossing_table_of_another_kind(self, crossings):
+        comps, _ = _parts(_HOSTS[0])
+        got, want = _verdicts(comps, crossings)
+        assert got == want
+        assert got is not None
 
 
 def _frame_oracle(d, cid, pos):
