@@ -11,6 +11,11 @@ bundle, by a cyclic relabeling braid of r - 1 virtual self-crossings
 (r^2 + 2r - 2 virtual in total).  Every intersection inside a tile inherits
 the frame orientation of the two source strands.
 
+Each output crossing is made once, at its first passage, in a slot looked up
+by an integer index in a table per source crossing (its r^2 grid slots, then
+its shift slots).  The two passages of a virtual output crossing are one
+shared `Passage` value; `Passage` is frozen, so sharing it is not observable.
+
 The braid orientation is a single global bit: at a virtual tile the bundle
 that the other bundle crosses left to right shifts its copies one step, the
 other bundle shifts the opposite way.  `_SHIFT_ORIENTATION` fixes which step
@@ -24,12 +29,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import BadComponent, BadR, NotAKnot, ValidationError, checked
+from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import crossing_indices
 from .model import CrossingRecord, Diagram, Passage, Role
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
+
+# `multiplex` refuses an output of more passages than this (of more circles,
+# for a crossing-free source) before it allocates any of it.
+MAX_PASSAGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -50,30 +59,21 @@ class Provenance:
 
     def tile_census(self) -> dict[int, dict[str, int]]:
         census: dict[int, dict[str, int]] = {}
-        for _, info in self.crossing_map.items():
-            kind, src = info[0], info[1]
-            c = census.setdefault(src, {"diag": 0, "off": 0, "shift": 0})
-            c[kind] += 1
+        for kind, src, *_ in self.crossing_map.values():
+            census.setdefault(src, {"diag": 0, "off": 0, "shift": 0})[kind] += 1
         return census
 
     def to_json(self) -> dict:
         cmap = {}
         for cid in sorted(self.crossing_map):
-            info = self.crossing_map[cid]
-            if info[0] == "diag":
-                cmap[str(cid)] = {"role": "diagonal", "source": info[1], "copy": info[2]}
-            elif info[0] == "off":
-                cmap[str(cid)] = {
-                    "role": "offdiagonal",
-                    "source": info[1],
-                    "copies": [info[2], info[3]],
-                }
+            kind, src, *at = self.crossing_map[cid]
+            if kind == "diag":
+                cmap[str(cid)] = {"role": "diagonal", "source": src, "copy": at[0]}
+            elif kind == "off":
+                cmap[str(cid)] = {"role": "offdiagonal", "source": src, "copies": at}
             else:
                 cmap[str(cid)] = {
-                    "role": "bundle_shift",
-                    "source": info[1],
-                    "bundle": info[2],
-                    "position": info[3],
+                    "role": "bundle_shift", "source": src, "bundle": at[0], "position": at[1]
                 }
         emap = [
             {
@@ -93,7 +93,10 @@ class Provenance:
 
 
 def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
-    """Build the r-component multiplexed link of a knot diagram, with provenance."""
+    """Build the r-component multiplexed link of a knot diagram, with provenance.
+
+    Raises TooLarge when the link would have more than MAX_PASSAGES passages,
+    or a crossing-free source more than MAX_PASSAGES circles."""
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
@@ -108,27 +111,27 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         )
 
     comp, frames = d.components[0], d._frames[0]
-    m = len(comp)
+    m, rr, through = len(comp), r * r, Role.THROUGH
+    # Each source passage meets r copies on each of r circles, and a virtual
+    # one adds 2(r - 1) shift passages in all.
+    size = m * rr + 2 * (r - 1) * sum(p.role is through for p in comp) if m else r
+    if size > MAX_PASSAGES:
+        raise TooLarge(f"{r}-fold multiplex: {size} passages or circles, over {MAX_PASSAGES}")
+
     crossings: dict[int, CrossingRecord] = {}
     crossing_map: dict[int, tuple] = {}
-    slot_ids: dict[tuple, int] = {}
-    out_components: list[list[Passage]] = []
+    # The slots of a source crossing, in one table of rows of r: grid slot
+    # (a, b) at (a - 1) * r + b - 1, then for a virtual crossing shift slot
+    # (bundle, q) at (r + bundle - 1) * r + q - 1.  A slot holds the output
+    # passage emitted at its first visit.  Passages are emitted in canonical
+    # order, so that visit fixes the id and the record: the frame read there,
+    # or the source sign for a diagonal crossing.
+    tables = {c: [None] * (rr + 2 * r if rec.virtual else rr) for c, rec in d.crossings.items()}
+    out_components: list[tuple[Passage, ...]] = []
     edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
     for ell in range(1, r + 1):
         cur = ell
         trace: list[Passage] = []
-
-        def emit(key: tuple, role: Role, sign: int) -> None:
-            # Passages are emitted in canonical order, so the first emission
-            # of a slot is its first passage and `sign`, the frame read from
-            # it (the source sign for a diagonal crossing), fixes its record.
-            cid = slot_ids.get(key)
-            if cid is None:
-                cid = slot_ids[key] = len(slot_ids) + 1
-                crossings[cid] = CrossingRecord(cid, role is Role.THROUGH, sign)
-                crossing_map[cid] = key
-            trace.append(Passage(cid, role))
-
         # A passage rides bundle 1 when it is the over passage of a real
         # crossing or the first passage of a virtual one, that is when the
         # frame f read from it is the stored sign.  It meets the other
@@ -136,32 +139,45 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         # the frame f read from it; only the diagonal intersection of a real
         # tile keeps the passage's role.
         for t, p in enumerate(comp):
-            rec = d.crossings[p.crossing]
+            c = p.crossing
+            rec = d.crossings[c]
             f = frames[t]
             on_a = f == rec.sign
-            for o in range(1, r + 1) if f > 0 else range(r, 0, -1):
-                a, b = (cur, o) if on_a else (o, cur)
-                if a == b and not rec.virtual:
-                    emit(("diag", p.crossing, a), p.role, rec.sign)
-                else:
-                    emit(("off", p.crossing, a, b), Role.THROUGH, f)
+            row = range((cur - 1) * r, cur * r) if on_a else range(cur - 1, rr, r)
+            runs = [(row if f > 0 else reversed(row), f)]  # slot indices, frame
             if rec.virtual:
-                # The mover crosses the rest of its bundle with frame -s.
+                # The mover crosses the rest of its bundle (q = r - 1..1 or
+                # 2..r) with frame -s, any other copy shifts past one strand.
                 s = -f * _SHIFT_ORIENTATION
-                bundle = 1 if on_a else 2
+                base = rr if on_a else rr + r
                 if cur == (r if s > 0 else 1):
-                    for q in range(r - 1, 0, -1) if s > 0 else range(2, r + 1):
-                        emit(("shift", p.crossing, bundle, q), Role.THROUGH, -s)
+                    qs = range(base + r - 2, base - 1, -1) if s > 0 else range(base + 1, base + r)
+                    runs.append((qs, -s))
                 else:
-                    emit(("shift", p.crossing, bundle, cur), Role.THROUGH, s)
+                    runs.append((range(base + cur - 1, base + cur), s))
                 cur = (cur - 1 + s) % r + 1
+            slots = tables[c]
+            for ks, sign in runs:
+                for k in ks:
+                    op = slots[k]
+                    if op is None:
+                        cid = len(crossings) + 1
+                        a, b = divmod(k, r)
+                        diag = a == b and not rec.virtual
+                        crossings[cid] = CrossingRecord(cid, not diag, rec.sign if diag else sign)
+                        crossing_map[cid] = ("diag", c, a + 1) if diag else (
+                            ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
+                        op = slots[k] = Passage(cid, p.role if diag else through)
+                    elif op.role is not through:
+                        op = Passage(op.crossing, p.role)  # a diagonal's other passage
+                    trace.append(op)
             edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
         if m == 0:
             edge_map[(0, ell)] = (ell - 1, None)
         assert cur == ell, "bundle shifts around the circle must cancel"
-        out_components.append(trace)
+        out_components.append(tuple(trace))
 
-    out = Diagram(tuple(tuple(c) for c in out_components), crossings)
+    out = Diagram(tuple(out_components), crossings)
     out.validate()
     prov = Provenance(
         r=r,
@@ -207,12 +223,15 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     ci = i - 1
-    pos = d.passage_index
-    keep = {
-        p.crossing for p in d.components[ci] if all(cj == ci for cj, _ in pos[p.crossing])
-    }
-    comp = tuple(p for p in d.components[ci] if p.crossing in keep)
-    crossings = {cid: d.crossings[cid] for cid in keep}
-    out = Diagram((comp,), crossings)
+    pos = d._passage_index
+    comp: list[Passage] = []
+    crossings: dict[int, CrossingRecord] = {}
+    for p in d.components[ci]:
+        # Positions are in canonical order: the first and the last bound them.
+        ps = pos[p.crossing]
+        if ps[0][0] == ci == ps[-1][0]:
+            comp.append(p)
+            crossings[p.crossing] = d.crossings[p.crossing]
+    out = Diagram((tuple(comp),), crossings)
     out.validate()
     return out

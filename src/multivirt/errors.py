@@ -53,7 +53,8 @@ class BadMatrix(MultivirtError):
 
 
 class TooLarge(MultivirtError):
-    """Brute-force search space exceeds the configured limit."""
+    """A search space or a construction exceeds its size limit: a brute-force
+    enumeration its `limit`, or a multiplex `constructions.MAX_PASSAGES`."""
 
 
 class MissingProvenance(MultivirtError):

@@ -58,6 +58,8 @@ _PASSES = {
     False: ([Role.OVER, Role.UNDER], [Role.UNDER, Role.OVER]),
     True: ([Role.THROUGH, Role.THROUGH],),
 }
+# Plain names for the roles: reading an attribute of an Enum class is slow.
+_OVER, _UNDER, _THROUGH = Role
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,13 @@ class Diagram:
         - a real crossing is passed once Over and once Under, in either
           order, and a virtual one twice Through;
         - every record in the table is passed.
-        """
+
+        The roles of a crossing with a bool `virtual` flag and two passages
+        are compared by identity; any other flag or count is looked up among
+        the passing patterns, with the same rules, order and messages."""
         try:
             index = self._passage_index
+            comps = self.components
             for cid, ps in index.items():
                 rec = self.crossings.get(cid)
                 if not isinstance(rec, CrossingRecord) or rec.cid != cid:
@@ -207,8 +213,15 @@ class Diagram:
                     raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
                 if rec.sign not in (+1, -1):
                     raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
-                roles = [self.components[ci][i].role for ci, i in ps]
-                if roles not in _PASSES.get(rec.virtual, ()):
+                v = rec.virtual
+                if (v is True or v is False) and len(ps) == 2:
+                    (c1, i1), (c2, i2) = ps
+                    x, y = comps[c1][i1].role, comps[c2][i2].role
+                    real = x is _OVER and y is _UNDER or x is _UNDER and y is _OVER
+                    ok = x is y is _THROUGH if v else real
+                else:
+                    ok = [comps[ci][i].role for ci, i in ps] in _PASSES.get(v, ())
+                if not ok:
                     raise ValidationError(
                         f"crossing {cid} must be passed once Over and once Under (real)"
                         " or twice Through (virtual)"

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagrams
-from multivirt import catalog
+from multivirt import catalog, verify_theorems
 from multivirt.constructions import (
     _SHIFT_ORIENTATION,
+    MAX_PASSAGES,
     Provenance,
     covering,
     extract_component,
     multiplex,
 )
-from multivirt.errors import BadComponent, BadR, NotAKnot, ValidationError, checked
+from multivirt.errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, canonical_form, parse_vgc, serialize_vgc
 from multivirt.planar import genus
@@ -93,6 +94,26 @@ class TestMultiplexCounts:
         with pytest.raises(BadR):
             multiplex(trefoil, True)
 
+    # Unguarded, both emitted passages until memory ran out.
+    @pytest.mark.parametrize("name", ["unknot", "trefoil", "asym3"])
+    def test_oversized_r_refused_before_building(self, name):
+        with pytest.raises(TooLarge):
+            multiplex(catalog.diagram(name), 10**30)
+
+    def test_oversized_r_refused_by_verify(self):
+        with pytest.raises(TooLarge):
+            verify_theorems(r_range=[10**30])
+
+    def test_size_limit_counts_passages_or_circles(self):
+        d = catalog.diagram("vtrefoil")  # 6 passages, 2 of them virtual
+        r = 408  # 6 r^2 + 4 (r - 1) = 1 000 412 passages
+        with pytest.raises(TooLarge, match="1000412 passages"):
+            multiplex(d, r)
+        out, _ = multiplex(d, 16)
+        assert out.n_passages() == 6 * 16**2 + 4 * 15
+        with pytest.raises(TooLarge, match="circles"):
+            multiplex(parse_vgc("."), MAX_PASSAGES + 1)
+
     def test_abstract_input_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -160,6 +181,15 @@ class TestExtraction:
         want = canonical_form(covering(d, r))
         for i in range(1, r + 1):
             assert canonical_form(extract_component(out, i)) == want
+
+    @pytest.mark.parametrize("name", ["vtrefoil", "index2", "asym3"])
+    def test_crossings_filed_in_first_appearance_order(self, name):
+        """As parsing the component's VGC text files them."""
+        out, _ = multiplex(catalog.diagram(name), 5)
+        for i in range(1, 6):
+            piece = extract_component(out, i)
+            again = parse_vgc(serialize_vgc(piece))
+            assert list(piece.crossings.items()) == list(again.crossings.items())
 
     def test_self_crossing_census(self):
         d = catalog.diagram("kishino")
