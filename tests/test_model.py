@@ -315,8 +315,8 @@ def _verdicts(components, crossings):
     from these parts, or None when they accept."""
     out = []
     for check in (Diagram.validate, _validate_oracle):
-        parts = [list(c) for c in components], dict(crossings) if isinstance(crossings, dict) else crossings
-        d = Diagram(tuple(tuple(c) for c in parts[0]), parts[1])
+        table = dict(crossings) if isinstance(crossings, dict) else crossings
+        d = Diagram(tuple(tuple(c) for c in components), table)
         try:
             check(d)
         except ValidationError as e:
