@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from itertools import combinations, permutations, product
 
 import pytest
@@ -349,10 +350,15 @@ def _match_triangle_oracle(d, trio):
                     yield fam, ti, perm
 
 
+def _trios(d):
+    """The facial trios of a diagram, as the site search reads them."""
+    return _facial_trios(d, faces(d))
+
+
 @given(diagrams(max_real=5, max_virtual=4))
 @example(parse_vgc(SHARED_LOWEST_EDGE))
 def test_triangle_matcher_agrees_with_the_first_matcher(d):
-    for trio in _facial_trios(d, faces(d)):
+    for trio in _trios(d):
         want = list(_match_triangle_oracle(d, trio))
         assert list(_match_triangle(d, trio, TRIANGLE_KINDS)) == want
 
@@ -364,7 +370,7 @@ def test_triangle_matcher_agrees_with_the_first_matcher_on_walks(name):
         cur = catalog.diagram(name)
         for site in trace:
             cur = apply_move(cur, site)
-            for trio in _facial_trios(cur, faces(cur)):
+            for trio in _trios(cur):
                 want = list(_match_triangle_oracle(cur, trio))
                 assert list(_match_triangle(cur, trio, TRIANGLE_KINDS)) == want
 
@@ -429,6 +435,115 @@ def test_deletion_sites_match_a_brute_force_on_walks(name):
             cur = apply_move(cur, site)
             sites = find_moves(cur, DELETION_KINDS)
             assert sorted(sites, key=_by_kind_and_locus) == _brute_force_deletion_sites(cur)
+
+
+_ORACLE_CANCELLING_ROLES = (
+    (Role.OVER, Role.UNDER),
+    (Role.UNDER, Role.OVER),
+    (Role.THROUGH, Role.THROUGH),
+)
+
+
+def _is_poke_deletion_oracle(frames, gap1, gap2) -> bool:
+    """The cancelling-pair test of the first sweep, kept for its oracle."""
+    (s1, p1, t1, q1), (s2, p2, t2, q2) = gap1, gap2
+    r1, r2 = p1.role, p2.role
+    if q1.role is not r1 or q2.role is not r2 or s1 in (s2, t2) or t1 in (s2, t2):
+        return False
+    return (r1, r2) in _ORACLE_CANCELLING_ROLES and frames[s1[0]][s1[1]] == -frames[t1[0]][t1[1]]
+
+
+def _deletions_oracle(d, kinds):
+    """The first one-sweep deletion search, kept as an oracle for the order of
+    the sites: it files every gap flanked by two crossings, whatever the
+    roles of its flanks, under the sorted pair of their ids."""
+    if not kinds:
+        return {}
+    out = {k: [] for k in kinds}
+    by_pair = {}
+    for ci, comp in enumerate(d.components):
+        L = len(comp)
+        if L < 2:
+            continue
+        for g in range(L):
+            h = (g + 1) % L
+            p, q = comp[g], comp[h]
+            a, b = p.crossing, q.crossing
+            if a != b:
+                by_pair.setdefault((a, b) if a < b else (b, a), []).append(
+                    ((ci, g), p, (ci, h), q)
+                )
+            elif L > 2 or g == 0:
+                kind = "VR1del" if d.crossings[a].virtual else "R1del"
+                if kind in out:
+                    out[kind].append(MoveSite(kind, (), (ci, g)))
+    frames = d._frames
+    for gaps in by_pair.values():
+        for gap1, gap2 in combinations(gaps, 2):
+            kind = "VR2del" if d.crossings[gap1[1].crossing].virtual else "R2del"
+            if kind in out and _is_poke_deletion_oracle(frames, gap1, gap2):
+                out[kind].append(MoveSite(kind, (), (gap1[0], gap2[0])))
+    return out
+
+
+def _assert_deletions_match_the_oracle(d, kinds=DELETION_KINDS):
+    kinds = set(kinds)
+    want = _deletions_oracle(d, kinds)
+    assert moves._deletions(d, kinds) == want
+    assert list(find_moves(d, kinds)) == [s for k in MOVE_KINDS if k in kinds for s in want[k]]
+
+
+# Gaps that pair crossings 1 and 2 with flanks of two roles: a run of three
+# such gaps inside a longer circle, and circles whose four gaps all pair them,
+# the first gap's flanks of two roles or of one.
+_PAIR_RUNS = (
+    "O3+ O1+ U2- U1+ O2- U3+",
+    "O3+ O1+ U2+ U1+ O2+ U3+ ; V4+ V4+",
+    "V5+ O4- O1+ U2- U1+ O2- U4- V5+",
+    "O1+ U2- U1+ O2-",
+    "O2- U1+ U2- O1+",
+    "U1+ U2- O1+ O2-",
+    "O1+ U2- U1+ O2- ; O3+ O4- U4- U3+",
+    "O4- U3+ ; O2- U1+ U2- O1+ ; O3+ U4-",
+)
+
+
+@given(diagrams(), st.sets(st.sampled_from(DELETION_KINDS)))
+@example(parse_vgc(_PAIR_RUNS[0]), set(DELETION_KINDS))
+@example(parse_vgc(_PAIR_RUNS[3]), set(DELETION_KINDS))
+@example(parse_vgc(_PAIR_RUNS[4]), {"R2del"})
+def test_deletion_sites_keep_the_order_of_the_first_sweep(d, kinds):
+    _assert_deletions_match_the_oracle(d, kinds)
+
+
+@pytest.mark.parametrize("code", _PAIR_RUNS)
+def test_deletion_order_on_runs_of_gaps_that_pair_two_crossings(code):
+    _assert_deletions_match_the_oracle(parse_vgc(code))
+
+
+def test_four_gaps_on_one_pair_give_one_cancelling_pair():
+    assert [s.locus for s in find_moves(parse_vgc("O1+ U2- U1+ O2-"), {"R2del"})] == [
+        ((0, 1), (0, 3))
+    ]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_deletion_order_on_walks(name):
+    for seed in range(2):
+        _, trace = random_walk(catalog.diagram(name), 30, seed)
+        cur = catalog.diagram(name)
+        for site in trace:
+            cur = apply_move(cur, site)
+            _assert_deletions_match_the_oracle(cur)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names() if catalog.diagram(n).n_components() == 1])
+def test_deletion_order_on_multiplexes(name):
+    for r in (2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "multiplexing an abstract")
+            L, _ = multiplex(catalog.diagram(name), r)
+        _assert_deletions_match_the_oracle(L)
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -532,9 +647,18 @@ def _poke_candidates(cycles):
     return out
 
 
+def _pokes(d):
+    """The poke candidates of a diagram, as the site search counts them."""
+    return moves._Pokes(faces(d))
+
+
+def _listed_cycles(d):
+    """Indices of the face cycles whose poke candidates are listed, not counted."""
+    return set(_pokes(d).listed)
+
+
 def _assert_pokes_match_the_oracle(d):
-    cycles = faces(d)
-    pokes, want = moves._Pokes(cycles), _poke_candidates(cycles)
+    pokes, want = _pokes(d), _poke_candidates(faces(d))
     assert len(pokes) == len(want)
     assert list(pokes) == want
     assert [pokes[k] for k in range(-len(want), len(want))] == want + want
@@ -565,9 +689,29 @@ def test_poke_filter_drops_pairs_along_one_edge():
     # window, the 4 at distance 2 lie on one edge.
     d = parse_vgc("U1- ; O1-")
     assert [len(cycle) for cycle in faces(d)] == [4]
-    assert len(moves._Pokes(faces(d))) == 4
+    assert len(_pokes(d)) == 4
     sizes = sorted(len(cycle) for cycle in faces(parse_vgc("O1+ U1+")))
     assert sizes == [1, 1, 2]
+
+
+def _cycles_along_an_edge_twice(d):
+    """The first rule for a listed cycle: fewer distinct edges than darts."""
+    return {c for c, cycle in enumerate(faces(d)) if len({dart[:2] for dart in cycle}) < len(cycle)}
+
+
+@given(diagrams())
+@example(parse_vgc("O1+ U1+"))
+@example(parse_vgc("U1- ; O1-"))
+@example(parse_vgc("."))
+def test_listed_poke_cycles_are_those_along_an_edge_twice(d):
+    assert _listed_cycles(d) == _cycles_along_an_edge_twice(d)
+
+
+def test_listed_poke_cycles_on_the_smallest_cases():
+    # The kink's 2-dart face runs along both of its edges once each; the
+    # 4-dart face of two circles through one crossing runs along both twice.
+    assert _listed_cycles(parse_vgc("O1+ U1+")) == set()
+    assert _listed_cycles(parse_vgc("U1- ; O1-")) == {0}
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -577,8 +721,8 @@ def test_counted_pokes_match_the_listing_oracle_on_walks(name):
         cur = catalog.diagram(name)
         for site in trace:
             cur = apply_move(cur, site)
-            cycles = faces(cur)
-            assert list(moves._Pokes(cycles)) == _poke_candidates(cycles)
+            assert list(_pokes(cur)) == _poke_candidates(faces(cur))
+            assert _listed_cycles(cur) == _cycles_along_an_edge_twice(cur)
 
 
 class TestRandomWalk:
