@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import crossing_indices
-from .model import CrossingRecord, Diagram, Passage, Role
+from .model import _THROUGH, CrossingRecord, Diagram, Passage
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -111,10 +111,10 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         )
 
     comp, frames = d.components[0], d._frames[0]
-    m, rr, through = len(comp), r * r, Role.THROUGH
+    m, rr = len(comp), r * r
     # Each source passage meets r copies on each of r circles, and a virtual
     # one adds 2(r - 1) shift passages in all.
-    size = m * rr + 2 * (r - 1) * sum(p.role is through for p in comp) if m else r
+    size = m * rr + 2 * (r - 1) * sum(p.role is _THROUGH for p in comp) if m else r
     if size > MAX_PASSAGES:
         raise TooLarge(f"{r}-fold multiplex: {size} passages or circles, over {MAX_PASSAGES}")
 
@@ -167,8 +167,8 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                         crossings[cid] = CrossingRecord(cid, not diag, rec.sign if diag else sign)
                         crossing_map[cid] = ("diag", c, a + 1) if diag else (
                             ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
-                        op = slots[k] = Passage(cid, p.role if diag else through)
-                    elif op.role is not through:
+                        op = slots[k] = Passage(cid, p.role if diag else _THROUGH)
+                    elif op.role is not _THROUGH:
                         op = Passage(op.crossing, p.role)  # a diagonal's other passage
                     trace.append(op)
             edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
@@ -210,14 +210,15 @@ def covering(d: Diagram, r: int) -> Diagram:
     for cid in to_virtualize:
         a, b = d.passage_index[cid]
         crossings[cid] = CrossingRecord(cid, True, d.frame(cid, a))
-        comp[a[1]] = comp[b[1]] = Passage(cid, Role.THROUGH)
+        comp[a[1]] = comp[b[1]] = Passage(cid, _THROUGH)
     out = Diagram((tuple(comp),), crossings)
     out.validate()
     return out
 
 
 def extract_component(d: Diagram, i: int) -> Diagram:
-    """Keep component `i` (1-based) and only the crossings lying entirely on it."""
+    """Keep component `i` (1-based) and only the crossings lying entirely on it.
+    A kept crossing without a record raises ValidationError."""
     d = checked(d, Diagram, ValidationError, "diagram")
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
@@ -231,7 +232,10 @@ def extract_component(d: Diagram, i: int) -> Diagram:
         ps = pos[p.crossing]
         if ps[0][0] == ci == ps[-1][0]:
             comp.append(p)
-            crossings[p.crossing] = d.crossings[p.crossing]
+            try:
+                crossings[p.crossing] = d.crossings[p.crossing]
+            except KeyError:
+                raise ValidationError(f"crossing {p.crossing!r} has no record") from None
     out = Diagram((tuple(comp),), crossings)
     out.validate()
     return out

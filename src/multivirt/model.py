@@ -147,7 +147,7 @@ class Diagram:
                 (c1, i1), (c2, i2) = ps
                 # Read from the over passage of a real crossing or the first
                 # passage of a virtual one, the frame is the stored sign.
-                f = rec.sign if rec.virtual or comps[c1][i1].role is Role.OVER else -rec.sign
+                f = rec.sign if rec.virtual or comps[c1][i1].role is _OVER else -rec.sign
                 built[c1][i1], built[c2][i2] = f, -f
             # One extend from a finished list: another thread sees it empty or whole.
             table.extend(built)
@@ -185,7 +185,7 @@ class Diagram:
         if rec.virtual:
             raise NotReal(f"crossing {cid} is virtual")
         a, b = self.passage_index[cid]
-        return (a, b) if self.components[a[0]][a[1]].role is Role.OVER else (b, a)
+        return (a, b) if self.components[a[0]][a[1]].role is _OVER else (b, a)
 
     def validate(self) -> None:
         """Raise ValidationError unless every rule of the model holds:
@@ -194,7 +194,7 @@ class Diagram:
           a dict;
         - every crossing passed has a CrossingRecord filed under its own id;
         - every crossing id is an integer >= 1;
-        - every sign is +1 or -1;
+        - every sign is the int +1 or -1 (not True, 1.0 or -1.0);
         - a real crossing is passed once Over and once Under, in either
           order, and a virtual one twice Through;
         - every record in the table is passed.
@@ -211,7 +211,7 @@ class Diagram:
                     raise ValidationError(f"crossing {cid!r} has no record filed under its id")
                 if not isinstance(cid, int) or cid < 1:
                     raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
-                if rec.sign not in (+1, -1):
+                if type(rec.sign) is not int or rec.sign not in (+1, -1):
                     raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
                 v = rec.virtual
                 if (v is True or v is False) and len(ps) == 2:
@@ -259,7 +259,7 @@ def parse_vgc(text: str) -> Diagram:
             if not m:
                 raise ParseError(f"malformed token {token!r}")
             role, cid, sign = Role(m[1]), int(m[2]), +1 if m[3] == "+" else -1
-            rec = crossings.setdefault(cid, CrossingRecord(cid, role is Role.THROUGH, sign))
+            rec = crossings.setdefault(cid, CrossingRecord(cid, role is _THROUGH, sign))
             if rec.sign != sign:
                 raise ValidationError(f"crossing {cid}: mismatched signs")
             passages.append(Passage(cid, role))

@@ -13,14 +13,17 @@ raises `StaleSite` for any other.  The list is counted before it is built:
 the insertion sites of a kind are every variant at every locus, and one is
 built only when it is read, so a walk step draws uniformly over the counted
 list that `find_moves` returns, in its order, and builds only the site it
-applies.  Kink loci are the gaps; poke loci are counted per face cycle like
-the gaps, and a dart pair is built only when it is read.  One sweep over the
-gaps lists the sites of every deletion kind (R1del, VR1del, R2del, VR2del),
-and each triangular face costs one lookup in a table built once from the
-templates and their six labelings, keyed by the pattern of the bound
-triangle with no labeling in it.  The site search reads frames off the
-diagram's frame table and compares roles by identity rather than hashing
-them.
+applies.  Kink loci are the gaps.  Face sites read the integer face cycles
+of `planar._trace`: poke loci are counted from the cycle lengths, a cycle
+that runs along an edge twice (it holds both darts of the edge) is the only
+one listed, and a dart pair is named only when it is read; only the 3-dart
+cycles are named as candidate triangles.  One sweep over the gaps lists the
+sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for
+the cancelling pairs only the gaps whose two flanks share a role, and each
+triangular face costs one lookup in a table built once from the templates
+and their six labelings, keyed by the pattern of the bound triangle with no
+labeling in it.  The site search reads frames off the diagram's frame table
+and compares roles by identity rather than hashing them.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`, which
 builds the rewritten diagram and validates it once: a deletion replaces every
@@ -55,11 +58,12 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
-from .model import CrossingRecord, Diagram, Passage, Role
-from .planar import faces
+from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
+from .planar import _dart_name, _trace
+from .planar import faces  # noqa: F401  not called here; kept readable as `moves.faces`
 
 MOVE_KINDS = (
     "R1+ins",
@@ -289,21 +293,27 @@ class _Pokes(Sequence):
     and d2 on distinct edges, by cycle, then by the position of d1, then by
     the distance to d2.  d1 is the poking strand, d2 the edge poked across.
 
-    A cycle of s darts on distinct edges has s * min(window, s - 1)
-    candidates and is only counted; a cycle that runs along an edge twice is
-    listed.  A candidate is found by bisecting the per-cycle ends."""
+    `traced` is what `planar._trace` returns, integer cycles with their
+    component offsets and dart marks.  A cycle of s darts on distinct edges
+    has s * min(window, s - 1) candidates and is only counted; a cycle runs
+    along edge e twice exactly when it holds both darts 2e and 2e + 1, and
+    such a cycle is listed as integer pairs.  A candidate is found by
+    bisecting the per-cycle ends and named when it is read."""
 
-    def __init__(self, cycles):
-        # ends[c] and ends[c + 1] bound the candidates of cycle c.
-        self.cycles, self.listed, self.ends, n = cycles, {}, [0], 0
-        for c, cycle in enumerate(cycles):
+    def __init__(self, traced):
+        self.cycles, self.offsets, self.marks = traced
+        cycles, marks = self.cycles, self.marks
+        counts = [s * min(_POKE_WINDOW, s - 1) for s in map(len, cycles)]
+        self.listed = {}
+        for c in {~mark for mark, other in zip(marks[::2], marks[1::2]) if mark == other}:
+            cycle = cycles[c]
             s = len(cycle)
             reach = range(1, min(_POKE_WINDOW, s - 1) + 1)
-            if len({dart[:2] for dart in cycle}) < s:
-                pairs = ((cycle[i], cycle[(i + w) % s]) for i in range(s) for w in reach)
-                self.listed[c] = [(d1, d2) for d1, d2 in pairs if d1[:2] != d2[:2]]
-            n += len(self.listed[c]) if c in self.listed else s * len(reach)
-            self.ends.append(n)
+            pairs = ((cycle[i], cycle[(i + w) % s]) for i in range(s) for w in reach)
+            self.listed[c] = [(k1, k2) for k1, k2 in pairs if k1 >> 1 != k2 >> 1]
+            counts[c] = len(self.listed[c])
+        # ends[c] and ends[c + 1] bound the candidates of cycle c.
+        self.ends = [0, *accumulate(counts)]
 
     def __len__(self):
         return self.ends[-1]
@@ -313,18 +323,30 @@ class _Pokes(Sequence):
         c = bisect_right(self.ends, k) - 1
         k -= self.ends[c]
         if c in self.listed:
-            return self.listed[c][k]
-        cycle = self.cycles[c]
-        i, w = divmod(k, min(_POKE_WINDOW, len(cycle) - 1))
-        return cycle[i], cycle[(i + w + 1) % len(cycle)]
+            k1, k2 = self.listed[c][k]
+        else:
+            cycle = self.cycles[c]
+            i, w = divmod(k, min(_POKE_WINDOW, len(cycle) - 1))
+            k1, k2 = cycle[i], cycle[(i + w + 1) % len(cycle)]
+        return _dart_name(self.offsets, k1), _dart_name(self.offsets, k2)
 
     def index(self, pair):
         """Position of the candidate equal to `pair`, looked for among those
         of the one cycle that holds its first dart; ValueError if none is."""
         first = pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None
-        for c, cycle in enumerate(self.cycles):
-            if first in cycle:
-                return super().index(pair, self.ends[c], self.ends[c + 1])
+        if isinstance(first, tuple) and len(first) == 3:
+            ci, g, s = first
+            offsets = self.offsets
+            # range.index finds an entry equal to a float or bool as well.
+            try:
+                ci = range(len(offsets) - 1).index(ci)
+                g = range(offsets[ci + 1] - offsets[ci]).index(g)
+            except ValueError:
+                pass
+            else:
+                if s == 1 or s == -1:
+                    c = ~self.marks[2 * (offsets[ci] + g) + (s == -1)]
+                    return super().index(pair, self.ends[c], self.ends[c + 1])
         raise ValueError(f"{pair!r} is not a poke candidate")
 
 
@@ -338,9 +360,9 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
     # and -dir2 at the second.  A stored sign is the frame read from the over
     # passage, or at a virtual crossing from the first passage, which lies in
     # the earlier of the two gaps.
-    reads_poking = (role1 is not Role.OVER, (c1, g1)) < (role2 is not Role.OVER, (c2, g2))
+    reads_poking = (role1 is not _OVER, (c1, g1)) < (role2 is not _OVER, (c2, g2))
     sign = dir2 if reads_poking else -dir2
-    virtual = role1 is Role.THROUGH
+    virtual = role1 is _THROUGH
     records = {cid: CrossingRecord(cid, virtual, s) for cid, s in zip(cids, (sign, -sign))}
     return _rewrite(d, {**_after(d, c1, g1, pair1), **_after(d, c2, g2, pair2)}, records)
 
@@ -358,23 +380,30 @@ _CANCELLING_ROLES = (
 
 
 def _is_poke_deletion(frames, gap1, gap2) -> bool:
-    """Whether two gaps (position, passage, next position, passage) flanked by
-    the same two crossings hold a cancelling pair: four distinct passages, one
-    gap over both crossings and the other under both (R2del) or all four
-    virtual (VR2del), and frames read from gap1 opposite.  `frames` is the
-    diagram's frame table."""
-    (s1, p1, t1, q1), (s2, p2, t2, q2) = gap1, gap2
-    r1, r2 = p1.role, p2.role
-    if q1.role is not r1 or q2.role is not r2 or s1 in (s2, t2) or t1 in (s2, t2):
+    """Whether two gaps (position, passage, next position, passage), each
+    flanked by two passages of one role and both by the same two crossings,
+    hold a cancelling pair: four distinct passages, one gap over both
+    crossings and the other under both (R2del) or all four virtual (VR2del),
+    and frames read from gap1 opposite.  `frames` is the diagram's frame
+    table."""
+    (s1, p1, t1, _), (s2, p2, t2, _) = gap1, gap2
+    if s1 in (s2, t2) or t1 in (s2, t2):
         return False
-    return (r1, r2) in _CANCELLING_ROLES and frames[s1[0]][s1[1]] == -frames[t1[0]][t1[1]]
+    return (p1.role, p2.role) in _CANCELLING_ROLES and frames[s1[0]][s1[1]] == -frames[t1[0]][t1[1]]
 
 
 def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
     """Deletion sites of the given kinds from one sweep over the gaps.  A kink
     (R1del, VR1del) is a gap flanked twice by one crossing; a cancelling pair
-    (R2del, VR2del) is two gaps loc1 < loc2 flanked by the same two crossings.
-    The kind is read off the crossings."""
+    (R2del, VR2del) is two gaps loc1 < loc2 flanked by the same two crossings,
+    each by two passages of one role, so only such gaps are filed.  The kind
+    is read off the crossings.
+
+    Leaving out the other gaps keeps the order of the sites.  A gap with
+    flanks of two roles, x1 y2, lies between the gaps x2 x1 and y2 y1 of any
+    cancelling pair of its crossings, so it comes first in the sweep only at
+    gap 0, and then the pair's gap y2 y1 is gap 1: the pair is filed before
+    any other pair of crossings either way."""
     if not kinds:
         return {}
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
@@ -388,9 +417,10 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
             p, q = comp[g], comp[h]
             a, b = p.crossing, q.crossing
             if a != b:
-                by_pair.setdefault((a, b) if a < b else (b, a), []).append(
-                    ((ci, g), p, (ci, h), q)
-                )
+                if p.role is q.role:
+                    by_pair.setdefault((a, b) if a < b else (b, a), []).append(
+                        ((ci, g), p, (ci, h), q)
+                    )
             elif L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
                 kind = "VR1del" if d.crossings[a].virtual else "R1del"
                 if kind in out:
@@ -407,11 +437,12 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
 # -- triangle sites ----------------------------------------------------------
 
 
-def _facial_trios(d: Diagram, cycles):
-    """Gap records (ci, g, p, q) of the triangular faces among a diagram's face
-    cycles: 3-dart faces whose three distinct edges join three distinct
-    crossings.  Consecutive darts of a face meet at a corner, so three
-    distinct crossings make the edges distinct as well.  A slide is only
+def _facial_trios(d: Diagram, traced):
+    """Gap records (ci, g, p, q) of the triangular faces among the face cycles
+    that `planar._trace` gives (`traced`): 3-dart faces whose three distinct
+    edges join three distinct crossings.  Consecutive darts of a face meet at
+    a corner, so three distinct crossings make the edges distinct as well,
+    and sorting the integer darts sorts the edges.  A slide is only
     geometric when its three bound edges border a common empty triangle of
     the embedding; the role and sign patterns alone cannot see strands
     threaded through the corner vertices.
@@ -419,12 +450,14 @@ def _facial_trios(d: Diagram, cycles):
     Each edge set is listed once, ordered by its lowest edge (ci, g), then by
     the edge that shares that lowest edge's first crossing comp[g].crossing,
     then by the third edge.  Each trio is sorted by edge."""
+    cycles, offsets, _ = traced
     keyed = {}
     for cycle in cycles:
         if len(cycle) != 3:
             continue
         trio = []
-        for ci, g, _ in sorted(cycle):
+        for k in sorted(cycle):
+            ci, g, _ = _dart_name(offsets, k)
             comp = d.components[ci]
             trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
         if len({c for _, _, p, q in trio for c in (p.crossing, q.crossing)}) != 3:
@@ -453,11 +486,11 @@ def _match_triangle(d: Diagram, trio, families):
             yield fam, ti, tuple(cids[i] for i in perm)
 
 
-def _triangle_sites(d: Diagram, kinds, cycles) -> dict[str, list[MoveSite]]:
+def _triangle_sites(d: Diagram, kinds, traced) -> dict[str, list[MoveSite]]:
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
         return out
-    for trio in _facial_trios(d, cycles):
+    for trio in _facial_trios(d, traced):
         locus = tuple((ci, g) for ci, g, _, _ in trio)
         seen_families = set()
         for fam, ti, perm in _match_triangle(d, trio, kinds):
@@ -519,7 +552,7 @@ class _Insertions(Sequence):
         return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
 
 
-def _insertions(d: Diagram, kinds, cycles) -> dict[str, _Insertions]:
+def _insertions(d: Diagram, kinds, traced) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
     face cycles for a poke, the candidates counted per cycle."""
@@ -528,7 +561,7 @@ def _insertions(d: Diagram, kinds, cycles) -> dict[str, _Insertions]:
         if kinds - _POKE_KINDS
         else ()
     )
-    pokes = _Pokes(cycles) if kinds & _POKE_KINDS else ()
+    pokes = _Pokes(traced) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 
@@ -547,11 +580,11 @@ def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     order: the one definition of a site, shared by find_moves and apply_move.
     Faces are traced at most once, and the gaps are swept once for all
     deletion kinds.  Insertion groups are counted, not built."""
-    cycles = faces(d) if kinds & _FACE_KINDS else ()
+    traced = _trace(d) if kinds & _FACE_KINDS else None
     by_kind = {
-        **_insertions(d, kinds & _VARIANTS.keys(), cycles),
+        **_insertions(d, kinds & _VARIANTS.keys(), traced),
         **_deletions(d, kinds & _DELETION_KINDS),
-        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, cycles),
+        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, traced),
     }
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 

@@ -14,11 +14,14 @@ station's ports left to right in clockwise order (the reverse of the list
 above), and face tracing applies it unrolled, with a, b in canonical order.
 
 Tracing the orbit that leaves each arrival port through the next port
-clockwise walks a face boundary.  `faces` traces integer darts: the dart on
-gap g of component ci is 2 * (offset of ci + g), plus 1 when it runs against
-the strand, so one flat list holds every successor, and each finished cycle
-is turned into the public (component, gap, dir) darts once.  One Euler count
-over the whole 4-valent graph, chi = crossings - passages + faces, gives the
+clockwise walks a face boundary.  One tracer, `_trace`, follows integer
+darts: the dart on gap g of component ci is 2 * (offset of ci + g), plus 1
+when it runs against the strand, so one flat list holds every successor.  It
+returns the cycles as lists of these integers, the component offsets, and a
+mark per dart naming its cycle.  `faces` turns each cycle into the public
+(component, gap, dir) darts; `genus` counts the cycles, and the move-site
+search of `moves` reads them as integers, so neither names a dart it does
+not return.  One Euler count over the whole 4-valent graph, chi = crossings - passages + faces, gives the
 genus of the carrier surface summed over the connected pieces of the graph:
 pieces - chi / 2, since each piece counts 2 - 2g.  Genus 0 means the code is
 drawable in the plane with exactly the recorded virtual crossings.
@@ -26,8 +29,10 @@ drawable in the plane with exactly the recorded virtual crossings.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import ValidationError, checked
-from .model import CrossingRecord, Diagram, Passage, Role
+from .model import _THROUGH, CrossingRecord, Diagram, Passage
 
 # Dart: (component, gap, dir) with dir +1 = travel with the strand orientation
 # (arriving at the in-port of passage gap+1), dir -1 = against it (arriving at
@@ -50,11 +55,21 @@ def _darts(d: Diagram):
     return [(ci, g, s) for ci, comp in comps for g in range(len(comp)) for s in (1, -1)]
 
 
-def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
-    """Face boundaries as dart cycles.  Each cycle starts at the first of its
-    darts in `_darts` order (component, gap, then +1 before -1), and the
-    cycles come in the order of those first darts."""
-    d = checked(d, Diagram, ValidationError, "diagram")
+def _dart_name(offsets: list[int], k: int) -> tuple[int, int, int]:
+    """The (component, gap, dir) name of integer dart k, where `offsets` are
+    the component offsets of `_trace`."""
+    e = k >> 1
+    ci = bisect_right(offsets, e) - 1
+    return ci, e - offsets[ci], -1 if k & 1 else 1
+
+
+def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
+    """The face cycles of a checked diagram as integer darts, with the
+    component offsets and the face mark of every dart.
+
+    Cycles are lists in the order and from the starts that `faces` gives.
+    offsets[ci] is the first passage of component ci and offsets[-1] the
+    passage count.  mark[k] is ~c for the cycle c that holds dart k."""
     frames = d._frames
     # Passage P is offset[ci] + i; prev[P] is 2P' for the passage P' before
     # it on ci.  Leaving P through its out-port is dart 2P, through its
@@ -64,6 +79,7 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
         n = len(prev)
         offset.append(n)
         prev += [2 * (n + len(comp) - 1), *range(2 * n, 2 * (n + len(comp) - 1), 2)] if comp else []
+    offset.append(len(prev))
     # The dart arriving at a port of `_ccw_ports(a, b, f)` leaves through the
     # port before it, written out for f = +1 and f = -1.
     succ = [0] * (2 * len(prev))
@@ -74,20 +90,32 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
             succ[a + 1], succ[pa], succ[b + 1], succ[pb] = pb + 1, b, a, pa + 1
         else:
             succ[a + 1], succ[pa], succ[b + 1], succ[pb] = b, pb + 1, pa + 1, a
-    names = _darts(d)
-    out = []
-    for start in range(len(succ)):
-        if succ[start] < 0:  # traced already
+    # Tracing overwrites each successor with the mark of its cycle, so the
+    # finished table is the mark table.  Cycles are built as lists: tuples
+    # freed by the thousand would pile up in the interpreter's per-size tuple
+    # free lists and raise the peak RSS.
+    cycles = []
+    for start, dart in enumerate(succ):
+        if dart < 0:  # traced already
             continue
-        cycle, dart = [], start
-        while succ[dart] >= 0:
-            cycle.append(names[dart])
-            succ[dart], dart = -1, succ[dart]
-        # From a list of known length: tuple() over an iterator starts from a
-        # 10-slot tuple and resizes it, so freed cycles would pile up in the
-        # interpreter's per-size tuple free lists and raise the peak RSS.
-        out.append(tuple(cycle))
-    return out
+        mark = succ[start] = ~len(cycles)
+        cycle = [start]
+        while dart != start:
+            cycle.append(dart)
+            succ[dart], dart = mark, succ[dart]
+        cycles.append(cycle)
+    return cycles, offset, succ
+
+
+def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
+    """Face boundaries as dart cycles.  Each cycle starts at the first of its
+    darts in `_darts` order (component, gap, then +1 before -1), and the
+    cycles come in the order of those first darts."""
+    d = checked(d, Diagram, ValidationError, "diagram")
+    names = _darts(d)
+    # tuple() of a list of known length: over an iterator it would start
+    # from a 10-slot tuple and resize it.
+    return [tuple([names[k] for k in cycle]) for cycle in _trace(d)[0]]
 
 
 def genus(d: Diagram) -> int:
@@ -110,7 +138,7 @@ def genus(d: Diagram) -> int:
     for (c1, _), (c2, _) in d.passage_index.values():
         piece[find(c1)] = find(c2)
     pieces = len({find(ci) for ci, comp in enumerate(d.components) if comp})
-    chi = len(d.crossings) - d.n_passages() + len(faces(d))
+    chi = len(d.crossings) - d.n_passages() + len(_trace(d)[0])
     assert chi % 2 == 0, "Euler characteristic of a closed surface is even"
     return pieces - chi // 2
 
@@ -138,7 +166,7 @@ def realize(d: Diagram) -> Diagram:
 
 def _strip_virtual(d: Diagram) -> Diagram:
     components = tuple(
-        tuple(p for p in comp if p.role is not Role.THROUGH) for comp in d.components
+        tuple(p for p in comp if p.role is not _THROUGH) for comp in d.components
     )
     crossings = {cid: rec for cid, rec in d.crossings.items() if not rec.virtual}
     return Diagram(components, crossings)
@@ -213,7 +241,7 @@ def _rail_layout(d: Diagram) -> Diagram:
                 if cid not in crossings:
                     f = frames[cid] if vertical_edge[cid] == (ci, g) else -frames[cid]
                     crossings[cid] = CrossingRecord(cid, True, f)
-                out.append(Passage(cid, Role.THROUGH))
+                out.append(Passage(cid, _THROUGH))
         new_components.append(out)
     out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
     out_d.validate()

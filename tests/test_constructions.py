@@ -163,6 +163,11 @@ class TestExtraction:
         with pytest.raises(BadComponent):
             extract_component(trefoil, 2)
 
+    def test_kept_crossing_without_a_record_rejected(self):
+        d = Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {})
+        with pytest.raises(ValidationError, match="crossing 1 has no record"):
+            extract_component(d, 1)
+
     @pytest.mark.parametrize("i", [1.0, 1.5, "1", None])
     def test_non_integer_component_rejected(self, trefoil, i):
         L, _ = multiplex(trefoil, 2)

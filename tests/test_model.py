@@ -54,6 +54,15 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_vgc("O1+ U1-")
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0], ids=repr)
+    def test_sign_that_is_not_an_int_rejected(self, sign):
+        # Such a sign compares equal to +1 or -1 but would turn the writhe
+        # and the other sign sums into floats.
+        d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")
+        crossings = {**d.crossings, 2: CrossingRecord(2, False, sign)}
+        with pytest.raises(ValidationError, match="crossing 2: sign must be"):
+            Diagram(d.components, crossings).validate()
+
     def test_wrong_roles_rejected(self):
         with pytest.raises(ValidationError):
             parse_vgc("O1+ O1+")
@@ -408,7 +417,11 @@ class TestValidateAgainstTheOracle:
             ci, i = _positions(comps, cid)[0]
             comps[ci][i] = value
         got, want = _verdicts(comps, crossings)
-        assert got == want
+        if what == "sign" and type(value) is not int:
+            # True and -1.0 compare equal to a sign; only the oracle takes them.
+            assert (got, want) == (f"crossing {cid}: sign must be +1 or -1", None)
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("crossings", [None, [], "x", ((1, 2),)], ids=repr)
     def test_crossing_table_of_another_kind(self, crossings):

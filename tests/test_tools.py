@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,5 +90,9 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert [line.split(":")[0] for line in out[:2]] == ["round  0 (base first)", "round  1 (tree first)"]
-    assert out[2].startswith("median ratio base / tree over 2 rounds: ")
-    assert len(out) == 3
+    assert re.fullmatch(
+        r"median ratio base / tree over 2 rounds: \d+\.\d{3} \(min \d+\.\d{3}, max \d+\.\d{3}\)",
+        out[2],
+    )
+    assert re.fullmatch(r"tree faster in [012] of 2 rounds", out[3])
+    assert len(out) == 4

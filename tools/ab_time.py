@@ -10,7 +10,9 @@ works because every import inside the package is relative.  Each round runs
 the workload's op list once on each side, the side that goes first
 alternating, and times the pass.  Both sides must give equal op digests.
 One line per round gives both times and the ratio base / tree (above 1 means
-this tree is faster), and the last line the median ratio.
+this tree is faster).  Then one line gives the median ratio with the least and
+the greatest, and the last line the number of rounds in which this tree was
+faster.
 
 Separate processes cannot resolve a gain of a few tens of percent on a shared
 host whose speed swings by up to 2x between them; alternating in one process
@@ -108,7 +110,11 @@ def main(argv=None) -> int:
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
         ratios = ab_time(base, args.workload, args.seed, args.rounds, args.smoke)
-    print(f"median ratio base / tree over {len(ratios)} rounds: {statistics.median(ratios):.3f}")
+    print(
+        f"median ratio base / tree over {len(ratios)} rounds: {statistics.median(ratios):.3f}"
+        f" (min {min(ratios):.3f}, max {max(ratios):.3f})"
+    )
+    print(f"tree faster in {sum(ratio > 1 for ratio in ratios)} of {len(ratios)} rounds")
     return 0
 
 
