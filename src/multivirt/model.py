@@ -58,8 +58,10 @@ _PASSES = {
     False: ([Role.OVER, Role.UNDER], [Role.UNDER, Role.OVER]),
     True: ([Role.THROUGH, Role.THROUGH],),
 }
-# Plain names for the roles: reading an attribute of an Enum class is slow.
+# Plain names for the roles: reading an attribute of an Enum class is slow,
+# and so is calling it to look up a value.
 _OVER, _UNDER, _THROUGH = Role
+_ROLE_OF = {role.value: role for role in Role}
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def parse_vgc(text: str) -> Diagram:
             m = _TOKEN_RE.match(token)
             if not m:
                 raise ParseError(f"malformed token {token!r}")
-            role, cid, sign = Role(m[1]), int(m[2]), +1 if m[3] == "+" else -1
+            role, cid, sign = _ROLE_OF[m[1]], int(m[2]), +1 if m[3] == "+" else -1
             rec = crossings.setdefault(cid, CrossingRecord(cid, role is _THROUGH, sign))
             if rec.sign != sign:
                 raise ValidationError(f"crossing {cid}: mismatched signs")

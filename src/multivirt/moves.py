@@ -62,7 +62,7 @@ from itertools import accumulate, combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
-from .planar import _dart_name, _trace
+from .planar import _dart_id, _dart_name, _trace
 from .planar import faces  # noqa: F401  not called here; kept readable as `moves.faces`
 
 MOVE_KINDS = (
@@ -334,20 +334,11 @@ class _Pokes(Sequence):
         """Position of the candidate equal to `pair`, looked for among those
         of the one cycle that holds its first dart; ValueError if none is."""
         first = pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None
-        if isinstance(first, tuple) and len(first) == 3:
-            ci, g, s = first
-            offsets = self.offsets
-            # range.index finds an entry equal to a float or bool as well.
-            try:
-                ci = range(len(offsets) - 1).index(ci)
-                g = range(offsets[ci + 1] - offsets[ci]).index(g)
-            except ValueError:
-                pass
-            else:
-                if s == 1 or s == -1:
-                    c = ~self.marks[2 * (offsets[ci] + g) + (s == -1)]
-                    return super().index(pair, self.ends[c], self.ends[c + 1])
-        raise ValueError(f"{pair!r} is not a poke candidate")
+        k = _dart_id(self.offsets, first)
+        if k is None:
+            raise ValueError(f"{pair!r} is not a poke candidate")
+        c = ~self.marks[k]
+        return super().index(pair, self.ends[c], self.ends[c + 1])
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:

@@ -19,12 +19,13 @@ darts: the dart on gap g of component ci is 2 * (offset of ci + g), plus 1
 when it runs against the strand, so one flat list holds every successor.  It
 returns the cycles as lists of these integers, the component offsets, and a
 mark per dart naming its cycle.  `faces` turns each cycle into the public
-(component, gap, dir) darts; `genus` counts the cycles, and the move-site
-search of `moves` reads them as integers, so neither names a dart it does
-not return.  One Euler count over the whole 4-valent graph, chi = crossings - passages + faces, gives the
-genus of the carrier surface summed over the connected pieces of the graph:
-pieces - chi / 2, since each piece counts 2 - 2g.  Genus 0 means the code is
-drawable in the plane with exactly the recorded virtual crossings.
+(component, gap, dir) darts.  `genus` only counts the cycles, and the
+move-site search of `moves` reads them as integers and names only the darts
+of a site it builds.  One Euler count over the whole 4-valent graph,
+chi = crossings - passages + faces, gives the genus of the carrier surface
+summed over the connected pieces of the graph: pieces - chi / 2, since each
+piece counts 2 - 2g.  Genus 0 means the code is drawable in the plane with
+exactly the recorded virtual crossings.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ def _dart_name(offsets: list[int], k: int) -> tuple[int, int, int]:
     e = k >> 1
     ci = bisect_right(offsets, e) - 1
     return ci, e - offsets[ci], -1 if k & 1 else 1
+
+
+def _dart_id(offsets: list[int], dart) -> int | None:
+    """The integer dart that `dart` names, its entries compared by equality
+    as in a tuple comparison (1.0 and True name 1); None if it names none."""
+    if not (isinstance(dart, tuple) and len(dart) == 3):
+        return None
+    ci, g, s = dart
+    try:
+        ci = range(len(offsets) - 1).index(ci)
+        g = range(offsets[ci + 1] - offsets[ci]).index(g)
+    except ValueError:
+        return None
+    return 2 * (offsets[ci] + g) + (s == -1) if s == 1 or s == -1 else None
 
 
 def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:

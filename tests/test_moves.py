@@ -664,6 +664,11 @@ def _assert_pokes_match_the_oracle(d):
     assert [pokes[k] for k in range(-len(want), len(want))] == want + want
     for k, (d1, d2) in enumerate(want):
         assert pokes.index((d1, d2)) == k
+        # Entries that compare equal find the candidate; other shapes do not.
+        assert pokes.index(tuple(tuple(map(float, dart)) for dart in (d1, d2))) == k
+        for junk in ([d1, d2], (d1, d2, d2), ((*d1[:2], 0), d2), (d1[:2], d2), (list(d1), d2)):
+            with pytest.raises(ValueError):
+                pokes.index(junk)
         # A neighbouring gap is a candidate only if the oracle lists it.
         for near in ((d1, (d2[0], d2[1] + 1, d2[2])), ((d1[0], d1[1] + 1, d1[2]), d2)):
             if near in want:
