@@ -30,7 +30,8 @@ and is kept in a dict field of the instance; `positions_of`, `real_positions`,
 the frame table and every module that needs to know where a crossing sits
 read it.  The frame table, `Diagram._frames`, is built from the index on
 first use and kept in a list field the same way; it is read, never written,
-outside `model`.
+outside `model`.  A third list field keeps the integer face trace that
+`planar._trace` builds on first use.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class Diagram:
     _frame_table: list[list[int]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    # The integer face trace of `planar._trace`, filled on first use.
+    _face_trace: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
 
     # -- basic queries ----------------------------------------------------
 

@@ -14,11 +14,12 @@ the insertion sites of a kind are every variant at every locus, and one is
 built only when it is read, so a walk step draws uniformly over the counted
 list that `find_moves` returns, in its order, and builds only the site it
 applies.  Kink loci are the gaps.  Face sites read the integer face cycles
-of `planar._trace`: poke loci are counted from the cycle lengths, a cycle
-that runs along an edge twice (it holds both darts of the edge) is the only
-one listed, and a dart pair is named only when it is read; only the 3-dart
-cycles are named as candidate triangles.  One sweep over the gaps lists the
-sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for
+of `planar._trace` next to the named ones of `faces`, which trace the diagram
+once: poke loci are counted from the integer cycle lengths, a cycle that runs
+along an edge twice (it holds both darts of the edge) is the only one
+listed, and a dart pair is read off the named cycle only when it is read;
+the 3-dart cycles are the candidate triangles.  One sweep over the gaps lists
+the sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for
 the cancelling pairs only the gaps whose two flanks share a role, and each
 triangular face costs one lookup in a table built once from the templates
 and their six labelings, keyed by the pattern of the bound triangle with no
@@ -62,8 +63,7 @@ from itertools import accumulate, combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
-from .planar import _dart_id, _dart_name, _trace
-from .planar import faces  # noqa: F401  not called here; kept readable as `moves.faces`
+from .planar import _dart_id, _trace, faces
 
 MOVE_KINDS = (
     "R1+ins",
@@ -294,14 +294,16 @@ class _Pokes(Sequence):
     the distance to d2.  d1 is the poking strand, d2 the edge poked across.
 
     `traced` is what `planar._trace` returns, integer cycles with their
-    component offsets and dart marks.  A cycle of s darts on distinct edges
-    has s * min(window, s - 1) candidates and is only counted; a cycle runs
+    component offsets and dart marks, and `named` is what `faces` returns,
+    the same cycles named.  A cycle of s darts on distinct edges has
+    s * min(window, s - 1) candidates and is only counted; a cycle runs
     along edge e twice exactly when it holds both darts 2e and 2e + 1, and
-    such a cycle is listed as integer pairs.  A candidate is found by
-    bisecting the per-cycle ends and named when it is read."""
+    such a cycle is listed as pairs of positions.  A candidate is found by
+    bisecting the per-cycle ends and read off `named`."""
 
-    def __init__(self, traced):
+    def __init__(self, traced, named):
         self.cycles, self.offsets, self.marks = traced
+        self.named = named
         cycles, marks = self.cycles, self.marks
         counts = [s * min(_POKE_WINDOW, s - 1) for s in map(len, cycles)]
         self.listed = {}
@@ -309,8 +311,8 @@ class _Pokes(Sequence):
             cycle = cycles[c]
             s = len(cycle)
             reach = range(1, min(_POKE_WINDOW, s - 1) + 1)
-            pairs = ((cycle[i], cycle[(i + w) % s]) for i in range(s) for w in reach)
-            self.listed[c] = [(k1, k2) for k1, k2 in pairs if k1 >> 1 != k2 >> 1]
+            pairs = ((i, (i + w) % s) for i in range(s) for w in reach)
+            self.listed[c] = [(i, j) for i, j in pairs if cycle[i] >> 1 != cycle[j] >> 1]
             counts[c] = len(self.listed[c])
         # ends[c] and ends[c + 1] bound the candidates of cycle c.
         self.ends = [0, *accumulate(counts)]
@@ -322,13 +324,13 @@ class _Pokes(Sequence):
         k = range(len(self))[k]  # bounds and negative indices as for a list
         c = bisect_right(self.ends, k) - 1
         k -= self.ends[c]
+        cycle = self.named[c]
         if c in self.listed:
-            k1, k2 = self.listed[c][k]
+            i, j = self.listed[c][k]
         else:
-            cycle = self.cycles[c]
             i, w = divmod(k, min(_POKE_WINDOW, len(cycle) - 1))
-            k1, k2 = cycle[i], cycle[(i + w + 1) % len(cycle)]
-        return _dart_name(self.offsets, k1), _dart_name(self.offsets, k2)
+            j = (i + w + 1) % len(cycle)
+        return cycle[i], cycle[j]
 
     def index(self, pair):
         """Position of the candidate equal to `pair`, looked for among those
@@ -428,27 +430,26 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
 # -- triangle sites ----------------------------------------------------------
 
 
-def _facial_trios(d: Diagram, traced):
+def _facial_trios(d: Diagram, traced, named):
     """Gap records (ci, g, p, q) of the triangular faces among the face cycles
-    that `planar._trace` gives (`traced`): 3-dart faces whose three distinct
-    edges join three distinct crossings.  Consecutive darts of a face meet at
-    a corner, so three distinct crossings make the edges distinct as well,
-    and sorting the integer darts sorts the edges.  A slide is only
-    geometric when its three bound edges border a common empty triangle of
-    the embedding; the role and sign patterns alone cannot see strands
-    threaded through the corner vertices.
+    that `planar._trace` gives (`traced`), named as `faces` gives them
+    (`named`): 3-dart faces whose three distinct edges join three distinct
+    crossings.  Consecutive darts of a face meet at a corner, so three
+    distinct crossings make the edges distinct as well, and sorting the
+    integer darts sorts the edges.  A slide is only geometric when its three
+    bound edges border a common empty triangle of the embedding; the role
+    and sign patterns alone cannot see strands threaded through the corner
+    vertices.
 
     Each edge set is listed once, ordered by its lowest edge (ci, g), then by
     the edge that shares that lowest edge's first crossing comp[g].crossing,
     then by the third edge.  Each trio is sorted by edge."""
-    cycles, offsets, _ = traced
     keyed = {}
-    for cycle in cycles:
+    for cycle, darts in zip(traced[0], named):
         if len(cycle) != 3:
             continue
         trio = []
-        for k in sorted(cycle):
-            ci, g, _ = _dart_name(offsets, k)
+        for _, (ci, g, _) in sorted(zip(cycle, darts)):
             comp = d.components[ci]
             trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
         if len({c for _, _, p, q in trio for c in (p.crossing, q.crossing)}) != 3:
@@ -477,11 +478,11 @@ def _match_triangle(d: Diagram, trio, families):
             yield fam, ti, tuple(cids[i] for i in perm)
 
 
-def _triangle_sites(d: Diagram, kinds, traced) -> dict[str, list[MoveSite]]:
+def _triangle_sites(d: Diagram, kinds, traced, named) -> dict[str, list[MoveSite]]:
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
         return out
-    for trio in _facial_trios(d, traced):
+    for trio in _facial_trios(d, traced, named):
         locus = tuple((ci, g) for ci, g, _, _ in trio)
         seen_families = set()
         for fam, ti, perm in _match_triangle(d, trio, kinds):
@@ -543,7 +544,7 @@ class _Insertions(Sequence):
         return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
 
 
-def _insertions(d: Diagram, kinds, traced) -> dict[str, _Insertions]:
+def _insertions(d: Diagram, kinds, traced, named) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
     face cycles for a poke, the candidates counted per cycle."""
@@ -552,7 +553,7 @@ def _insertions(d: Diagram, kinds, traced) -> dict[str, _Insertions]:
         if kinds - _POKE_KINDS
         else ()
     )
-    pokes = _Pokes(traced) if kinds & _POKE_KINDS else ()
+    pokes = _Pokes(traced, named) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 
@@ -569,13 +570,15 @@ _REWRITES = {
 def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     """The sites of the given kinds as one group per kind, in MOVE_KINDS
     order: the one definition of a site, shared by find_moves and apply_move.
-    Faces are traced at most once, and the gaps are swept once for all
-    deletion kinds.  Insertion groups are counted, not built."""
-    traced = _trace(d) if kinds & _FACE_KINDS else None
+    Faces are traced at most once (`faces` keeps the integer trace on the
+    diagram), and the gaps are swept once for all deletion kinds.  Insertion
+    groups are counted, not built."""
+    named = faces(d) if kinds & _FACE_KINDS else None
+    traced = _trace(d) if named is not None else None
     by_kind = {
-        **_insertions(d, kinds & _VARIANTS.keys(), traced),
+        **_insertions(d, kinds & _VARIANTS.keys(), traced, named),
         **_deletions(d, kinds & _DELETION_KINDS),
-        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, traced),
+        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, traced, named),
     }
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 

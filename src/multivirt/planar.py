@@ -18,10 +18,11 @@ clockwise walks a face boundary.  One tracer, `_trace`, follows integer
 darts: the dart on gap g of component ci is 2 * (offset of ci + g), plus 1
 when it runs against the strand, so one flat list holds every successor.  It
 returns the cycles as lists of these integers, the component offsets, and a
-mark per dart naming its cycle.  `faces` turns each cycle into the public
-(component, gap, dir) darts.  `genus` only counts the cycles, and the
-move-site search of `moves` reads them as integers and names only the darts
-of a site it builds.  One Euler count over the whole 4-valent graph,
+mark per dart naming its cycle, and keeps them on the diagram, so a diagram
+is traced once.  `faces` turns each cycle into the public (component, gap,
+dir) darts.  `genus` only counts the cycles, and the move-site search of
+`moves` counts and locates its face sites on the integers and reads the
+darts of a site off `faces`.  One Euler count over the whole 4-valent graph,
 chi = crossings - passages + faces, gives the genus of the carrier surface
 summed over the connected pieces of the graph: pieces - chi / 2, since each
 piece counts 2 - 2g.  Genus 0 means the code is drawable in the plane with
@@ -30,7 +31,7 @@ exactly the recorded virtual crossings.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from operator import itemgetter
 
 from .errors import ValidationError, checked
 from .model import _THROUGH, CrossingRecord, Diagram, Passage
@@ -49,19 +50,24 @@ def _ccw_ports(a, b, f: int):
     return ((a, 1), (b, f), (a, -1), (b, -f))
 
 
+# Dart names are values, so diagrams share them: _DART_NAMES[ci] names the
+# darts of component ci in order, as far as the longest such component named
+# so far.  A thread that grows a table at the same time as another only
+# builds it twice; each reads its own copy.
+_DART_NAMES: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
 def _darts(d: Diagram):
     """Every dart in order: component, gap, then +1 before -1.  Integer dart
     k of `faces` is entry k."""
-    comps = enumerate(d.components)
-    return [(ci, g, s) for ci, comp in comps for g in range(len(comp)) for s in (1, -1)]
-
-
-def _dart_name(offsets: list[int], k: int) -> tuple[int, int, int]:
-    """The (component, gap, dir) name of integer dart k, where `offsets` are
-    the component offsets of `_trace`."""
-    e = k >> 1
-    ci = bisect_right(offsets, e) - 1
-    return ci, e - offsets[ci], -1 if k & 1 else 1
+    names = []
+    for ci, comp in enumerate(d.components):
+        n = 2 * len(comp)
+        known = _DART_NAMES.get(ci, ())
+        if len(known) < n:
+            known = _DART_NAMES[ci] = tuple((ci, g, s) for g in range(len(comp)) for s in (1, -1))
+        names += known[:n]
+    return names
 
 
 def _dart_id(offsets: list[int], dart) -> int | None:
@@ -80,11 +86,15 @@ def _dart_id(offsets: list[int], dart) -> int | None:
 
 def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
     """The face cycles of a checked diagram as integer darts, with the
-    component offsets and the face mark of every dart.
+    component offsets and the face mark of every dart.  Traced on first use
+    and kept on the diagram, so callers only read it.
 
     Cycles are lists in the order and from the starts that `faces` gives.
     offsets[ci] is the first passage of component ci and offsets[-1] the
     passage count.  mark[k] is ~c for the cycle c that holds dart k."""
+    memo = d._face_trace
+    if memo:
+        return memo[0]
     frames = d._frames
     # Passage P is offset[ci] + i; prev[P] is 2P' for the passage P' before
     # it on ci.  Leaving P through its out-port is dart 2P, through its
@@ -119,7 +129,10 @@ def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
             cycle.append(dart)
             succ[dart], dart = mark, succ[dart]
         cycles.append(cycle)
-    return cycles, offset, succ
+    # One append of a finished trace: another thread sees none or a whole
+    # one, and a thread that traced at the same time only adds a spare copy.
+    memo.append((cycles, offset, succ))
+    return memo[0]
 
 
 def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
@@ -128,9 +141,12 @@ def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
     cycles come in the order of those first darts."""
     d = checked(d, Diagram, ValidationError, "diagram")
     names = _darts(d)
-    # tuple() of a list of known length: over an iterator it would start
-    # from a 10-slot tuple and resize it.
-    return [tuple([names[k] for k in cycle]) for cycle in _trace(d)[0]]
+    # itemgetter builds each tuple at its length in one call; over one dart
+    # (the loop face of a kink) it returns the bare dart.
+    return [
+        itemgetter(*cycle)(names) if len(cycle) > 1 else (names[cycle[0]],)
+        for cycle in _trace(d)[0]
+    ]
 
 
 def genus(d: Diagram) -> int:

@@ -352,7 +352,7 @@ def _match_triangle_oracle(d, trio):
 
 def _trios(d):
     """The facial trios of a diagram, as the site search reads them."""
-    return _facial_trios(d, _trace(d))
+    return _facial_trios(d, _trace(d), faces(d))
 
 
 @given(diagrams(max_real=5, max_virtual=4))
@@ -649,7 +649,7 @@ def _poke_candidates(cycles):
 
 def _pokes(d):
     """The poke candidates of a diagram, as the site search counts them."""
-    return moves._Pokes(_trace(d))
+    return moves._Pokes(_trace(d), faces(d))
 
 
 def _listed_cycles(d):

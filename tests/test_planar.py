@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from multivirt.model import (
     serialize_vgc,
 )
 from multivirt.moves import apply_move, random_walk
-from multivirt.planar import faces, genus, realize
+from multivirt.planar import _trace, faces, genus, realize
 
 
 def _faces_oracle(d):
@@ -161,6 +162,39 @@ class TestFacesOracle:
     def test_catalog_multiplexes(self, name, r):
         L, _ = multiplex(catalog.diagram(name), r)
         assert faces(L) == _faces_oracle(L)
+
+
+class TestKeptTrace:
+    """A diagram is traced once; `faces`, `genus` and the site search read
+    the trace it keeps."""
+
+    @given(diagrams(max_real=4, max_virtual=3, max_components=3))
+    def test_a_kept_trace_names_the_oracles_faces(self, d):
+        traced = _trace(d)
+        assert _trace(d) is traced
+        assert faces(d) == _faces_oracle(d)
+        assert genus(d) == genus(Diagram(d.components, d.crossings))
+        assert _trace(d) is traced
+
+    def test_the_kept_trace_is_published_whole(self):
+        """Another thread reading the kept trace while it is built sees it
+        empty or complete."""
+        d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")
+        sizes = []
+
+        def trace(frame, event, arg):
+            if event == "line":
+                sizes.append(len(d._face_trace))
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            traced = _trace(d)
+        finally:
+            sys.settrace(previous)
+        assert len(traced[0]) == len(faces(d)) == 5
+        assert sizes and set(sizes) <= {0, 1}
 
 
 class TestGenus:
