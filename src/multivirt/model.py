@@ -177,9 +177,12 @@ class Diagram:
             self.crossings[cid]
         except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownCrossing(f"no crossing {cid}") from None
-        if pos not in self._passage_index.get(cid, ()):
-            raise ValidationError(f"{pos!r} is not a passage of crossing {cid}")
-        return self._frames[pos[0]][pos[1]]
+        # Read at the listed position equal to `pos`: one with float entries
+        # compares equal to it but cannot index the table.
+        for listed in self._passage_index.get(cid, ()):
+            if listed == pos:
+                return self._frames[listed[0]][listed[1]]
+        raise ValidationError(f"{pos!r} is not a passage of crossing {cid}")
 
     def real_positions(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(over position, under position) of a real crossing."""

@@ -13,18 +13,20 @@ raises `StaleSite` for any other.  The list is counted before it is built:
 the insertion sites of a kind are every variant at every locus, and one is
 built only when it is read, so a walk step draws uniformly over the counted
 list that `find_moves` returns, in its order, and builds only the site it
-applies.  Kink loci are the gaps.  Face sites read the integer face cycles
-of `planar._trace` next to the named ones of `faces`, which trace the diagram
-once: poke loci are counted from the integer cycle lengths, a cycle that runs
-along an edge twice (it holds both darts of the edge) is the only one
-listed, and a dart pair is read off the named cycle only when it is read;
-the 3-dart cycles are the candidate triangles.  One sweep over the gaps lists
-the sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for
-the cancelling pairs only the gaps whose two flanks share a role, and each
-triangular face costs one lookup in a table built once from the templates
-and their six labelings, keyed by the pattern of the bound triangle with no
-labeling in it.  The site search reads frames off the diagram's frame table
-and compares roles by identity rather than hashing them.
+applies.  Kink loci are the gaps.  Face sites are read off the named face
+cycles of `faces`, which trace the diagram once.  Poke loci are counted from
+the lengths of the integer cycles of `planar._trace`: a cycle that runs along
+an edge twice (it holds both darts of the edge) is the only one listed, and
+a dart pair is read off the named cycle only when it is read.  A given poke
+is found in the one named cycle that holds its first dart, compared by
+equality.  The triangle stage reads each 3-dart face once, its bound gaps,
+crossing ids and pattern together, and looks the pattern up in a table built
+once from the templates and their six labelings, keyed by the pattern of the
+bound triangle with no labeling in it.  One sweep over the gaps lists the
+sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for the
+cancelling pairs only the gaps whose two flanks share a role.  The site
+search reads frames off the diagram's frame table and compares roles by
+identity rather than hashing them.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`, which
 builds the rewritten diagram and validates it once: a deletion replaces every
@@ -63,7 +65,7 @@ from itertools import accumulate, combinations, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
-from .planar import _dart_id, _trace, faces
+from .planar import _trace, faces
 
 MOVE_KINDS = (
     "R1+ins",
@@ -294,17 +296,16 @@ class _Pokes(Sequence):
     the distance to d2.  d1 is the poking strand, d2 the edge poked across.
 
     `traced` is what `planar._trace` returns, integer cycles with their
-    component offsets and dart marks, and `named` is what `faces` returns,
-    the same cycles named.  A cycle of s darts on distinct edges has
-    s * min(window, s - 1) candidates and is only counted; a cycle runs
-    along edge e twice exactly when it holds both darts 2e and 2e + 1, and
-    such a cycle is listed as pairs of positions.  A candidate is found by
-    bisecting the per-cycle ends and read off `named`."""
+    dart marks, and `named` is what `faces` returns, the same cycles named.
+    A cycle of s darts on distinct edges has s * min(window, s - 1)
+    candidates and is only counted; a cycle runs along edge e twice exactly
+    when it holds both darts 2e and 2e + 1, and such a cycle is listed as
+    pairs of positions.  A candidate is found by bisecting the per-cycle
+    ends and read off `named`."""
 
     def __init__(self, traced, named):
-        self.cycles, self.offsets, self.marks = traced
+        cycles, marks = traced
         self.named = named
-        cycles, marks = self.cycles, self.marks
         counts = [s * min(_POKE_WINDOW, s - 1) for s in map(len, cycles)]
         self.listed = {}
         for c in {~mark for mark, other in zip(marks[::2], marks[1::2]) if mark == other}:
@@ -334,13 +335,13 @@ class _Pokes(Sequence):
 
     def index(self, pair):
         """Position of the candidate equal to `pair`, looked for among those
-        of the one cycle that holds its first dart; ValueError if none is."""
-        first = pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None
-        k = _dart_id(self.offsets, first)
-        if k is None:
-            raise ValueError(f"{pair!r} is not a poke candidate")
-        c = ~self.marks[k]
-        return super().index(pair, self.ends[c], self.ends[c + 1])
+        of the one cycle that holds its first dart, found by tuple equality
+        (1.0 and True name 1); ValueError if none is."""
+        if isinstance(pair, tuple) and len(pair) == 2:
+            for c, cycle in enumerate(self.named):
+                if pair[0] in cycle:
+                    return super().index(pair, self.ends[c], self.ends[c + 1])
+        raise ValueError(f"{pair!r} is not a poke candidate")
 
 
 def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
@@ -430,66 +431,55 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
 # -- triangle sites ----------------------------------------------------------
 
 
-def _facial_trios(d: Diagram, traced, named):
-    """Gap records (ci, g, p, q) of the triangular faces among the face cycles
-    that `planar._trace` gives (`traced`), named as `faces` gives them
-    (`named`): 3-dart faces whose three distinct edges join three distinct
-    crossings.  Consecutive darts of a face meet at a corner, so three
-    distinct crossings make the edges distinct as well, and sorting the
-    integer darts sorts the edges.  A slide is only geometric when its three
-    bound edges border a common empty triangle of the embedding; the role
-    and sign patterns alone cannot see strands threaded through the corner
-    vertices.
+def _triangle_sites(d: Diagram, kinds, named) -> dict[str, list[MoveSite]]:
+    """Triangle sites of the given kinds from one pass over the 3-dart faces
+    of `named`, the face cycles that `faces` gives.  A face is a candidate
+    when its three edges join three distinct crossings.  A 3-dart face never
+    holds both darts of an edge, so its edges are distinct and sorting its
+    darts sorts them.  A slide is only geometric when its three bound edges
+    border a common empty triangle of the embedding; the role and sign
+    patterns alone cannot see strands threaded through the corner vertices.
 
-    Each edge set is listed once, ordered by its lowest edge (ci, g), then by
-    the edge that shares that lowest edge's first crossing comp[g].crossing,
-    then by the third edge.  Each trio is sorted by edge."""
-    keyed = {}
-    for cycle, darts in zip(traced[0], named):
-        if len(cycle) != 3:
-            continue
-        trio = []
-        for _, (ci, g, _) in sorted(zip(cycle, darts)):
-            comp = d.components[ci]
-            trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
-        if len({c for _, _, p, q in trio for c in (p.crossing, q.crossing)}) != 3:
-            continue
-        first, u, v = trio
-        if first[2].crossing not in (u[2].crossing, u[3].crossing):
-            u, v = v, u
-        keyed[(first[:2], u[:2], v[:2])] = tuple(trio)
-    return [keyed[key] for key in sorted(keyed)]
-
-
-def _match_triangle(d: Diagram, trio, families):
-    """Yield (family, template index, strand assignment) for every way the
-    three bound gaps fit a slide template of one of the families."""
-    cids = sorted({c for _, _, p, q in trio for c in (p.crossing, q.crossing)})
-    number = {c: k for k, c in enumerate(cids)}
-    frames = d._frames
-    # `_value_` is the role character; `.value` reads it through a descriptor.
-    gaps = sorted(
-        ((number[p.crossing], p.role._value_, frames[ci][g]),
-         (number[q.crossing], q.role._value_, frames[ci][(g + 1) % len(frames[ci])]))
-        for ci, g, p, q in trio
-    )
-    for fam, ti, perm in _triangle_table().get(tuple(gaps), ()):
-        if fam in families:
-            yield fam, ti, tuple(cids[i] for i in perm)
-
-
-def _triangle_sites(d: Diagram, kinds, traced, named) -> dict[str, list[MoveSite]]:
+    Each face is read once: its bound gaps in edge order, its crossing ids,
+    and the pattern that keys `_triangle_table`, whose first match of each
+    family is the site.  Sites are listed by the lowest edge (ci, g), then
+    the edge that shares that edge's first crossing comp[g].crossing, then
+    the third edge.  Two 3-dart faces cannot share all three edges at
+    4-valent crossings, so no edge set is listed twice."""
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
         return out
-    for trio in _facial_trios(d, traced, named):
-        locus = tuple((ci, g) for ci, g, _, _ in trio)
-        seen_families = set()
-        for fam, ti, perm in _match_triangle(d, trio, kinds):
-            if fam in seen_families:
-                continue  # one slide per triangle; extra matches are symmetries
-            seen_families.add(fam)
-            out[fam].append(MoveSite(fam, (ti, perm), locus))
+    components, frames, table = d.components, d._frames, _triangle_table()
+    found = []
+    for face in named:
+        if len(face) != 3:
+            continue
+        gaps = []  # (ci, g, p, q, frame at p, frame at q) per bound gap
+        for ci, g, _ in sorted(face):
+            comp, fr = components[ci], frames[ci]
+            h = (g + 1) % len(comp)
+            gaps.append((ci, g, comp[g], comp[h], fr[g], fr[h]))
+        cids = sorted({c for gap in gaps for c in (gap[2].crossing, gap[3].crossing)})
+        if len(cids) != 3:
+            continue
+        # `_value_` is the role character; `.value` reads it through a descriptor.
+        matches = table.get(tuple(sorted(
+            ((cids.index(p.crossing), p.role._value_, fp), (cids.index(q.crossing), q.role._value_, fq))
+            for _, _, p, q, fp, fq in gaps
+        )))
+        if matches is None:
+            continue
+        first, u, v = gaps
+        if first[2].crossing not in (u[2].crossing, u[3].crossing):
+            u, v = v, u
+        found.append(((first[:2], u[:2], v[:2]), tuple(gap[:2] for gap in gaps), matches, cids))
+    found.sort(key=lambda entry: entry[0])
+    for _, locus, matches, cids in found:
+        seen = set()
+        for fam, ti, perm in matches:
+            if fam in kinds and fam not in seen:  # later matches are symmetries
+                seen.add(fam)
+                out[fam].append(MoveSite(fam, (ti, tuple(cids[i] for i in perm)), locus))
     return out
 
 
@@ -544,16 +534,16 @@ class _Insertions(Sequence):
         return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
 
 
-def _insertions(d: Diagram, kinds, traced, named) -> dict[str, _Insertions]:
+def _insertions(d: Diagram, kinds, named) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
-    face cycles for a poke, the candidates counted per cycle."""
+    face cycles `named` for a poke, the candidates counted per cycle."""
     gaps = (
         [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(1, len(comp)))]
         if kinds - _POKE_KINDS
         else ()
     )
-    pokes = _Pokes(traced, named) if kinds & _POKE_KINDS else ()
+    pokes = _Pokes(_trace(d), named) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 
@@ -574,11 +564,10 @@ def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     diagram), and the gaps are swept once for all deletion kinds.  Insertion
     groups are counted, not built."""
     named = faces(d) if kinds & _FACE_KINDS else None
-    traced = _trace(d) if named is not None else None
     by_kind = {
-        **_insertions(d, kinds & _VARIANTS.keys(), traced, named),
+        **_insertions(d, kinds & _VARIANTS.keys(), named),
         **_deletions(d, kinds & _DELETION_KINDS),
-        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, traced, named),
+        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, named),
     }
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 

@@ -17,16 +17,17 @@ Tracing the orbit that leaves each arrival port through the next port
 clockwise walks a face boundary.  One tracer, `_trace`, follows integer
 darts: the dart on gap g of component ci is 2 * (offset of ci + g), plus 1
 when it runs against the strand, so one flat list holds every successor.  It
-returns the cycles as lists of these integers, the component offsets, and a
-mark per dart naming its cycle, and keeps them on the diagram, so a diagram
-is traced once.  `faces` turns each cycle into the public (component, gap,
-dir) darts.  `genus` only counts the cycles, and the move-site search of
-`moves` counts and locates its face sites on the integers and reads the
-darts of a site off `faces`.  One Euler count over the whole 4-valent graph,
-chi = crossings - passages + faces, gives the genus of the carrier surface
-summed over the connected pieces of the graph: pieces - chi / 2, since each
-piece counts 2 - 2g.  Genus 0 means the code is drawable in the plane with
-exactly the recorded virtual crossings.
+returns the cycles as lists of these integers and a mark per dart naming its
+cycle, and keeps them on the diagram, so a diagram is traced once.  `faces`
+turns each cycle into the public (component, gap, dir) darts.  `genus` only
+counts the cycles.  Of the move-site search of `moves`, only `_Pokes` reads
+the integer trace, to count poke loci from the cycle lengths and marks; the
+triangle stage and the darts of a site are read off `faces`, and no lookup
+from a dart name to its integer remains.  One Euler count over the whole
+4-valent graph, chi = crossings - passages + faces, gives the genus of the
+carrier surface summed over the connected pieces of the graph: pieces -
+chi / 2, since each piece counts 2 - 2g.  Genus 0 means the code is drawable
+in the plane with exactly the recorded virtual crossings.
 """
 
 from __future__ import annotations
@@ -70,28 +71,13 @@ def _darts(d: Diagram):
     return names
 
 
-def _dart_id(offsets: list[int], dart) -> int | None:
-    """The integer dart that `dart` names, its entries compared by equality
-    as in a tuple comparison (1.0 and True name 1); None if it names none."""
-    if not (isinstance(dart, tuple) and len(dart) == 3):
-        return None
-    ci, g, s = dart
-    try:
-        ci = range(len(offsets) - 1).index(ci)
-        g = range(offsets[ci + 1] - offsets[ci]).index(g)
-    except ValueError:
-        return None
-    return 2 * (offsets[ci] + g) + (s == -1) if s == 1 or s == -1 else None
-
-
-def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
-    """The face cycles of a checked diagram as integer darts, with the
-    component offsets and the face mark of every dart.  Traced on first use
-    and kept on the diagram, so callers only read it.
+def _trace(d: Diagram) -> tuple[list[list[int]], list[int]]:
+    """The face cycles of a checked diagram as integer darts, with the face
+    mark of every dart.  Traced on first use and kept on the diagram, so
+    callers only read it.
 
     Cycles are lists in the order and from the starts that `faces` gives.
-    offsets[ci] is the first passage of component ci and offsets[-1] the
-    passage count.  mark[k] is ~c for the cycle c that holds dart k."""
+    mark[k] is ~c for the cycle c that holds dart k."""
     memo = d._face_trace
     if memo:
         return memo[0]
@@ -104,7 +90,6 @@ def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
         n = len(prev)
         offset.append(n)
         prev += [2 * (n + len(comp) - 1), *range(2 * n, 2 * (n + len(comp) - 1), 2)] if comp else []
-    offset.append(len(prev))
     # The dart arriving at a port of `_ccw_ports(a, b, f)` leaves through the
     # port before it, written out for f = +1 and f = -1.
     succ = [0] * (2 * len(prev))
@@ -131,7 +116,7 @@ def _trace(d: Diagram) -> tuple[list[list[int]], list[int], list[int]]:
         cycles.append(cycle)
     # One append of a finished trace: another thread sees none or a whole
     # one, and a thread that traced at the same time only adds a spare copy.
-    memo.append((cycles, offset, succ))
+    memo.append((cycles, succ))
     return memo[0]
 
 

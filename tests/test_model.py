@@ -230,6 +230,17 @@ class TestFrame:
         with pytest.raises(ValidationError):
             parse_vgc("O1+ V2- U1+ V2-").frame(1, pos)
 
+    @pytest.mark.parametrize("pos", [(0, 0.0), (0.0, 0), (0.0, 3.0), (True, 1.0)])
+    def test_float_entries_read_the_frame_of_the_int_position(self, pos):
+        d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+ ; O4+ U4+")
+        cid = d.components[int(pos[0])][int(pos[1])].crossing
+        assert d.frame(cid, pos) == d.frame(cid, (int(pos[0]), int(pos[1])))
+
+    @pytest.mark.parametrize("pos", [(0, 0.5), (0.0, 1.0), (0, 6.0), (2.0, 0)])
+    def test_float_entries_off_the_crossing_rejected(self, pos):
+        with pytest.raises(ValidationError):
+            parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+ ; O4+ U4+").frame(1, pos)
+
     @pytest.mark.parametrize(
         "components",
         [

@@ -21,8 +21,6 @@ from multivirt.moves import (
     _TRIANGLE_TEMPLATES,
     MOVE_KINDS,
     MoveSite,
-    _facial_trios,
-    _match_triangle,
     _sites,
     apply_move,
     find_moves,
@@ -285,7 +283,7 @@ def _brute_force_triangle_sites(d):
         )
         order = (locus[0], second[:2], third[:2])
         families = set()
-        for fam, ti, perm in _match_triangle(d, trio, TRIANGLE_KINDS):
+        for fam, ti, perm in _match_triangle_oracle(d, trio):
             if fam not in families:
                 families.add(fam)
                 found.append((MOVE_KINDS.index(fam), order, MoveSite(fam, (ti, perm), locus)))
@@ -350,17 +348,22 @@ def _match_triangle_oracle(d, trio):
                     yield fam, ti, perm
 
 
-def _trios(d):
-    """The facial trios of a diagram, as the site search reads them."""
-    return _facial_trios(d, _trace(d), faces(d))
+def _assert_triangle_sites_match_the_first_matcher(d):
+    """Every listed triangle site is the first matcher's first match of its
+    family on the same three gaps."""
+    for site in find_moves(d, TRIANGLE_KINDS):
+        trio = []
+        for ci, g in site.locus:
+            comp = d.components[ci]
+            trio.append((ci, g, comp[g], comp[(g + 1) % len(comp)]))
+        matches = _match_triangle_oracle(d, trio)
+        assert site.variant == next(((ti, perm) for fam, ti, perm in matches if fam == site.kind), None)
 
 
 @given(diagrams(max_real=5, max_virtual=4))
 @example(parse_vgc(SHARED_LOWEST_EDGE))
 def test_triangle_matcher_agrees_with_the_first_matcher(d):
-    for trio in _trios(d):
-        want = list(_match_triangle_oracle(d, trio))
-        assert list(_match_triangle(d, trio, TRIANGLE_KINDS)) == want
+    _assert_triangle_sites_match_the_first_matcher(d)
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -370,9 +373,7 @@ def test_triangle_matcher_agrees_with_the_first_matcher_on_walks(name):
         cur = catalog.diagram(name)
         for site in trace:
             cur = apply_move(cur, site)
-            for trio in _trios(cur):
-                want = list(_match_triangle_oracle(cur, trio))
-                assert list(_match_triangle(cur, trio, TRIANGLE_KINDS)) == want
+            _assert_triangle_sites_match_the_first_matcher(cur)
 
 
 DELETION_KINDS = ("R1del", "R2del", "VR1del", "VR2del")
@@ -666,7 +667,8 @@ def _assert_pokes_match_the_oracle(d):
         assert pokes.index((d1, d2)) == k
         # Entries that compare equal find the candidate; other shapes do not.
         assert pokes.index(tuple(tuple(map(float, dart)) for dart in (d1, d2))) == k
-        for junk in ([d1, d2], (d1, d2, d2), ((*d1[:2], 0), d2), (d1[:2], d2), (list(d1), d2)):
+        for junk in ([d1, d2], (d1, d2, d2), ((*d1[:2], 0), d2), (d1[:2], d2), (list(d1), d2),
+                     *_off_diagram_pokes(d, d1, d2)):
             with pytest.raises(ValueError):
                 pokes.index(junk)
         # A neighbouring gap is a candidate only if the oracle lists it.
@@ -679,6 +681,17 @@ def _assert_pokes_match_the_oracle(d):
     for k in (len(want), -len(want) - 1):
         with pytest.raises(IndexError):
             pokes[k]
+    for d1, d2 in want[:1]:
+        for junk in _off_diagram_pokes(d, d1, d2):
+            with pytest.raises(StaleSite):
+                apply_move(d, MoveSite("R2ins", ("over",), junk))
+
+
+def _off_diagram_pokes(d, d1, d2):
+    """Dart pairs shaped like a poke whose first dart is compared with every
+    named dart and equals none: one entry unhashable, or a gap past the end
+    of its component."""
+    return ((d1[0], [d1[1]], d1[2]), d2), ((d1[0], len(d.components[d1[0]]), d1[2]), d2)
 
 
 @given(diagrams())
