@@ -4,10 +4,12 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diagrams
 from multivirt import catalog
 from multivirt.constructions import multiplex
+from multivirt.errors import ValidationError
 from multivirt.model import (
     CrossingRecord,
     Diagram,
@@ -20,7 +22,7 @@ from multivirt.model import (
     serialize_vgc,
 )
 from multivirt.moves import apply_move, random_walk
-from multivirt.planar import _trace, faces, genus, realize
+from multivirt.planar import _ccw_ports, _strip_virtual, _trace, faces, genus, realize
 
 
 def _faces_oracle(d):
@@ -138,6 +140,116 @@ def _random_word(seed):
     d = Diagram(components if cut < len(passages) else components[:1], crossings)
     d.validate()
     return d
+
+
+@st.composite
+def abstract_words(draw):
+    """The shape of `_random_word`, wider: 1..12 real and 0..3 virtual
+    crossings with drawn signs, in a drawn order over 1..2 nonempty
+    components."""
+    n_real, n_virtual = draw(st.integers(1, 12)), draw(st.integers(0, 3))
+    passages, crossings = [], {}
+    for cid in range(1, n_real + n_virtual + 1):
+        virtual = cid > n_real
+        crossings[cid] = CrossingRecord(cid, virtual, draw(st.sampled_from((1, -1))))
+        roles = (Role.THROUGH, Role.THROUGH) if virtual else (Role.OVER, Role.UNDER)
+        passages += [Passage(cid, role) for role in roles]
+    passages = draw(st.permutations(passages))
+    cut = draw(st.integers(1, len(passages) - 1)) if draw(st.booleans()) else len(passages)
+    components = (tuple(passages[:cut]), tuple(passages[cut:]))
+    d = Diagram(components if cut < len(passages) else components[:1], crossings)
+    d.validate()
+    return d
+
+
+def _rail_layout_oracle(d: Diagram) -> Diagram:
+    """The first rail layout, kept verbatim as an oracle: stations numbered
+    while sweeping the passages, intersections filed per vertical leg and
+    per horizontal, and each record signed when its first passage is laid
+    down."""
+    station: dict[int, int] = {}
+    for _, _, p in d.passages():
+        if p.crossing not in station:
+            station[p.crossing] = len(station)
+
+    # All four stubs of a station point up, so left to right its ports run
+    # clockwise, ending at out-over.
+    portx: dict[tuple[tuple[int, int], int], int] = {}
+    for cid, s in station.items():
+        over, under = d.real_positions(cid)
+        for k, port in enumerate(_ccw_ports(over, under, d.frame(cid, over))):
+            portx[port] = 4 * s + 3 - k
+
+    # One lane per edge; edge (ci, g) runs out of passage g into passage g+1.
+    edge_list = [
+        (ci, g) for ci, comp in enumerate(d.components) for g in range(len(comp))
+    ]
+    lane = {e: h + 1 for h, e in enumerate(edge_list)}
+    span = {}
+    for ci, g in edge_list:
+        L = len(d.components[ci])
+        span[(ci, g)] = (portx[(ci, g), 1], portx[(ci, (g + 1) % L), -1])
+
+    # Intersections: the vertical legs of an edge (x = a rising to its lane,
+    # x = b dropping back) against the horizontals of lower lanes.
+    next_id = max(d.crossings, default=0) + 1
+    vertical_edge: dict[int, tuple[int, int]] = {}
+    frames: dict[int, int] = {}
+    on_vert: dict[tuple, list] = {(e, leg): [] for e in edge_list for leg in (0, 1)}
+    on_horiz: dict[tuple, list] = {e: [] for e in edge_list}
+    for e in edge_list:
+        a, b = span[e]
+        for leg, x, vdir in ((0, a, +1), (1, b, -1)):
+            for e2 in edge_list:
+                if e2 == e or lane[e2] >= lane[e]:
+                    continue
+                a2, b2 = span[e2]
+                if min(a2, b2) < x < max(a2, b2):
+                    cid = next_id
+                    next_id += 1
+                    vertical_edge[cid] = e
+                    hdir = 1 if b2 > a2 else -1
+                    # frame(vertical direction, horizontal direction)
+                    frames[cid] = -vdir * hdir
+                    on_vert[(e, leg)].append((lane[e2], cid))
+                    on_horiz[e2].append((x, cid, hdir))
+
+    def edge_sequence(e) -> list[int]:
+        a, b = span[e]
+        ups = [cid for _, cid in sorted(on_vert[(e, 0)])]
+        downs = [cid for _, cid in sorted(on_vert[(e, 1)], reverse=True)]
+        hdir = 1 if b > a else -1
+        horiz = [cid for x, cid, _ in sorted(on_horiz[e], reverse=(hdir < 0))]
+        return ups + horiz + downs
+
+    # Passages are laid down in canonical order, so the first passage met of
+    # an intersection fixes its sign: the frame read from it, which is
+    # frames[cid] on the vertical side and its negative on the horizontal one.
+    crossings = dict(d.crossings)
+    new_components: list[list[Passage]] = []
+    for ci, comp in enumerate(d.components):
+        out: list[Passage] = []
+        for g, p in enumerate(comp):
+            out.append(p)
+            for cid in edge_sequence((ci, g)):
+                if cid not in crossings:
+                    f = frames[cid] if vertical_edge[cid] == (ci, g) else -frames[cid]
+                    crossings[cid] = CrossingRecord(cid, True, f)
+                out.append(Passage(cid, Role.THROUGH))
+        new_components.append(out)
+    out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
+    out_d.validate()
+    if genus(out_d) != 0:
+        raise ValidationError("rail layout produced a non-planar code")
+    return out_d
+
+
+def _realize_oracle(d: Diagram) -> Diagram:
+    """`realize` with the first rail layout."""
+    if genus(d) == 0:
+        return d
+    base = _strip_virtual(d)
+    return base if genus(base) == 0 else _rail_layout_oracle(base)
 
 
 _RAIL_LAYOUT_SHA256 = "3921ae191ddcf517b30b7848635e0c4a850f9d781a4bd4c076436eaa02a7c932"
@@ -299,6 +411,11 @@ class TestRealize:
         lines = [serialize_vgc(realize(_random_word(seed))) for seed in range(200)]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == _RAIL_LAYOUT_SHA256
+
+    @given(abstract_words())
+    @settings(max_examples=300, deadline=None)
+    def test_realize_matches_the_first_rail_layout(self, w):
+        assert serialize_vgc(realize(w)) == serialize_vgc(_realize_oracle(w))
 
     def test_roundtrips_and_canonical_stability(self):
         r = realize(parse_vgc("O1+ O2+ O3+ U1+ U2+ U3+"))
