@@ -54,6 +54,7 @@ from .errors import (
     BadModulus,
     InvalidColoring,
     MissingProvenance,
+    NotAKnot,
     TooLarge,
     ValidationError,
     checked,
@@ -386,17 +387,22 @@ _LEFT_COPY = 1
 def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     """Send a virtual coloring of `d` to the constrained coloring of its 2-fold
     multiplex that puts the source value on the right copy of every edge and
-    its negative on the left copy."""
+    its negative on the left copy.  Raises NotAKnot unless `d` has one
+    component."""
     col = checked(col, Coloring, InvalidColoring, "coloring")
     values = checked(col.values, tuple, InvalidColoring, "coloring values")
     values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
     n = _modulus(col.modulus)
     prov = _fitted_provenance(prov, l2)
+    d = checked(d, Diagram, ValidationError, "diagram")
+    if d.n_components() != 1:
+        raise NotAKnot("the pairing map is defined for one-component source diagrams")
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     if not is_solution(vsys, Coloring(values, n)):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
-    esegs = segments(d, Granularity.EDGE)
-    if 2 * len(esegs.pieces) != len(prov.edge_map):
+    # Source edge t is gap t of the one component, or its closed circle.
+    gaps = range(len(d.components[0])) or (None,)
+    if 2 * len(gaps) != len(prov.edge_map):
         raise MissingProvenance("the provenance is not that of the source diagram's multiplex")
     arcs = segments(l2, Granularity.ARC)
     image: dict[int, int] = {}
@@ -406,8 +412,8 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
         if image.setdefault(piece, v) != v:
             raise InvalidColoring("pairing map produced an inconsistent assignment")
 
-    for t, piece in enumerate(esegs.pieces):
-        v = values[vsys.unknowns.index_of_gap(piece.component, piece.start)]
+    for t, gap in enumerate(gaps):
+        v = values[vsys.unknowns.index_of_gap(0, gap)]
         right = prov.edge_map[(t, _RIGHT_COPY)]
         left = prov.edge_map[(t, _LEFT_COPY)]
         assign(arcs.index_of_gap(*right), v)

@@ -9,9 +9,10 @@ read from one strand, (direction of that strand, direction of the other
 strand).  A real crossing is read from its over passage, a virtual one from
 its first passage, "first" meaning lexicographically smaller (component
 index, position); read from the other passage the frame is the negative.
-The frame table of a diagram is the one writer of this rule: it holds the
-frame read from every passage, one list per component, and `Diagram.frame`
-and every module that needs a frame read it.  Rotating a basepoint past
+`Diagram.validate` is the one writer of this rule: as it checks a crossing
+it writes the frame read from each of its passages into the frame table of
+the diagram, one list per component, and `Diagram.frame` and every module
+that needs a frame read that table.  Rotating a basepoint past
 exactly one passage of a virtual crossing therefore negates the stored sign;
 `rotate` takes care of that.
 
@@ -28,9 +29,11 @@ Every diagram carries one passage index: crossing id -> positions
 `components`, is built on first use (`validate` builds it as its own sweep)
 and is kept in a dict field of the instance; `positions_of`, `real_positions`,
 the frame table and every module that needs to know where a crossing sits
-read it.  The frame table, `Diagram._frames`, is built from the index on
-first use and kept in a list field the same way; it is read, never written,
-outside `model`.  A third list field keeps the integer face trace that
+read it.  The frame table, `Diagram._frames`, is kept in a list field the
+same way.  `validate` fills it, and the first read of a diagram not validated
+yet validates it, so a reader never gets frames of a diagram that breaks a
+rule of the model but a ValidationError.  It is read, never written, outside
+`model`.  A third list field keeps the integer face trace that
 `planar._trace` builds on first use.
 """
 
@@ -139,23 +142,12 @@ class Diagram:
     @property
     def _frames(self) -> list[list[int]]:
         """The frame table: `_frames[ci][i]` is the frame read from passage i
-        of component ci.  Raises ValidationError when a crossing is not passed
-        exactly twice or has no record."""
+        of component ci.  `validate` writes it; a first read of a diagram not
+        validated yet validates it, so it raises ValidationError on a diagram
+        that breaks a rule of the model."""
         table = self._frame_table
         if not table:
-            comps = self.components
-            built = [[0] * len(comp) for comp in comps]
-            for cid, ps in self._passage_index.items():
-                rec = self.crossings.get(cid)
-                if len(ps) != 2 or rec is None:
-                    raise ValidationError(f"crossing {cid!r} is not passed twice with a record")
-                (c1, i1), (c2, i2) = ps
-                # Read from the over passage of a real crossing or the first
-                # passage of a virtual one, the frame is the stored sign.
-                f = rec.sign if rec.virtual or comps[c1][i1].role is _OVER else -rec.sign
-                built[c1][i1], built[c2][i2] = f, -f
-            # One extend from a finished list: another thread sees it empty or whole.
-            table.extend(built)
+            self.validate()
         return table
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
@@ -170,9 +162,10 @@ class Diagram:
         `pos`, direction of the other strand): the stored sign read from the
         over passage of a real crossing or the first passage of a virtual
         one, its negative read from the other passage; read off the frame
-        table.  Raises UnknownCrossing for an unknown id, and ValidationError
-        for a `pos` that is not a passage of `cid` and on a diagram that
-        passes a crossing other than twice."""
+        table, which a first read fills by validating the diagram.  Raises
+        UnknownCrossing for an unknown id, and ValidationError for a `pos`
+        that is not a passage of `cid` and on a diagram that `validate`
+        rejects."""
         try:
             self.crossings[cid]
         except (KeyError, TypeError):  # TypeError: an unhashable id
@@ -209,10 +202,15 @@ class Diagram:
 
         The roles of a crossing with a bool `virtual` flag and two passages
         are compared by identity; any other flag or count is looked up among
-        the passing patterns, with the same rules, order and messages."""
+        the passing patterns, with the same rules, order and messages.
+
+        The same loop writes the frame table: the frame read from each
+        passage, published once every rule holds and only if no earlier call
+        published it."""
         try:
             index = self._passage_index
             comps = self.components
+            built = [[0] * len(comp) for comp in comps]
             for cid, ps in index.items():
                 rec = self.crossings.get(cid)
                 if not isinstance(rec, CrossingRecord) or rec.cid != cid:
@@ -228,16 +226,26 @@ class Diagram:
                     real = x is _OVER and y is _UNDER or x is _UNDER and y is _OVER
                     ok = x is y is _THROUGH if v else real
                 else:
-                    ok = [comps[ci][i].role for ci, i in ps] in _PASSES.get(v, ())
+                    roles = [comps[ci][i].role for ci, i in ps]
+                    ok = roles in _PASSES.get(v, ())
+                    # Read only when ok, that is when ps holds two passages.
+                    (c1, i1), (c2, i2), x = ps[0], ps[-1], roles[0]
                 if not ok:
                     raise ValidationError(
                         f"crossing {cid} must be passed once Over and once Under (real)"
                         " or twice Through (virtual)"
                     )
+                # Read from the over passage of a real crossing or the first
+                # passage of a virtual one, the frame is the stored sign.
+                f = rec.sign if v or x is _OVER else -rec.sign
+                built[c1][i1], built[c2][i2] = f, -f
             # Every passed crossing has its record, so any other record is unused.
             if len(self.crossings) != len(index):
                 unused = [cid for cid in self.crossings if cid not in index]
                 raise ValidationError(f"crossings recorded but never passed: {unused!r}")
+            # One extend from a finished list: another thread sees it empty or whole.
+            if not self._frame_table:
+                self._frame_table.extend(built)
         except (AttributeError, TypeError):
             raise ValidationError(
                 "components must be sequences of passages and crossings a dict of records"
@@ -366,7 +374,6 @@ def canonical_form(d: Diagram) -> str:
     (8400 passages) take milliseconds.
     """
     d = checked(d, Diagram, ValidationError, "diagram")
-    last = {p.crossing: ci for ci, _, p in d.passages()}
     index = d._passage_index
     table = d._frames
     ties: list[dict[int, str]] = [{}]  # per tie: crossing -> label and sign
@@ -427,7 +434,7 @@ def canonical_form(d: Diagram) -> str:
                     kept.append((labels, new))
         parts.append(" ".join(best))
         n_labels += len(kept[0][1])
-        live = [c for c in dict.fromkeys(live + cids[:L]) if last[c] > ci]
+        live = [c for c in dict.fromkeys(live + cids[:L]) if index[c][-1][0] > ci]
         merged: dict[tuple[str, ...], dict[int, str]] = {}
         for labels, new in kept:
             tails = {c: labels.get(c) or new[c] for c in live}

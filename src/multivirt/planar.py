@@ -189,77 +189,52 @@ def _strip_virtual(d: Diagram) -> Diagram:
 
 
 def _rail_layout(d: Diagram) -> Diagram:
-    station: dict[int, int] = {}
-    for _, _, p in d.passages():
-        if p.crossing not in station:
-            station[p.crossing] = len(station)
-
-    # All four stubs of a station point up, so left to right its ports run
-    # clockwise, ending at out-over.
+    # Stations stand left to right in order of first appearance, the key
+    # order of the passage index.  All four stubs of a station point up, so
+    # left to right its ports run clockwise, ending at out-over, whose frame
+    # is the stored sign.
     portx: dict[tuple[tuple[int, int], int], int] = {}
-    for cid, s in station.items():
+    for s, cid in enumerate(d._passage_index):
         over, under = d.real_positions(cid)
-        for k, port in enumerate(_ccw_ports(over, under, d.frame(cid, over))):
+        for k, port in enumerate(_ccw_ports(over, under, d.crossings[cid].sign)):
             portx[port] = 4 * s + 3 - k
 
-    # One lane per edge; edge (ci, g) runs out of passage g into passage g+1.
-    edge_list = [
-        (ci, g) for ci, comp in enumerate(d.components) for g in range(len(comp))
+    # One lane per edge, numbered upward in edge order; edge (ci, g) runs out
+    # of passage g into passage g+1, rising at x = a to its lane and dropping
+    # back at x = b.
+    spans = [
+        (portx[(ci, g), 1], portx[(ci, (g + 1) % len(comp)), -1])
+        for ci, comp in enumerate(d.components)
+        for g in range(len(comp))
     ]
-    lane = {e: h + 1 for h, e in enumerate(edge_list)}
-    span = {}
-    for ci, g in edge_list:
-        L = len(d.components[ci])
-        span[(ci, g)] = (portx[(ci, g), 1], portx[(ci, (g + 1) % L), -1])
-
-    # Intersections: the vertical legs of an edge (x = a rising to its lane,
-    # x = b dropping back) against the horizontals of lower lanes.
-    next_id = max(d.crossings, default=0) + 1
-    vertical_edge: dict[int, tuple[int, int]] = {}
-    frames: dict[int, int] = {}
-    on_vert: dict[tuple, list] = {(e, leg): [] for e in edge_list for leg in (0, 1)}
-    on_horiz: dict[tuple, list] = {e: [] for e in edge_list}
-    for e in edge_list:
-        a, b = span[e]
-        for leg, x, vdir in ((0, a, +1), (1, b, -1)):
-            for e2 in edge_list:
-                if e2 == e or lane[e2] >= lane[e]:
-                    continue
-                a2, b2 = span[e2]
-                if min(a2, b2) < x < max(a2, b2):
-                    cid = next_id
-                    next_id += 1
-                    vertical_edge[cid] = e
-                    hdir = 1 if b2 > a2 else -1
-                    # frame(vertical direction, horizontal direction)
-                    frames[cid] = -vdir * hdir
-                    on_vert[(e, leg)].append((lane[e2], cid))
-                    on_horiz[e2].append((x, cid, hdir))
-
-    def edge_sequence(e) -> list[int]:
-        a, b = span[e]
-        ups = [cid for _, cid in sorted(on_vert[(e, 0)])]
-        downs = [cid for _, cid in sorted(on_vert[(e, 1)], reverse=True)]
-        hdir = 1 if b > a else -1
-        horiz = [cid for x, cid, _ in sorted(on_horiz[e], reverse=(hdir < 0))]
-        return ups + horiz + downs
-
-    # Passages are laid down in canonical order, so the first passage met of
-    # an intersection fixes its sign: the frame read from it, which is
-    # frames[cid] on the vertical side and its negative on the horizontal one.
+    # Every intersection is a leg of an edge against the horizontal of a lower
+    # lane, that is of an earlier edge.  Edges are laid down in edge order, so
+    # the horizontal passage is laid down first and fixes the sign: the frame
+    # read from it, (horizontal direction, vertical direction).
     crossings = dict(d.crossings)
-    new_components: list[list[Passage]] = []
-    for ci, comp in enumerate(d.components):
+    ups, across, downs = [[] for _ in spans], [[] for _ in spans], [[] for _ in spans]
+    cid = max(d.crossings, default=0)
+    for h, (a, b) in enumerate(spans):
+        for x, vdir, leg in ((a, 1, ups[h]), (b, -1, downs[h])):
+            for h2, (a2, b2) in enumerate(spans[:h]):
+                if min(a2, b2) < x < max(a2, b2):
+                    cid += 1
+                    crossings[cid] = CrossingRecord(cid, True, vdir if b2 > a2 else -vdir)
+                    leg.append(cid)
+                    across[h2].append((x, cid))
+
+    # An edge meets its rising leg's crossings upward, its horizontal ones in
+    # its own direction and its dropping leg's downward.
+    edges = iter(zip(spans, ups, across, downs))
+    components = []
+    for comp in d.components:
         out: list[Passage] = []
-        for g, p in enumerate(comp):
-            out.append(p)
-            for cid in edge_sequence((ci, g)):
-                if cid not in crossings:
-                    f = frames[cid] if vertical_edge[cid] == (ci, g) else -frames[cid]
-                    crossings[cid] = CrossingRecord(cid, True, f)
-                out.append(Passage(cid, _THROUGH))
-        new_components.append(out)
-    out_d = Diagram(tuple(tuple(c) for c in new_components), crossings)
+        for p in comp:
+            (a, b), up, row, down = next(edges)
+            cids = up + [c for _, c in sorted(row, reverse=b < a)] + down[::-1]
+            out += [p, *(Passage(c, _THROUGH) for c in cids)]
+        components.append(tuple(out))
+    out_d = Diagram(tuple(components), crossings)
     out_d.validate()
     if genus(out_d) != 0:
         raise ValidationError("rail layout produced a non-planar code")

@@ -31,6 +31,7 @@ from multivirt.errors import (
     BadModulus,
     InvalidColoring,
     MissingProvenance,
+    NotAKnot,
     TooLarge,
     ValidationError,
 )
@@ -603,6 +604,16 @@ class TestPairingMap:
         zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
         with pytest.raises(MissingProvenance):
             psi(trefoil, zero, l2, prov)
+
+    def test_rejects_a_source_that_is_not_a_knot(self):
+        # This zero coloring of a two-component source came back as a
+        # coloring of the multiplex of another diagram.
+        with pytest.warns(UserWarning, match="abstract"):
+            l2, prov = multiplex(parse_vgc("O1+ V2- U1+ V2-"), 2)
+        with pytest.raises(NotAKnot):
+            psi(parse_vgc("O1+ V2- ; U1+ V2-"), Coloring((0, 0, 0), 3), l2, prov)
+        with pytest.raises(ValidationError):
+            psi(None, Coloring((0, 0, 0), 3), l2, prov)
 
     @pytest.mark.parametrize("name", ["unknot", "kink", "trefoil", "vtrefoil"])
     def test_bijection(self, name):

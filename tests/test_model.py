@@ -32,6 +32,8 @@ from multivirt.model import (
     segments,
     serialize_vgc,
 )
+from multivirt.moves import find_moves
+from multivirt.planar import faces, genus
 
 
 class TestParse:
@@ -299,6 +301,59 @@ class TestFrame:
             sys.settrace(previous)
         assert table == [[1, -1], [-1, 1], []]
         assert sizes and set(sizes) <= {0, 3}
+
+
+_O, _U = Role.OVER, Role.UNDER
+# Diagrams built in code and never validated, each breaking one rule.
+_UNVALIDATED = {
+    # Crossing 1 is passed Over twice.
+    "over-twice": lambda: Diagram(
+        ((Passage(1, _O), Passage(2, _U), Passage(1, _O), Passage(2, _O)),),
+        {1: CrossingRecord(1, False, 1), 2: CrossingRecord(2, False, 1)},
+    ),
+    "unused-record": lambda: Diagram(
+        ((Passage(1, _O), Passage(1, _U)),),
+        {1: CrossingRecord(1, False, 1), 7: CrossingRecord(7, False, 1)},
+    ),
+    "id-0-float-sign": lambda: Diagram(
+        ((Passage(0, _O), Passage(0, _U)),), {0: CrossingRecord(0, False, 1.0)}
+    ),
+}
+_FRAME_READERS = {
+    "genus": genus,
+    "faces": faces,
+    "canonical_form": canonical_form,
+    "find_moves": find_moves,
+    "multiplex": lambda d: multiplex(d, 2),
+}
+
+
+class TestFrameReaders:
+    """Every reader of the frame table validates a diagram on its first
+    read.  Before, the first diagram had genus 1, canonical form
+    'O1+ O2+ O1+ U2+' and 66 move sites, the second raised a bare
+    AssertionError from `genus` and `multiplex`, and the third had canonical
+    form 'O1+ U1+'."""
+
+    @pytest.mark.parametrize("reader", _FRAME_READERS)
+    @pytest.mark.parametrize("name", _UNVALIDATED)
+    def test_an_invalid_diagram_is_rejected(self, name, reader):
+        d = _UNVALIDATED[name]()
+        with pytest.raises(ValidationError):
+            _FRAME_READERS[reader](d)
+        assert d._frame_table == []
+
+    def test_parse_leaves_the_frame_table_filled(self):
+        d = parse_vgc("O1+ V2- ; U1+ V2- ; .")
+        assert d._frame_table == [[1, -1], [-1, 1], []]
+
+    @given(diagrams())
+    def test_validate_fills_the_table_once(self, d):
+        fresh = Diagram(d.components, d.crossings)
+        assert fresh._frame_table == []
+        fresh.validate()
+        fresh.validate()
+        assert fresh._frame_table == d._frames
 
 
 def _validate_oracle(self) -> None:

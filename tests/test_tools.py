@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
 _spec = importlib.util.spec_from_file_location("count_code_lines", SCRIPT)
 count_code_lines = importlib.util.module_from_spec(_spec)
@@ -78,6 +80,20 @@ def test_script_prints_each_module_and_the_total(tmp_path):
         "     1    g",
         "    14  total",
     ]
+
+
+@pytest.mark.parametrize(
+    "args", [["--help"], ["--function"], ["missing"], ["--functions", "a", "b"]], ids=repr
+)
+def test_script_rejects_what_is_not_a_directory(tmp_path, args):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert out.returncode != 0
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: ")
 
 
 AB_TIME = SCRIPT.parent / "ab_time.py"

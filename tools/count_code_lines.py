@@ -54,6 +54,10 @@ if __name__ == "__main__":
     args = [a for a in args if a != "--functions"]
     package = Path(__file__).resolve().parents[1] / "src" / "multivirt"
     root = Path(args[0]) if args else package
+    # Anything else, an option this script does not know (--help among them)
+    # or a directory that is not there, is a usage error.
+    if len(args) > 1 or args and args[0].startswith("-") or not root.is_dir():
+        sys.exit("usage: python tools/count_code_lines.py [--functions] [directory]")
     total = 0
     for path in sorted(root.glob("*.py")):
         source = path.read_text()
