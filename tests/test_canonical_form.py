@@ -41,6 +41,22 @@ def _used_crossings(d, n_comps):
     return {cid: rec for cid, rec in d.crossings.items() if cid in used}
 
 
+def _prefix_text(d, n):
+    """The VGC text of the first `n` components of `d`, crossings renamed by
+    first appearance, each printed with its stored sign.  Spelled from the
+    tokens: the prefix alone is no diagram when a crossing it passes once is
+    passed again by a later component."""
+    labels = {}
+    parts = []
+    for comp in d.components[:n]:
+        tokens = []
+        for p in comp:
+            label = labels.setdefault(p.crossing, len(labels) + 1)
+            tokens.append(f"{p.role.value}{label}{'+' if d.crossings[p.crossing].sign > 0 else '-'}")
+        parts.append(" ".join(tokens) or ".")
+    return " ; ".join(parts)
+
+
 def _canonical_form_oracle(d):
     candidates = [d]
     for ci, comp in enumerate(d.components):
@@ -54,6 +70,7 @@ def _canonical_form_oracle(d):
                         Diagram(rot.components[: ci + 1], _used_crossings(rot, ci + 1))
                     )
                 )
+                assert _prefix_text(rot, ci + 1) == prefix
                 if best is None or prefix < best:
                     best, kept = prefix, [rot]
                 elif prefix == best:
