@@ -171,7 +171,7 @@ def build_system(
     for cid, rec in sorted(d.crossings.items()):
         if rec.virtual:
             if mode is ColoringMode.VIRTUAL_FOX:
-                for ci, i in d.passage_index[cid]:
+                for ci, i in d._passage_index[cid]:
                     rows.append(row((into(ci, i), 1), (segs.index_of_gap(ci, i), 1)))
             continue
         (co, io), (cu, iu) = d.real_positions(cid)

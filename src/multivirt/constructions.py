@@ -177,15 +177,13 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         assert cur == ell, "bundle shifts around the circle must cancel"
         out_components.append(tuple(trace))
 
-    out = Diagram(tuple(out_components), crossings)
-    out.validate()
     prov = Provenance(
         r=r,
         crossing_map=crossing_map,
         edge_map=edge_map,
         component_map={i: i for i in range(1, r + 1)},
     )
-    return out, prov
+    return Diagram(tuple(out_components), crossings), prov
 
 
 def covering(d: Diagram, r: int) -> Diagram:
@@ -208,34 +206,21 @@ def covering(d: Diagram, r: int) -> Diagram:
     crossings = dict(d.crossings)
     comp = list(d.components[0])
     for cid in to_virtualize:
-        a, b = d.passage_index[cid]
+        a, b = d._passage_index[cid]
         crossings[cid] = CrossingRecord(cid, True, d.frame(cid, a))
         comp[a[1]] = comp[b[1]] = Passage(cid, _THROUGH)
-    out = Diagram((tuple(comp),), crossings)
-    out.validate()
-    return out
+    return Diagram((tuple(comp),), crossings)
 
 
 def extract_component(d: Diagram, i: int) -> Diagram:
-    """Keep component `i` (1-based) and only the crossings lying entirely on it.
-    A kept crossing without a record raises ValidationError."""
+    """Keep component `i` (1-based) and only the crossings lying entirely on it."""
     d = checked(d, Diagram, ValidationError, "diagram")
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
-    ci = i - 1
-    pos = d._passage_index
-    comp: list[Passage] = []
-    crossings: dict[int, CrossingRecord] = {}
-    for p in d.components[ci]:
-        # Positions are in canonical order: the first and the last bound them.
-        ps = pos[p.crossing]
-        if ps[0][0] == ci == ps[-1][0]:
-            comp.append(p)
-            try:
-                crossings[p.crossing] = d.crossings[p.crossing]
-            except KeyError:
-                raise ValidationError(f"crossing {p.crossing!r} has no record") from None
-    out = Diagram((tuple(comp),), crossings)
-    out.validate()
-    return out
+    ci, pos = i - 1, d._passage_index
+    # A crossing lies on the component when both of its passages do.
+    comp = tuple(
+        p for p in d.components[ci] if pos[p.crossing][0][0] == ci == pos[p.crossing][1][0]
+    )
+    return Diagram((comp,), {p.crossing: d.crossings[p.crossing] for p in comp})

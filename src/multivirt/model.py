@@ -10,9 +10,9 @@ strand).  A real crossing is read from its over passage, a virtual one from
 its first passage, "first" meaning lexicographically smaller (component
 index, position); read from the other passage the frame is the negative.
 `Diagram.validate` is the one writer of this rule: as it checks a crossing
-it writes the frame read from each of its passages into the frame table of
-the diagram, one list per component, and `Diagram.frame` and every module
-that needs a frame read that table.  Rotating a basepoint past
+it writes the frame read from each of its passages into a frame table, one
+list per component, which the diagram keeps; `Diagram.frame` and every
+module that needs a frame read that table.  Rotating a basepoint past
 exactly one passage of a virtual crossing therefore negates the stored sign;
 `rotate` takes care of that.
 
@@ -24,27 +24,26 @@ VGC grammar (serialized form is bit-exact):
 
 Both tokens of one crossing carry the same sign character.
 
-Every diagram carries one passage index: crossing id -> positions
-(component, index) of its passages, in canonical order.  It depends only on
-`components`, is built on first use (`validate` builds it as its own sweep)
-and is kept in a dict field of the instance; `positions_of`, `real_positions`,
-the frame table and every module that needs to know where a crossing sits
-read it.  The frame table, `Diagram._frames`, is kept in a list field the
-same way.  `validate` fills it, and the first read of a diagram not validated
-yet validates it, so a reader never gets frames of a diagram that breaks a
-rule of the model but a ValidationError.  It is read, never written, outside
-`model`.  A third list field keeps the integer face trace that
-`planar._trace` builds on first use.
+A diagram is checked when it is made: constructing a `Diagram` runs
+`validate`, which raises ValidationError unless every rule of the model
+holds, so no function ever gets a diagram that breaks one.  The same sweep
+gives the two tables that the diagram keeps in plain fields: the passage
+index `_passage_index`, crossing id -> positions (component, index) of its
+passages in canonical order, and the frame table `_frames`.
+`positions_of`, `real_positions`, `frame` and every module that needs to
+know where a crossing sits or which frame it reads use them; they are read,
+never written, outside `model`.  A third field keeps the integer face trace
+that `planar._trace` builds on first use.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import BadComponent, NotReal, ParseError, UnknownCrossing, ValidationError, checked
 
@@ -83,22 +82,26 @@ class CrossingRecord:
 
 @dataclass(frozen=True)
 class Diagram:
-    """Immutable diagram value.  All operations in this package are pure."""
+    """Immutable diagram value, checked when it is made: construction raises
+    ValidationError unless every rule of the model holds.  All operations in
+    this package are pure."""
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: dict[int, CrossingRecord]
-    # The passage index, filled on first use.  A field set in __init__ keeps
-    # attribute reads on the fast path, which writing the instance __dict__
-    # later (as functools.cached_property does) would leave for good.
-    _index: dict[int, tuple[tuple[int, int], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # The frame table, filled on first use in the same way.
-    _frame_table: list[list[int]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
     # The integer face trace of `planar._trace`, filled on first use.
     _face_trace: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
+    # The passage index and the frame table that `validate` sweeps.  A plain
+    # dict is kept, not a mappingproxy: a mappingproxy cannot be pickled.
+    _passage_index: dict[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _frames: list[list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Called through `self`, so a wrapper put on the class sees every check.
+        index, frames = self.validate()
+        object.__setattr__(self, "_passage_index", index)
+        object.__setattr__(self, "_frames", frames)
 
     # -- basic queries ----------------------------------------------------
 
@@ -123,32 +126,8 @@ class Diagram:
     @property
     def passage_index(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
         """Read-only map from crossing id to the positions of its passages, in
-        canonical order.  Built once on demand; it depends only on `components`."""
+        canonical order."""
         return MappingProxyType(self._passage_index)
-
-    # A plain dict is kept, not the proxy: a mappingproxy cannot be pickled.
-    @property
-    def _passage_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        index = self._index
-        if not index:
-            sweep: dict[int, list[tuple[int, int]]] = {}
-            for ci, comp in enumerate(self.components):
-                for i, p in enumerate(comp):
-                    sweep.setdefault(p.crossing, []).append((ci, i))
-            # One update from a finished dict: another thread sees it empty or whole.
-            index.update({cid: tuple(ps) for cid, ps in sweep.items()})
-        return index
-
-    @property
-    def _frames(self) -> list[list[int]]:
-        """The frame table: `_frames[ci][i]` is the frame read from passage i
-        of component ci.  `validate` writes it; a first read of a diagram not
-        validated yet validates it, so it raises ValidationError on a diagram
-        that breaks a rule of the model."""
-        table = self._frame_table
-        if not table:
-            self.validate()
-        return table
 
     def positions_of(self, cid: int) -> list[tuple[int, int]]:
         """Positions of the (one or two) passages of `cid`, in canonical order."""
@@ -162,10 +141,8 @@ class Diagram:
         `pos`, direction of the other strand): the stored sign read from the
         over passage of a real crossing or the first passage of a virtual
         one, its negative read from the other passage; read off the frame
-        table, which a first read fills by validating the diagram.  Raises
-        UnknownCrossing for an unknown id, and ValidationError for a `pos`
-        that is not a passage of `cid` and on a diagram that `validate`
-        rejects."""
+        table.  Raises UnknownCrossing for an unknown id, and ValidationError
+        for a `pos` that is not a passage of `cid`."""
         try:
             self.crossings[cid]
         except (KeyError, TypeError):  # TypeError: an unhashable id
@@ -185,10 +162,10 @@ class Diagram:
             raise UnknownCrossing(f"no crossing {cid}") from None
         if rec.virtual:
             raise NotReal(f"crossing {cid} is virtual")
-        a, b = self.passage_index[cid]
+        a, b = self._passage_index[cid]
         return (a, b) if self.components[a[0]][a[1]].role is _OVER else (b, a)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[dict[int, tuple[tuple[int, int], ...]], list[list[int]]]:
         """Raise ValidationError unless every rule of the model holds:
 
         - the components are sequences of Passages and the crossing table is
@@ -204,12 +181,17 @@ class Diagram:
         are compared by identity; any other flag or count is looked up among
         the passing patterns, with the same rules, order and messages.
 
-        The same loop writes the frame table: the frame read from each
-        passage, published once every rule holds and only if no earlier call
-        published it."""
+        Return the passage index, swept first, and the frame table, the
+        frame read from each passage, which the crossing loop writes.  The
+        diagram keeps the tables of the check run when it is made, so a later
+        call checks again and changes nothing."""
         try:
-            index = self._passage_index
             comps = self.components
+            sweep: dict[int, list[tuple[int, int]]] = {}
+            for ci, comp in enumerate(comps):
+                for i, p in enumerate(comp):
+                    sweep.setdefault(p.crossing, []).append((ci, i))
+            index = {cid: tuple(ps) for cid, ps in sweep.items()}
             built = [[0] * len(comp) for comp in comps]
             for cid, ps in index.items():
                 rec = self.crossings.get(cid)
@@ -243,17 +225,15 @@ class Diagram:
             if len(self.crossings) != len(index):
                 unused = [cid for cid in self.crossings if cid not in index]
                 raise ValidationError(f"crossings recorded but never passed: {unused!r}")
-            # One extend from a finished list: another thread sees it empty or whole.
-            if not self._frame_table:
-                self._frame_table.extend(built)
         except (AttributeError, TypeError):
             raise ValidationError(
                 "components must be sequences of passages and crossings a dict of records"
             ) from None
+        return index, built
 
 
 def parse_vgc(text: str) -> Diagram:
-    """Parse VGC text into a validated Diagram.
+    """Parse VGC text into a Diagram.
 
     Only what a Diagram cannot express is checked here: the grammar, and that
     both tokens of a crossing carry the same sign character.  A crossing is
@@ -280,9 +260,7 @@ def parse_vgc(text: str) -> Diagram:
                 raise ValidationError(f"crossing {cid}: mismatched signs")
             passages.append(Passage(cid, role))
         components.append(tuple(passages))
-    d = Diagram(tuple(components), crossings)
-    d.validate()
-    return d
+    return Diagram(tuple(components), crossings)
 
 
 def serialize_vgc(d: Diagram) -> str:
@@ -334,14 +312,22 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
     return Diagram(components, crossings)
 
 
-def relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
-    components = tuple(
-        tuple(Passage(mapping[p.crossing], p.role) for p in comp) for comp in d.components
-    )
-    crossings = {
-        mapping[cid]: CrossingRecord(mapping[cid], rec.virtual, rec.sign)
-        for cid, rec in d.crossings.items()
-    }
+def relabel(d: Diagram, mapping: Mapping[int, int]) -> Diagram:
+    """Rename every crossing `cid` to `mapping[cid]`.  Raises ValidationError
+    unless `mapping` is a mapping that holds every crossing id of `d` and
+    the renamed code is a diagram: two ids renamed alike, or a new id that is
+    not an integer >= 1, break a rule of the model."""
+    mapping = checked(mapping, Mapping, ValidationError, "mapping")
+    try:
+        components = tuple(
+            tuple(Passage(mapping[p.crossing], p.role) for p in comp) for comp in d.components
+        )
+        crossings = {
+            mapping[cid]: CrossingRecord(mapping[cid], rec.virtual, rec.sign)
+            for cid, rec in d.crossings.items()
+        }
+    except (KeyError, TypeError):  # TypeError: an unhashable new id
+        raise ValidationError("mapping must give every crossing a hashable new id") from None
     return Diagram(components, crossings)
 
 

@@ -29,7 +29,7 @@ search reads frames off the diagram's frame table and compares roles by
 identity rather than hashing them.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`, which
-builds the rewritten diagram and validates it once: a deletion replaces every
+builds the rewritten diagram, checked when it is made: a deletion replaces every
 passage of the crossings it removes by nothing, a kink or poke places a pair
 of new passages after a gap, and a triangle slide swaps the two passages of
 each of its three bound gaps.  New crossing signs follow the frame rule of
@@ -253,9 +253,7 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     for cid, rec in records.items():
         if rec is None:
             del crossings[cid]
-    out = Diagram(tuple(components), crossings)
-    out.validate()
-    return out
+    return Diagram(tuple(components), crossings)
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
@@ -275,7 +273,7 @@ def _apply_deletion(d: Diagram, site: MoveSite) -> Diagram:
     ci, g = site.locus[0] if site.kind in ("R2del", "VR2del") else site.locus
     comp = d.components[ci]
     cids = {comp[g].crossing, comp[(g + 1) % len(comp)].crossing}
-    edits = {pos: () for cid in cids for pos in d.passage_index[cid]}
+    edits = {pos: () for cid in cids for pos in d._passage_index[cid]}
     return _rewrite(d, edits, dict.fromkeys(cids))
 
 
@@ -287,6 +285,13 @@ def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
 
 
 # -- poke (two-crossing) sites -----------------------------------------------
+
+
+def _window(s: int) -> list[tuple[int, int]]:
+    """The position pairs (i, j) of a cycle of s darts within the poke
+    window, by i, then by the distance from i to j."""
+    reach = range(1, min(_POKE_WINDOW, s - 1) + 1)
+    return [(i, (i + w) % s) for i in range(s) for w in reach]
 
 
 class _Pokes(Sequence):
@@ -310,9 +315,7 @@ class _Pokes(Sequence):
         self.listed = {}
         for c in {~mark for mark, other in zip(marks[::2], marks[1::2]) if mark == other}:
             cycle = cycles[c]
-            s = len(cycle)
-            reach = range(1, min(_POKE_WINDOW, s - 1) + 1)
-            pairs = ((i, (i + w) % s) for i in range(s) for w in reach)
+            pairs = _window(len(cycle))
             self.listed[c] = [(i, j) for i, j in pairs if cycle[i] >> 1 != cycle[j] >> 1]
             counts[c] = len(self.listed[c])
         # ends[c] and ends[c + 1] bound the candidates of cycle c.
@@ -332,6 +335,12 @@ class _Pokes(Sequence):
             i, w = divmod(k, min(_POKE_WINDOW, len(cycle) - 1))
             j = (i + w + 1) % len(cycle)
         return cycle[i], cycle[j]
+
+    def __iter__(self):
+        """The candidates in order, cycle by cycle, with no bisection."""
+        for c, cycle in enumerate(self.named):
+            for i, j in self.listed[c] if c in self.listed else _window(len(cycle)):
+                yield cycle[i], cycle[j]
 
     def index(self, pair):
         """Position of the candidate equal to `pair`, looked for among those
@@ -497,7 +506,7 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
     for ci, i in moved:
         cid = d.components[ci][i].crossing
         if d.crossings[cid].virtual:
-            first = min(d.passage_index[cid], key=lambda pos: moved.get(pos, pos))
+            first = min(d._passage_index[cid], key=lambda pos: moved.get(pos, pos))
             records[cid] = CrossingRecord(cid, True, d._frames[first[0]][first[1]])
     edits = {pos: (d.components[ci][i],) for pos, (ci, i) in moved.items()}
     return _rewrite(d, edits, records)

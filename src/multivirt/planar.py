@@ -151,7 +151,7 @@ def genus(d: Diagram) -> int:
             ci = piece[ci]
         return ci
 
-    for (c1, _), (c2, _) in d.passage_index.values():
+    for (c1, _), (c2, _) in d._passage_index.values():
         piece[find(c1)] = find(c2)
     pieces = len({find(ci) for ci, comp in enumerate(d.components) if comp})
     chi = len(d.crossings) - d.n_passages() + len(_trace(d)[0])
@@ -235,7 +235,6 @@ def _rail_layout(d: Diagram) -> Diagram:
             out += [p, *(Passage(c, _THROUGH) for c in cids)]
         components.append(tuple(out))
     out_d = Diagram(tuple(components), crossings)
-    out_d.validate()
     if genus(out_d) != 0:
         raise ValidationError("rail layout produced a non-planar code")
     return out_d

@@ -149,10 +149,10 @@ def verify_theorems(
     """Run the identity checks for every named knot fixture.
 
     A fixture is a catalog name or a `Diagram`, reported by its VGC text; all
-    catalog knots are used by default.  Raises ValidationError for an
-    argument that is not an iterable, a fixture of another kind or an
-    invalid diagram, or an unknown theorem, and MultivirtError for a
-    non-knot fixture."""
+    catalog knots are used by default; a `Diagram` is checked when it is
+    made, so a fixture is a valid diagram.  Raises ValidationError for an
+    argument that is not an iterable, a fixture of another kind, or an
+    unknown theorem, and MultivirtError for a non-knot fixture."""
     try:
         theorems = set(theorems)
         r_range, n_range = tuple(r_range), tuple(n_range)
@@ -172,7 +172,6 @@ def verify_theorems(
             d, label = catalog.diagram(name), name
         else:
             d = checked(name, Diagram, ValidationError, "a fixture other than a name")
-            d.validate()
             label = serialize_vgc(d)
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {label!r} is not a knot")

@@ -164,9 +164,9 @@ class TestExtraction:
             extract_component(trefoil, 2)
 
     def test_kept_crossing_without_a_record_rejected(self):
-        d = Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {})
+        # Such a diagram is refused when it is made, before extraction.
         with pytest.raises(ValidationError, match="crossing 1 has no record"):
-            extract_component(d, 1)
+            extract_component(Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {}), 1)
 
     @pytest.mark.parametrize("i", [1.0, 1.5, "1", None])
     def test_non_integer_component_rejected(self, trefoil, i):

@@ -1,7 +1,6 @@
 import copy
 import itertools
 import pickle
-import sys
 from collections import namedtuple
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import diagrams
 import multivirt
 from multivirt import catalog
-from multivirt.constructions import multiplex
+from multivirt.constructions import covering, extract_component, multiplex
 from multivirt.errors import (
     BadComponent,
     NotReal,
@@ -28,12 +27,13 @@ from multivirt.model import (
     Role,
     canonical_form,
     parse_vgc,
+    relabel,
     rotate,
     segments,
     serialize_vgc,
 )
-from multivirt.moves import find_moves
-from multivirt.planar import faces, genus
+from multivirt.moves import apply_move, find_moves, random_walk
+from multivirt.planar import faces, genus, realize
 
 
 class TestParse:
@@ -171,25 +171,12 @@ class TestPassageIndex:
             d.passage_index[0] = ()
 
     def test_index_is_published_whole(self, trefoil):
-        """Another thread reading the shared index while it is built sees it
-        empty or complete: every line run during the build finds one of the
-        two sizes."""
+        """A new diagram holds its whole passage index: it is swept when the
+        diagram is made, never on a read."""
         d = Diagram(trefoil.components, trefoil.crossings)
-        sizes = []
-
-        def trace(frame, event, arg):
-            if event == "line":
-                sizes.append(len(d._index))
-            return trace
-
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            index = d.passage_index
-        finally:
-            sys.settrace(previous)
-        assert len(index) == 3
-        assert sizes and set(sizes) <= {0, 3}
+        want = {1: ((0, 0), (0, 3)), 2: ((0, 1), (0, 4)), 3: ((0, 2), (0, 5))}
+        assert d.__dict__["_passage_index"] == want
+        assert d.__dict__["_passage_index"] == _index_oracle(d)
 
     @given(diagrams())
     def test_validated_diagram_pickles_and_deep_copies(self, d):
@@ -253,22 +240,17 @@ class TestFrame:
         ids=["passed-once", "passed-three-times", "never-passed"],
     )
     def test_unvalidated_diagram_raises_validation_error(self, components):
-        # A crossing not passed twice has no frame to read.
-        d = Diagram(components, {1: CrossingRecord(1, False, 1)})
+        # A crossing not passed twice has no frame to read, and such a
+        # diagram is refused when it is made, before any frame is read.
         with pytest.raises(ValidationError):
-            d.frame(1, (0, 0))
-        with pytest.raises(UnknownCrossing):
-            d.frame(2, (0, 0))
-        with pytest.raises(UnknownCrossing):
-            d.frame([1], (0, 0))
-        with pytest.raises(ValidationError):
-            d.frame(1, [0, 0])
+            Diagram(components, {1: CrossingRecord(1, False, 1)}).frame(1, (0, 0))
 
     def test_another_crossings_position_rejected_on_an_unvalidated_diagram(self):
         passages = (Passage(1, Role.OVER), Passage(2, Role.OVER))
-        d = Diagram((passages,), {1: CrossingRecord(1, False, 1), 2: CrossingRecord(2, False, 1)})
         with pytest.raises(ValidationError):
-            d.frame(1, (0, 1))
+            Diagram(
+                (passages,), {1: CrossingRecord(1, False, 1), 2: CrossingRecord(2, False, 1)}
+            ).frame(1, (0, 1))
 
     @given(diagrams())
     def test_frame_table_matches_the_first_frame_reader(self, d):
@@ -283,28 +265,15 @@ class TestFrame:
             assert L._frames[ci][i] == _frame_oracle(L, p.crossing, (ci, i))
 
     def test_frame_table_is_published_whole(self):
-        """Another thread reading the shared table while it is built sees it
-        empty or complete."""
+        """A new diagram holds its whole frame table: it is written when the
+        diagram is made, never on a read."""
         d = parse_vgc("O1+ V2- ; U1+ V2- ; .")
-        sizes = []
-
-        def trace(frame, event, arg):
-            if event == "line":
-                sizes.append(len(d._frame_table))
-            return trace
-
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            table = d._frames
-        finally:
-            sys.settrace(previous)
-        assert table == [[1, -1], [-1, 1], []]
-        assert sizes and set(sizes) <= {0, 3}
+        assert d.__dict__["_frames"] == [[1, -1], [-1, 1], []]
+        assert d.__dict__["_frames"] == _frame_table_oracle(d)
 
 
 _O, _U = Role.OVER, Role.UNDER
-# Diagrams built in code and never validated, each breaking one rule.
+# Builders of diagrams that each break one rule, so building one raises.
 _UNVALIDATED = {
     # Crossing 1 is passed Over twice.
     "over-twice": lambda: Diagram(
@@ -329,55 +298,59 @@ _FRAME_READERS = {
 
 
 class TestFrameReaders:
-    """Every reader of the frame table validates a diagram on its first
-    read.  Before, the first diagram had genus 1, canonical form
-    'O1+ O2+ O1+ U2+' and 66 move sites, the second raised a bare
-    AssertionError from `genus` and `multiplex`, and the third had canonical
-    form 'O1+ U1+'."""
+    """No reader of the frame table gets an invalid diagram: building one
+    raises ValidationError.  Before diagrams were checked, the first one
+    had genus 1, canonical form 'O1+ O2+ O1+ U2+' and 66 move sites, the
+    second raised a bare AssertionError from `genus` and `multiplex`, and
+    the third had canonical form 'O1+ U1+'."""
 
     @pytest.mark.parametrize("reader", _FRAME_READERS)
     @pytest.mark.parametrize("name", _UNVALIDATED)
     def test_an_invalid_diagram_is_rejected(self, name, reader):
-        d = _UNVALIDATED[name]()
         with pytest.raises(ValidationError):
-            _FRAME_READERS[reader](d)
-        assert d._frame_table == []
+            _FRAME_READERS[reader](_UNVALIDATED[name]())
 
     def test_parse_leaves_the_frame_table_filled(self):
         d = parse_vgc("O1+ V2- ; U1+ V2- ; .")
-        assert d._frame_table == [[1, -1], [-1, 1], []]
+        assert d._frames == [[1, -1], [-1, 1], []]
 
     @given(diagrams())
     def test_validate_fills_the_table_once(self, d):
         fresh = Diagram(d.components, d.crossings)
-        assert fresh._frame_table == []
-        fresh.validate()
-        fresh.validate()
-        assert fresh._frame_table == d._frames
+        index, table = fresh._passage_index, fresh._frames
+        assert index == _index_oracle(fresh)
+        assert table == _frame_table_oracle(fresh) == d._frames
+        # A later check returns the same tables and leaves the kept ones alone.
+        assert fresh.validate() == (index, table)
+        assert fresh._passage_index is index and fresh._frames is table
 
 
-def _validate_oracle(self) -> None:
-    """The first `Diagram.validate`, kept as an oracle: it builds the list of
-    roles of every crossing and looks it up among the passing patterns."""
+def _validate_oracle(components, crossings) -> None:
+    """The first `Diagram.validate`, kept as an oracle on the parts of a
+    diagram: it sweeps the passage index, builds the list of roles of every
+    crossing and looks it up among the passing patterns."""
     try:
-        index = self._passage_index
+        index = {}
+        for ci, comp in enumerate(components):
+            for i, p in enumerate(comp):
+                index.setdefault(p.crossing, []).append((ci, i))
         for cid, ps in index.items():
-            rec = self.crossings.get(cid)
+            rec = crossings.get(cid)
             if not isinstance(rec, CrossingRecord) or rec.cid != cid:
                 raise ValidationError(f"crossing {cid!r} has no record filed under its id")
             if not isinstance(cid, int) or cid < 1:
                 raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
             if rec.sign not in (+1, -1):
                 raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
-            roles = [self.components[ci][i].role for ci, i in ps]
+            roles = [components[ci][i].role for ci, i in ps]
             if roles not in _PASSES.get(rec.virtual, ()):
                 raise ValidationError(
                     f"crossing {cid} must be passed once Over and once Under (real)"
                     " or twice Through (virtual)"
                 )
         # Every passed crossing has its record, so any other record is unused.
-        if len(self.crossings) != len(index):
-            unused = [cid for cid in self.crossings if cid not in index]
+        if len(crossings) != len(index):
+            unused = [cid for cid in crossings if cid not in index]
             raise ValidationError(f"crossings recorded but never passed: {unused!r}")
     except (AttributeError, TypeError):
         raise ValidationError(
@@ -386,14 +359,13 @@ def _validate_oracle(self) -> None:
 
 
 def _verdicts(components, crossings):
-    """The message `validate` and its oracle raise on fresh diagrams built
-    from these parts, or None when they accept."""
+    """The message that building a diagram from these parts and the oracle
+    raise, or None when they accept."""
     out = []
-    for check in (Diagram.validate, _validate_oracle):
+    for check in (Diagram, _validate_oracle):
         table = dict(crossings) if isinstance(crossings, dict) else crossings
-        d = Diagram(tuple(tuple(c) for c in components), table)
         try:
-            check(d)
+            check(tuple(tuple(c) for c in components), table)
         except ValidationError as e:
             out.append(str(e))
         else:
@@ -497,6 +469,22 @@ class TestValidateAgainstTheOracle:
         assert got is not None
 
 
+def _index_oracle(d):
+    """The passage index by a brute-force sweep over the passages."""
+    index = {}
+    for ci, i, p in d.passages():
+        index[p.crossing] = index.get(p.crossing, ()) + ((ci, i),)
+    return index
+
+
+def _frame_table_oracle(d):
+    """The frame table read passage by passage with `_frame_oracle`."""
+    return [
+        [_frame_oracle(d, p.crossing, (ci, i)) for i, p in enumerate(comp)]
+        for ci, comp in enumerate(d.components)
+    ]
+
+
 def _frame_oracle(d, cid, pos):
     """The first frame reader, kept as an oracle: the stored sign read from
     the over passage of a real crossing or the first passage of a virtual
@@ -506,6 +494,54 @@ def _frame_oracle(d, cid, pos):
     if not rec.virtual and d.components[a[0]][a[1]].role is not Role.OVER:
         a = b
     return rec.sign if pos == a else -rec.sign
+
+
+class TestCheckedConstruction:
+    """Every producer returns a diagram checked when it was made, which
+    keeps the passage index and the frame table of that check."""
+
+    @given(diagrams(), st.data())
+    def test_every_producer_keeps_the_tables_of_a_fresh_sweep(self, d, data):
+        ci = data.draw(st.integers(0, d.n_components() - 1))
+        ids = list(d.crossings)
+        new_ids = data.draw(st.lists(st.integers(1, 99), min_size=len(ids), max_size=len(ids), unique=True))
+        knot = realize(extract_component(d, 1))
+        r = data.draw(st.integers(2, 3))
+        final, trace = random_walk(d, 6, data.draw(st.integers(0, 3)), size_cap=10**9)
+        made = [
+            parse_vgc(serialize_vgc(d)),
+            rotate(d, ci, data.draw(st.integers(-5, 5))),
+            relabel(d, dict(zip(ids, new_ids))),
+            extract_component(d, ci + 1),
+            realize(d),
+            knot,
+            multiplex(knot, r)[0],
+            covering(knot, r),
+            final,
+        ]
+        for site in trace:
+            d = apply_move(d, site)
+            made.append(d)
+        for out in made:
+            assert out._passage_index == _index_oracle(out)
+            assert out._frames == _frame_table_oracle(out)
+
+    @pytest.mark.parametrize("name", _UNVALIDATED)
+    def test_an_invalid_diagram_cannot_be_made(self, name):
+        with pytest.raises(ValidationError):
+            _UNVALIDATED[name]()
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [{1: 2, 2: 2, 3: 3}, {1: 0, 2: 2, 3: 3}, {1: "a", 2: 2, 3: 3}, {1: 1, 2: 2},
+         {1: [1], 2: 2, 3: 3}, [0, 1, 2, 3], None],
+        ids=["two-ids-alike", "id-0", "string-id", "missing-id", "unhashable-id", "list", "none"],
+    )
+    def test_relabel_refuses_a_mapping_that_breaks_the_model(self, trefoil, mapping):
+        # Before, the first three gave serializable codes that break the
+        # model, and a missing id a bare KeyError.
+        with pytest.raises(ValidationError):
+            relabel(trefoil, mapping)
 
 
 class TestCanonicalForm:

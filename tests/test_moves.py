@@ -702,6 +702,22 @@ def test_counted_pokes_match_the_listing_oracle(d):
     _assert_pokes_match_the_oracle(d)
 
 
+@given(diagrams())
+@example(parse_vgc("O1+ U1+"))
+@example(parse_vgc("U1- ; O1-"))
+@example(parse_vgc("."))
+def test_iterated_pokes_are_the_indexed_ones(d):
+    pokes = _pokes(d)
+    assert list(pokes) == [pokes[k] for k in range(len(pokes))]
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_iterated_pokes_are_the_indexed_ones_on_multiplexes(name, r):
+    pokes = _pokes(multiplex(catalog.diagram(name), r)[0])
+    assert list(pokes) == [pokes[k] for k in range(len(pokes))]
+
+
 def test_poke_filter_drops_pairs_along_one_edge():
     # One 4-dart face runs along both edges twice: of its 8 pairs in the
     # window, the 4 at distance 2 lie on one edge.

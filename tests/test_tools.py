@@ -112,3 +112,14 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
     )
     assert re.fullmatch(r"tree faster in [012] of 2 rounds", out[3])
     assert len(out) == 4
+
+
+def test_suite_collects_without_errors():
+    # The suite runs with --continue-on-collection-errors, so a test module
+    # that raises at import would lose all its tests without failing a run.
+    root = SCRIPT.parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", str(root / "tests")],
+        capture_output=True, text=True, cwd=root,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

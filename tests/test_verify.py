@@ -61,16 +61,17 @@ class TestVerifyArguments:
         assert {r["fixture"] for r in payload["results"]} == {"O1+ U1+"}
 
     @pytest.mark.parametrize(
-        "d",
+        "build",
         [
-            Diagram(((Passage(1, Role.OVER),),), {1: CrossingRecord(1, False, 1)}),
-            Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {}),
+            lambda: Diagram(((Passage(1, Role.OVER),),), {1: CrossingRecord(1, False, 1)}),
+            lambda: Diagram(((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {}),
         ],
         ids=["real-crossing-passed-once", "unrecorded-crossing"],
     )
-    def test_invalid_diagram_fixture_rejected(self, d):
+    def test_invalid_diagram_fixture_rejected(self, build):
+        # The diagram is refused when it is made, before verify sees it.
         with pytest.raises(ValidationError):
-            verify_theorems(names=[d], r_range=(2,))
+            verify_theorems(names=[build()], r_range=(2,))
 
 
 def _results(rep):
