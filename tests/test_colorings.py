@@ -35,8 +35,53 @@ from multivirt.errors import (
     TooLarge,
     ValidationError,
 )
-from multivirt.model import Granularity, Role, Segments, parse_vgc
+from multivirt.model import Granularity, Role, Segments, parse_vgc, segments
 from multivirt.moves import random_walk
+
+
+# The passages at which each granularity cuts a component into pieces.
+_CUT_ROLES = {
+    Granularity.EDGE: {Role.OVER, Role.UNDER, Role.THROUGH},
+    Granularity.ARC: {Role.UNDER},
+    Granularity.VIRTUAL_ARC: {Role.UNDER, Role.THROUGH},
+}
+
+
+def _walking_oracle(d, cut_roles):
+    """Number the pieces of `d` cut at `cut_roles` without `segments`: by
+    component, then by cut passage, a component with no cut being one closed
+    piece.  Return the numbering, keyed by (component, cut passage or None),
+    and `piece_before(ci, i)`, the piece running along the edge that enters
+    passage i, found by walking back along the component to the nearest cut."""
+    number: dict[tuple[int, int | None], int] = {}
+    for ci, comp in enumerate(d.components):
+        cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
+        for i in cuts or [None]:
+            number[(ci, i)] = len(number)
+
+    def piece_before(ci: int, i: int) -> int:
+        comp = d.components[ci]
+        for back in range(1, len(comp) + 1):
+            j = (i - back) % len(comp)
+            if comp[j].role in cut_roles:
+                return number[(ci, j)]
+        return number[(ci, None)]
+
+    return number, piece_before
+
+
+def _assert_gaps_match_walking_oracle(d):
+    """At every granularity, every gap of `d` lies in the oracle's piece: gap
+    g runs along the edge that enters passage g + 1, and the one gap of a
+    crossing-free circle lies in its closed piece."""
+    for gran, cut_roles in _CUT_ROLES.items():
+        segs = segments(d, gran)
+        number, piece_before = _walking_oracle(d, cut_roles)
+        assert len(segs) == len(number)
+        for ci, comp in enumerate(d.components):
+            for g in range(len(comp)) or (None,):
+                want = piece_before(ci, (g + 1) % len(comp)) if comp else number[(ci, None)]
+                assert segs.index_of_gap(ci, g) == want
 
 
 class TestBuildSystem:
@@ -72,23 +117,8 @@ class TestBuildSystem:
         """Rows equal those of an oracle that numbers the pieces itself (by
         component, then by cut passage) and finds the piece at a passage by
         walking back along the component to the nearest cut."""
-        cut_roles = {Role.UNDER}
-        if mode is ColoringMode.VIRTUAL_FOX:
-            cut_roles.add(Role.THROUGH)
-        number: dict[tuple[int, int | None], int] = {}
-        for ci, comp in enumerate(d.components):
-            cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
-            for i in cuts or [None]:
-                number[(ci, i)] = len(number)
-
-        def piece_before(ci: int, i: int) -> int:
-            """The piece running along the edge that enters passage i."""
-            comp = d.components[ci]
-            for back in range(1, len(comp) + 1):
-                j = (i - back) % len(comp)
-                if comp[j].role in cut_roles:
-                    return number[(ci, j)]
-            return number[(ci, None)]
+        gran = Granularity.VIRTUAL_ARC if mode is ColoringMode.VIRTUAL_FOX else Granularity.ARC
+        number, piece_before = _walking_oracle(d, _CUT_ROLES[gran])
 
         def piece_after(ci: int, i: int) -> int:
             """The piece running along the edge that leaves passage i."""
@@ -122,6 +152,16 @@ class TestBuildSystem:
         system = build_system(d, mode)
         assert system.n_unknowns == len(number)
         assert system.rows == tuple(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=diagrams())
+    def test_gaps_match_walking_oracle(self, d):
+        _assert_gaps_match_walking_oracle(d)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    def test_multiplex_gaps_match_walking_oracle(self, name, r):
+        _assert_gaps_match_walking_oracle(multiplex(catalog.diagram(name), r)[0])
 
 
 def _det(m: list[list[int]]) -> int:
