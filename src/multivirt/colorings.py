@@ -93,7 +93,7 @@ class ColoringSystem:
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.unknowns.pieces)
+        return self.unknowns.n_pieces
 
     def matrix(self) -> list[list[int]]:
         """The dense relation matrix, one list of n_unknowns entries per row."""
@@ -156,6 +156,7 @@ def build_system(
         Granularity.VIRTUAL_ARC if mode is ColoringMode.VIRTUAL_FOX else Granularity.ARC
     )
     segs = segments(d, gran)
+    of_gap = segs.of_gap
     rows: list[tuple[tuple[int, int], ...]] = []
 
     def row(*coeffs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
@@ -164,33 +165,29 @@ def build_system(
             r[idx] = r.get(idx, 0) + c
         return tuple(sorted((idx, c) for idx, c in r.items() if c))
 
-    def into(ci: int, i: int) -> int:
-        """The piece entering passage i, which covers gap i - 1."""
-        return segs.index_of_gap(ci, (i - 1) % len(d.components[ci]))
-
     for cid, rec in sorted(d.crossings.items()):
         if rec.virtual:
             if mode is ColoringMode.VIRTUAL_FOX:
                 for ci, i in d._passage_index[cid]:
-                    rows.append(row((into(ci, i), 1), (segs.index_of_gap(ci, i), 1)))
+                    rows.append(row((of_gap[ci][i - 1], 1), (of_gap[ci][i], 1)))
             continue
         (co, io), (cu, iu) = d.real_positions(cid)
-        rows.append(row((into(cu, iu), 1), (segs.index_of_gap(cu, iu), 1), (into(co, io), -2)))
+        rows.append(row((of_gap[cu][iu - 1], 1), (of_gap[cu][iu], 1), (of_gap[co][io - 1], -2)))
 
     if mode is ColoringMode.CONSTRAINED:
-        edge_map = _fitted_provenance(provenance, d).edge_map
+        edge_map = _fitted_provenance(provenance, d)
         for t in range(len(edge_map) // 2):
-            a = segs.index_of_gap(*edge_map[(t, 1)])
-            b = segs.index_of_gap(*edge_map[(t, 2)])
-            rows.append(row((a, 1), (b, 1)))
+            (c1, g1), (c2, g2) = edge_map[(t, 1)], edge_map[(t, 2)]
+            rows.append(row((of_gap[c1][g1], 1), (of_gap[c2][g2], 1)))
 
     return ColoringSystem(mode, segs, tuple(rows))
 
 
-def _fitted_provenance(prov, l2: Diagram) -> Provenance:
-    """Return `prov` if it is the provenance of a 2-fold multiplex that places
-    both copies of every source edge on a gap of `l2`; else raise
-    MissingProvenance."""
+def _fitted_provenance(prov, l2: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
+    """Return the edge map of `prov` if it is the provenance of a 2-fold
+    multiplex that places both copies of every source edge on a gap of `l2`;
+    else raise MissingProvenance.  Each gap comes back as the int gap that it
+    equals, 0 for a crossing-free circle, so that it indexes a gap table."""
     prov = checked(prov, Provenance, MissingProvenance, "multiplexing provenance")
     l2 = checked(l2, Diagram, ValidationError, "multiplex")
     if prov.r != 2:
@@ -202,10 +199,13 @@ def _fitted_provenance(prov, l2: Diagram) -> Provenance:
     n_edges = len(prov.edge_map) // 2
     if set(prov.edge_map) != {(t, q) for t in range(n_edges) for q in (1, 2)}:
         raise MissingProvenance("the edge map must place both copies of every source edge")
-    gaps = {(ci, g) for ci, comp in enumerate(l2.components) for g in range(len(comp)) or (None,)}
-    if not gaps.issuperset(prov.edge_map.values()):
-        raise MissingProvenance("the edge map places an edge off the gaps of the multiplex")
-    return prov
+    comps = enumerate(l2.components)
+    gaps = {(ci, g): (ci, g or 0) for ci, comp in comps for g in range(len(comp)) or (None,)}
+    try:
+        return {edge: gaps[gap] for edge, gap in prov.edge_map.items()}
+    except (KeyError, TypeError):  # TypeError: an unhashable gap
+        msg = "the edge map places an edge off the gaps of the multiplex"
+        raise MissingProvenance(msg) from None
 
 
 # -- exact counting ---------------------------------------------------------
@@ -393,7 +393,7 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     values = checked(col.values, tuple, InvalidColoring, "coloring values")
     values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
     n = _modulus(col.modulus)
-    prov = _fitted_provenance(prov, l2)
+    edge_map = _fitted_provenance(prov, l2)
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("the pairing map is defined for one-component source diagrams")
@@ -401,8 +401,8 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     if not is_solution(vsys, Coloring(values, n)):
         raise InvalidColoring("input is not a virtual coloring of the source diagram")
     # Source edge t is gap t of the one component, or its closed circle.
-    gaps = range(len(d.components[0])) or (None,)
-    if 2 * len(gaps) != len(prov.edge_map):
+    source = vsys.unknowns.of_gap[0]
+    if 2 * len(source) != len(edge_map):
         raise MissingProvenance("the provenance is not that of the source diagram's multiplex")
     arcs = segments(l2, Granularity.ARC)
     image: dict[int, int] = {}
@@ -412,13 +412,12 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
         if image.setdefault(piece, v) != v:
             raise InvalidColoring("pairing map produced an inconsistent assignment")
 
-    for t, gap in enumerate(gaps):
-        v = values[vsys.unknowns.index_of_gap(0, gap)]
-        right = prov.edge_map[(t, _RIGHT_COPY)]
-        left = prov.edge_map[(t, _LEFT_COPY)]
-        assign(arcs.index_of_gap(*right), v)
-        assign(arcs.index_of_gap(*left), -v)
+    for t, piece in enumerate(source):
+        (cr, gr), (cl, gl) = edge_map[(t, _RIGHT_COPY)], edge_map[(t, _LEFT_COPY)]
+        assign(arcs.of_gap[cr][gr], values[piece])
+        assign(arcs.of_gap[cl][gl], -values[piece])
 
-    if set(image) != set(range(len(arcs.pieces))):
+    # The table holds pieces below the count only, so this checks coverage.
+    if len(image) != arcs.n_pieces:
         raise InvalidColoring("pairing map left an arc of the multiplex unassigned")
-    return Coloring(tuple(image[i] for i in range(len(arcs.pieces))), n)
+    return Coloring(tuple(image[i] for i in range(arcs.n_pieces)), n)

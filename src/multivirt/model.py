@@ -42,7 +42,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import BadComponent, NotReal, ParseError, UnknownCrossing, ValidationError, checked
@@ -461,50 +460,25 @@ _CUT_ROLES = {
 
 
 @dataclass(frozen=True)
-class Piece:
-    """A contiguous stretch of one component between two cut passages.
-
-    `start` is the cut passage the piece leaves (None for a closed piece
-    covering a whole component), and `gaps` lists the edge slots it covers,
-    gap g meaning the edge from passage g to passage g+1.  The gaps say where
-    every passage sits: the piece that leaves passage i covers gap i, and the
-    piece that enters it covers gap i - 1 (mod the component length); a
-    passage that is not cut lies inside the piece that enters it.
-    """
-
-    component: int
-    start: int | None
-    gaps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Segments:
-    """The pieces of a diagram at one granularity.
+    """The pieces of a diagram at one granularity, as one table per gap.
 
-    `index_of_gap` is the one lookup: the piece leaving passage (ci, i) is
-    `index_of_gap(ci, i)`, the piece entering it (or containing it, when it is
-    not cut) is `index_of_gap(ci, (i - 1) % L)`, and a crossing-free circle's
-    closed piece is `index_of_gap(ci, None)`.
+    Gap g of component ci is the edge from passage g to passage g + 1, and
+    `of_gap[ci][g]` is the piece that covers it; a crossing-free circle has
+    one gap, covered by its closed piece.  So the piece leaving passage
+    (ci, i) is `of_gap[ci][i]`, and the piece entering it (or containing it,
+    when it is not cut) is `of_gap[ci][i - 1]`, the index -1 wrapping to the
+    last gap.  The pieces are numbered 0 .. n_pieces - 1 by component, then
+    from the first cut passage of the component, the piece that wraps past
+    its basepoint last.
     """
 
     granularity: Granularity
-    pieces: tuple[Piece, ...]
+    of_gap: tuple[tuple[int, ...], ...]
+    n_pieces: int
 
     def __len__(self) -> int:
-        return len(self.pieces)
-
-    def index_of_gap(self, ci: int, gap: int | None) -> int:
-        return self._gap_map[(ci, gap)]
-
-    @cached_property
-    def _gap_map(self) -> dict[tuple[int, int | None], int]:
-        m = {}
-        for k, piece in enumerate(self.pieces):
-            if piece.start is None:
-                m[(piece.component, None)] = k
-            for g in piece.gaps:
-                m[(piece.component, g)] = k
-        return m
+        return self.n_pieces
 
 
 def segments(d: Diagram, granularity: Granularity) -> Segments:
@@ -516,15 +490,15 @@ def segments(d: Diagram, granularity: Granularity) -> Segments:
     """
     d = checked(d, Diagram, ValidationError, "diagram")
     cut_roles = _CUT_ROLES[checked(granularity, Granularity, ValidationError, "granularity")]
-    pieces: list[Piece] = []
-    for ci, comp in enumerate(d.components):
-        L = len(comp)
+    of_gap = []
+    n = 0
+    for comp in d.components:
         cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
-        if not cuts:
-            pieces.append(Piece(ci, None, tuple(range(L))))
-            continue
-        for j, s in enumerate(cuts):
-            e = cuts[(j + 1) % len(cuts)]
-            span = (e - s) % L or L  # s == e means the piece wraps the whole circle
-            pieces.append(Piece(ci, s, tuple((s + t) % L for t in range(span))))
-    return Segments(granularity, tuple(pieces))
+        first, n = n, n + (len(cuts) or 1)
+        # The last piece wraps past the basepoint, or closes the circle when
+        # nothing is cut; each other piece runs from its cut to the next.
+        row = [n - 1] * (len(comp) or 1)
+        for k, (s, e) in enumerate(zip(cuts, cuts[1:]), first):
+            row[s:e] = [k] * (e - s)
+        of_gap.append(tuple(row))
+    return Segments(granularity, tuple(of_gap), n)

@@ -81,7 +81,7 @@ def _assert_gaps_match_walking_oracle(d):
         for ci, comp in enumerate(d.components):
             for g in range(len(comp)) or (None,):
                 want = piece_before(ci, (g + 1) % len(comp)) if comp else number[(ci, None)]
-                assert segs.index_of_gap(ci, g) == want
+                assert segs.of_gap[ci][g or 0] == want
 
 
 class TestBuildSystem:
@@ -291,7 +291,7 @@ class TestSmithNormalForm:
 def _system(rows, n_cols: int) -> ColoringSystem:
     """A system with the given sparse rows over n_cols placeholder unknowns."""
     return ColoringSystem(
-        ColoringMode.FOX, Segments(Granularity.ARC, (None,) * n_cols), tuple(rows)
+        ColoringMode.FOX, Segments(Granularity.ARC, (), n_cols), tuple(rows)
     )
 
 
@@ -322,7 +322,7 @@ def test_rows_out_of_sparse_form_rejected(row):
 # Unchecked, None raised AttributeError and the string was taken as a mode.
 @pytest.mark.parametrize(
     "mode, unknowns",
-    [(ColoringMode.FOX, None), ("fox", Segments(Granularity.ARC, ()))],
+    [(ColoringMode.FOX, None), ("fox", Segments(Granularity.ARC, (), 0))],
     ids=["unknowns-None", "mode-string"],
 )
 def test_system_of_wrong_kinds_rejected(mode, unknowns):

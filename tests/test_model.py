@@ -592,6 +592,14 @@ class TestCanonicalForm:
         assert rotate(d, True, True) == rotate(d, 1, 1)
 
 
+# The passages at which each granularity cuts a component into pieces.
+_CUT_ROLES = {
+    Granularity.EDGE: {Role.OVER, Role.UNDER, Role.THROUGH},
+    Granularity.ARC: {Role.UNDER},
+    Granularity.VIRTUAL_ARC: {Role.UNDER, Role.THROUGH},
+}
+
+
 class TestSegments:
     def test_granularity_must_be_a_member(self):
         with pytest.raises(ValidationError, match="'edge'"):
@@ -612,13 +620,13 @@ class TestSegments:
         d = parse_vgc(".")
         segs = segments(d, Granularity.ARC)
         assert len(segs) == 1
-        assert segs.pieces[0].start is None
+        assert segs.of_gap == ((0,),)  # one gap, in the closed piece
 
     def test_over_only_component_is_closed_at_arc_level(self):
         d = parse_vgc("O1+ ; U1+")
         segs = segments(d, Granularity.ARC)
         assert len(segs) == 2  # one closed piece on the over circle, one arc
-        assert segs.pieces[0].start is None
+        assert segs.of_gap == ((0,), (1,))
 
     @given(diagrams())
     def test_counts(self, d):
@@ -636,33 +644,38 @@ class TestSegments:
 
     @given(diagrams())
     def test_edge_refinement(self, d):
-        """Every edge lies in exactly one arc and one virtual arc."""
+        """Every edge is a piece of its own, and every virtual arc lies inside
+        one arc: all of its gaps are gaps of that arc."""
         arcs = segments(d, Granularity.ARC)
         varcs = segments(d, Granularity.VIRTUAL_ARC)
         edges = segments(d, Granularity.EDGE)
-        for piece in edges.pieces:
-            gap = piece.start if piece.start is not None else None
-            a = arcs.index_of_gap(piece.component, gap)
-            v = varcs.index_of_gap(piece.component, gap)
-            assert 0 <= a < len(arcs)
-            assert 0 <= v < len(varcs)
-            # the virtual arc is contained in the arc: its gaps are a subset
-            assert set(varcs.pieces[v].gaps) <= set(arcs.pieces[a].gaps) or (
-                arcs.pieces[a].start is None
-            )
+        edge_pieces = [k for row in edges.of_gap for k in row]
+        assert len(set(edge_pieces)) == len(edge_pieces)
+        arc_of: dict[int, set[int]] = {}
+        for vrow, arow in zip(varcs.of_gap, arcs.of_gap):
+            for v, a in zip(vrow, arow, strict=True):
+                assert 0 <= a < len(arcs)
+                assert 0 <= v < len(varcs)
+                arc_of.setdefault(v, set()).add(a)
+        assert all(len(found) == 1 for found in arc_of.values())
 
     @given(diagrams())
     def test_gaps_partition(self, d):
-        for gran in Granularity:
+        """Every piece covers one cyclic run of gaps of one component: a run
+        starts at every cut, and a component cut at most once is one piece.
+        A crossing-free circle has one gap."""
+        for gran, cut_roles in _CUT_ROLES.items():
             segs = segments(d, gran)
-            seen = {}
-            for k, piece in enumerate(segs.pieces):
-                for g in piece.gaps:
-                    key = (piece.component, g)
-                    assert key not in seen
-                    seen[key] = k
-            total_gaps = sum(len(c) for c in d.components)
-            assert len(seen) == total_gaps
+            owner: dict[int, int] = {}
+            for ci, (comp, row) in enumerate(zip(d.components, segs.of_gap, strict=True)):
+                assert len(row) == max(len(comp), 1)
+                cuts = [i for i, p in enumerate(comp) if p.role in cut_roles]
+                starts = [g for g in range(len(row)) if row[g - 1] != row[g]]
+                assert starts == (cuts if len(cuts) > 1 else [])
+                assert len({row[g] for g in starts}) == len(starts)
+                for k in row:
+                    assert owner.setdefault(k, ci) == ci
+            assert sorted(owner) == list(range(len(segs)))
 
 
 # Every export that takes a diagram first, with the other arguments it needs.
