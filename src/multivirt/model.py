@@ -26,7 +26,9 @@ Both tokens of one crossing carry the same sign character.
 
 A diagram is checked when it is made: constructing a `Diagram` runs
 `validate`, which raises ValidationError unless every rule of the model
-holds, so no function ever gets a diagram that breaks one.  The same sweep
+holds, so no function ever gets a diagram that breaks one.  The diagram then
+keeps its components as tuples of tuples and its crossings as a read-only
+dict, so nothing can change it after the check.  The same sweep
 gives the two tables that the diagram keeps in plain fields: the passage
 index `_passage_index`, crossing id -> positions (component, index) of its
 passages in canonical order, and the frame table `_frames`.
@@ -79,14 +81,29 @@ class CrossingRecord:
     sign: int  # the frame read from the over passage (real) or the first passage (virtual)
 
 
+class _Crossings(dict):
+    """The crossing table of a checked diagram: a dict that refuses every
+    change, so that no answer can go stale after the check.  It pickles and
+    copies as the dict it holds."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the crossing table of a Diagram is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Crossings, (dict(self),)
+
+
 @dataclass(frozen=True)
 class Diagram:
     """Immutable diagram value, checked when it is made: construction raises
-    ValidationError unless every rule of the model holds.  All operations in
-    this package are pure."""
+    ValidationError unless every rule of the model holds, and then keeps the
+    components as tuples of tuples and the crossings as a read-only dict.
+    All operations in this package are pure."""
 
     components: tuple[tuple[Passage, ...], ...]
-    crossings: dict[int, CrossingRecord]
+    crossings: Mapping[int, CrossingRecord]
     # The integer face trace of `planar._trace`, filled on first use.
     _face_trace: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
     # The passage index and the frame table that `validate` sweeps.  A plain
@@ -99,6 +116,8 @@ class Diagram:
     def __post_init__(self):
         # Called through `self`, so a wrapper put on the class sees every check.
         index, frames = self.validate()
+        object.__setattr__(self, "components", tuple(map(tuple, self.components)))
+        object.__setattr__(self, "crossings", _Crossings(self.crossings))
         object.__setattr__(self, "_passage_index", index)
         object.__setattr__(self, "_frames", frames)
 

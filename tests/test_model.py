@@ -543,6 +543,42 @@ class TestCheckedConstruction:
         with pytest.raises(ValidationError):
             relabel(trefoil, mapping)
 
+    def test_a_checked_diagram_cannot_be_changed(self, trefoil):
+        # Before, `trefoil.crossings[1] = CrossingRecord(1, False, -1)` made
+        # serialize_vgc print O1- while the frame table still read +1.
+        def assign_passage():
+            trefoil.components[0][0] = Passage(2, Role.OVER)
+
+        changes = [
+            assign_passage,
+            lambda: trefoil.crossings.__setitem__(1, CrossingRecord(1, False, -1)),
+            lambda: trefoil.crossings.__delitem__(1),
+            lambda: trefoil.crossings.update({9: CrossingRecord(9, False, 1)}),
+            lambda: trefoil.crossings.setdefault(9, CrossingRecord(9, False, 1)),
+            lambda: trefoil.crossings.pop(1),
+            lambda: trefoil.crossings.popitem(),
+            lambda: trefoil.crossings.clear(),
+        ]
+        for change in changes:
+            with pytest.raises(TypeError):
+                change()
+        assert serialize_vgc(trefoil) == "O1+ U2+ O3+ U1+ O2+ U3+"
+        assert trefoil.frame(1, (0, 0)) == 1 and trefoil.n_real() == 3
+
+    def test_the_arguments_are_copied_into_tuples_and_a_read_only_table(self):
+        comps = [[Passage(1, Role.OVER), Passage(1, Role.UNDER)]]
+        crossings = {1: CrossingRecord(1, False, 1)}
+        d = Diagram(comps, crossings)
+        comps[0].reverse()
+        crossings[1] = CrossingRecord(1, False, -1)
+        assert serialize_vgc(d) == "O1+ U1+"
+        assert type(d.components) is tuple and all(type(c) is tuple for c in d.components)
+        assert d == parse_vgc("O1+ U1+")
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+            assert twin == d
+            with pytest.raises(TypeError):
+                twin.crossings[1] = CrossingRecord(1, False, -1)
+
 
 class TestCanonicalForm:
     def test_rotation(self):
