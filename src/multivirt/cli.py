@@ -126,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("catalog", help="list fixtures or show one")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--name")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--list", action="store_true")
+    g.add_argument("--name")
     p.add_argument("--pretty", action="store_true")
     return ap
 

@@ -14,6 +14,12 @@ Three kinds of integer relation systems over arc unknowns:
                per source edge, linking the arcs that carry its two parallel
                copies (read off the multiplexing provenance).
 
+The unknowns are the pieces of `model.segments` at the mode's granularity,
+read off its gap table: the piece entering passage i of component ci is
+`of_gap[ci][i - 1]` and the piece leaving it `of_gap[ci][i]`; a pairing row
+and the pairing map take the pieces at the gaps that the provenance's edge
+map names for the two copies of a source edge.
+
 Each relation is stored sparsely, as (unknown, coefficient) pairs sorted by
 unknown with zero coefficients dropped; a relation that cancels completely is
 the empty tuple, so the row count never changes.

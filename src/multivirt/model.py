@@ -489,12 +489,22 @@ class Segments:
     when it is not cut) is `of_gap[ci][i - 1]`, the index -1 wrapping to the
     last gap.  The pieces are numbered 0 .. n_pieces - 1 by component, then
     from the first cut passage of the component, the piece that wraps past
-    its basepoint last.
+    its basepoint last.  Raises ValidationError unless the piece count is an
+    integer >= 0 and the table a tuple of tuples of ints below it.
     """
 
     granularity: Granularity
     of_gap: tuple[tuple[int, ...], ...]
     n_pieces: int
+
+    def __post_init__(self) -> None:
+        checked(self.granularity, Granularity, ValidationError, "granularity")
+        n = checked(self.n_pieces, int, ValidationError, "piece count")
+        object.__setattr__(self, "n_pieces", n)
+        rows = self.of_gap
+        ok = n >= 0 and type(rows) is tuple and all(type(r) is tuple for r in rows)
+        if not ok or any(type(k) is not int or not 0 <= k < n for r in rows for k in r):
+            raise ValidationError(f"a gap table must hold tuples of ints in range({n})")
 
     def __len__(self) -> int:
         return self.n_pieces

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from multivirt import catalog
 from multivirt.cli import main
 from multivirt.errors import ValidationError
 from multivirt.moves import size_cap_from_env
@@ -167,6 +168,18 @@ class TestVerifyAndCatalog:
     def test_catalog_single(self, capsys):
         _, out, _ = run(capsys, "catalog", "--name", "vhopf")
         assert json.loads(out)["code"] == "O1+ V2- ; U1+ V2-"
+
+    def test_catalog_list_and_name_together_is_a_usage_error(self, capsys):
+        # Before, --list was ignored and one entry printed.
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--list", "--name", "vhopf"])
+        assert exc.value.code == 2
+
+    def test_bare_catalog_lists_every_entry(self, capsys):
+        _, bare, _ = run(capsys, "catalog")
+        _, listed, _ = run(capsys, "catalog", "--list")
+        assert bare == listed
+        assert len(json.loads(bare)["entries"]) == len(catalog.names())
 
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "catalog", "--name", "nope")

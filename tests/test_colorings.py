@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
@@ -31,6 +32,7 @@ from multivirt.errors import (
     BadModulus,
     InvalidColoring,
     MissingProvenance,
+    MultivirtError,
     NotAKnot,
     TooLarge,
     ValidationError,
@@ -639,6 +641,16 @@ class TestPairingMap:
             with pytest.raises(MissingProvenance):
                 build_system(target, ColoringMode.CONSTRAINED, p)
 
+    def test_an_unhashable_gap_is_missing_provenance(self, trefoil):
+        # Before, both raised a bare TypeError: unhashable type: 'list'.
+        l2, prov = multiplex(trefoil, 2)
+        zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
+        listed = replace(prov, edge_map={**prov.edge_map, (0, 1): [0, 1]})
+        with pytest.raises(MissingProvenance):
+            build_system(l2, ColoringMode.CONSTRAINED, listed)
+        with pytest.raises(MissingProvenance):
+            psi(trefoil, zero, l2, listed)
+
     def test_rejects_the_provenance_of_another_source(self, trefoil):
         l2, prov = multiplex(catalog.diagram("kink"), 2)
         zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
@@ -696,6 +708,117 @@ def test_wrong_kind_arguments_raise_validation_error(trefoil):
     for call in calls:
         with pytest.raises(ValidationError):
             call()
+
+
+def _moved_edge(prov, gap):
+    """`prov` with the first copy of source edge 0 placed at `gap`."""
+    return replace(prov, edge_map={**prov.edge_map, (0, 1): gap})
+
+
+def _count_checked(segs: Segments) -> Segments:
+    assert type(segs.n_pieces) is int and segs.n_pieces >= 0
+    return segs
+
+
+@cache
+def _hostile_calls():
+    """Per argument slot of a coloring export: a call that puts the junk in
+    that slot of an otherwise valid call on the trefoil (or its 2-fold
+    multiplex, mod 3), and the valid values of that slot that junk may equal."""
+    d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")
+    l2, prov = multiplex(d, 2)
+    vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
+    csys = build_system(l2, ColoringMode.CONSTRAINED, prov)
+    col = enumerate_colorings(vsys, 3)[-1]
+    zero = (0,) * vsys.n_unknowns
+    arc, fox = Granularity.ARC, ColoringMode.FOX
+    gaps = range(len(l2.components[0]))
+    counts = range(1, 100)
+    return {
+        "segments-diagram": (lambda x: segments(x, arc), ()),
+        "segments-granularity": (lambda x: _count_checked(segments(d, x)), list(Granularity)),
+        "Segments-granularity": (lambda x: Segments(x, (), 0), list(Granularity)),
+        "Segments-table": (lambda x: Segments(arc, x, 2), [(), ((0, 1),)]),
+        "Segments-entry": (lambda x: Segments(arc, ((x, 0),), 2), (0, 1)),
+        "Segments-count": (lambda x: _count_checked(Segments(arc, ((0, 1),), x)), range(2, 100)),
+        "ColoringSystem-count": (
+            lambda x: ColoringSystem(fox, Segments(arc, (), x), ()),
+            range(100),
+        ),
+        "ColoringSystem-mode": (lambda x: ColoringSystem(x, vsys.unknowns, ()), list(ColoringMode)),
+        "ColoringSystem-unknowns": (lambda x: ColoringSystem(fox, x, ()), ()),
+        "ColoringSystem-unknown": (
+            lambda x: ColoringSystem(fox, vsys.unknowns, (((x, 1),),)),
+            range(3),
+        ),
+        "ColoringSystem-coefficient": (
+            lambda x: ColoringSystem(fox, vsys.unknowns, (((0, x),),)),
+            [c for c in range(-100, 100) if c],
+        ),
+        "build_system-diagram": (lambda x: build_system(x, fox), ()),
+        "build_system-mode": (lambda x: build_system(d, x), [fox, ColoringMode.VIRTUAL_FOX]),
+        "build_system-provenance": (lambda x: build_system(l2, ColoringMode.CONSTRAINED, x), ()),
+        "build_system-gap": (
+            lambda x: build_system(l2, ColoringMode.CONSTRAINED, _moved_edge(prov, (0, x))),
+            gaps,
+        ),
+        "build_system-component": (
+            lambda x: build_system(l2, ColoringMode.CONSTRAINED, _moved_edge(prov, (x, 1))),
+            (0, 1),
+        ),
+        "build_system-edge": (
+            lambda x: build_system(l2, ColoringMode.CONSTRAINED, _moved_edge(prov, x)),
+            (),
+        ),
+        "psi-value": (
+            lambda x: psi(d, Coloring((x, *col.values[1:]), 3), l2, prov),
+            range(-100, 100),
+        ),
+        "psi-modulus": (lambda x: psi(d, Coloring(zero, x), l2, prov), counts),
+        "psi-gap": (lambda x: psi(d, col, l2, _moved_edge(prov, (0, x))), gaps),
+        "psi-component": (lambda x: psi(d, col, l2, _moved_edge(prov, (x, 1))), (0, 1)),
+        "psi-edge": (lambda x: psi(d, col, l2, _moved_edge(prov, x)), ()),
+        "count_colorings-system": (lambda x: count_colorings(x, 3), ()),
+        "count_colorings-modulus": (lambda x: count_colorings(csys, x), counts),
+        "enumerate_colorings-system": (lambda x: enumerate_colorings(x, 3), ()),
+        "enumerate_colorings-modulus": (lambda x: enumerate_colorings(vsys, x), counts),
+        "enumerate_colorings-limit": (lambda x: enumerate_colorings(vsys, 3, x), range(-100, 100)),
+    }
+
+
+_JUNK = st.one_of(
+    st.floats(-3, 40),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.integers(-5, 40),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@pytest.mark.parametrize("slot", list(_hostile_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=_JUNK)
+@example(junk=-1)
+@example(junk=1.0)
+@example(junk=True)
+def test_coloring_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
+    """Junk in any argument slot of a coloring export raises a MultivirtError
+    or gives what the valid value that it equals gives.  Segments never holds
+    a piece count that is negative or not an int."""
+    call, valid = _hostile_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert got == call(equal[0])
+
+
+def test_a_negative_piece_count_is_refused():
+    with pytest.raises(ValidationError):
+        ColoringSystem(ColoringMode.FOX, Segments(Granularity.ARC, (), -1), ())
 
 
 def test_import_leaves_numpy_unloaded():
