@@ -26,29 +26,37 @@ the empty tuple, so the row count never changes.
 
 Solutions are counted modulo n exactly for every n >= 1: if the relation
 matrix has Smith divisors d_1 | ... | d_k and q free unknowns, the count is
-n^q * prod gcd(d_i, n).  The divisors come in two phases, after Dumas,
+n^q * prod gcd(d_i, n).  The divisors come in three phases, after Dumas,
 Saunders and Villard ("On efficient sparse integer matrix Smith normal form
-computations", J. Symb. Comput. 2001): elimination of +-1 pivots on the
-sparse rows, in one first-in-first-out pass that visits every row in index
-order and again whenever an elimination changes it, then the dense
-`smith_normal_form` on the small residual that has no +-1 entry left.  The
-dense form is one loop that moves the smallest nonzero entry to the corner,
-clears its column and row, and starts over while a remainder is left or while
-the pivot does not divide the rest; otherwise the pivot is the next divisor
-and its row and column drop out.  The Smith diagonal is unique, d_1 ... d_k
-being the gcd of all k x k minors, so any pivot order gives the same
-divisors, and the two phases give those of the dense form on the whole
-matrix.  That dense form and an exhaustive search are the independent oracles
-for the same counts.  The search assigns the unknowns from the last to the
-first in exact integers and tests each relation as soon as its lowest unknown
-has a value, so it lists the solutions in index order (x_{k-1} varies
-slowest) without trying every one of the n^k assignments; n^k is still what
-its `limit` bounds.
+computations", J. Symb. Comput. 2001):
+
+  merge  a signed union-find over the two-entry +-1 rows (the negation and
+         pairing rows) merges their unknowns, x_j = s_j x_root, one unit
+         divisor per merge and no fill-in; a row closing a cycle cancels or
+         leaves 2 x_root = 0, and every other row is rewritten on the roots;
+  FIFO   elimination of +-1 pivots on the rows left, in one
+         first-in-first-out pass that visits every row in index order and
+         again whenever an elimination changes it;
+  dense  `smith_normal_form` on the small residual that has no +-1 entry
+         left: one loop that moves the smallest nonzero entry to the corner,
+         clears its column and row, and starts over while a remainder is
+         left or while the pivot does not divide the rest; otherwise the
+         pivot is the next divisor and its row and column drop out.
+
+The Smith diagonal is unique, d_1 ... d_k being the gcd of all k x k minors,
+so any pivot order gives the same divisors, and the three phases give those
+of the dense form on the whole matrix.  That dense form and an exhaustive
+search are the independent oracles for the same counts.  The search assigns
+the unknowns from the last to the first in exact integers and tests each
+relation as soon as its lowest unknown has a value, so it lists the solutions
+in index order (x_{k-1} varies slowest) without trying every one of the n^k
+assignments; n^k is still what its `limit` bounds.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -116,7 +124,9 @@ class ColoringSystem:
 
     @cached_property
     def _snf(self) -> "SNF":
-        units, residual = _eliminate_unit_pivots(self.rows)
+        merged, rows = _merge_unit_pairs(self.rows, self.n_unknowns)
+        units, residual = _eliminate_unit_pivots(rows)
+        units += merged
         rest = smith_normal_form(residual)
         size = min(len(self.rows), self.n_unknowns)
         diagonal = (1,) * units + rest.diagonal[: rest.rank]
@@ -171,11 +181,14 @@ def build_system(
             r[idx] = r.get(idx, 0) + c
         return tuple(sorted((idx, c) for idx, c in r.items() if c))
 
+    def plus(a: int, b: int) -> tuple[tuple[int, int], ...]:  # x_a + x_b = 0
+        return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1)) if b < a else ((a, 2),)
+
     for cid, rec in sorted(d.crossings.items()):
         if rec.virtual:
             if mode is ColoringMode.VIRTUAL_FOX:
                 for ci, i in d._passage_index[cid]:
-                    rows.append(row((of_gap[ci][i - 1], 1), (of_gap[ci][i], 1)))
+                    rows.append(plus(of_gap[ci][i - 1], of_gap[ci][i]))
             continue
         (co, io), (cu, iu) = d.real_positions(cid)
         rows.append(row((of_gap[cu][iu - 1], 1), (of_gap[cu][iu], 1), (of_gap[co][io - 1], -2)))
@@ -184,7 +197,7 @@ def build_system(
         edge_map = _fitted_provenance(provenance, d)
         for t in range(len(edge_map) // 2):
             (c1, g1), (c2, g2) = edge_map[(t, 1)], edge_map[(t, 2)]
-            rows.append(row((of_gap[c1][g1], 1), (of_gap[c2][g2], 1)))
+            rows.append(plus(of_gap[c1][g1], of_gap[c2][g2]))
 
     return ColoringSystem(mode, segs, tuple(rows))
 
@@ -215,6 +228,65 @@ def _fitted_provenance(prov, l2: Diagram) -> dict[tuple[int, int], tuple[int, in
 
 
 # -- exact counting ---------------------------------------------------------
+
+
+def _merge_unit_pairs(
+    rows: tuple[tuple[tuple[int, int], ...], ...], n: int
+) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """Merge the unknowns of every two-entry +-1 row by a signed union-find;
+    return how many merges were made and the other rows on the class roots.
+
+    A row a x_i + b x_j with a, b = +-1 says x_j = -a b x_i.  Each class keeps
+    its lowest unknown as root and every member j its sign s_j, so that
+    x_j = s_j x_root; `find` halves the path it walks.  A row joining two
+    classes is a unit pivot without fill-in: it adds one unit divisor and
+    drops out with the column of the higher root.  Every other row, one that
+    closes a cycle included, is rewritten onto the roots: signs are applied,
+    entries on one root are added and zeros dropped, so a closing row cancels
+    or leaves +-2 x_root.  The rewrite is a sequence of unimodular row and
+    column operations, so the Smith diagonal is unchanged."""
+    parent = list(range(n))
+    sign = [1] * n
+
+    def find(j: int) -> tuple[int, int]:
+        s = 1
+        while (p := parent[j]) != j:
+            g = parent[p]
+            sign[j] *= sign[p]  # x_j = sign[j] sign[p] x_g; a root's sign is 1
+            parent[j] = g
+            s *= sign[j]
+            j = g
+        return j, s
+
+    merged = 0
+    rest = []
+    for r in rows:
+        if len(r) == 2 and r[0][1] in (1, -1) and r[1][1] in (1, -1):
+            (ri, si), (rj, sj) = find(r[0][0]), find(r[1][0])
+            if ri != rj:  # a si x_ri + b sj x_rj = 0 ties the higher root to the lower
+                lo, hi = (ri, rj) if ri < rj else (rj, ri)
+                parent[hi] = lo
+                sign[hi] = -r[0][1] * r[1][1] * si * sj
+                merged += 1
+                continue
+        if r:
+            rest.append(r)
+    if not merged:
+        return 0, rest
+    # A parent is never above its child, so one ascending pass flattens every path.
+    for j, p in enumerate(parent):
+        if p != j:
+            parent[j] = parent[p]
+            sign[j] *= sign[p]
+    out = []
+    for r in rest:
+        acc: dict[int, int] = {}
+        for j, c in r:
+            root = parent[j]
+            acc[root] = acc.get(root, 0) + sign[j] * c
+        if t := tuple((j, c) for j, c in acc.items() if c):
+            out.append(t)
+    return merged, out
 
 
 def _eliminate_unit_pivots(
@@ -395,35 +467,48 @@ def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     multiplex that puts the source value on the right copy of every edge and
     its negative on the left copy.  Raises NotAKnot unless `d` has one
     component."""
-    col = checked(col, Coloring, InvalidColoring, "coloring")
-    values = checked(col.values, tuple, InvalidColoring, "coloring values")
-    values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
-    n = _modulus(col.modulus)
+    return pairing_map(d, l2, prov)(col)
+
+
+def pairing_map(d: Diagram, l2: Diagram, prov: Provenance) -> Callable[[Coloring], Coloring]:
+    """`psi` for one source and multiplex, as a function of the coloring.
+
+    The virtual-Fox system of `d`, the arcs of `l2` and the arcs carrying the
+    two copies of every source edge are read once, when the map is made;
+    every call still checks that its coloring solves the source system and
+    that the image is consistent and covers every arc."""
     edge_map = _fitted_provenance(prov, l2)
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("the pairing map is defined for one-component source diagrams")
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
-    if not is_solution(vsys, Coloring(values, n)):
-        raise InvalidColoring("input is not a virtual coloring of the source diagram")
     # Source edge t is gap t of the one component, or its closed circle.
     source = vsys.unknowns.of_gap[0]
     if 2 * len(source) != len(edge_map):
         raise MissingProvenance("the provenance is not that of the source diagram's multiplex")
     arcs = segments(l2, Granularity.ARC)
-    image: dict[int, int] = {}
-
-    def assign(piece: int, v: int) -> None:
-        v %= n
-        if image.setdefault(piece, v) != v:
-            raise InvalidColoring("pairing map produced an inconsistent assignment")
-
+    copies = []  # (arc of the right copy, arc of the left copy, source piece) per edge
     for t, piece in enumerate(source):
         (cr, gr), (cl, gl) = edge_map[(t, _RIGHT_COPY)], edge_map[(t, _LEFT_COPY)]
-        assign(arcs.of_gap[cr][gr], values[piece])
-        assign(arcs.of_gap[cl][gl], -values[piece])
+        copies.append((arcs.of_gap[cr][gr], arcs.of_gap[cl][gl], piece))
 
-    # The table holds pieces below the count only, so this checks coverage.
-    if len(image) != arcs.n_pieces:
-        raise InvalidColoring("pairing map left an arc of the multiplex unassigned")
-    return Coloring(tuple(image[i] for i in range(arcs.n_pieces)), n)
+    def pair(col: Coloring) -> Coloring:
+        col = checked(col, Coloring, InvalidColoring, "coloring")
+        values = checked(col.values, tuple, InvalidColoring, "coloring values")
+        values = tuple(checked(v, int, InvalidColoring, "coloring value") for v in values)
+        n = _modulus(col.modulus)
+        if not is_solution(vsys, Coloring(values, n)):
+            raise InvalidColoring("input is not a virtual coloring of the source diagram")
+        image: list[int | None] = [None] * arcs.n_pieces
+        for right, left, piece in copies:
+            v = values[piece]
+            for arc, w in ((right, v % n), (left, -v % n)):
+                if image[arc] is None:
+                    image[arc] = w
+                elif image[arc] != w:
+                    raise InvalidColoring("pairing map produced an inconsistent assignment")
+        if None in image:
+            raise InvalidColoring("pairing map left an arc of the multiplex unassigned")
+        return Coloring(tuple(image), n)
+
+    return pair

@@ -471,10 +471,11 @@ class Granularity(Enum):
     VIRTUAL_ARC = "virtual_arc"
 
 
+# Tuples, so that `in` compares roles by identity and never runs Enum.__hash__.
 _CUT_ROLES = {
-    Granularity.EDGE: {Role.OVER, Role.UNDER, Role.THROUGH},
-    Granularity.ARC: {Role.UNDER},
-    Granularity.VIRTUAL_ARC: {Role.UNDER, Role.THROUGH},
+    Granularity.EDGE: (_OVER, _UNDER, _THROUGH),
+    Granularity.ARC: (_UNDER,),
+    Granularity.VIRTUAL_ARC: (_UNDER, _THROUGH),
 }
 
 

@@ -33,7 +33,7 @@ from .colorings import (
     count_colorings,
     enumerate_colorings,
     is_solution,
-    psi,
+    pairing_map,
 )
 from .constructions import covering, extract_component, multiplex
 from .errors import MultivirtError, TooLarge, ValidationError, checked
@@ -111,6 +111,7 @@ def _colorings(d: Diagram, moduli) -> str:
     L2, prov = multiplex(d, 2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     csys = build_system(L2, ColoringMode.CONSTRAINED, prov)
+    pair = pairing_map(d, L2, prov)
     for n in moduli:
         a = count_colorings(vsys, n)
         b = count_colorings(csys, n)
@@ -122,7 +123,7 @@ def _colorings(d: Diagram, moduli) -> str:
             continue
         if len(sols) != a:
             return f"n={n}: enumeration found {len(sols)}, not {a}"
-        images = [psi(d, c, L2, prov) for c in sols]
+        images = [pair(c) for c in sols]
         if len({im.values for im in images}) != len(images):
             return f"n={n}: pairing map not injective"
         if not all(is_solution(csys, im) for im in images):
@@ -153,6 +154,8 @@ def verify_theorems(
     made, so a fixture is a valid diagram.  Raises ValidationError for an
     argument that is not an iterable, a fixture of another kind, or an
     unknown theorem, and MultivirtError for a non-knot fixture."""
+    if isinstance(names, str):
+        raise ValidationError(f"names must be an iterable of names, got the string {names!r}")
     try:
         theorems = set(theorems)
         r_range, n_range = tuple(r_range), tuple(n_range)

@@ -19,10 +19,12 @@ from multivirt.colorings import (
     ColoringMode,
     ColoringSystem,
     _eliminate_unit_pivots,
+    _merge_unit_pairs,
     build_system,
     count_colorings,
     enumerate_colorings,
     is_solution,
+    pairing_map,
     psi,
     smith_normal_form,
 )
@@ -346,8 +348,22 @@ def unit_heavy_rows(draw, max_rows=7, max_cols=7):
     return [tuple(sorted(r.items())) for r in rows], n_cols
 
 
+@st.composite
+def pairing_heavy_rows(draw, max_cols=8):
+    """Mostly two-entry +-1 rows over few unknowns, so that pairs repeat and
+    close cycles of both signs, mixed with a few three-entry rows."""
+    n_cols = draw(st.integers(3, max_cols))
+    col = st.integers(0, n_cols - 1)
+    unit = st.sampled_from((1, -1))
+    pair = st.tuples(col, unit, col, unit).filter(lambda t: t[0] != t[2])
+    triple = st.dictionaries(col, st.sampled_from((1, -1, 2, -2, 3)), min_size=3, max_size=3)
+    rows = [tuple(sorted([(i, a), (j, b)])) for i, a, j, b in draw(st.lists(pair, max_size=14))]
+    rows += [tuple(sorted(r.items())) for r in draw(st.lists(triple, max_size=3))]
+    return draw(st.permutations(rows)), n_cols
+
+
 class TestSparseSNF:
-    """The two-phase `ColoringSystem.snf` against the dense form on the whole matrix."""
+    """The three-phase `ColoringSystem.snf` against the dense form on the whole matrix."""
 
     @given(unit_heavy_rows())
     @example(([((0, 1), (2, 1))], 3))  # wide
@@ -361,6 +377,27 @@ class TestSparseSNF:
         assert sys_.snf() == smith_normal_form(sys_.matrix())
         if not any(c in (1, -1) for r in rows for _, c in r):
             assert _eliminate_unit_pivots(sys_.rows)[0] == 0
+
+    @given(pairing_heavy_rows())
+    @example(([((0, 1), (1, 1)), ((0, 1), (1, -1))], 3))  # an odd cycle: divisors 1, 2
+    @example(([((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))], 3))  # a redundant row
+    @example(([((0, 1), (1, 1), (2, -2)), ((0, 1), (2, 1))], 3))  # a crossing row left with two
+    @settings(max_examples=300, deadline=None)
+    def test_pairing_heavy_rows_match_dense(self, case):
+        rows, n_cols = case
+        sys_ = _system(rows, n_cols)
+        assert sys_.snf() == smith_normal_form(sys_.matrix())
+
+    def test_kink_walk_state_merges_its_pairing_rows(self):
+        """The constrained system on which pivoting in row order filled the
+        rows in: the merge takes 62 unknowns, and 84 rows are left."""
+        end, _ = random_walk(catalog.diagram("kink"), 60, 0)
+        L, prov = multiplex(end, 2)
+        sys_ = build_system(L, ColoringMode.CONSTRAINED, prov)
+        assert (len(sys_.rows), sys_.n_unknowns) == (230, 104)
+        merged, rest = _merge_unit_pairs(sys_.rows, sys_.n_unknowns)
+        assert (merged, len(rest)) == (62, 84)
+        assert sys_.snf() == smith_normal_form(sys_.matrix())
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_catalog_systems_match_dense(self, name):
@@ -682,11 +719,16 @@ class TestPairingMap:
 
     def test_verify_reports_an_image_outside_the_constrained_set(self, trefoil, monkeypatch):
         # A faulty pairing map that shifts one arc of every image.
-        def shifted_psi(d, col, l2, prov):
-            out = psi(d, col, l2, prov)
-            return Coloring(((out.values[0] + 1) % out.modulus, *out.values[1:]), out.modulus)
+        def shifted_map(d, l2, prov):
+            pair = pairing_map(d, l2, prov)
 
-        monkeypatch.setattr(verify, "psi", shifted_psi)
+            def shifted(col):
+                out = pair(col)
+                return Coloring(((out.values[0] + 1) % out.modulus, *out.values[1:]), out.modulus)
+
+            return shifted
+
+        monkeypatch.setattr(verify, "pairing_map", shifted_map)
         (result,) = verify.verify_theorems(
             names=["trefoil"], r_range=(), n_range=(3,), theorems=("colorings",)
         ).results

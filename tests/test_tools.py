@@ -111,7 +111,37 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
         out[2],
     )
     assert re.fullmatch(r"tree faster in [012] of 2 rounds", out[3])
-    assert len(out) == 4
+    for line, side in zip(out[4:6], ("base", "tree")):
+        assert re.fullmatch(side + r" median \d+\.\d{4} s \(quartiles \d+\.\d{4}, \d+\.\d{4}\)", line)
+    assert re.fullmatch(
+        r"verdict: (no )?gain \(tree faster in [012] of 2 rounds, medians [+-]\d+\.\d{4} s apart,"
+        r" base quartiles \d+\.\d{4} s apart\)",
+        out[6],
+    )
+    assert len(out) == 7
+
+
+def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_base_spread(
+    monkeypatch,
+):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    base = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # quartiles 0.045 s apart
+    faster = [b - 0.1 for b in base]
+    assert ab_time.verdict(base, faster).startswith("verdict: gain (tree faster in 10 of 10 ")
+    # A tie counts for neither side, and nine wins of ten still make a gain.
+    assert ab_time.verdict(base, faster[:9] + base[9:]).startswith("verdict: gain (tree faster in 9 of 10 ")
+    assert ab_time.verdict(base, faster[:8] + base[8:]).startswith(
+        "verdict: no gain (tree faster in 8 of 10 "
+    )
+    # Ten wins by less than the base's interquartile range are no gain either.
+    assert ab_time.verdict(base, [b - 0.01 for b in base]) == (
+        "verdict: no gain (tree faster in 10 of 10 rounds, medians +0.0100 s apart,"
+        " base quartiles 0.0450 s apart)"
+    )
 
 
 def test_suite_collects_without_errors():

@@ -9,7 +9,7 @@ from multivirt.colorings import (
     ColoringMode,
     count_colorings,
     enumerate_colorings,
-    psi,
+    pairing_map,
 )
 from multivirt.errors import MultivirtError, ValidationError
 from multivirt.invariants import WritheTable, linking_and_lambda, n_writhes
@@ -30,6 +30,11 @@ class TestVerifyArguments:
     def test_non_iterable_argument_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             verify_theorems(**{"names": ["kink"], "r_range": (2,), **kwargs})
+
+    def test_a_string_of_names_rejected(self):
+        # Read letter by letter, it raised "no catalog entry named 't'".
+        with pytest.raises(ValidationError, match="names must be an iterable of names"):
+            verify_theorems(names="trefoil", r_range=(2,))
 
     @pytest.mark.parametrize("name", [5, None, ("kink",)])
     def test_fixture_of_another_kind_rejected(self, name):
@@ -175,10 +180,11 @@ class TestFailureDetails:
         ]
 
     def test_constant_pairing_map_is_not_injective(self, monkeypatch):
-        def constant(d, col, l2, prov):
-            return psi(d, Coloring((0,) * len(col.values), col.modulus), l2, prov)
+        def constant(d, l2, prov):
+            pair = pairing_map(d, l2, prov)
+            return lambda col: pair(Coloring((0,) * len(col.values), col.modulus))
 
-        monkeypatch.setattr(verify, "psi", constant)
+        monkeypatch.setattr(verify, "pairing_map", constant)
         rep = verify_theorems(names=["trefoil"], r_range=(), n_range=(2, 3))
         assert _results(rep) == [
             ("trefoil", "colorings", 2, False, "n=2: pairing map not injective")

@@ -11,8 +11,10 @@ the workload's op list once on each side, the side that goes first
 alternating, and times the pass.  Both sides must give equal op digests.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least and
-the greatest, and the last line the number of rounds in which this tree was
-faster.
+the greatest, one the number of rounds in which this tree was faster, one per
+side its median time and quartiles, and the last line the verdict: a gain
+only when this tree was faster in at least nine tenths of the rounds and the
+medians differ by more than the distance between the base's quartiles.
 
 Separate processes cannot resolve a gain of a few tens of percent on a shared
 host whose speed swings by up to 2x between them; alternating in one process
@@ -72,28 +74,47 @@ def one_pass(mv, ops, inputs) -> tuple[float, list]:
     return elapsed, [op.digest(mv, inputs, out) for op, out in zip(ops, outputs)]
 
 
-def ab_time(base, workload: str, seed: int, rounds: int, smoke: bool) -> list[float]:
-    """Per-round ratios base time / tree time; raises if the digests differ."""
+def ab_time(base, workload: str, seed: int, rounds: int, smoke: bool) -> dict[str, list[float]]:
+    """Per-round pass times of each side; raises if the digests differ."""
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = wl.build_ops(mv, workload, seed, smoke)
         codes = wl.input_codes(mv, ops)
         sides[label] = (mv, ops, {f: mv.model.parse_vgc(code) for f, code in codes.items()})
-    ratios = []
+    runs: dict[str, list[float]] = {"base": [], "tree": []}
     for k in range(rounds):
         order = ("base", "tree") if k % 2 == 0 else ("tree", "base")
         times, digests = {}, {}
         for label in order:
             times[label], digests[label] = one_pass(*sides[label])
+            runs[label].append(times[label])
         if digests["base"] != digests["tree"]:
             raise SystemExit(f"ab_time: round {k}: the op digests differ")
-        ratios.append(times["base"] / times["tree"])
         print(
             f"round {k:2d} ({order[0]} first): base {times['base']:.4f} s"
-            f"  tree {times['tree']:.4f} s  ratio {ratios[-1]:.3f}",
+            f"  tree {times['tree']:.4f} s  ratio {times['base'] / times['tree']:.3f}",
             flush=True,
         )
-    return ratios
+    return runs
+
+
+def quartiles(times: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, the median and the upper quartile of two or more times."""
+    return tuple(statistics.quantiles(times, n=4, method="inclusive"))
+
+
+def verdict(base: list[float], tree: list[float]) -> str:
+    """A gain when the tree wins at least nine tenths of the rounds (ties count
+    for neither side) and the medians differ by more than the base's
+    interquartile range; otherwise no gain."""
+    wins = sum(t < b for b, t in zip(base, tree))
+    b1, b2, b3 = quartiles(base)
+    gap = b2 - quartiles(tree)[1]
+    gain = 10 * wins >= 9 * len(base) and gap > b3 - b1
+    return (
+        f"verdict: {'gain' if gain else 'no gain'} (tree faster in {wins} of {len(base)} rounds,"
+        f" medians {gap:+.4f} s apart, base quartiles {b3 - b1:.4f} s apart)"
+    )
 
 
 def main(argv=None) -> int:
@@ -104,17 +125,24 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's smoke-size op list")
     args = ap.parse_args(argv)
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2, to give quartiles")
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(args.base)
         if not source.is_dir():
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
-        ratios = ab_time(base, args.workload, args.seed, args.rounds, args.smoke)
+        runs = ab_time(base, args.workload, args.seed, args.rounds, args.smoke)
+    ratios = [b / t for b, t in zip(runs["base"], runs["tree"])]
     print(
         f"median ratio base / tree over {len(ratios)} rounds: {statistics.median(ratios):.3f}"
         f" (min {min(ratios):.3f}, max {max(ratios):.3f})"
     )
     print(f"tree faster in {sum(ratio > 1 for ratio in ratios)} of {len(ratios)} rounds")
+    for label, times in runs.items():
+        q1, q2, q3 = quartiles(times)
+        print(f"{label} median {q2:.4f} s (quartiles {q1:.4f}, {q3:.4f})")
+    print(verdict(runs["base"], runs["tree"]))
     return 0
 
 
