@@ -73,7 +73,7 @@ from .errors import (
     ValidationError,
     checked,
 )
-from .model import Diagram, Granularity, Segments, segments
+from .model import Diagram, Granularity, Segments, _fill, segments
 
 
 class ColoringMode(Enum):
@@ -84,6 +84,11 @@ class ColoringMode(Enum):
 
 @dataclass(frozen=True)
 class ColoringSystem:
+    """A relation system over the pieces of `unknowns`.  The public
+    constructor raises BadMatrix unless every row is a tuple of (unknown,
+    nonzero integer) pairs with unknowns increasing in range(n_unknowns);
+    `build_system` hands over the rows it writes through `_made`, unchecked."""
+
     mode: ColoringMode
     unknowns: Segments
     rows: tuple[tuple[tuple[int, int], ...], ...]  # sparse (unknown, coefficient) pairs
@@ -104,6 +109,11 @@ class ColoringSystem:
                     "every row must be a tuple of (unknown, nonzero integer) pairs with "
                     f"unknowns increasing in range({n}), got {r!r}"
                 )
+
+    @classmethod
+    def _made(cls, mode, unknowns, rows) -> ColoringSystem:
+        """The rows that `build_system` has just written, kept without the check."""
+        return _fill(object.__new__(cls), mode, unknowns, rows)
 
     @property
     def n_unknowns(self) -> int:
@@ -199,7 +209,7 @@ def build_system(
             (c1, g1), (c2, g2) = edge_map[(t, 1)], edge_map[(t, 2)]
             rows.append(plus(of_gap[c1][g1], of_gap[c2][g2]))
 
-    return ColoringSystem(mode, segs, tuple(rows))
+    return ColoringSystem._made(mode, segs, tuple(rows))
 
 
 def _fitted_provenance(prov, l2: Diagram) -> dict[tuple[int, int], tuple[int, int]]:

@@ -127,11 +127,15 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     # order, so that visit fixes the id and the record: the frame read there,
     # or the source sign for a diagonal crossing.
     tables = {c: [None] * (rr + 2 * r if rec.virtual else rr) for c, rec in d.crossings.items()}
-    out_components: list[tuple[Passage, ...]] = []
+    # The tables that `validate` would sweep, written as passages are emitted:
+    # a crossing's first position when its slot is made, so that the index
+    # is keyed in id order, which is first-appearance order, and its second
+    # at the second visit; the frame of a passage is the frame of its run.
+    out_components, out_frames, index = [], [], {}
     edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
     for ell in range(1, r + 1):
         cur = ell
-        trace: list[Passage] = []
+        trace, frame = [], []
         # A passage rides bundle 1 when it is the over passage of a real
         # crossing or the first passage of a virtual one, that is when the
         # frame f read from it is the stored sign.  It meets the other
@@ -168,22 +172,22 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                         crossing_map[cid] = ("diag", c, a + 1) if diag else (
                             ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
                         op = slots[k] = Passage(cid, p.role if diag else _THROUGH)
-                    elif op.role is not _THROUGH:
-                        op = Passage(op.crossing, p.role)  # a diagonal's other passage
+                        index[cid] = (ell - 1, len(trace))
+                    else:
+                        index[op.crossing] = (index[op.crossing], (ell - 1, len(trace)))
+                        if op.role is not _THROUGH:
+                            op = Passage(op.crossing, p.role)  # a diagonal's other passage
                     trace.append(op)
+                    frame.append(sign)
             edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
         if m == 0:
             edge_map[(0, ell)] = (ell - 1, None)
         assert cur == ell, "bundle shifts around the circle must cancel"
         out_components.append(tuple(trace))
+        out_frames.append(frame)
 
-    prov = Provenance(
-        r=r,
-        crossing_map=crossing_map,
-        edge_map=edge_map,
-        component_map={i: i for i in range(1, r + 1)},
-    )
-    return Diagram(tuple(out_components), crossings), prov
+    prov = Provenance(r, crossing_map, edge_map, component_map={i: i for i in range(1, r + 1)})
+    return Diagram._made(tuple(out_components), crossings, index, out_frames), prov
 
 
 def covering(d: Diagram, r: int) -> Diagram:
@@ -197,10 +201,9 @@ def covering(d: Diagram, r: int) -> Diagram:
         raise BadR(f"need r >= 1, got {r}")
     if r == 1:
         return d
-    to_virtualize = []
-    for cid, rec in d.crossings.items():
-        if not rec.virtual and crossing_indices(d, cid).ind % r != 0:
-            to_virtualize.append(cid)
+    to_virtualize = [
+        c for c, rec in d.crossings.items() if not rec.virtual and crossing_indices(d, c).ind % r
+    ]
     if not to_virtualize:
         return d
     crossings = dict(d.crossings)
@@ -209,7 +212,9 @@ def covering(d: Diagram, r: int) -> Diagram:
         a, b = d._passage_index[cid]
         crossings[cid] = CrossingRecord(cid, True, d.frame(cid, a))
         comp[a[1]] = comp[b[1]] = Passage(cid, _THROUGH)
-    return Diagram((tuple(comp),), crossings)
+    # Read from the first passage, a virtualized crossing's sign is the frame
+    # read there before, so the positions and frames stay as they were.
+    return Diagram._made((tuple(comp),), crossings, d._passage_index, d._frames)
 
 
 def extract_component(d: Diagram, i: int) -> Diagram:
@@ -219,8 +224,12 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     ci, pos = i - 1, d._passage_index
-    # A crossing lies on the component when both of its passages do.
-    comp = tuple(
-        p for p in d.components[ci] if pos[p.crossing][0][0] == ci == pos[p.crossing][1][0]
-    )
-    return Diagram((comp,), {p.crossing: d.crossings[p.crossing] for p in comp})
+    comp, frames, index = [], [], {}
+    for p, f in zip(d.components[ci], d._frames[ci]):
+        # A crossing lies on the component when both of its passages do; they
+        # keep their order, so each keeps the frame read from it.
+        if pos[p.crossing][0][0] == ci == pos[p.crossing][1][0]:
+            index[p.crossing] = (*index.get(p.crossing, ()), (0, len(comp)))
+            comp.append(p)
+            frames.append(f)
+    return Diagram._made((tuple(comp),), {c: d.crossings[c] for c in index}, index, [frames])

@@ -24,18 +24,25 @@ VGC grammar (serialized form is bit-exact):
 
 Both tokens of one crossing carry the same sign character.
 
-A diagram is checked when it is made: constructing a `Diagram` runs
-`validate`, which raises ValidationError unless every rule of the model
-holds, so no function ever gets a diagram that breaks one.  The diagram then
-keeps its components as tuples of tuples and its crossings as a read-only
-dict, so nothing can change it after the check.  The same sweep
-gives the two tables that the diagram keeps in plain fields: the passage
-index `_passage_index`, crossing id -> positions (component, index) of its
-passages in canonical order, and the frame table `_frames`.
-`positions_of`, `real_positions`, `frame` and every module that needs to
-know where a crossing sits or which frame it reads use them; they are read,
-never written, outside `model`.  A third field keeps the integer face trace
-that `planar._trace` builds on first use.
+A diagram is checked once, where it enters the package or is rewritten:
+the public constructor `Diagram(components, crossings)` runs `validate`,
+which raises ValidationError unless every rule of the model holds.
+`parse_vgc`, `relabel`, `rotate`, every move of `moves` and `planar`'s
+layouts build through it.  The check also gives the two tables that the
+diagram keeps in plain fields: the passage index `_passage_index`, crossing
+id -> positions (component, index) of its passages in canonical order, keyed
+in order of first appearance (`planar._rail_layout` numbers its stations in
+that key order), and the frame table `_frames`.  A producer that builds a
+diagram from a checked one, and so knows both tables as it writes it, hands
+them over through `Diagram._made`, which keeps them unchecked:
+`constructions.multiplex` writes them as it emits passages, `covering`
+keeps the source's and `extract_component` filters them.  Either way the
+diagram keeps its components as tuples of tuples and its crossings as a
+read-only dict, so nothing can change it afterwards.  `positions_of`,
+`real_positions`, `frame` and every module that needs to know where a
+crossing sits or which frame it reads use the tables; they are read, never
+written, outside their producer.  A third field keeps the integer face
+trace that `planar._trace` builds on first use.
 """
 
 from __future__ import annotations
@@ -97,16 +104,19 @@ class _Crossings(dict):
 
 @dataclass(frozen=True)
 class Diagram:
-    """Immutable diagram value, checked when it is made: construction raises
-    ValidationError unless every rule of the model holds, and then keeps the
-    components as tuples of tuples and the crossings as a read-only dict.
-    All operations in this package are pure."""
+    """Immutable diagram value.  The public constructor checks it: it raises
+    ValidationError unless every rule of the model holds.  `_made` keeps the
+    tables of a producer that wrote them from a checked diagram (multiplex,
+    covering, component extraction) without checking again.  Either way the
+    diagram keeps the components as tuples of tuples and the crossings as a
+    read-only dict.  All operations in this package are pure."""
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: Mapping[int, CrossingRecord]
     # The integer face trace of `planar._trace`, filled on first use.
     _face_trace: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
-    # The passage index and the frame table that `validate` sweeps.  A plain
+    # The passage index, keyed in order of first appearance, and the frame
+    # table that `validate` sweeps or a producer hands to `_made`.  A plain
     # dict is kept, not a mappingproxy: a mappingproxy cannot be pickled.
     _passage_index: dict[int, tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False
@@ -115,11 +125,17 @@ class Diagram:
 
     def __post_init__(self):
         # Called through `self`, so a wrapper put on the class sees every check.
-        index, frames = self.validate()
-        object.__setattr__(self, "components", tuple(map(tuple, self.components)))
-        object.__setattr__(self, "crossings", _Crossings(self.crossings))
-        object.__setattr__(self, "_passage_index", index)
-        object.__setattr__(self, "_frames", frames)
+        tables = self.validate()
+        _fill(self, tuple(map(tuple, self.components)), _Crossings(self.crossings), [], *tables)
+
+    @classmethod
+    def _made(cls, components, crossings, index, frames) -> Diagram:
+        """The diagram whose tables a producer has just written, kept without
+        the check: `components` a tuple of tuples, `crossings` a dict, and
+        `index` and `frames` exactly what `validate` would return, the index
+        keyed in order of first appearance.  Only a producer that wrote all
+        four from a checked diagram may call it."""
+        return _fill(object.__new__(cls), components, _Crossings(crossings), [], index, frames)
 
     # -- basic queries ----------------------------------------------------
 
@@ -248,6 +264,16 @@ class Diagram:
                 "components must be sequences of passages and crossings a dict of records"
             ) from None
         return index, built
+
+
+def _fill(obj, *values):
+    """Set the fields of the frozen dataclass instance `obj` to `values`, in
+    field order, and return it; `object.__new__(cls)` filled so is an
+    instance made without `__post_init__`.  Each field is set on its own, so
+    the instance keeps no materialized `__dict__` and reads stay fast."""
+    for name, value in zip(obj.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def parse_vgc(text: str) -> Diagram:
@@ -490,8 +516,10 @@ class Segments:
     when it is not cut) is `of_gap[ci][i - 1]`, the index -1 wrapping to the
     last gap.  The pieces are numbered 0 .. n_pieces - 1 by component, then
     from the first cut passage of the component, the piece that wraps past
-    its basepoint last.  Raises ValidationError unless the piece count is an
-    integer >= 0 and the table a tuple of tuples of ints below it.
+    its basepoint last.  The public constructor raises ValidationError unless
+    the piece count is an integer >= 0 and the table a tuple of tuples of
+    ints below it; `segments` hands over the table it writes through `_made`,
+    unchecked.
     """
 
     granularity: Granularity
@@ -506,6 +534,11 @@ class Segments:
         ok = n >= 0 and type(rows) is tuple and all(type(r) is tuple for r in rows)
         if not ok or any(type(k) is not int or not 0 <= k < n for r in rows for k in r):
             raise ValidationError(f"a gap table must hold tuples of ints in range({n})")
+
+    @classmethod
+    def _made(cls, granularity, of_gap, n_pieces) -> Segments:
+        """The table that `segments` has just written, kept without the check."""
+        return _fill(object.__new__(cls), granularity, of_gap, n_pieces)
 
     def __len__(self) -> int:
         return self.n_pieces
@@ -531,4 +564,4 @@ def segments(d: Diagram, granularity: Granularity) -> Segments:
         for k, (s, e) in enumerate(zip(cuts, cuts[1:]), first):
             row[s:e] = [k] * (e - s)
         of_gap.append(tuple(row))
-    return Segments(granularity, tuple(of_gap), n)
+    return Segments._made(granularity, tuple(of_gap), n)

@@ -1,7 +1,48 @@
 import pytest
 from hypothesis import strategies as st
 
-from multivirt.model import CrossingRecord, Diagram, Passage, Role
+from multivirt.colorings import ColoringSystem
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trusted_builds_match_the_check():
+    """The oracle on every table that a producer hands over unchecked.
+
+    `Diagram._made`, `Segments._made` and `ColoringSystem._made` are wrapped
+    for the whole session (session scope, as hypothesis refuses
+    function-scoped fixtures): each trusted build is also made through the
+    public, checked constructor, which must accept it, and a diagram's
+    passage index must equal the checked one item for item, key order
+    included, its frame table and its components likewise."""
+    diagram, segments, system = (
+        cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem)
+    )
+
+    def made_diagram(cls, components, crossings, index, frames):
+        d = diagram(cls, components, crossings, index, frames)
+        ref = Diagram(components, crossings)
+        assert type(d.components) is tuple and all(type(c) is tuple for c in d.components)
+        assert d.components == ref.components and type(d.crossings) is _Crossings
+        assert list(d._passage_index.items()) == list(ref._passage_index.items())
+        assert d._frames == ref._frames
+        return d
+
+    def made_segments(cls, granularity, of_gap, n_pieces):
+        segs = segments(cls, granularity, of_gap, n_pieces)
+        assert segs == Segments(granularity, of_gap, n_pieces)
+        return segs
+
+    def made_system(cls, mode, unknowns, rows):
+        sys = system(cls, mode, unknowns, rows)
+        assert sys == ColoringSystem(mode, unknowns, rows)
+        return sys
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Diagram, "_made", classmethod(made_diagram))
+        mp.setattr(Segments, "_made", classmethod(made_segments))
+        mp.setattr(ColoringSystem, "_made", classmethod(made_system))
+        yield
 
 
 @st.composite
