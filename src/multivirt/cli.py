@@ -215,6 +215,9 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # The ranges of r and n start at 2, so a bound below 2 would verify nothing.
+    if args.command == "verify" and min(args.r_max, args.n_max) < 2:
+        ap.error("--r-max and --n-max must be at least 2")
     try:
         _run(args)
         sys.stdout.flush()

@@ -160,6 +160,17 @@ class TestVerifyAndCatalog:
         payload = json.loads(out)
         assert code == 0 and payload["ok"]
 
+    @pytest.mark.parametrize(
+        "bounds", [["--r-max", "1", "--n-max", "1"], ["--r-max", "-3"], ["--n-max", "1"]], ids=repr
+    )
+    def test_verify_bound_below_two_is_a_usage_error(self, capsys, bounds):
+        # Before, the empty range verified nothing and printed "ok": true.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--names", "kink", *bounds])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "must be at least 2" in out.err
+
     def test_catalog_list(self, capsys):
         _, out, _ = run(capsys, "catalog", "--list")
         names = [e["name"] for e in json.loads(out)["entries"]]
