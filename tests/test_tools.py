@@ -121,6 +121,28 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
     assert len(out) == 7
 
 
+def test_ab_time_pairs_one_multiplex_against_the_trees_own_source():
+    src = SCRIPT.parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, str(AB_TIME), "--base", str(src), "--multiplex", "trefoil:2", "--rounds", "2"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert [line.split(":")[0] for line in out[:2]] == ["round  0 (base first)", "round  1 (tree first)"]
+    assert out[2].startswith("median ratio base / tree over 2 rounds: ")
+    assert out[6].startswith("verdict: ")
+    assert len(out) == 7
+
+
+@pytest.mark.parametrize("spec", ["trefoil", "trefoil:1", "trefoil:x", "vhopf:2", "nope:2"])
+def test_ab_time_refuses_a_multiplex_that_is_not_a_catalog_knot_and_r_of_2_or_more(spec):
+    out = subprocess.run(
+        [sys.executable, str(AB_TIME), "--base", "HEAD", "--multiplex", spec],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert "argument --multiplex" in out.stderr
+
+
 def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_base_spread(
     monkeypatch,
 ):

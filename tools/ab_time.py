@@ -1,7 +1,7 @@
 """Time a perfbench workload in one process, alternating this tree with a base.
 
-    python tools/ab_time.py --base REV_OR_DIR [--workload walk_fuzz] [--seed 0]
-                            [--rounds 10] [--smoke]
+    python tools/ab_time.py --base REV_OR_DIR [--workload walk_fuzz | --multiplex KNOT:R]
+                            [--seed 0] [--rounds 10] [--smoke]
 
 The base is a git revision of this repository or a directory that holds a
 `multivirt` package (such as the `src` of another checkout).  It is imported
@@ -9,6 +9,9 @@ under the name `multivirt_base` next to this tree's `src/multivirt`; that
 works because every import inside the package is relative.  Each round runs
 the workload's op list once on each side, the side that goes first
 alternating, and times the pass.  Both sides must give equal op digests.
+With `--multiplex KNOT:R` the op list is one call,
+`constructions.multiplex(catalog.diagram(KNOT), R)`, digested by the SHA-256
+of the multiplex's VGC text; parsing the catalog entry is set-up.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least and
 the greatest, one the number of rounds in which this tree was faster, one per
@@ -74,11 +77,30 @@ def one_pass(mv, ops, inputs) -> tuple[float, list]:
     return elapsed, [op.digest(mv, inputs, out) for op, out in zip(ops, outputs)]
 
 
-def ab_time(base, workload: str, seed: int, rounds: int, smoke: bool) -> dict[str, list[float]]:
-    """Per-round pass times of each side; raises if the digests differ."""
+def multiplex_op(knot: str, r: int) -> wl.Op:
+    """The op that multiplexes catalog entry `knot` r times."""
+    return wl.Op(
+        f"{knot}/r{r}",
+        knot,
+        lambda mv, inputs: mv.constructions.multiplex(inputs[knot], r),
+        lambda mv, inputs, out: wl.sha256(mv.model.serialize_vgc(out[0])),
+    )
+
+
+def multiplex_spec(text: str) -> tuple[str, int]:
+    """KNOT:R as (catalog knot, r >= 2); raises ValueError otherwise."""
+    knot, _, r = text.partition(":")
+    if knot not in multivirt.catalog.KNOT_NAMES or int(r) < 2:
+        raise ValueError(text)
+    return knot, int(r)
+
+
+def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
+    """Per-round pass times of each side, running the ops that `build_ops`
+    makes for each side's package; raises if the digests differ."""
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
-        ops = wl.build_ops(mv, workload, seed, smoke)
+        ops = build_ops(mv)
         codes = wl.input_codes(mv, ops)
         sides[label] = (mv, ops, {f: mv.model.parse_vgc(code) for f, code in codes.items()})
     runs: dict[str, list[float]] = {"base": [], "tree": []}
@@ -120,7 +142,12 @@ def verdict(base: list[float], tree: list[float]) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision or directory holding multivirt/")
-    ap.add_argument("--workload", default="walk_fuzz", choices=wl.WORKLOADS)
+    what = ap.add_mutually_exclusive_group()
+    what.add_argument("--workload", default="walk_fuzz", choices=wl.WORKLOADS)
+    what.add_argument(
+        "--multiplex", type=multiplex_spec, metavar="KNOT:R",
+        help="time one multiplex of a catalog knot, r >= 2, instead of a workload",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's smoke-size op list")
@@ -132,7 +159,12 @@ def main(argv=None) -> int:
         if not source.is_dir():
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
-        runs = ab_time(base, args.workload, args.seed, args.rounds, args.smoke)
+        if args.multiplex:
+            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds)
+        else:
+            runs = ab_time(
+                base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
+            )
     ratios = [b / t for b, t in zip(runs["base"], runs["tree"])]
     print(
         f"median ratio base / tree over {len(ratios)} rounds: {statistics.median(ratios):.3f}"
