@@ -496,7 +496,9 @@ def _assert_deletions_match_the_oracle(d, kinds=DELETION_KINDS):
 
 # Gaps that pair crossings 1 and 2 with flanks of two roles: a run of three
 # such gaps inside a longer circle, and circles whose four gaps all pair them,
-# the first gap's flanks of two roles or of one.
+# the first gap's flanks of two roles or of one.  Then circles of two
+# passages, both of whose gaps pair the same two crossings, so that a
+# cancelling pair is listed at each of the two gaps.
 _PAIR_RUNS = (
     "O3+ O1+ U2- U1+ O2- U3+",
     "O3+ O1+ U2+ U1+ O2+ U3+ ; V4+ V4+",
@@ -506,6 +508,10 @@ _PAIR_RUNS = (
     "U1+ U2- O1+ O2-",
     "O1+ U2- U1+ O2- ; O3+ O4- U4- U3+",
     "O4- U3+ ; O2- U1+ U2- O1+ ; O3+ U4-",
+    "V1+ V2- ; V1+ V2-",
+    "O1+ O2- ; U1+ U2-",
+    "O1+ O2- ; U2- U1+",
+    ". ; V2+ V1- V3+ V2+ ; V1- V3+",
 )
 
 
