@@ -23,10 +23,11 @@ equality.  The triangle stage reads each 3-dart face once, its bound gaps,
 crossing ids and pattern together, and looks the pattern up in a table built
 once from the templates and their six labelings, keyed by the pattern of the
 bound triangle with no labeling in it.  One sweep over the gaps lists the
-sites of every deletion kind (R1del, VR1del, R2del, VR2del), filing for the
-cancelling pairs only the gaps whose two flanks share a role.  The site
-search reads frames off the diagram's frame table and compares roles by
-identity rather than hashing them.
+sites of every deletion kind (R1del, VR1del, R2del, VR2del), testing each
+gap where it sits: a cancelling pair is found at its first gap, and its
+partner gap is read off the passage index.  The site search reads frames
+off the diagram's frame table and compares roles by identity rather than
+hashing them.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`, which
 builds the rewritten diagram, checked when it is made: a deletion replaces every
@@ -61,7 +62,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
@@ -372,46 +373,24 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 
 # -- deletion sites ----------------------------------------------------------
 
-# The role of both flanks of the first gap and of the second, for every
-# cancelling pair.  Roles are compared by identity: hashing an Enum member
-# runs Python code.
-_CANCELLING_ROLES = (
-    (Role.OVER, Role.UNDER),
-    (Role.UNDER, Role.OVER),
-    (Role.THROUGH, Role.THROUGH),
-)
-
-
-def _is_poke_deletion(frames, gap1, gap2) -> bool:
-    """Whether two gaps (position, passage, next position, passage), each
-    flanked by two passages of one role and both by the same two crossings,
-    hold a cancelling pair: four distinct passages, one gap over both
-    crossings and the other under both (R2del) or all four virtual (VR2del),
-    and frames read from gap1 opposite.  `frames` is the diagram's frame
-    table."""
-    (s1, p1, t1, _), (s2, p2, t2, _) = gap1, gap2
-    if s1 in (s2, t2) or t1 in (s2, t2):
-        return False
-    return (p1.role, p2.role) in _CANCELLING_ROLES and frames[s1[0]][s1[1]] == -frames[t1[0]][t1[1]]
-
 
 def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
-    """Deletion sites of the given kinds from one sweep over the gaps.  A kink
-    (R1del, VR1del) is a gap flanked twice by one crossing; a cancelling pair
-    (R2del, VR2del) is two gaps loc1 < loc2 flanked by the same two crossings,
-    each by two passages of one role, so only such gaps are filed.  The kind
-    is read off the crossings.
-
-    Leaving out the other gaps keeps the order of the sites.  A gap with
-    flanks of two roles, x1 y2, lies between the gaps x2 x1 and y2 y1 of any
-    cancelling pair of its crossings, so it comes first in the sweep only at
-    gap 0, and then the pair's gap y2 y1 is gap 1: the pair is filed before
-    any other pair of crossings either way."""
+    """Deletion sites of the given kinds from one sweep over the gaps, each
+    gap tested where it sits.  A kink (R1del, VR1del) is a gap flanked twice
+    by one crossing.  A cancelling pair (R2del, VR2del) is found at its first
+    gap (ci, g): flanks p and q of one role at two crossings a != b, with
+    opposite frames read at the two passages.  Its partner is the gap between
+    the other passages of a and b, in either order, and the site is listed
+    when that gap comes later in the sweep; a circle of two passages holds
+    both gaps between its passages, and both are partners.  A real crossing
+    is passed once over and once under, so the partner's flanks share a role
+    too, and reading both frames from the other strands keeps them opposite.
+    Sites come out by the first gap, then by the second."""
     if not kinds:
         return {}
     out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
-    by_pair: dict[tuple[int, int], list] = {}  # keyed by the sorted crossing ids
-    for ci, comp in enumerate(d.components):
+    components, index = d.components, d._passage_index
+    for ci, (comp, fr) in enumerate(zip(components, d._frames)):
         L = len(comp)
         if L < 2:
             continue  # a lone passage is not a kink: its partner is elsewhere
@@ -419,21 +398,21 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
             h = (g + 1) % L
             p, q = comp[g], comp[h]
             a, b = p.crossing, q.crossing
-            if a != b:
-                if p.role is q.role:
-                    by_pair.setdefault((a, b) if a < b else (b, a), []).append(
-                        ((ci, g), p, (ci, h), q)
-                    )
-            elif L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
-                kind = "VR1del" if d.crossings[a].virtual else "R1del"
-                if kind in out:
-                    out[kind].append(MoveSite(kind, (), (ci, g)))
-    frames = d._frames
-    for gaps in by_pair.values():
-        for gap1, gap2 in combinations(gaps, 2):
-            kind = "VR2del" if d.crossings[gap1[1].crossing].virtual else "R2del"
-            if kind in out and _is_poke_deletion(frames, gap1, gap2):
-                out[kind].append(MoveSite(kind, (), (gap1[0], gap2[0])))
+            if a == b:
+                if L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
+                    kind = "VR1del" if d.crossings[a].virtual else "R1del"
+                    if kind in out:
+                        out[kind].append(MoveSite(kind, (), (ci, g)))
+            elif p.role is q.role and fr[g] == -fr[h]:
+                kind = "VR2del" if p.role is _THROUGH else "R2del"
+                if kind not in out:
+                    continue
+                (a1, a2), (b1, b2) = index[a], index[b]
+                x = a2 if a1 == (ci, g) else a1
+                y = b2 if b1 == (ci, h) else b1
+                for s, t in sorted(((x, y), (y, x))):
+                    if s > (ci, g) and s[0] == t[0] and (s[1] + 1) % len(components[s[0]]) == t[1]:
+                        out[kind].append(MoveSite(kind, (), ((ci, g), s)))
     return out
 
 
