@@ -9,12 +9,14 @@ read from one strand, (direction of that strand, direction of the other
 strand).  A real crossing is read from its over passage, a virtual one from
 its first passage, "first" meaning lexicographically smaller (component
 index, position); read from the other passage the frame is the negative.
-`Diagram.validate` is the one writer of this rule: as it checks a crossing
-it writes the frame read from each of its passages into a frame table, one
-list per component, which the diagram keeps; `Diagram.frame` and every
-module that needs a frame read that table.  Rotating a basepoint past
-exactly one passage of a virtual crossing therefore negates the stored sign;
-`rotate` takes care of that.
+The diagram keeps the frame read from each passage in a frame table, one
+list per component, which `Diagram.frame` and every module that needs a
+frame read.  The rule is written where the table is: `Diagram.validate`
+writes it as it checks each crossing, and `constructions.multiplex` writes
+the frames and signs of the passages it emits, while `covering` hands the
+source's table over and `extract_component` filters it.  Rotating a
+basepoint past exactly one passage of a virtual crossing therefore negates
+the stored sign; `rotate` takes care of that.
 
 VGC grammar (serialized form is bit-exact):
 
@@ -205,7 +207,7 @@ class Diagram:
         - the components are sequences of Passages and the crossing table is
           a dict;
         - every crossing passed has a CrossingRecord filed under its own id;
-        - every crossing id is an integer >= 1;
+        - every crossing id is an int >= 1 (not True);
         - every sign is the int +1 or -1 (not True, 1.0 or -1.0);
         - a real crossing is passed once Over and once Under, in either
           order, and a virtual one twice Through;
@@ -231,7 +233,7 @@ class Diagram:
                 rec = self.crossings.get(cid)
                 if not isinstance(rec, CrossingRecord) or rec.cid != cid:
                     raise ValidationError(f"crossing {cid!r} has no record filed under its id")
-                if not isinstance(cid, int) or cid < 1:
+                if type(cid) is not int or cid < 1:
                     raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
                 if type(rec.sign) is not int or rec.sign not in (+1, -1):
                     raise ValidationError(f"crossing {cid}: sign must be +1 or -1")

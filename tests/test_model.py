@@ -88,6 +88,10 @@ class TestParse:
             ),
             (((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), {1: "rec"}),
             (((Passage(1, Role.OVER), Passage(1, Role.UNDER)),), None),
+            (
+                ((Passage(True, Role.OVER), Passage(True, Role.UNDER)),),
+                {True: CrossingRecord(True, False, 1)},
+            ),
         ],
         ids=[
             "non-passage",
@@ -97,6 +101,7 @@ class TestParse:
             "string-id",
             "non-record-value",
             "no-crossing-table",
+            "bool-id",
         ],
     )
     def test_malformed_components_rejected(self, components, crossings):
@@ -533,13 +538,15 @@ class TestCheckedConstruction:
 
     @pytest.mark.parametrize(
         "mapping",
-        [{1: 2, 2: 2, 3: 3}, {1: 0, 2: 2, 3: 3}, {1: "a", 2: 2, 3: 3}, {1: 1, 2: 2},
-         {1: [1], 2: 2, 3: 3}, [0, 1, 2, 3], None],
-        ids=["two-ids-alike", "id-0", "string-id", "missing-id", "unhashable-id", "list", "none"],
+        [{1: 2, 2: 2, 3: 3}, {1: 0, 2: 2, 3: 3}, {1: "a", 2: 2, 3: 3}, {1: True, 2: 2, 3: 3},
+         {1: 1, 2: 2}, {1: [1], 2: 2, 3: 3}, [0, 1, 2, 3], None],
+        ids=["two-ids-alike", "id-0", "string-id", "bool-id", "missing-id", "unhashable-id",
+             "list", "none"],
     )
     def test_relabel_refuses_a_mapping_that_breaks_the_model(self, trefoil, mapping):
-        # Before, the first three gave serializable codes that break the
-        # model, and a missing id a bare KeyError.
+        # Before, the first four gave codes that break the model (a bool id
+        # serializes as OTrue+, which parse_vgc refuses), and a missing id a
+        # bare KeyError.
         with pytest.raises(ValidationError):
             relabel(trefoil, mapping)
 
