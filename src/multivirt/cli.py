@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the multiplexing identities")
     p.add_argument("--thm", default="all", choices=sorted(_THEOREM_ALIASES))
-    p.add_argument("--names", nargs="*", default=None)
+    p.add_argument("--names", nargs="+", default=None)
     p.add_argument("--r-max", type=int, default=5)
     p.add_argument("--n-max", type=int, default=9)
     p.add_argument("--pretty", action="store_true")

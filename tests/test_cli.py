@@ -171,6 +171,14 @@ class TestVerifyAndCatalog:
         assert exc.value.code == 2 and out.out == ""
         assert "must be at least 2" in out.err
 
+    def test_verify_names_with_no_value_is_a_usage_error(self, capsys):
+        # Before, no name verified nothing and printed "ok": true.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--names"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "--names" in out.err
+
     def test_catalog_list(self, capsys):
         _, out, _ = run(capsys, "catalog", "--list")
         names = [e["name"] for e in json.loads(out)["entries"]]
