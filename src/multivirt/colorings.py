@@ -56,6 +56,7 @@ assignments; n^k is still what its `limit` bounds.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -417,7 +418,9 @@ def count_colorings(sys: ColoringSystem, n: int) -> int:
     n = _modulus(n)
     s = sys.snf()
     count = n ** (sys.n_unknowns - s.rank)
-    for d in s.diagonal[: s.rank]:
+    # The chain is positive and nondecreasing up to the rank, so its unit
+    # divisors, each a factor 1, come first.
+    for d in s.diagonal[bisect_right(s.diagonal, 1, 0, s.rank) : s.rank]:
         count *= gcd(d, n)
     return count
 
