@@ -127,10 +127,16 @@ def test_ab_time_pairs_one_multiplex_against_the_trees_own_source():
         [sys.executable, str(AB_TIME), "--base", str(src), "--multiplex", "trefoil:2", "--rounds", "2"],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert [line.split(":")[0] for line in out[:2]] == ["round  0 (base first)", "round  1 (tree first)"]
-    assert out[2].startswith("median ratio base / tree over 2 rounds: ")
-    assert out[6].startswith("verdict: ")
-    assert len(out) == 7
+    # One multiplex is repeated, the count doubled until a pass of the tree
+    # takes 0.2 s, and both sides run it that often in every round.
+    reps = re.fullmatch(
+        r"repetitions per pass: (\d+) \(one pass of the tree takes at least 0\.2 s\)", out[0]
+    )
+    assert int(reps[1]) > 1 and int(reps[1]) & (int(reps[1]) - 1) == 0
+    assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
+    assert out[3].startswith("median ratio base / tree over 2 rounds: ")
+    assert out[7].startswith("verdict: ")
+    assert len(out) == 8
 
 
 @pytest.mark.parametrize("spec", ["trefoil", "trefoil:1", "trefoil:x", "vhopf:2", "nope:2"])

@@ -7,15 +7,19 @@ The base is a git revision of this repository or a directory that holds a
 `multivirt` package (such as the `src` of another checkout).  It is imported
 under the name `multivirt_base` next to this tree's `src/multivirt`; that
 works because every import inside the package is relative.  Each round runs
-the workload's op list once on each side, the side that goes first
-alternating, and times the pass.  Both sides must give equal op digests.
+one pass of the op list on each side, the side that goes first alternating,
+and times the pass.  Both sides must give equal op digests.
 With `--multiplex KNOT:R` the op list is one call,
 `constructions.multiplex(catalog.diagram(KNOT), R)`, digested by the SHA-256
-of the multiplex's VGC text; parsing the catalog entry is set-up.
-One line per round gives both times and the ratio base / tree (above 1 means
-this tree is faster).  Then one line gives the median ratio with the least and
-the greatest, one the number of rounds in which this tree was faster, one per
-side its median time and quartiles, and the last line the verdict: a gain
+of the multiplex's VGC text; parsing the catalog entry is set-up.  One such
+call is too short to time against the host's noise, so a pass repeats it:
+the count is doubled from 1 until one pass of this tree takes at least
+0.2 s, printed on the first line, and used on both sides in every round.
+A whole workload runs its op list once per pass.  One line per round gives
+both times and the ratio base / tree (above 1 means this tree is faster).
+Then one line gives the median ratio with the least and the greatest, one
+the number of rounds in which this tree was faster, one per side its median
+time and quartiles, and the last line the verdict: a gain
 only when this tree was faster in at least nine tenths of the rounds and the
 medians differ by more than the distance between the base's quartiles.
 
@@ -37,6 +41,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
+CALIBRATION_S = 0.2  # the least time of one pass of a repeated op list
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
@@ -68,11 +73,13 @@ def checkout(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def one_pass(mv, ops, inputs) -> tuple[float, list]:
-    """Run every op once; return the time taken and each op's digest."""
+def one_pass(mv, ops, inputs, reps: int = 1) -> tuple[float, list]:
+    """Run the op list `reps` times; return the time taken and each op's
+    digest from the last time."""
     gc.collect()
     t0 = perf_counter()
-    outputs = [op.run(mv, inputs) for op in ops]
+    for _ in range(reps):
+        outputs = [op.run(mv, inputs) for op in ops]
     elapsed = perf_counter() - t0
     return elapsed, [op.digest(mv, inputs, out) for op, out in zip(ops, outputs)]
 
@@ -95,20 +102,35 @@ def multiplex_spec(text: str) -> tuple[str, int]:
     return knot, int(r)
 
 
-def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
+def calibrate(side) -> int:
+    """Repetitions of the op list, doubled from 1 until one pass of `side`
+    takes at least CALIBRATION_S."""
+    reps = 1
+    while one_pass(*side, reps)[0] < CALIBRATION_S:
+        reps *= 2
+    return reps
+
+
+def ab_time(base, build_ops, rounds: int, repeat: bool = False) -> dict[str, list[float]]:
     """Per-round pass times of each side, running the ops that `build_ops`
-    makes for each side's package; raises if the digests differ."""
+    makes for each side's package, repeated as `calibrate` finds on this
+    tree when `repeat` is set; raises if the digests differ."""
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = build_ops(mv)
         codes = wl.input_codes(mv, ops)
         sides[label] = (mv, ops, {f: mv.model.parse_vgc(code) for f, code in codes.items()})
+    reps = 1
+    if repeat:
+        reps = calibrate(sides["tree"])
+        print(f"repetitions per pass: {reps} (one pass of the tree takes at least {CALIBRATION_S} s)",
+              flush=True)
     runs: dict[str, list[float]] = {"base": [], "tree": []}
     for k in range(rounds):
         order = ("base", "tree") if k % 2 == 0 else ("tree", "base")
         times, digests = {}, {}
         for label in order:
-            times[label], digests[label] = one_pass(*sides[label])
+            times[label], digests[label] = one_pass(*sides[label], reps)
             runs[label].append(times[label])
         if digests["base"] != digests["tree"]:
             raise SystemExit(f"ab_time: round {k}: the op digests differ")
@@ -160,7 +182,7 @@ def main(argv=None) -> int:
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
         if args.multiplex:
-            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds)
+            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds, repeat=True)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
