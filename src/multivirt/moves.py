@@ -405,14 +405,17 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
                         out[kind].append(MoveSite(kind, (), (ci, g)))
             elif p.role is q.role and fr[g] == -fr[h]:
                 kind = "VR2del" if p.role is _THROUGH else "R2del"
-                if kind not in out:
-                    continue
                 (a1, a2), (b1, b2) = index[a], index[b]
-                x = a2 if a1 == (ci, g) else a1
-                y = b2 if b1 == (ci, h) else b1
-                for s, t in sorted(((x, y), (y, x))):
-                    if s > (ci, g) and s[0] == t[0] and (s[1] + 1) % len(components[s[0]]) == t[1]:
-                        out[kind].append(MoveSite(kind, (), ((ci, g), s)))
+                cx, i = a2 if a1 == (ci, g) else a1
+                cy, j = b2 if b1 == (ci, h) else b1
+                if cx != cy or kind not in out:
+                    continue
+                lo, hi = (i, j) if i < j else (j, i)
+                if hi - lo == 1 and (cx, lo) > (ci, g):
+                    out[kind].append(MoveSite(kind, (), ((ci, g), (cx, lo))))
+                # Gap hi runs from the last passage of the circle to the first.
+                if hi - lo == len(components[cx]) - 1 and (cx, hi) > (ci, g):
+                    out[kind].append(MoveSite(kind, (), ((ci, g), (cx, hi))))
     return out
 
 
