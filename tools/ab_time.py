@@ -19,9 +19,9 @@ A whole workload runs its op list once per pass.  One line per round gives
 both times and the ratio base / tree (above 1 means this tree is faster).
 Then one line gives the median ratio with the least and the greatest, one
 the number of rounds in which this tree was faster, one per side its median
-time and quartiles, and the last line the verdict: a gain
-only when this tree was faster in at least nine tenths of the rounds and the
-medians differ by more than the distance between the base's quartiles.
+time and quartiles, and the last line the verdict: a gain only when this
+tree was faster in at least nine tenths of the rounds and the medians differ
+by more than the distance between the base's quartiles.
 
 Separate processes cannot resolve a gain of a few tens of percent on a shared
 host whose speed swings by up to 2x between them; alternating in one process
