@@ -120,12 +120,20 @@ def _scramble(d, rnd):
 # different labels; the second component prefers the rotation that does not
 # start at passage 0.
 PERIODIC_AND_LINKED = parse_vgc("O1+ U1+ V2+ O3+ U3+ V4+ ; V2+ O5+ U5+ V4+")
+# The first component keeps two ties; scrambled by Random(1), the second
+# component starts lower on the tie read second than on the first one.
+LATER_TIE_STARTS_LOWER = parse_vgc("V1+ V2+ ; V2+ ; V1+ V3+ V3+ V4+ V4+ V5+ V5+ V6+ V6+")
+# The first component keeps two ties, which label its crossings differently,
+# and the second component passes both crossings again.
+TIES_KEPT_AHEAD = parse_vgc("V1+ V2+ ; V1+ V2+ V3+ V3+ V4+ V4+")
 
 
 @settings(max_examples=300)
 @given(diagrams(max_real=6, max_virtual=6, max_components=4), st.randoms(use_true_random=False))
 @example(PERIODIC_AND_LINKED, random.Random(0))
 @example(parse_vgc("V1+ V2+ ; V1+ O3+ U3+ V2+"), random.Random(1))
+@example(LATER_TIE_STARTS_LOWER, random.Random(1))
+@example(TIES_KEPT_AHEAD, random.Random(0))
 def test_matches_oracle_on_random_diagrams(d, rnd):
     d = _scramble(d, rnd)
     assert canonical_form(d) == _canonical_form_oracle(d)
@@ -135,6 +143,8 @@ def test_matches_oracle_on_random_diagrams(d, rnd):
 @given(diagrams(max_real=6, max_virtual=6, max_components=4), st.randoms(use_true_random=False))
 @example(PERIODIC_AND_LINKED, random.Random(0))
 @example(parse_vgc("V1+ V2+ ; V1+ O3+ U3+ V2+"), random.Random(1))
+@example(LATER_TIE_STARTS_LOWER, random.Random(1))
+@example(TIES_KEPT_AHEAD, random.Random(0))
 def test_token_oracle_matches_oracle_on_random_diagrams(d, rnd):
     d = _scramble(d, rnd)
     assert _token_oracle(d) == _canonical_form_oracle(d)
