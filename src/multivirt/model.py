@@ -394,22 +394,30 @@ def canonical_form(d: Diagram) -> str:
     no token is a prefix of another and the first differing token orders the
     strings.  Rotations that differ by a period of the component's
     rotation-equivariant code (per passage: role, frame read from it, and the
-    offset to its partner, or its crossing id when the partner lies on
-    another component) read alike, so only rotations below the least period,
-    found with a KMP failure function, are read; this is the least circular
-    shift idea of Booth (1980) applied to labels assigned while reading.
+    offset to its partner) read alike, so only rotations below the least
+    period, found with a KMP failure function, are read; this is the least
+    circular shift idea of Booth (1980) applied to labels assigned while
+    reading.  A component that passes a crossing once is linked to another
+    one, and no rotation below L maps that passage to one of the same
+    crossing, so its period is L and none is sought.
 
-    Cost: reading one rotation of a component of L passages costs O(L) at
-    most, and a rotation is dropped at its first token that differs from the
-    best, so the total is near-linear unless many rotations agree on long
-    prefixes: T(2, 801) (1602 passages) and the 16-fold multiplex of asym3
-    (8400 passages) take milliseconds.
+    Cost: per tie, the first token of every rotation below the period is
+    built in one pass (role, then the tie's label or the next new label, then
+    the frame).  A tie whose least first token is above the best one's is
+    skipped, and only the rotations that start with the least token are read
+    on, each O(L) at most and dropped at its first token that differs from
+    the best.  The crossings that a later component passes are carried from
+    one component to the next, each passage adding or dropping its own, and
+    when one tie is kept its labels are extended in place.  Only when several
+    ties are kept are their labels rebuilt over the carried crossings and
+    merged, O(carried) per tie: the trefoil multiplex keeps three ties on
+    every component, so it still costs O(r * P) in all.  The 48-fold
+    multiplex of asym3 (71376 passages) takes about 0.15 s.
     """
     d = checked(d, Diagram, ValidationError, "diagram")
     index = d._passage_index
-    table = d._frames
     ties: list[dict[int, str]] = [{}]  # per tie: crossing -> label and sign
-    live: list[int] = []  # labelled crossings that a later component passes
+    live: dict[int, None] = {}  # labelled crossings that a later component passes
     n_labels = 0
     parts = []
     for ci, comp in enumerate(d.components):
@@ -417,22 +425,28 @@ def canonical_form(d: Diagram) -> str:
         if L == 0:
             parts.append(".")
             continue
-        roles, cids, frames, code = [], [], [], []
-        for i, p in enumerate(comp):
-            rec = d.crossings[p.crossing]
-            (c1, p1), (c2, p2) = index[p.crossing]
-            # The sign a crossing is printed with when first met here: for a
-            # virtual one the frame read from this passage, as `rotate` stores it.
-            sign = table[ci][i] if rec.virtual else rec.sign
-            if c1 != c2:
-                # No other passage of this component has this crossing, so a
-                # component linked to another one has no period below L.
-                code.append((p.role, sign, None, p.crossing))
-            else:
-                code.append((p.role, sign, ((p2 if i == p1 else p1) - i) % L, None))
-            roles.append(p.role.value)
-            cids.append(p.crossing)
-            frames.append("+" if sign > 0 else "-")
+        roles = [p.role._value_ for p in comp]  # `value` is a slow property
+        cids = [p.crossing for p in comp]
+        # The sign a crossing is printed with when first met here: for a virtual
+        # one the frame read from this passage, as `rotate` stores it, and for a
+        # real one the frame read from its over passage.
+        frames = [
+            "+" if (-f if p.role is _UNDER else f) > 0 else "-"
+            for p, f in zip(comp, d._frames[ci])
+        ]
+        spots = [index[c] for c in cids]
+        for c, ((c1, _), (c2, _)) in zip(cids, spots):
+            if c2 > ci:
+                live[c] = None
+            elif c1 < ci:
+                del live[c]
+        period = L
+        if all(c1 == c2 for (c1, _), (c2, _) in spots):
+            code = [
+                (roles[i], frames[i], ((p2 if i == p1 else p1) - i) % L)
+                for i, ((_, p1), (_, p2)) in enumerate(spots)
+            ]
+            period = _least_period(code)
         roles, cids, frames = roles * 2, cids * 2, frames * 2
 
         def read(labels: dict[int, str], k: int, new: dict[int, str]):
@@ -445,11 +459,17 @@ def canonical_form(d: Diagram) -> str:
                     tail = new[c] = f"{n}{frames[i]}"
                 yield roles[i] + tail
 
-        period = _least_period(code)
+        fresh = str(n_labels + 1)
         best: list[str] = []
         kept: list[tuple[dict[int, str], dict[int, str]]] = []
         for labels in ties:
-            for k in range(period):
+            firsts = [roles[k] + (labels.get(cids[k]) or fresh + frames[k]) for k in range(period)]
+            least = min(firsts)
+            if not best or least < best[0]:
+                best, kept = [], []
+            elif least > best[0]:
+                continue
+            for k in [k for k, tok in enumerate(firsts) if tok == least]:
                 new: dict[int, str] = {}
                 tokens = read(labels, k, new)
                 if not best:
@@ -466,7 +486,11 @@ def canonical_form(d: Diagram) -> str:
                     kept.append((labels, new))
         parts.append(" ".join(best))
         n_labels += len(kept[0][1])
-        live = [c for c in dict.fromkeys(live + cids[:L]) if index[c][-1][0] > ci]
+        if len(kept) == 1:
+            labels, new = kept[0]
+            labels.update(new)
+            ties = [labels]
+            continue
         merged: dict[tuple[str, ...], dict[int, str]] = {}
         for labels, new in kept:
             tails = {c: labels.get(c) or new[c] for c in live}
