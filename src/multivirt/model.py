@@ -300,7 +300,10 @@ def parse_vgc(text: str) -> Diagram:
             m = _TOKEN_RE.match(token)
             if not m:
                 raise ParseError(f"malformed token {token!r}")
-            role, cid, sign = _ROLE_OF[m[1]], int(m[2]), +1 if m[3] == "+" else -1
+            try:
+                role, cid, sign = _ROLE_OF[m[1]], int(m[2]), +1 if m[3] == "+" else -1
+            except ValueError:  # more digits than the interpreter converts to an int
+                raise ParseError(f"crossing id of {len(m[2])} digits is too long") from None
             rec = crossings.setdefault(cid, CrossingRecord(cid, role is _THROUGH, sign))
             if rec.sign != sign:
                 raise ValidationError(f"crossing {cid}: mismatched signs")

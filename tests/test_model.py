@@ -109,7 +109,8 @@ class TestParse:
             Diagram(components, crossings).validate()
 
     def test_malformed_tokens(self):
-        for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+"):
+        huge = "9" * 5000  # more digits than CPython converts to an int
+        for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+", f"O{huge}+ U{huge}+"):
             with pytest.raises((ParseError, ValidationError)):
                 parse_vgc(bad)
 
