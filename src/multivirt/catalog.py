@@ -85,7 +85,7 @@ def names() -> tuple[str, ...]:
 def get(name: str) -> CatalogEntry:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise MultivirtError(f"no catalog entry named {name!r}") from None
 
 

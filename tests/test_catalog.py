@@ -42,5 +42,8 @@ def test_knot_names_excludes_links():
 def test_unknown_entry():
     from multivirt.errors import MultivirtError
 
-    with pytest.raises(MultivirtError):
-        catalog.get("nope")
+    for name in ("nope", None, [1]):
+        with pytest.raises(MultivirtError, match="no catalog entry named"):
+            catalog.get(name)
+        with pytest.raises(MultivirtError, match="no catalog entry named"):
+            catalog.diagram(name)
