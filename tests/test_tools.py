@@ -83,7 +83,7 @@ def test_script_prints_each_module_and_the_total(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args", [["--help"], ["--function"], ["missing"], ["--functions", "a", "b"]], ids=repr
+    "args", [["--help"], ["--function"], ["missing"], ["a"], ["--functions", "a", "b"]], ids=repr
 )
 def test_script_rejects_what_is_not_a_directory(tmp_path, args):
     (tmp_path / "a").mkdir()

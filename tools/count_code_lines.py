@@ -3,8 +3,9 @@ token other than a comment, leaving out blank lines and docstrings.
 
     python tools/count_code_lines.py [--functions] [directory]
 
-prints the count per module and the total; the directory defaults to the
-package source next to this script.  With --functions, each module's line is
+prints the count per module directly in the directory and the total; the
+directory defaults to the package source next to this script, and one that
+holds no `*.py` module is refused with the usage message.  With --functions, each module's line is
 followed by one indented line per top-level function and class, decorators
 included, in source order.
 """
@@ -54,12 +55,13 @@ if __name__ == "__main__":
     args = [a for a in args if a != "--functions"]
     package = Path(__file__).resolve().parents[1] / "src" / "multivirt"
     root = Path(args[0]) if args else package
+    paths = sorted(root.glob("*.py")) if root.is_dir() else []
     # Anything else, an option this script does not know (--help among them)
-    # or a directory that is not there, is a usage error.
-    if len(args) > 1 or args and args[0].startswith("-") or not root.is_dir():
+    # or a directory that is not there or holds no module, is a usage error.
+    if len(args) > 1 or args and args[0].startswith("-") or not paths:
         sys.exit("usage: python tools/count_code_lines.py [--functions] [directory]")
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         source = path.read_text()
         n = code_lines(source)
         total += n
