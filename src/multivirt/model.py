@@ -415,7 +415,7 @@ def canonical_form(d: Diagram) -> str:
     ties are kept are their labels rebuilt over the carried crossings and
     merged, O(carried) per tie: the trefoil multiplex keeps three ties on
     every component, so it still costs O(r * P) in all.  The 48-fold
-    multiplex of asym3 (71376 passages) takes about 0.15 s.
+    multiplex of asym3 (71376 passages) takes 0.15 to 0.25 s on a 2-vCPU host.
     """
     d = checked(d, Diagram, ValidationError, "diagram")
     index = d._passage_index

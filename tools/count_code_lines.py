@@ -5,9 +5,9 @@ token other than a comment, leaving out blank lines and docstrings.
 
 prints the count per module directly in the directory and the total; the
 directory defaults to the package source next to this script, and one that
-holds no `*.py` module is refused with the usage message.  With --functions, each module's line is
-followed by one indented line per top-level function and class, decorators
-included, in source order.
+holds no `*.py` module is refused with the usage message.  With --functions,
+each module's line is followed by one indented line per top-level function
+and class, decorators included, in source order.
 """
 
 import ast
