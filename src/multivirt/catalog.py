@@ -8,7 +8,7 @@ algorithm staying byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import MultivirtError
 from .model import Diagram, parse_vgc
@@ -24,7 +24,7 @@ class CatalogEntry:
         return parse_vgc(self.code)
 
     def to_json(self) -> dict:
-        return {"name": self.name, "code": self.code, "notes": self.notes}
+        return asdict(self)
 
 
 _ENTRIES = (

@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--walk", type=int, metavar="STEPS")
     g.add_argument("--replay", metavar="TRACE", help="a JSON list of sites, applied in order")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kinds", nargs="*", default=None)
+    p.add_argument("--kinds", nargs="+", default=None)
 
     p = sub.add_parser("verify", help="check the multiplexing identities")
     p.add_argument("--thm", default="all", choices=sorted(_THEOREM_ALIASES))
@@ -178,9 +178,8 @@ def _run(args) -> None:
         _emit(args, payload)
     elif cmd == "moves":
         d = _get_diagram(args)
-        kinds = set(args.kinds) if args.kinds else None
         if args.find:
-            _emit(args, {"sites": [s.to_json() for s in find_moves(d, kinds)]})
+            _emit(args, {"sites": [s.to_json() for s in find_moves(d, args.kinds)]})
         elif args.apply is not None:
             site = MoveSite.from_json(_json_arg(args.apply))
             _emit(args, {"code": serialize_vgc(apply_move(d, site))})
@@ -192,7 +191,7 @@ def _run(args) -> None:
                 d = apply_move(d, MoveSite.from_json(obj))
             _emit(args, {"code": serialize_vgc(d)})
         else:
-            out, trace = random_walk(d, args.walk, args.seed, kinds)
+            out, trace = random_walk(d, args.walk, args.seed, args.kinds)
             _emit(args, {"code": serialize_vgc(out),
                          "trace": [s.to_json() for s in trace]})
     elif cmd == "verify":

@@ -478,23 +478,30 @@ _LEFT_COPY = 1
 def psi(d: Diagram, col: Coloring, l2: Diagram, prov: Provenance) -> Coloring:
     """Send a virtual coloring of `d` to the constrained coloring of its 2-fold
     multiplex that puts the source value on the right copy of every edge and
-    its negative on the left copy.  Raises NotAKnot unless `d` has one
-    component."""
-    return pairing_map(d, l2, prov)(col)
+    its negative on the left copy.  The map is built from the virtual-Fox
+    system of `d`, as `pairing_map` takes it.  Raises NotAKnot unless `d` has
+    one component."""
+    return pairing_map(build_system(d, ColoringMode.VIRTUAL_FOX), l2, prov)(col)
 
 
-def pairing_map(d: Diagram, l2: Diagram, prov: Provenance) -> Callable[[Coloring], Coloring]:
-    """`psi` for one source and multiplex, as a function of the coloring.
+def pairing_map(
+    vsys: ColoringSystem, l2: Diagram, prov: Provenance
+) -> Callable[[Coloring], Coloring]:
+    """`psi` for one source and multiplex, as a function of the coloring,
+    built from `vsys`, the virtual-Fox system of the source.
 
-    The virtual-Fox system of `d`, the arcs of `l2` and the arcs carrying the
-    two copies of every source edge are read once, when the map is made;
-    every call still checks that its coloring solves the source system and
-    that the image is consistent and covers every arc."""
+    The provenance is fitted first.  Raises ValidationError unless `vsys` is
+    a virtual-Fox `ColoringSystem`, and NotAKnot unless its source has one
+    component.  The arcs of `l2` and the arcs carrying the two copies of
+    every source edge are read once, when the map is made; every call still
+    checks that its coloring solves `vsys` and that the image is consistent
+    and covers every arc."""
     edge_map = _fitted_provenance(prov, l2)
-    d = checked(d, Diagram, ValidationError, "diagram")
-    if d.n_components() != 1:
+    vsys = checked(vsys, ColoringSystem, ValidationError, "source system")
+    if vsys.mode is not ColoringMode.VIRTUAL_FOX:
+        raise ValidationError(f"the source system must be virtual-Fox, got {vsys.mode.value}")
+    if len(vsys.unknowns.of_gap) != 1:
         raise NotAKnot("the pairing map is defined for one-component source diagrams")
-    vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     # Source edge t is gap t of the one component, or its closed circle.
     source = vsys.unknowns.of_gap[0]
     if 2 * len(source) != len(edge_map):

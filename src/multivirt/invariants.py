@@ -204,5 +204,6 @@ def invariant_report(d: Diagram) -> InvariantReport:
 
 def index_defect(d: Diagram) -> int:
     """Max |ind + ind_v| over real self-crossings; 0 on every planar diagram."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     pairs = [crossing_indices(d, cid) for cids in _sweep(d)[1] for cid in cids]
     return max((abs(p.ind + p.ind_v) for p in pairs), default=0)

@@ -366,6 +366,7 @@ def relabel(d: Diagram, mapping: Mapping[int, int]) -> Diagram:
     unless `mapping` is a mapping that holds every crossing id of `d` and
     the renamed code is a diagram: two ids renamed alike, or a new id that is
     not an integer >= 1, break a rule of the model."""
+    d = checked(d, Diagram, ValidationError, "diagram")
     mapping = checked(mapping, Mapping, ValidationError, "mapping")
     try:
         components = tuple(

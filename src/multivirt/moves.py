@@ -518,10 +518,9 @@ class _Insertions(Sequence):
                 yield MoveSite(self.kind, variant, locus)
 
     def index(self, site):
-        """Position of the first listed site equal to `site`, read off its
-        locus and variant without building a site; ValueError if none is."""
-        if site.kind != self.kind:
-            raise ValueError(f"{site!r} is not a {self.kind} site")
+        """Position of the first listed site equal to `site`, a site of this
+        kind, read off its locus and variant without building a site;
+        ValueError if none is."""
         return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
 
 
@@ -598,6 +597,8 @@ def _move_args(d, kinds, size_cap) -> tuple[Diagram, set, int]:
     """The checked diagram, set of move kinds and size cap (from
     MULTIVIRT_SIZE_CAP when None) of a site search."""
     d = checked(d, Diagram, ValidationError, "diagram")
+    if isinstance(kinds, str):
+        raise ValidationError(f"move kinds must be an iterable of names, got the string {kinds!r}")
     try:
         kinds = set(MOVE_KINDS if kinds is None else kinds)
     except TypeError:  # not iterable, or holding an unhashable kind

@@ -23,7 +23,7 @@ takes (d, moduli).  `verify_theorems` turns every answer into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 from . import catalog
@@ -52,13 +52,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "theorem": self.theorem,
-            "r": self.r,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -111,7 +105,7 @@ def _colorings(d: Diagram, moduli) -> str:
     L2, prov = multiplex(d, 2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
     csys = build_system(L2, ColoringMode.CONSTRAINED, prov)
-    pair = pairing_map(d, L2, prov)
+    pair = pairing_map(vsys, L2, prov)
     for n in moduli:
         a = count_colorings(vsys, n)
         b = count_colorings(csys, n)

@@ -137,6 +137,14 @@ class TestMoves:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_moves_kinds_with_no_value_is_a_usage_error(self, capsys):
+        # Before, no kind listed every kind: 90 sites for the trefoil.
+        with pytest.raises(SystemExit) as exc:
+            main(["moves", "--name", "trefoil", "--find", "--kinds"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "--kinds" in out.err
+
     def test_negative_walk_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "moves", "--name", "trefoil", "--walk", "-3")
         assert code == 1 and out == ""

@@ -675,6 +675,8 @@ class TestPairingMap:
         for target, p in bad:
             with pytest.raises(MissingProvenance):
                 psi(trefoil, zero, target, p)
+            with pytest.raises(MissingProvenance):  # fitted before the source system is read
+                pairing_map("x", target, p)
             with pytest.raises(MissingProvenance):
                 build_system(target, ColoringMode.CONSTRAINED, p)
 
@@ -688,6 +690,30 @@ class TestPairingMap:
         with pytest.raises(MissingProvenance):
             psi(trefoil, zero, l2, listed)
 
+    def test_rejects_an_edge_map_without_both_copies_of_an_edge(self, trefoil):
+        l2, prov = multiplex(trefoil, 2)
+        vsys = build_system(trefoil, ColoringMode.VIRTUAL_FOX)
+        short = replace(prov, edge_map={e: g for e, g in prov.edge_map.items() if e != (0, 2)})
+        with pytest.raises(MissingProvenance, match="both copies of every source edge"):
+            build_system(l2, ColoringMode.CONSTRAINED, short)
+        with pytest.raises(MissingProvenance, match="both copies of every source edge"):
+            pairing_map(vsys, l2, short)
+
+    def test_rejects_an_edge_map_that_leaves_an_arc_uncovered(self):
+        # A copy that alone covers an arc of the multiplex is moved onto the
+        # gap of its twin.  The zero coloring gives both copies the value 0,
+        # so only the arc left without a copy is wrong.
+        d = catalog.diagram("kishino")
+        l2, prov = multiplex(d, 2)
+        arc_of = segments(l2, Granularity.ARC).of_gap
+        covering = [arc_of[ci][g] for ci, g in prov.edge_map.values()]
+        t, q = next(e for e, (ci, g) in prov.edge_map.items() if covering.count(arc_of[ci][g]) == 1)
+        moved = replace(prov, edge_map={**prov.edge_map, (t, q): prov.edge_map[(t, 3 - q)]})
+        vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
+        pair = pairing_map(vsys, l2, moved)
+        with pytest.raises(InvalidColoring, match="left an arc of the multiplex unassigned"):
+            pair(Coloring((0,) * vsys.n_unknowns, 3))
+
     def test_rejects_the_provenance_of_another_source(self, trefoil):
         l2, prov = multiplex(catalog.diagram("kink"), 2)
         zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
@@ -699,8 +725,11 @@ class TestPairingMap:
         # coloring of the multiplex of another diagram.
         with pytest.warns(UserWarning, match="abstract"):
             l2, prov = multiplex(parse_vgc("O1+ V2- U1+ V2-"), 2)
+        link = parse_vgc("O1+ V2- ; U1+ V2-")
         with pytest.raises(NotAKnot):
-            psi(parse_vgc("O1+ V2- ; U1+ V2-"), Coloring((0, 0, 0), 3), l2, prov)
+            psi(link, Coloring((0, 0, 0), 3), l2, prov)
+        with pytest.raises(NotAKnot):
+            pairing_map(build_system(link, ColoringMode.VIRTUAL_FOX), l2, prov)
         with pytest.raises(ValidationError):
             psi(None, Coloring((0, 0, 0), 3), l2, prov)
 
@@ -719,8 +748,8 @@ class TestPairingMap:
 
     def test_verify_reports_an_image_outside_the_constrained_set(self, trefoil, monkeypatch):
         # A faulty pairing map that shifts one arc of every image.
-        def shifted_map(d, l2, prov):
-            pair = pairing_map(d, l2, prov)
+        def shifted_map(vsys, l2, prov):
+            pair = pairing_map(vsys, l2, prov)
 
             def shifted(col):
                 out = pair(col)
@@ -746,6 +775,8 @@ def test_wrong_kind_arguments_raise_validation_error(trefoil):
         lambda: build_system("x", ColoringMode.FOX),
         lambda: psi("x", col, l2, prov),
         lambda: psi(trefoil, col, "x", prov),
+        lambda: pairing_map(trefoil, l2, prov),
+        lambda: pairing_map(build_system(trefoil, ColoringMode.FOX), l2, prov),
     ]
     for call in calls:
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 from collections import namedtuple
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
@@ -722,7 +723,8 @@ class TestSegments:
             assert sorted(owner) == list(range(len(segs)))
 
 
-# Every export that takes a diagram first, with the other arguments it needs.
+# Every export that takes a diagram first, with the other arguments it needs;
+# a dotted name is read off the package's module of that name.
 _DIAGRAM_FIRST = [
     ("serialize_vgc", ()),
     ("canonical_form", ()),
@@ -738,6 +740,8 @@ _DIAGRAM_FIRST = [
     ("ith_n_writhes", (1,)),
     ("linking_and_lambda", ()),
     ("invariant_report", ()),
+    ("model.relabel", ({},)),
+    ("invariants.index_defect", ()),
 ]
 
 
@@ -745,4 +749,4 @@ _DIAGRAM_FIRST = [
 @pytest.mark.parametrize("name, args", _DIAGRAM_FIRST, ids=[n for n, _ in _DIAGRAM_FIRST])
 def test_non_diagram_rejected(name, args, value):
     with pytest.raises(ValidationError, match="diagram"):
-        getattr(multivirt, name)(value, *args)
+        attrgetter(name)(multivirt)(value, *args)

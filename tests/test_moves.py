@@ -53,6 +53,15 @@ class TestDetection:
         with pytest.raises(ValidationError):
             find_moves(trefoil, kinds=kinds)
 
+    @pytest.mark.parametrize("kinds", ["", "R3", "R1del"])
+    def test_a_string_of_kinds_rejected(self, trefoil, kinds):
+        # Before, a string was read one character at a time: "" found no
+        # site and "R3" reported the unknown kinds '3' and 'R'.
+        with pytest.raises(ValidationError, match="string"):
+            find_moves(trefoil, kinds)
+        with pytest.raises(ValidationError, match="string"):
+            random_walk(trefoil, 5, 0, kinds=kinds)
+
     def test_unknot_only_insertions(self):
         kinds = {s.kind for s in find_moves(parse_vgc("."))}
         assert kinds <= {"R1+ins", "R1-ins", "VR1ins"}

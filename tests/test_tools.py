@@ -105,20 +105,24 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
         [sys.executable, str(AB_TIME), "--base", str(src), "--smoke", "--rounds", "2"],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert [line.split(":")[0] for line in out[:2]] == ["round  0 (base first)", "round  1 (tree first)"]
+    # Every op list is calibrated, a whole workload as well as one multiplex.
+    assert re.fullmatch(
+        r"repetitions per pass: \d+ \(one pass of the tree takes at least 0\.2 s\)", out[0]
+    )
+    assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
     assert re.fullmatch(
         r"median ratio base / tree over 2 rounds: \d+\.\d{3} \(min \d+\.\d{3}, max \d+\.\d{3}\)",
-        out[2],
+        out[3],
     )
-    assert re.fullmatch(r"tree faster in [012] of 2 rounds", out[3])
-    for line, side in zip(out[4:6], ("base", "tree")):
+    assert re.fullmatch(r"tree faster in [012] of 2 rounds", out[4])
+    for line, side in zip(out[5:7], ("base", "tree")):
         assert re.fullmatch(side + r" median \d+\.\d{4} s \(quartiles \d+\.\d{4}, \d+\.\d{4}\)", line)
     assert re.fullmatch(
         r"verdict: (no )?gain \(tree faster in [012] of 2 rounds, medians [+-]\d+\.\d{4} s apart,"
         r" base quartiles \d+\.\d{4} s apart\)",
-        out[6],
+        out[7],
     )
-    assert len(out) == 7
+    assert len(out) == 8
 
 
 def test_ab_time_pairs_one_multiplex_against_the_trees_own_source():

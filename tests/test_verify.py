@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from multivirt import verify
+from multivirt import colorings, verify
 from multivirt.colorings import (
     Coloring,
     ColoringMode,
+    build_system,
     count_colorings,
     enumerate_colorings,
     pairing_map,
@@ -180,8 +181,8 @@ class TestFailureDetails:
         ]
 
     def test_constant_pairing_map_is_not_injective(self, monkeypatch):
-        def constant(d, l2, prov):
-            pair = pairing_map(d, l2, prov)
+        def constant(vsys, l2, prov):
+            pair = pairing_map(vsys, l2, prov)
             return lambda col: pair(Coloring((0,) * len(col.values), col.modulus))
 
         monkeypatch.setattr(verify, "pairing_map", constant)
@@ -189,3 +190,19 @@ class TestFailureDetails:
         assert _results(rep) == [
             ("trefoil", "colorings", 2, False, "n=2: pairing map not injective")
         ]
+
+
+def test_colorings_builds_the_source_system_once(monkeypatch):
+    # One virtual-Fox system of the fixture, read by the counts, the
+    # enumeration and the pairing map, and one constrained system of its
+    # 2-fold multiplex.
+    modes = []
+
+    def counted(d, mode, provenance=None):
+        modes.append(mode)
+        return build_system(d, mode, provenance)
+
+    monkeypatch.setattr(verify, "build_system", counted)
+    monkeypatch.setattr(colorings, "build_system", counted)
+    assert verify_theorems(names=["trefoil", "kishino"], r_range=(), n_range=(2, 3)).ok
+    assert modes == [ColoringMode.VIRTUAL_FOX, ColoringMode.CONSTRAINED] * 2

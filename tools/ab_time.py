@@ -11,11 +11,11 @@ one pass of the op list on each side, the side that goes first alternating,
 and times the pass.  Both sides must give equal op digests.
 With `--multiplex KNOT:R` the op list is one call,
 `constructions.multiplex(catalog.diagram(KNOT), R)`, digested by the SHA-256
-of the multiplex's VGC text; parsing the catalog entry is set-up.  One such
-call is too short to time against the host's noise, so a pass repeats it:
-the count is doubled from 1 until one pass of this tree takes at least
-0.2 s, printed on the first line, and used on both sides in every round.
-A whole workload runs its op list once per pass.  One line per round gives
+of the multiplex's VGC text; parsing the catalog entry is set-up.  An op list
+too short to time against the host's noise is repeated within a pass: the
+count is doubled from 1 until one pass of this tree takes at least 0.2 s,
+printed on the first line, and used on both sides in every round, so an op
+list that already takes 0.2 s runs once per pass.  One line per round gives
 both times and the ratio base / tree (above 1 means this tree is faster).
 Then one line gives the median ratio with the least and the greatest, one
 the number of rounds in which this tree was faster, one per side its median
@@ -41,7 +41,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-CALIBRATION_S = 0.2  # the least time of one pass of a repeated op list
+CALIBRATION_S = 0.2  # the least time of one pass
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
@@ -111,20 +111,18 @@ def calibrate(side) -> int:
     return reps
 
 
-def ab_time(base, build_ops, rounds: int, repeat: bool = False) -> dict[str, list[float]]:
+def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
     """Per-round pass times of each side, running the ops that `build_ops`
-    makes for each side's package, repeated as `calibrate` finds on this
-    tree when `repeat` is set; raises if the digests differ."""
+    makes for each side's package as often as `calibrate` finds on this
+    tree; raises if the digests differ."""
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = build_ops(mv)
         codes = wl.input_codes(mv, ops)
         sides[label] = (mv, ops, {f: mv.model.parse_vgc(code) for f, code in codes.items()})
-    reps = 1
-    if repeat:
-        reps = calibrate(sides["tree"])
-        print(f"repetitions per pass: {reps} (one pass of the tree takes at least {CALIBRATION_S} s)",
-              flush=True)
+    reps = calibrate(sides["tree"])
+    print(f"repetitions per pass: {reps} (one pass of the tree takes at least {CALIBRATION_S} s)",
+          flush=True)
     runs: dict[str, list[float]] = {"base": [], "tree": []}
     for k in range(rounds):
         order = ("base", "tree") if k % 2 == 0 else ("tree", "base")
@@ -182,7 +180,7 @@ def main(argv=None) -> int:
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
         if args.multiplex:
-            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds, repeat=True)
+            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
