@@ -13,8 +13,13 @@ the frame orientation of the two source strands.
 
 Each output crossing is made once, at its first passage, in a slot looked up
 by an integer index in a table per source crossing (its r^2 grid slots, then
-its shift slots).  The two passages of a virtual output crossing are one
-shared `Passage` value; `Passage` is frozen, so sharing it is not observable.
+its shift slots).  Its passages and its record come from `model._passage`
+and `model._record`, which intern every value whose crossing id is below
+`model._INTERN_BOUND` (2**14): every multiplex after the first reuses the
+values of the ids it shares with earlier builds instead of allocating them,
+and the two passages of a virtual output crossing are one shared `Passage`,
+shared across builds too.  Both classes are frozen, so sharing is not
+observable.  `covering` takes its virtualized crossings' values from there.
 
 The braid orientation is a single global bit: at a virtual tile the bundle
 that the other bundle crosses left to right shifts its copies one step, the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import crossing_indices
-from .model import _THROUGH, CrossingRecord, Diagram, Passage
+from .model import _THROUGH, Diagram, _passage, _record
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -127,6 +132,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     # order, so that visit fixes the id and the record: the frame read there,
     # or the source sign for a diagonal crossing.
     tables = {c: [None] * (rr + 2 * r if rec.virtual else rr) for c, rec in d.crossings.items()}
+    grid = [divmod(k, r) for k in range(rr + 2 * r)]  # slot index -> (row, column)
     # The tables that `validate` would sweep, written as passages are emitted:
     # a crossing's first position when its slot is made, so that the index
     # is keyed in id order, which is first-appearance order, and its second
@@ -166,19 +172,19 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                     op = slots[k]
                     if op is None:
                         cid = len(crossings) + 1
-                        a, b = divmod(k, r)
+                        a, b = grid[k]
                         diag = a == b and not rec.virtual
-                        crossings[cid] = CrossingRecord(cid, not diag, rec.sign if diag else sign)
+                        crossings[cid] = _record(cid, not diag, rec.sign if diag else sign)
                         crossing_map[cid] = ("diag", c, a + 1) if diag else (
                             ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
-                        op = slots[k] = Passage(cid, p.role if diag else _THROUGH)
+                        op = slots[k] = _passage(cid, p.role if diag else _THROUGH)
                         index[cid] = (ell - 1, len(trace))
                     else:
                         index[op.crossing] = (index[op.crossing], (ell - 1, len(trace)))
                         if op.role is not _THROUGH:
-                            op = Passage(op.crossing, p.role)  # a diagonal's other passage
+                            op = _passage(op.crossing, p.role)  # a diagonal's other passage
                     trace.append(op)
-                    frame.append(sign)
+                frame += [sign] * (len(trace) - len(frame))
             edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
         if m == 0:
             edge_map[(0, ell)] = (ell - 1, None)
@@ -210,8 +216,8 @@ def covering(d: Diagram, r: int) -> Diagram:
     comp = list(d.components[0])
     for cid in to_virtualize:
         a, b = d._passage_index[cid]
-        crossings[cid] = CrossingRecord(cid, True, d.frame(cid, a))
-        comp[a[1]] = comp[b[1]] = Passage(cid, _THROUGH)
+        crossings[cid] = _record(cid, True, d.frame(cid, a))
+        comp[a[1]] = comp[b[1]] = _passage(cid, _THROUGH)
     # Read from the first passage, a virtualized crossing's sign is the frame
     # read there before, so the positions and frames stay as they were.
     return Diagram._made((tuple(comp),), crossings, d._passage_index, d._frames)

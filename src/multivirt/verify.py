@@ -73,8 +73,11 @@ ENUM_LIMIT = 10**6
 
 def _linking(d: Diagram, J: WritheTable, r: int) -> str:
     rep = linking_and_lambda(multiplex(d, r)[0])
+    by_class = [0] * r  # the sum of J_n over each residue class of n mod r
+    for n, v in J.entries.items():
+        by_class[n % r] += v
     for i, j in permutations(range(r), 2):
-        expect = sum(v for n, v in J.entries.items() if (n - (i - j)) % r == 0)
+        expect = by_class[(i - j) % r]
         if rep.lk[i][j] != expect:
             return f"lk[{i+1}][{j+1}] = {rep.lk[i][j]}, expected {expect}"
     if any(rep.lam):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagrams
-from multivirt import catalog, verify_theorems
+from multivirt import catalog, model, verify_theorems
 from multivirt.constructions import (
     _SHIFT_ORIENTATION,
     MAX_PASSAGES,
@@ -16,6 +18,7 @@ from multivirt.constructions import (
 )
 from multivirt.errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
+from multivirt.moves import random_walk
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, canonical_form, parse_vgc, serialize_vgc
 from multivirt.planar import genus
 
@@ -119,6 +122,105 @@ class TestMultiplexCounts:
             warnings.simplefilter("always")
             multiplex(parse_vgc("O1+ O2+ U1+ U2+"), 2)
         assert caught
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """The interning tables of `model`, empty for one test; the warm tables
+    come back after it."""
+    monkeypatch.setattr(model, "_PASSAGES", {key: [] for key in model._PASSAGES})
+    monkeypatch.setattr(model, "_RECORDS", {v: {1: [], -1: []} for v in model._RECORDS})
+
+
+def _tables() -> list[list]:
+    return [*model._PASSAGES.values(), *(t for by_sign in model._RECORDS.values()
+                                          for t in by_sign.values())]
+
+
+def _values(d: Diagram) -> list:
+    """Every passage and every record of `d`, in order."""
+    return [p for comp in d.components for p in comp] + list(d.crossings.values())
+
+
+def _cid(value) -> int:
+    return value.crossing if isinstance(value, Passage) else value.cid
+
+
+class TestInterning:
+    """`multiplex` and `covering` emit interned passages and records: a
+    repeated build shares every value of an id below `model._INTERN_BOUND`,
+    and reads exactly as a cold build does."""
+
+    @pytest.mark.parametrize("name", ["trefoil", "vtrefoil", "asym3"])
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_two_builds_share_every_value(self, name, r):
+        d = catalog.diagram(name)
+        first, second = multiplex(d, r)[0], multiplex(d, r)[0]
+        for a, b in zip(_values(first), _values(second), strict=True):
+            assert a is b
+        for value in _values(first):
+            if isinstance(value, Passage):
+                assert value == Passage(value.crossing, value.role)
+            else:
+                assert value == CrossingRecord(value.cid, value.virtual, value.sign)
+                assert type(value.virtual) is bool and type(value.sign) is int
+
+    def test_virtualized_crossings_of_two_coverings_are_shared(self):
+        d = catalog.diagram("asym3")
+        first, second = covering(d, 2), covering(d, 2)
+        assert first.n_virtual() > d.n_virtual()
+        for a, b in zip(_values(first), _values(second), strict=True):
+            assert a is b
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_cold_and_warm_builds_agree(self, empty_tables, name, r):
+        d = catalog.diagram(name)
+        assert not any(_tables())
+        (cold, cold_prov), (warm, warm_prov) = multiplex(d, r), multiplex(d, r)
+        assert serialize_vgc(cold) == serialize_vgc(warm)
+        assert cold_prov.to_json() == warm_prov.to_json()
+        assert list(cold._passage_index.items()) == list(warm._passage_index.items())
+        assert cold._frames == warm._frames
+
+    def test_ids_at_or_above_the_bound_come_back_fresh(self, empty_tables, monkeypatch):
+        monkeypatch.setattr(model, "_INTERN_BOUND", 8)
+        d = catalog.diagram("trefoil")
+        first, second = multiplex(d, 3)[0], multiplex(d, 3)[0]
+        assert len(first.crossings) == 27
+        for a, b in zip(_values(first), _values(second), strict=True):
+            assert a == b and (a is b) == (_cid(a) < 8)
+        assert max(map(len, _tables())) == 8
+
+    def test_threads_build_equal_multiplexes(self, empty_tables, monkeypatch):
+        # More threads than cores, switching often, grow the tables into a
+        # low bound at once: each must stay within it, with every value
+        # filed under its own id, and every build must read alike.
+        monkeypatch.setattr(model, "_INTERN_BOUND", 100)
+        d, out = catalog.diagram("asym3"), []
+        want = serialize_vgc(_multiplex_oracle(d, 6)[0])
+        workers = [
+            threading.Thread(target=lambda: out.append(serialize_vgc(multiplex(d, 6)[0])))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert out == [want] * 8
+        for table in _tables():
+            assert len(table) <= 100
+            assert all(v is None or _cid(v) == i for i, v in enumerate(table))
+
+    def test_parsing_and_walking_intern_nothing(self, empty_tables):
+        random_walk(catalog.diagram("asym3"), 20, 0, size_cap=10**9)
+        assert not any(_tables())
 
 
 class TestCovering:

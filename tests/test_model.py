@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 from collections import namedtuple
@@ -21,6 +22,8 @@ from multivirt.errors import (
 )
 from multivirt.model import (
     _PASSES,
+    _passage,
+    _record,
     CrossingRecord,
     Diagram,
     Granularity,
@@ -119,6 +122,49 @@ class TestParse:
         d = parse_vgc("O1+ ; U1+")
         assert d.n_components() == 2
         assert serialize_vgc(d) == "O1+ ; U1+"
+
+
+_VALUES = [
+    Passage(3, Role.THROUGH),
+    CrossingRecord(3, True, -1),
+    _passage(7, Role.UNDER),
+    _record(7, False, 1),
+]
+
+
+class TestSlottedValues:
+    """`Passage` and `CrossingRecord` are frozen slotted dataclasses, whether
+    the public constructor or a producer's interning one made them."""
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    def test_no_dict_and_no_assignment(self, value):
+        assert not hasattr(value, "__dict__")
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, 9)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, f.name)
+        # A name that is no field cannot be set either.  CPython 3.11 raises
+        # TypeError there, as its frozen `__setattr__` calls `super()` on the
+        # class from before the slots were added.
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 9
+        assert not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("value", _VALUES, ids=repr)
+    def test_copies_are_equal_values(self, value):
+        twins = [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+        twins += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        fields = dataclasses.fields(value)
+        assert dataclasses.asdict(value) == {f.name: getattr(value, f.name) for f in fields}
+
+    def test_equality_hash_and_repr(self):
+        assert _passage(7, Role.UNDER) == Passage(7, Role.UNDER) != Passage(7, Role.OVER)
+        assert hash(_record(7, False, 1)) == hash(CrossingRecord(7, False, 1))
+        assert repr(Passage(3, Role.THROUGH)) == "Passage(crossing=3, role=<Role.THROUGH: 'V'>)"
+        assert repr(_record(7, False, 1)) == "CrossingRecord(cid=7, virtual=False, sign=1)"
 
 
 class TestSerialize:

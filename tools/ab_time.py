@@ -11,17 +11,20 @@ one pass of the op list on each side, the side that goes first alternating,
 and times the pass.  Both sides must give equal op digests.
 With `--multiplex KNOT:R` the op list is one call,
 `constructions.multiplex(catalog.diagram(KNOT), R)`, digested by the SHA-256
-of the multiplex's VGC text; parsing the catalog entry is set-up.  An op list
-too short to time against the host's noise is repeated within a pass: the
-count is doubled from 1 until one pass of this tree takes at least 0.2 s,
-printed on the first line, and used on both sides in every round, so an op
-list that already takes 0.2 s runs once per pass.  One line per round gives
-both times and the ratio base / tree (above 1 means this tree is faster).
-Then one line gives the median ratio with the least and the greatest, one
-the number of rounds in which this tree was faster, one per side its median
-time and quartiles, and the last line the verdict: a gain only when this
-tree was faster in at least nine tenths of the rounds and the medians differ
-by more than the distance between the base's quartiles.
+of the multiplex's VGC text; parsing the catalog entry is set-up.  The
+multiplex interns its passages and records, so every build after the first
+in a process times warm tables; timing a cold build needs a fresh process
+per build.  An op list too short to time against the host's noise is
+repeated within a pass: the count is doubled from 1 until one pass of this
+tree takes at least 0.2 s, printed on the first line, and used on both sides
+in every round, so an op list that already takes 0.2 s runs once per pass.
+One line per round gives both times and the ratio base / tree (above 1 means
+this tree is faster).  Then one line gives the median ratio with the least
+and the greatest, one the number of rounds in which this tree was faster,
+one per side its median time and quartiles, and the last line the verdict:
+a gain only when this tree was faster in at least nine tenths of the rounds
+and the medians differ by more than the distance between the base's
+quartiles.
 
 Separate processes cannot resolve a gain of a few tens of percent on a shared
 host whose speed swings by up to 2x between them; alternating in one process
