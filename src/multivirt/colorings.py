@@ -86,9 +86,10 @@ class ColoringMode(Enum):
 @dataclass(frozen=True)
 class ColoringSystem:
     """A relation system over the pieces of `unknowns`.  The public
-    constructor raises BadMatrix unless every row is a tuple of (unknown,
-    nonzero integer) pairs with unknowns increasing in range(n_unknowns);
-    `build_system` hands over the rows it writes through `_made`, unchecked."""
+    constructor raises BadMatrix unless the rows are a tuple and every row is
+    a tuple of (unknown, nonzero integer) pairs with unknowns increasing in
+    range(n_unknowns); `build_system` hands over the rows it writes through
+    `_made`, unchecked."""
 
     mode: ColoringMode
     unknowns: Segments
@@ -98,6 +99,8 @@ class ColoringSystem:
         checked(self.mode, ColoringMode, ValidationError, "coloring mode")
         checked(self.unknowns, Segments, ValidationError, "unknowns")
         n = self.n_unknowns
+        if type(self.rows) is not tuple:  # a list could change after the check
+            raise BadMatrix(f"the rows must be a tuple, got {self.rows!r}")
         for r in self.rows:
             try:  # js is -1, the unknowns with a nonzero coefficient, then n
                 js = [-1, *(operator.index(j) for j, c in r if operator.index(c)), n]

@@ -47,9 +47,10 @@ class BadModulus(MultivirtError):
 
 
 class BadMatrix(MultivirtError):
-    """Matrix rows differ in length, an entry is not an integer, or a sparse
-    row of a coloring system is not a tuple of (unknown, nonzero integer)
-    pairs with unknowns strictly increasing in range(n_unknowns)."""
+    """Matrix rows differ in length, an entry is not an integer, the rows of
+    a coloring system are not a tuple, or one of them is not a tuple of
+    (unknown, nonzero integer) pairs with unknowns strictly increasing in
+    range(n_unknowns)."""
 
 
 class TooLarge(MultivirtError):

@@ -41,6 +41,9 @@ class WritheTable:
     j0: int
 
     def __getitem__(self, n: int) -> int:
+        """J_n, or J_0 at n = 0; raises ValidationError for an index that is
+        not an integer."""
+        n = checked(n, int, ValidationError, "writhe index")
         if n == 0:
             return self.j0
         return self.entries.get(n, 0)

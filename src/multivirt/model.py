@@ -50,6 +50,8 @@ trace that `planar._trace` builds on first use.
 that a producer emits are interned: `_passage(cid, role)` and
 `_record(cid, virtual, sign)` return the one shared instance of their value
 for a crossing id below `_INTERN_BOUND` (2**14), and a fresh one above it.
+The shared instances sit in plain dicts keyed by crossing id, which hold
+only the ids that builds used and are filed without a lock.
 `constructions.multiplex` and `covering` emit through them, so the repeated
 builds of one (diagram, r) share every passage and record; `parse_vgc`, the
 moves, `planar`'s layouts and the public constructors build fresh values.
@@ -58,7 +60,6 @@ moves, `planar`'s layouts and the public constructors build fresh values.
 from __future__ import annotations
 
 import re
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -99,16 +100,16 @@ class CrossingRecord:
     sign: int  # the frame read from the over passage (real) or the first passage (virtual)
 
 
-# The interning tables, indexed by crossing id: one per role and one per
-# (virtual, sign).  Ids at or above _INTERN_BOUND get fresh values, so that
-# one huge build cannot pin its values for the life of the process; 2**14
-# covers every catalog multiplex up to r = 32 (asym3 at r = 32 has 16104
-# ids).  Only growing a table takes the lock, so a race between threads can
-# only build a spare, equal value.
+# The interning tables, keyed by crossing id: one per role and one per
+# (virtual, sign).  A table holds only the ids that builds used.  Ids at or
+# above _INTERN_BOUND get fresh values, so that one huge build cannot pin its
+# values for the life of the process; 2**14 covers every catalog multiplex up
+# to r = 32 (asym3 at r = 32 has 16104 ids).  Filing a value is one dict
+# store and needs no lock: a race between threads can only build a spare,
+# equal value.
 _INTERN_BOUND = 2**14
-_GROWING = threading.Lock()
-_PASSAGES: dict[str, list] = {role._value_: [] for role in Role}
-_RECORDS: dict[bool, dict[int, list]] = {v: {1: [], -1: []} for v in (False, True)}
+_PASSAGES: dict[str, dict] = {role._value_: {} for role in Role}
+_RECORDS: dict[bool, dict[int, dict]] = {v: {1: {}, -1: {}} for v in (False, True)}
 # A miss is built through the slot descriptors, not the frozen `__init__`.
 _new = object.__new__
 _set_crossing, _set_role = Passage.crossing.__set__, Passage.role.__set__
@@ -121,14 +122,14 @@ def _passage(cid: int, role: Role) -> Passage:
     """The shared `Passage(cid, role)`, for a producer that builds from a
     checked diagram: `cid` an int >= 1 and `role` a Role."""
     table = _PASSAGES[role._value_]
-    if cid < len(table):
-        p = table[cid]
-        if p is not None:
-            return p
+    if cid in table:
+        return table[cid]
     p = _new(Passage)
     _set_crossing(p, cid)
     _set_role(p, role)
-    return _file(table, cid, p)
+    if cid < _INTERN_BOUND:
+        table[cid] = p
+    return p
 
 
 def _record(cid: int, virtual: bool, sign: int) -> CrossingRecord:
@@ -136,29 +137,15 @@ def _record(cid: int, virtual: bool, sign: int) -> CrossingRecord:
     builds from a checked diagram: `cid` an int >= 1, `virtual` a bool and
     `sign` the int +1 or -1."""
     table = _RECORDS[virtual][sign]
-    if cid < len(table):
-        rec = table[cid]
-        if rec is not None:
-            return rec
+    if cid in table:
+        return table[cid]
     rec = _new(CrossingRecord)
     _set_cid(rec, cid)
     _set_virtual(rec, virtual)
     _set_sign(rec, sign)
-    return _file(table, cid, rec)
-
-
-def _file(table: list, cid: int, value):
-    """File `value` under `cid` when the id is below the bound, and return
-    it.  A table too short is doubled, up to the bound, under the lock, so
-    that no race grows it past the bound or shrinks it."""
     if cid < _INTERN_BOUND:
-        if cid >= len(table):
-            with _GROWING:
-                n = len(table)
-                if cid >= n:
-                    table += [None] * (min(max(cid + 1, 2 * n), _INTERN_BOUND) - n)
-        table[cid] = value
-    return value
+        table[cid] = rec
+    return rec
 
 
 class _Crossings(dict):

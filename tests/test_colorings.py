@@ -820,6 +820,7 @@ def _hostile_calls():
         ),
         "ColoringSystem-mode": (lambda x: ColoringSystem(x, vsys.unknowns, ()), list(ColoringMode)),
         "ColoringSystem-unknowns": (lambda x: ColoringSystem(fox, x, ()), ()),
+        "ColoringSystem-rows": (lambda x: ColoringSystem(fox, vsys.unknowns, x), [()]),
         "ColoringSystem-unknown": (
             lambda x: ColoringSystem(fox, vsys.unknowns, (((x, 1),),)),
             range(3),
@@ -892,6 +893,16 @@ def test_coloring_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
 def test_a_negative_piece_count_is_refused():
     with pytest.raises(ValidationError):
         ColoringSystem(ColoringMode.FOX, Segments(Granularity.ARC, (), -1), ())
+
+
+# A list of rows was kept by reference: a row appended after the count had
+# been taken left the trefoil's 3-colorings at 9, where the tuple counts 3.
+def test_rows_that_could_change_after_the_check_are_refused():
+    t = build_system(parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+"), ColoringMode.FOX)
+    assert count_colorings(t, 3) == 9
+    assert count_colorings(ColoringSystem(t.mode, t.unknowns, (*t.rows, ((0, 1),))), 3) == 3
+    with pytest.raises(BadMatrix):
+        ColoringSystem(t.mode, t.unknowns, list(t.rows))
 
 
 def test_import_leaves_numpy_unloaded():

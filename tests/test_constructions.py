@@ -128,11 +128,11 @@ class TestMultiplexCounts:
 def empty_tables(monkeypatch):
     """The interning tables of `model`, empty for one test; the warm tables
     come back after it."""
-    monkeypatch.setattr(model, "_PASSAGES", {key: [] for key in model._PASSAGES})
-    monkeypatch.setattr(model, "_RECORDS", {v: {1: [], -1: []} for v in model._RECORDS})
+    monkeypatch.setattr(model, "_PASSAGES", {key: {} for key in model._PASSAGES})
+    monkeypatch.setattr(model, "_RECORDS", {v: {1: {}, -1: {}} for v in model._RECORDS})
 
 
-def _tables() -> list[list]:
+def _tables() -> list[dict]:
     return [*model._PASSAGES.values(), *(t for by_sign in model._RECORDS.values()
                                           for t in by_sign.values())]
 
@@ -190,12 +190,12 @@ class TestInterning:
         assert len(first.crossings) == 27
         for a, b in zip(_values(first), _values(second), strict=True):
             assert a == b and (a is b) == (_cid(a) < 8)
-        assert max(map(len, _tables())) == 8
+        assert max(max(table, default=0) for table in _tables()) == 7
 
     def test_threads_build_equal_multiplexes(self, empty_tables, monkeypatch):
-        # More threads than cores, switching often, grow the tables into a
-        # low bound at once: each must stay within it, with every value
-        # filed under its own id, and every build must read alike.
+        # More threads than cores, switching often, fill the tables up to a
+        # low bound at once: every value must be filed under its own id,
+        # below the bound, and every build must read alike.
         monkeypatch.setattr(model, "_INTERN_BOUND", 100)
         d, out = catalog.diagram("asym3"), []
         want = serialize_vgc(_multiplex_oracle(d, 6)[0])
@@ -215,8 +215,25 @@ class TestInterning:
         assert not any(w.is_alive() for w in workers)
         assert out == [want] * 8
         for table in _tables():
-            assert len(table) <= 100
-            assert all(v is None or _cid(v) == i for i, v in enumerate(table))
+            assert all(_cid(v) == i < 100 for i, v in table.items())
+
+    def test_tables_hold_only_the_ids_that_builds_emitted(self, empty_tables, monkeypatch):
+        monkeypatch.setattr(model, "_INTERN_BOUND", 100)
+        passages, records = {}, {}
+        for name in catalog.KNOT_NAMES:
+            for r in range(2, 5):
+                for value in _values(multiplex(catalog.diagram(name), r)[0]):
+                    if isinstance(value, Passage):
+                        passages.setdefault(value.role.value, set()).add(value.crossing)
+                    else:
+                        records.setdefault((value.virtual, value.sign), set()).add(value.cid)
+        for key, table in model._PASSAGES.items():
+            assert set(table) == {cid for cid in passages.get(key, ()) if cid < 100}
+        for virtual, by_sign in model._RECORDS.items():
+            for sign, table in by_sign.items():
+                want = {cid for cid in records.get((virtual, sign), ()) if cid < 100}
+                assert set(table) == want
+        assert any(cid >= 100 for ids in records.values() for cid in ids)
 
     def test_parsing_and_walking_intern_nothing(self, empty_tables):
         random_walk(catalog.diagram("asym3"), 20, 0, size_cap=10**9)

@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import diagrams
 from multivirt import catalog
@@ -11,6 +12,7 @@ from multivirt.errors import (
     NotAKnot,
     NotReal,
     UnknownCrossing,
+    ValidationError,
 )
 from multivirt.constructions import covering, multiplex
 from multivirt.invariants import (
@@ -103,6 +105,34 @@ class TestNWrithes:
     def test_requires_knot(self):
         with pytest.raises(NotAKnot):
             n_writhes(parse_vgc("O1+ ; U1+"))
+
+    # Junk read as 0 (a hashable key) or raised a bare TypeError (a list).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        junk=st.one_of(
+            st.floats(-3, 3),
+            st.text(max_size=2),
+            st.none(),
+            st.lists(st.integers(-2, 2), max_size=2),
+            st.tuples(st.integers(-2, 2)),
+            st.booleans(),
+        )
+    )
+    @example(junk="x")
+    @example(junk=[[1]])
+    @example(junk=1.5)
+    @example(junk=1.0)
+    def test_a_non_integer_index_is_refused(self, junk):
+        table = n_writhes(catalog.diagram("asym3"))
+        if isinstance(junk, bool):
+            assert table[junk] == table[int(junk)]
+        else:
+            with pytest.raises(ValidationError):
+                table[junk]
+
+    def test_an_integer_index_reads_its_entry(self):
+        table = n_writhes(catalog.diagram("vtrefoil"))
+        assert [table[n] for n in (-2, -1, 0, 1, 2)] == [0, 1, table.j0, 1, 0]
 
 
 class TestIthNWrithes:
