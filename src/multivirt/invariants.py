@@ -35,10 +35,19 @@ class IndexPair:
 @dataclass(frozen=True)
 class WritheTable:
     """Finite-support map n -> J_n for nonzero n; J_0 is reported separately
-    because it is not preserved by the first Reidemeister move."""
+    because it is not preserved by the first Reidemeister move.  The table
+    keeps a copy of the entries it is given, and refuses with
+    ValidationError entries that are not a dict of nonzero int keys and int
+    values (bools are no ints here, as in `Diagram.validate`)."""
 
     entries: dict[int, int]
     j0: int
+
+    def __post_init__(self):
+        entries = dict(checked(self.entries, dict, ValidationError, "writhe entries"))
+        if 0 in entries or any(type(x) is not int for x in (*entries, *entries.values())):
+            raise ValidationError(f"writhe entries must map nonzero ints to ints, got {entries!r}")
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, n: int) -> int:
         """J_n, or J_0 at n = 0; raises ValidationError for an index that is

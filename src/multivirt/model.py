@@ -12,9 +12,10 @@ index, position); read from the other passage the frame is the negative.
 The diagram keeps the frame read from each passage in a frame table, one
 list per component, which `Diagram.frame` and every module that needs a
 frame read.  The rule is written where the table is: `Diagram.validate`
-writes it as it checks each crossing, and `constructions.multiplex` writes
-the frames and signs of the passages it emits, while `covering` hands the
-source's table over and `extract_component` filters it.  Rotating a
+writes it as it checks each crossing, `moves._rewrite` for the crossings it
+rewrote, and `constructions.multiplex` writes the frames and signs of the
+passages it emits, while `covering` hands the source's table over and
+`extract_component` filters it.  Rotating a
 basepoint past exactly one passage of a virtual crossing therefore negates
 the stored sign; `rotate` takes care of that.
 
@@ -29,18 +30,21 @@ Both tokens of one crossing carry the same sign character.
 A diagram is checked once, where it enters the package or is rewritten:
 the public constructor `Diagram(components, crossings)` runs `validate`,
 which raises ValidationError unless every rule of the model holds.
-`parse_vgc`, `relabel`, `rotate`, every move of `moves` and `planar`'s
-layouts build through it.  The check also gives the two tables that the
-diagram keeps in plain fields: the passage index `_passage_index`, crossing
-id -> positions (component, index) of its passages in canonical order, keyed
-in order of first appearance (`planar._rail_layout` numbers its stations in
-that key order), and the frame table `_frames`.  A producer that builds a
+`parse_vgc`, `relabel`, `rotate` and `planar`'s layouts build through it.
+The check also gives the two tables that the diagram keeps in plain fields:
+the passage index `_passage_index`, crossing id -> positions (component,
+index) of its passages in canonical order, keyed in order of first
+appearance (`planar._rail_layout` numbers its stations in that key order),
+and the frame table `_frames`.  A producer that builds a
 diagram from a checked one, and so knows both tables as it writes it, hands
 them over through `Diagram._made`, which keeps them unchecked:
 `constructions.multiplex` writes them as it emits passages, `covering`
-keeps the source's and `extract_component` filters them.  Either way the
-diagram keeps its components as tuples of tuples and its crossings as a
-read-only dict, so nothing can change it afterwards.  `positions_of`,
+keeps the source's and `extract_component` filters them, and every move of
+`moves` sweeps the index once and checks and writes only the crossings it
+rewrote, with the per-crossing rule `_frame` that `validate` applies to
+every crossing.  Either way the diagram keeps its components as tuples of
+tuples and its crossings as a read-only dict, so nothing can change it
+afterwards.  `positions_of`,
 `real_positions`, `frame` and every module that needs to know where a
 crossing sits or which frame it reads use the tables; they are read, never
 written, outside their producer.  A third field keeps the integer face
@@ -167,9 +171,10 @@ class Diagram:
     """Immutable diagram value.  The public constructor checks it: it raises
     ValidationError unless every rule of the model holds.  `_made` keeps the
     tables of a producer that wrote them from a checked diagram (multiplex,
-    covering, component extraction) without checking again.  Either way the
-    diagram keeps the components as tuples of tuples and the crossings as a
-    read-only dict.  All operations in this package are pure."""
+    covering, component extraction, the rewrites of `moves`) without
+    checking again.  Either way the diagram keeps the components as tuples
+    of tuples and the crossings as a read-only dict.  All operations in this
+    package are pure."""
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: Mapping[int, CrossingRecord]
@@ -191,10 +196,13 @@ class Diagram:
     @classmethod
     def _made(cls, components, crossings, index, frames) -> Diagram:
         """The diagram whose tables a producer has just written, kept without
-        the check: `components` a tuple of tuples, `crossings` a dict, and
-        `index` and `frames` exactly what `validate` would return, the index
-        keyed in order of first appearance.  Only a producer that wrote all
-        four from a checked diagram may call it."""
+        the full check: `components` a tuple of tuples, `crossings` a dict,
+        and `index` and `frames` exactly what `validate` would return, the
+        index keyed in order of first appearance.  Only a producer that wrote
+        all four from a checked diagram may call it: `constructions.multiplex`,
+        `covering` and `extract_component`, and `moves._rewrite`, which checks
+        the crossings of its patch with `_frame` and keeps the rest of the
+        parent's tables."""
         return _fill(object.__new__(cls), components, _Crossings(crossings), [], index, frames)
 
     # -- basic queries ----------------------------------------------------
@@ -271,14 +279,11 @@ class Diagram:
           order, and a virtual one twice Through;
         - every record in the table is passed.
 
-        The roles of a crossing with a bool `virtual` flag and two passages
-        are compared by identity; any other flag or count is looked up among
-        the passing patterns, with the same rules, order and messages.
-
-        Return the passage index, swept first, and the frame table, the
-        frame read from each passage, which the crossing loop writes.  The
-        diagram keeps the tables of the check run when it is made, so a later
-        call checks again and changes nothing."""
+        Each passed crossing is checked by `_frame`, in the order of the
+        passage index.  Return the passage index, swept first, and the frame
+        table, the frame read from each passage, which the crossing loop
+        writes.  The diagram keeps the tables of the check run when it is
+        made, so a later call checks again and changes nothing."""
         try:
             comps = self.components
             sweep: dict[int, list[tuple[int, int]]] = {}
@@ -288,32 +293,8 @@ class Diagram:
             index = {cid: tuple(ps) for cid, ps in sweep.items()}
             built = [[0] * len(comp) for comp in comps]
             for cid, ps in index.items():
-                rec = self.crossings.get(cid)
-                if not isinstance(rec, CrossingRecord) or rec.cid != cid:
-                    raise ValidationError(f"crossing {cid!r} has no record filed under its id")
-                if type(cid) is not int or cid < 1:
-                    raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
-                if type(rec.sign) is not int or rec.sign not in (+1, -1):
-                    raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
-                v = rec.virtual
-                if (v is True or v is False) and len(ps) == 2:
-                    (c1, i1), (c2, i2) = ps
-                    x, y = comps[c1][i1].role, comps[c2][i2].role
-                    real = x is _OVER and y is _UNDER or x is _UNDER and y is _OVER
-                    ok = x is y is _THROUGH if v else real
-                else:
-                    roles = [comps[ci][i].role for ci, i in ps]
-                    ok = roles in _PASSES.get(v, ())
-                    # Read only when ok, that is when ps holds two passages.
-                    (c1, i1), (c2, i2), x = ps[0], ps[-1], roles[0]
-                if not ok:
-                    raise ValidationError(
-                        f"crossing {cid} must be passed once Over and once Under (real)"
-                        " or twice Through (virtual)"
-                    )
-                # Read from the over passage of a real crossing or the first
-                # passage of a virtual one, the frame is the stored sign.
-                f = rec.sign if v or x is _OVER else -rec.sign
+                f = _frame(comps, self.crossings, cid, ps)
+                (c1, i1), (c2, i2) = ps
                 built[c1][i1], built[c2][i2] = f, -f
             # Every passed crossing has its record, so any other record is unused.
             if len(self.crossings) != len(index):
@@ -324,6 +305,41 @@ class Diagram:
                 "components must be sequences of passages and crossings a dict of records"
             ) from None
         return index, built
+
+
+def _frame(comps, crossings, cid, ps) -> int:
+    """The frame read from the first of the passages of crossing `cid` at
+    the positions `ps` of `comps`, which is the stored sign when it is the
+    over passage of a real crossing or the first passage of a virtual one.
+    Raise ValidationError unless the crossing keeps the rules of the model:
+    `crossings` files a CrossingRecord under `cid`, `cid` is an int >= 1,
+    the sign is the int +1 or -1, and the crossing is passed once Over and
+    once Under, in either order (real), or twice Through (virtual).  The
+    roles of a crossing with a bool `virtual` flag and two passages are
+    compared by identity; any other flag or count is looked up among the
+    passing patterns, with the same rules and messages.  `validate` checks
+    every crossing with it, and `moves._rewrite` the crossings it rewrote."""
+    rec = crossings.get(cid)
+    if not isinstance(rec, CrossingRecord) or rec.cid != cid:
+        raise ValidationError(f"crossing {cid!r} has no record filed under its id")
+    if type(cid) is not int or cid < 1:
+        raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
+    if type(rec.sign) is not int or rec.sign not in (+1, -1):
+        raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
+    v = rec.virtual
+    if (v is True or v is False) and len(ps) == 2:
+        (c1, i1), (c2, i2) = ps
+        x, y = comps[c1][i1].role, comps[c2][i2].role
+        ok = x is y is _THROUGH if v else x is _OVER and y is _UNDER or x is _UNDER and y is _OVER
+    else:
+        roles = [comps[ci][i].role for ci, i in ps]
+        ok, x = roles in _PASSES.get(v, ()), roles[0]
+    if not ok:
+        raise ValidationError(
+            f"crossing {cid} must be passed once Over and once Under (real)"
+            " or twice Through (virtual)"
+        )
+    return rec.sign if v or x is _OVER else -rec.sign
 
 
 def _fill(obj, *values):
@@ -342,7 +358,9 @@ def parse_vgc(text: str) -> Diagram:
     Only what a Diagram cannot express is checked here: the grammar, and that
     both tokens of a crossing carry the same sign character.  A crossing is
     recorded from its first token; every other rule is `validate`'s."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"VGC text must be a str, got {type(text).__name__}")
+    if not text.strip():
         raise ParseError("empty VGC text")
     components: list[tuple[Passage, ...]] = []
     crossings: dict[int, CrossingRecord] = {}

@@ -9,12 +9,15 @@ diagrams stay genus-0.
 
 One enumeration per move kind defines the sites: `apply_move` accepts exactly
 the sites that `find_moves` lists for the diagram (ignoring the size cap) and
-raises `StaleSite` for any other.  The list is counted before it is built:
-the insertion sites of a kind are every variant at every locus, and one is
-built only when it is read, so a walk step draws uniformly over the counted
-list that `find_moves` returns, in its order, and builds only the site it
-applies.  Kink loci are the gaps.  Face sites are read off the named face
-cycles of `faces`, which trace the diagram once.  Poke loci are counted from
+raises `StaleSite` for any other.  Every group of sites is counted before it
+is built: a deletion or triangle group keeps the (variant, locus) entry of
+each site, an insertion group of a kind is every variant at every locus,
+and a `MoveSite` is built only when it is read, so a walk step draws
+uniformly over the counted list that `find_moves` returns, in its order, and
+builds only the site it applies.  A group finds a given site by comparing
+its entry, without building a site.  Kink loci are the gaps, counted per
+component and each built when it is read.  Face sites are read off the named
+face cycles of `faces`, which trace the diagram once.  Poke loci are counted from
 the lengths of the integer cycles of `planar._trace`: a cycle that runs along
 an edge twice (it holds both darts of the edge) is the only one listed, and
 a dart pair is read off the named cycle only when it is read.  A given poke
@@ -29,12 +32,17 @@ partner gap is read off the passage index.  The site search reads frames
 off the diagram's frame table and compares roles by identity rather than
 hashing them.
 
-A rewrite is a set of position edits applied by one splice, `_rewrite`, which
-builds the rewritten diagram, checked when it is made: a deletion replaces every
-passage of the crossings it removes by nothing, a kink or poke places a pair
-of new passages after a gap, and a triangle slide swaps the two passages of
-each of its three bound gaps.  New crossing signs follow the frame rule of
-`model`.
+A rewrite is a set of position edits applied by one splice, `_rewrite`: a
+deletion replaces every passage of the crossings it removes by nothing, a
+kink or poke places a pair of new passages after a gap, and a triangle slide
+swaps the two passages of each of its three bound gaps.  New crossing signs
+follow the frame rule of `model`.  `_rewrite` checks its patch, not the
+whole diagram: each crossing that the edits or the new records touch is
+checked as `Diagram.validate` checks a crossing, and both its frames are
+written by the frame rule; the count of the passage index, swept once,
+against the crossing table refuses a record left without passages.  It then
+hands its tables over to `Diagram._made`, sharing every frame row it did not
+write with the diagram it rewrote.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -65,7 +73,7 @@ from functools import cache
 from itertools import accumulate, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
-from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role
+from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _frame
 from .planar import _trace, faces
 
 MOVE_KINDS = (
@@ -245,16 +253,43 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     position (ci, i) to the passages that replace it, (ci, -1) standing for
     the start of an empty component; `records` is merged into the crossing
     table, None dropping a crossing.  Later positions are spliced first, so
-    the positions of the edits are those of `d`."""
-    components = list(d.components)
+    the positions of the edits are those of `d`; the frame rows are spliced
+    alike.
+
+    The patch is checked, not the diagram: the crossings it touches, those
+    of the passages an edit replaces or places and those of `records`, are
+    checked by `model._frame` as `validate` checks them, and both frames of
+    each are written by the frame rule into rows copied first.  Every other
+    crossing keeps its passages, record and frames from `d`, and its rows
+    stay shared with `d`.  The passage index is swept once, keyed in order
+    of first appearance, and a record left without passages fails the count
+    of the index against the table.  The tables go to `Diagram._made`."""
+    components, frames, touched = list(d.components), list(d._frames), set(records)
     for (ci, i), new in sorted(edits.items(), reverse=True):
-        comp = components[ci]
-        components[ci] = comp[:i] + new + comp[i + 1 :]
+        touched.update(p.crossing for p in components[ci][i : i + 1] + new)
+        components[ci] = components[ci][:i] + new + components[ci][i + 1 :]
+        frames[ci] = frames[ci][:i] + [0] * len(new) + frames[ci][i + 1 :]
     crossings = {**d.crossings, **records}
-    for cid, rec in records.items():
-        if rec is None:
-            del crossings[cid]
-    return Diagram(tuple(components), crossings)
+    for cid in [cid for cid, rec in records.items() if rec is None]:
+        del crossings[cid]
+    index = {}
+    for ci, comp in enumerate(components):
+        for i, p in enumerate(comp):
+            c = p.crossing
+            index[c] = (index[c], (ci, i)) if c in index else (ci, i)
+    for cid in touched & index.keys():
+        f = _frame(components, crossings, cid, ps := _positions(index[cid]))
+        for (ci, i), fi in zip(ps, (f, -f)):
+            frames[ci] = [*frames[ci][:i], fi, *frames[ci][i + 1 :]]  # a copy, never d's row
+    if len(crossings) != len(index):
+        raise ValidationError(f"crossings recorded but never passed: {crossings.keys() - index}")
+    return Diagram._made(tuple(components), crossings, index, frames)
+
+
+def _positions(ps) -> tuple:
+    """The positions of one crossing as the index sweep of `_rewrite` nests
+    them, `(earlier, position)` for every passage after the first, in order."""
+    return (*_positions(ps[0]), ps[1]) if type(ps[0]) is tuple else (ps,)
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
@@ -285,6 +320,72 @@ def _apply_kink_insertion(d: Diagram, site: MoveSite) -> Diagram:
     return _rewrite(d, _after(d, ci, g, pair), {cid: CrossingRecord(cid, order == "VV", sign)})
 
 
+# -- site lists ------------------------------------------------------------
+
+
+class _Counted(Sequence):
+    """A sequence counted per part, each item built when it is read: ends[c]
+    and ends[c + 1] bound the items of part c, and the item at k is read off
+    the pair (c, k - ends[c]) of its part and its place in the part."""
+
+    def __len__(self):
+        return self.ends[-1]
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # bounds and negative indices as for a list
+        c = bisect_right(self.ends, k) - 1
+        return c, k - self.ends[c]
+
+
+class SiteList(_Counted):
+    """The sites `find_moves` lists, the groups of every kind one after the
+    other in MOVE_KINDS order, counted per group.  Its length is counted
+    without building a site; a site is built when it is indexed or iterated
+    to."""
+
+    def __init__(self, groups):
+        self._groups, self.ends = groups, [0, *accumulate(map(len, groups))]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        group, k = super().__getitem__(i)
+        return self._groups[group][k]
+
+    def __iter__(self):
+        for group in self._groups:
+            yield from group
+
+    def __eq__(self, other):
+        if not isinstance(other, (SiteList, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class _Group(SiteList):
+    """The sites of one kind, each built from its (variant, locus) entry
+    only when it is read; the deletion and triangle stages list the
+    entries.  Like any SiteList it equals the list of its sites."""
+
+    def __init__(self, kind: str, entries):
+        self.kind, self.entries = kind, entries
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return MoveSite(self.kind, *self.entries[i])
+
+    def __iter__(self):
+        return (MoveSite(self.kind, variant, locus) for variant, locus in self.entries)
+
+    def index(self, site):
+        """Position of the first entry equal to the variant and locus of
+        `site`, a site of this kind, compared by tuple equality (1.0 and
+        True name 1) without building a site; ValueError if none is."""
+        return self.entries.index((site.variant, site.locus))
+
+
 # -- poke (two-crossing) sites -----------------------------------------------
 
 
@@ -295,7 +396,7 @@ def _window(s: int) -> list[tuple[int, int]]:
     return [(i, (i + w) % s) for i in range(s) for w in reach]
 
 
-class _Pokes(Sequence):
+class _Pokes(_Counted):
     """The poke candidates of a diagram's face cycles, each built when it is
     read: ordered co-facial dart pairs (d1, d2) within the poke window, d1
     and d2 on distinct edges, by cycle, then by the position of d1, then by
@@ -319,16 +420,10 @@ class _Pokes(Sequence):
             pairs = _window(len(cycle))
             self.listed[c] = [(i, j) for i, j in pairs if cycle[i] >> 1 != cycle[j] >> 1]
             counts[c] = len(self.listed[c])
-        # ends[c] and ends[c + 1] bound the candidates of cycle c.
         self.ends = [0, *accumulate(counts)]
 
-    def __len__(self):
-        return self.ends[-1]
-
     def __getitem__(self, k):
-        k = range(len(self))[k]  # bounds and negative indices as for a list
-        c = bisect_right(self.ends, k) - 1
-        k -= self.ends[c]
+        c, k = super().__getitem__(k)  # the cycle and the place in its candidates
         cycle = self.named[c]
         if c in self.listed:
             i, j = self.listed[c][k]
@@ -374,7 +469,7 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 # -- deletion sites ----------------------------------------------------------
 
 
-def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
+def _deletions(d: Diagram, kinds) -> dict[str, _Group]:
     """Deletion sites of the given kinds from one sweep over the gaps, each
     gap tested where it sits.  A kink (R1del, VR1del) is a gap flanked twice
     by one crossing.  A cancelling pair (R2del, VR2del) is found at its first
@@ -388,7 +483,7 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
     Sites come out by the first gap, then by the second."""
     if not kinds:
         return {}
-    out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
+    out: dict[str, list] = {k: [] for k in kinds}
     components, index = d.components, d._passage_index
     for ci, (comp, fr) in enumerate(zip(components, d._frames)):
         L = len(comp)
@@ -402,7 +497,7 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
                 if L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
                     kind = "VR1del" if d.crossings[a].virtual else "R1del"
                     if kind in out:
-                        out[kind].append(MoveSite(kind, (), (ci, g)))
+                        out[kind].append(((), (ci, g)))
             elif p.role is q.role and fr[g] == -fr[h]:
                 kind = "VR2del" if p.role is _THROUGH else "R2del"
                 (a1, a2), (b1, b2) = index[a], index[b]
@@ -412,17 +507,17 @@ def _deletions(d: Diagram, kinds) -> dict[str, list[MoveSite]]:
                     continue
                 lo, hi = (i, j) if i < j else (j, i)
                 if hi - lo == 1 and (cx, lo) > (ci, g):
-                    out[kind].append(MoveSite(kind, (), ((ci, g), (cx, lo))))
+                    out[kind].append(((), ((ci, g), (cx, lo))))
                 # Gap hi runs from the last passage of the circle to the first.
                 if hi - lo == len(components[cx]) - 1 and (cx, hi) > (ci, g):
-                    out[kind].append(MoveSite(kind, (), ((ci, g), (cx, hi))))
-    return out
+                    out[kind].append(((), ((ci, g), (cx, hi))))
+    return {kind: _Group(kind, entries) for kind, entries in out.items()}
 
 
 # -- triangle sites ----------------------------------------------------------
 
 
-def _triangle_sites(d: Diagram, kinds, named) -> dict[str, list[MoveSite]]:
+def _triangle_sites(d: Diagram, kinds, named) -> dict[str, _Group]:
     """Triangle sites of the given kinds from one pass over the 3-dart faces
     of `named`, the face cycles that `faces` gives.  A face is a candidate
     when its three edges join three distinct crossings.  A 3-dart face never
@@ -437,9 +532,9 @@ def _triangle_sites(d: Diagram, kinds, named) -> dict[str, list[MoveSite]]:
     the edge that shares that edge's first crossing comp[g].crossing, then
     the third edge.  Two 3-dart faces cannot share all three edges at
     4-valent crossings, so no edge set is listed twice."""
-    out: dict[str, list[MoveSite]] = {k: [] for k in kinds}
     if not kinds:
-        return out
+        return {}
+    out: dict[str, list] = {k: [] for k in kinds}
     components, frames, table = d.components, d._frames, _triangle_table()
     found = []
     for face in named:
@@ -470,8 +565,8 @@ def _triangle_sites(d: Diagram, kinds, named) -> dict[str, list[MoveSite]]:
         for fam, ti, perm in matches:
             if fam in kinds and fam not in seen:  # later matches are symmetries
                 seen.add(fam)
-                out[fam].append(MoveSite(fam, (ti, tuple(cids[i] for i in perm)), locus))
-    return out
+                out[fam].append(((ti, tuple(cids[i] for i in perm)), locus))
+    return {fam: _Group(fam, entries) for fam, entries in out.items()}
 
 
 def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
@@ -497,9 +592,9 @@ def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:
 # -- insertion sites ---------------------------------------------------------
 
 
-class _Insertions(Sequence):
-    """The sites of one insertion kind, each built when it is read: every
-    variant at every locus, loci the outer loop, so site i is variant
+class _Insertions(_Group):
+    """The sites of one insertion kind, counted, not listed: every variant
+    at every locus, loci the outer loop, so site i is variant
     i % len(variants) at locus i // len(variants)."""
 
     def __init__(self, kind: str, loci):
@@ -513,26 +608,37 @@ class _Insertions(Sequence):
         return MoveSite(self.kind, self.variants[variant], self.loci[locus])
 
     def __iter__(self):
-        for locus in self.loci:
-            for variant in self.variants:
-                yield MoveSite(self.kind, variant, locus)
+        return (MoveSite(self.kind, v, locus) for locus in self.loci for v in self.variants)
 
     def index(self, site):
-        """Position of the first listed site equal to `site`, a site of this
-        kind, read off its locus and variant without building a site;
-        ValueError if none is."""
+        """Position of the first site equal to `site`, a site of this kind,
+        read off its locus and variant without building a site."""
         return self.loci.index(site.locus) * len(self.variants) + self.variants.index(site.variant)
+
+
+class _Gaps(_Counted):
+    """The gaps (ci, g) of a diagram, by component, then g, counted from the
+    component lengths: the gap is the pair itself.  An empty component has
+    the one gap (ci, 0)."""
+
+    def __init__(self, d: Diagram):
+        self.ends = [0, *accumulate(max(1, len(comp)) for comp in d.components)]
+
+    def index(self, locus):
+        """Position of the gap equal to `locus`, compared by equality as in
+        a list of the gaps (1.0 and True name 1); ValueError if none is."""
+        # A locus of another shape is read as (), which is no index.
+        ci, g = locus if isinstance(locus, tuple) and len(locus) == 2 else ((), ())
+        ci = range(len(self.ends) - 1).index(ci)
+        return self.ends[ci] + range(self.ends[ci + 1] - self.ends[ci]).index(g)
 
 
 def _insertions(d: Diagram, kinds, named) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
-    face cycles `named` for a poke, the candidates counted per cycle."""
-    gaps = (
-        [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(1, len(comp)))]
-        if kinds - _POKE_KINDS
-        else ()
-    )
+    face cycles `named` for a poke, the gaps counted per component and the
+    candidates per cycle."""
+    gaps = _Gaps(d) if kinds - _POKE_KINDS else ()
     pokes = _Pokes(_trace(d), named) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
@@ -551,8 +657,8 @@ def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     """The sites of the given kinds as one group per kind, in MOVE_KINDS
     order: the one definition of a site, shared by find_moves and apply_move.
     Faces are traced at most once (`faces` keeps the integer trace on the
-    diagram), and the gaps are swept once for all deletion kinds.  Insertion
-    groups are counted, not built."""
+    diagram), and the gaps are swept once for all deletion kinds.  No group
+    builds a site before it is read."""
     named = faces(d) if kinds & _FACE_KINDS else None
     by_kind = {
         **_insertions(d, kinds & _VARIANTS.keys(), named),
@@ -560,37 +666,6 @@ def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
         **_triangle_sites(d, kinds & _TRIANGLE_KINDS, named),
     }
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
-
-
-class SiteList(Sequence):
-    """The sites `find_moves` lists, the groups of every kind one after the
-    other in MOVE_KINDS order.  Its length is counted without building a
-    site; a site is built when it is indexed or iterated to."""
-
-    def __init__(self, groups):
-        self._groups = groups
-        self._len = sum(map(len, groups))
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(self._len)[i]]
-        i = range(self._len)[i]  # bounds and negative indices as for a list
-        for group in self._groups:
-            if i < len(group):
-                return group[i]
-            i -= len(group)
-
-    def __iter__(self):
-        for group in self._groups:
-            yield from group
-
-    def __eq__(self, other):
-        if not isinstance(other, (SiteList, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def _move_args(d, kinds, size_cap) -> tuple[Diagram, set, int]:

@@ -45,6 +45,18 @@ def trusted_builds_match_the_check():
         yield
 
 
+# Junk for the argument slots of an export: wrong types, out-of-range values,
+# floats, bools, strings and None.
+JUNK = st.one_of(
+    st.floats(-3, 40),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.integers(-5, 40),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
 @st.composite
 def diagrams(draw, max_real=4, max_virtual=3, max_components=3):
     """Random valid diagrams: any distribution of the passage multiset over

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import JUNK, diagrams
 import multivirt
 from multivirt import catalog, verify
 from multivirt.colorings import (
@@ -860,19 +860,9 @@ def _hostile_calls():
     }
 
 
-_JUNK = st.one_of(
-    st.floats(-3, 40),
-    st.booleans(),
-    st.text(max_size=2),
-    st.none(),
-    st.integers(-5, 40),
-    st.lists(st.integers(0, 2), max_size=2),
-)
-
-
 @pytest.mark.parametrize("slot", list(_hostile_calls()))
 @settings(max_examples=40, deadline=None)
-@given(junk=_JUNK)
+@given(junk=JUNK)
 @example(junk=-1)
 @example(junk=1.0)
 @example(junk=True)

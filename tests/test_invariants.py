@@ -135,6 +135,35 @@ class TestNWrithes:
         assert [table[n] for n in (-2, -1, 0, 1, 2)] == [0, 1, table.j0, 1, 0]
 
 
+class TestWritheTable:
+    # The constructor kept the caller's dict and checked nothing: a key 0
+    # showed in to_json() while [0] read J_0, and a later change to the dict
+    # changed the table.
+    @pytest.mark.parametrize(
+        "entries",
+        [{0: 4}, {False: 4}, {"2": 1}, {1.0: 1}, {True: 1}, {1: 1.5}, {1: "1"}, {1: None},
+         {1: True}, [(1, 1)], None, "x"],
+    )
+    def test_a_key_0_or_a_non_integer_key_or_value_is_refused(self, entries):
+        with pytest.raises(ValidationError):
+            WritheTable(entries, 1)
+
+    def test_the_entries_are_copied(self):
+        entries = {2: 5, -1: 3}
+        table = WritheTable(entries, 0)
+        entries[2] = 7
+        del entries[-1]
+        assert table[2] == 5 and table[-1] == 3
+        assert table.to_json() == {"jn": {"-1": 3, "2": 5}, "j0": 0}
+
+    def test_valid_tables_compare_and_print_as_before(self):
+        table = WritheTable({3: 1, -2: -1}, 2)
+        assert table == WritheTable({-2: -1, 3: 1}, 2) != WritheTable({3: 1}, 2)
+        assert table.entries == {3: 1, -2: -1} and table.support() == {3, -2}
+        assert json.dumps(table.to_json()) == '{"jn": {"-2": -1, "3": 1}, "j0": 2}'
+        assert list(table.entries) == [3, -2]  # the key order given
+
+
 class TestIthNWrithes:
     def test_knot_case_matches_n_writhes(self):
         d = catalog.diagram("vtrefoil")

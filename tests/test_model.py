@@ -114,9 +114,20 @@ class TestParse:
 
     def test_malformed_tokens(self):
         huge = "9" * 5000  # more digits than CPython converts to an int
-        for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+", f"O{huge}+ U{huge}+"):
+        for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+", f"O{huge}+ U{huge}+", b"O1+ U1+"):
             with pytest.raises((ParseError, ValidationError)):
                 parse_vgc(bad)
+
+    # Bytes read as empty text: the message said "empty VGC text".
+    @pytest.mark.parametrize("text,name", [(b"O1+ U1+", "bytes"), (None, "NoneType"), (7, "int")])
+    def test_a_non_str_text_is_refused_by_its_type(self, text, name):
+        with pytest.raises(ParseError, match=f"must be a str, got {name}$"):
+            parse_vgc(text)
+
+    @pytest.mark.parametrize("text", ["", "   ", "\n\t"])
+    def test_an_empty_text_is_refused_as_empty(self, text):
+        with pytest.raises(ParseError, match="^empty VGC text$"):
+            parse_vgc(text)
 
     def test_multi_component(self):
         d = parse_vgc("O1+ ; U1+")

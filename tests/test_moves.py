@@ -1,20 +1,29 @@
 import json
 import random
 import warnings
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import JUNK, diagrams
 from multivirt import catalog, moves
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
 from multivirt.constructions import multiplex
 from multivirt.errors import MultivirtError, StaleSite, ValidationError
 from multivirt.invariants import invariant_report, linking_and_lambda, n_writhes
-from multivirt.model import Role, canonical_form, parse_vgc, serialize_vgc
+from multivirt.model import (
+    CrossingRecord,
+    Diagram,
+    Passage,
+    Role,
+    canonical_form,
+    parse_vgc,
+    serialize_vgc,
+)
 from multivirt.moves import (
     _PAIR_OF,
     _STRANDS,
@@ -884,3 +893,200 @@ def test_underpass_slide_preserves_virtual_counts():
             for n in range(2, 7)
         ]
         assert after == before
+
+
+# -- the patch check of _rewrite ----------------------------------------------
+
+_O, _U = Role.OVER, Role.UNDER
+
+
+def _bad_patches():
+    """Patches of the trefoil that each break one rule of the model at the
+    crossings they touch, as (edits, records) for `_rewrite`."""
+    d = parse_vgc(TREFOIL)
+    first = d.components[0][0]
+    new = {4: CrossingRecord(4, False, 1)}
+    return d, {
+        "new-crossing-passed-over-twice": (
+            {(0, 0): (first, Passage(4, _O), Passage(4, _O))}, new),
+        "record-with-sign-2": (
+            {(0, 0): (first, Passage(4, _O), Passage(4, _U))}, {4: CrossingRecord(4, False, 2)}),
+        "new-crossing-with-one-passage": ({(0, 0): (first, Passage(4, _O))}, new),
+        "dropped-record-whose-passages-remain": ({}, {1: None}),
+        "old-crossing-re-signed-with-2": ({}, {1: CrossingRecord(1, False, 2)}),
+        "old-real-crossing-recorded-virtual": ({}, {1: CrossingRecord(1, True, 1)}),
+        "record-never-passed": ({}, new),
+        "old-crossing-left-with-one-passage": ({(0, 0): ()}, {}),
+        "record-filed-under-another-id": (
+            {(0, 0): (first, Passage(4, _O), Passage(4, _U))}, {4: CrossingRecord(5, False, 1)}),
+        "virtual-record-of-a-real-crossing": (
+            {(0, 0): (first, Passage(4, _O), Passage(4, _U))}, {4: CrossingRecord(4, True, 1)}),
+    }
+
+
+def _no_hand_over(cls, *tables):
+    raise AssertionError("_rewrite handed over the tables of a patch that breaks the model")
+
+
+@pytest.mark.parametrize("patch", list(_bad_patches()[1]))
+def test_rewrite_refuses_a_patch_that_breaks_the_model(patch, monkeypatch):
+    d, patches = _bad_patches()
+    edits, records = patches[patch]
+    # The session oracle would refuse the patch as well; `_rewrite` must
+    # refuse it itself, before it hands its tables to `Diagram._made`.
+    monkeypatch.setattr(Diagram, "_made", classmethod(_no_hand_over))
+    with pytest.raises(ValidationError):
+        moves._rewrite(d, edits, records)
+
+
+def test_rewrite_hands_over_a_good_patch():
+    # The session oracle compares the tables it hands over with `validate`.
+    d = parse_vgc(TREFOIL)
+    edits = {(0, 0): (d.components[0][0], Passage(4, _U), Passage(4, _O))}
+    out = moves._rewrite(d, edits, {4: CrossingRecord(4, False, -1)})
+    assert serialize_vgc(out) == "O1+ U4- O4- U2+ O3+ U1+ O2+ U3+"
+
+
+def test_a_kink_shares_the_frame_rows_it_does_not_write():
+    # Every crossing lies on one circle, so a kink writes only its own row.
+    d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+ ; V4+ V4+ ; .")
+    rows = [list(row) for row in d._frames]
+    for site in find_moves(d, {"R1+ins", "R1-ins", "VR1ins"}):
+        out = apply_move(d, site)
+        shared = [row is parent for row, parent in zip(out._frames, d._frames)]
+        assert shared == [ci != site.locus[0] for ci in range(3)], site
+    assert d._frames == rows
+
+
+# Each shape of edit that `_rewrite` splices: a kink into an empty circle,
+# which is the (ci, -1) edit; deletions on circles of two passages; and a
+# slide across the wrap-around gap of a circle, which moves V3 from the last
+# position to the first and so re-signs it.
+EDIT_SHAPES = [
+    ("O1+ U1+ ; .", MoveSite("R1+ins", ("OU", 1), (1, 0)), "O1+ U1+ ; O2+ U2+"),
+    ("O1+ U1+", MoveSite("R1del", (), (0, 0)), "."),
+    ("V1+ V2- ; V1+ V2-", MoveSite("VR2del", (), ((0, 0), (1, 0))), ". ; ."),
+    ("V1+ V2- ; V1+ V2-", MoveSite("VR2del", (), ((0, 1), (1, 1))), ". ; ."),
+    (
+        "U1+ V2+ V3- O1+ V2+ V3-",
+        MoveSite("VR4", (10, (3, 2, 1)), ((0, 1), (0, 3), (0, 5))),
+        "V3+ V3+ V2+ V2+ O1+ U1+",
+    ),
+]
+
+
+@pytest.mark.parametrize("code,site,want", EDIT_SHAPES)
+def test_each_edit_shape_rewrites_as_the_full_check_does(code, site, want):
+    d = parse_vgc(code)
+    assert site in find_moves(d, size_cap=10**9)
+    assert serialize_vgc(apply_move(d, site)) == want
+
+
+@given(diagrams())
+@example(parse_vgc(EDIT_SHAPES[0][0]))
+@example(parse_vgc(EDIT_SHAPES[2][0]))
+@example(parse_vgc(EDIT_SHAPES[4][0]))
+def test_every_listed_site_goes_through_the_patch_check(d):
+    """Every site of every kind is rewritten by `_rewrite`, which hands its
+    tables to `Diagram._made`; the session oracle in conftest compares them
+    with the full check, index key order included.  The parent's tables
+    are never written."""
+    index, frames = list(d._passage_index.items()), [list(row) for row in d._frames]
+    for site in find_moves(d, size_cap=10**9):
+        apply_move(d, site)  # checked against `validate` by the oracle
+    assert list(d._passage_index.items()) == index and d._frames == frames
+
+
+# -- hostile input to the move exports -----------------------------------------
+
+# A walk state with a site of every kind but VR3.
+RICH = (
+    "O1- O3- O4+ V7+ V9- V9- V7+ O2- U3- U4+ U2- O5+ U5+ U1- "
+    "O6+ O8+ V10- V11+ U8+ V10- V11+ U6+"
+)
+
+
+@cache
+def _move_calls():
+    """One call per argument slot of find_moves, apply_move and random_walk
+    on RICH, junk going into that slot, and the valid values of the slot
+    that junk may equal.  Sites are built around a listed one of each lazy
+    group: a kink insertion, a kink deletion and a triangle slide."""
+    d = parse_vgc(RICH)
+    kink = find_moves(d, {"R1del"})[0]
+    tri = find_moves(d, {"R3"})[0]
+    gaps = range(len(d.components[0]))
+    sizes = [None, *range(-5, 41)]
+    kinds = [None, []]
+    return {
+        "find_moves-diagram": (lambda x: find_moves(x), ()),
+        "find_moves-kinds": (lambda x: find_moves(d, x), kinds),
+        "find_moves-size_cap": (lambda x: find_moves(d, size_cap=x), sizes),
+        "apply_move-diagram": (lambda x: apply_move(x, kink), ()),
+        "apply_move-site": (lambda x: apply_move(d, x), ()),
+        "apply_move-kind": (lambda x: apply_move(d, MoveSite(x, (), kink.locus)), ["R1del"]),
+        "apply_move-order": (
+            lambda x: apply_move(d, MoveSite("R1+ins", (x, 1), (0, 0))), ["OU", "UO"]),
+        "apply_move-sign": (
+            lambda x: apply_move(d, MoveSite("R1+ins", ("OU", x), (0, 0))), [1]),
+        "apply_move-insertion-component": (
+            lambda x: apply_move(d, MoveSite("R1+ins", ("OU", 1), (x, 0))), [0]),
+        "apply_move-insertion-gap": (
+            lambda x: apply_move(d, MoveSite("R1+ins", ("OU", 1), (0, x))), gaps),
+        "apply_move-deletion-gap": (
+            lambda x: apply_move(d, MoveSite("R1del", (), (0, x))), [kink.locus[1]]),
+        "apply_move-triangle-gap": (
+            lambda x: apply_move(d, MoveSite("R3", tri.variant, (*tri.locus[:2], (0, x)))),
+            [tri.locus[2][1]],
+        ),
+        "apply_move-triangle-template": (
+            lambda x: apply_move(d, MoveSite("R3", (x, tri.variant[1]), tri.locus)),
+            [tri.variant[0]],
+        ),
+        "random_walk-diagram": (lambda x: random_walk(x, 3, 0), ()),
+        "random_walk-steps": (lambda x: random_walk(d, x, 0), range(41)),
+        "random_walk-seed": (lambda x: random_walk(d, 3, x), range(-5, 41)),
+        "random_walk-kinds": (lambda x: random_walk(d, 3, 0, x), kinds),
+        "random_walk-size_cap": (lambda x: random_walk(d, 3, 0, size_cap=x), sizes),
+    }
+
+
+@pytest.mark.parametrize("slot", list(_move_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+@example(junk=-1)
+@example(junk=1.0)
+@example(junk=True)
+@example(junk=[])
+def test_move_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
+    """Junk in any argument slot of a move export raises a MultivirtError
+    or gives what the valid value that it equals gives."""
+    call, valid = _move_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert got == call(equal[0])
+
+
+def _floats(x):
+    return tuple(map(_floats, x)) if isinstance(x, tuple) else float(x)
+
+
+@pytest.mark.parametrize("kind", ["R1+ins", "R2ins", "R1del", "R2del", "VR2del", "R3", "VR4"])
+def test_the_lazy_groups_refuse_junk_loci_and_variants(kind):
+    """A group finds a site by its entry, compared by tuple equality: a
+    locus held in a list or a dict, or a None variant, is no listed site,
+    and a locus of floats is the listed site of the equal integers."""
+    d = parse_vgc(RICH)
+    site = find_moves(d, {kind}, size_cap=10**9)[-1]
+    for junk in (
+        MoveSite(kind, site.variant, list(site.locus)),
+        MoveSite(kind, site.variant, dict(enumerate(site.locus))),
+        MoveSite(kind, None, site.locus),
+    ):
+        with pytest.raises(StaleSite):
+            apply_move(d, junk)
+    assert apply_move(d, MoveSite(kind, site.variant, _floats(site.locus))) == apply_move(d, site)

@@ -91,8 +91,9 @@ class TestFailureDetails:
 
     def test_shifted_writhe_table_breaks_linking_and_self_writhe(self, monkeypatch):
         def shifted(d):
+            # A table keeps J_0 apart from its entries, so J_-1 shifts out.
             J = n_writhes(d)
-            return WritheTable({n + 1: v for n, v in J.entries.items()}, J.j0)
+            return WritheTable({n + 1: v for n, v in J.entries.items() if n != -1}, J.j0)
 
         monkeypatch.setattr(verify, "n_writhes", shifted)
         rep = verify_theorems(names=["vtrefoil", "asym3"], r_range=(2, 3), n_range=())
