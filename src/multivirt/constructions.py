@@ -21,6 +21,20 @@ and the two passages of a virtual output crossing are one shared `Passage`,
 shared across builds too.  Both classes are frozen, so sharing is not
 observable.  `covering` takes its virtualized crossings' values from there.
 
+`multiplex` keeps its last build in a one-slot cache, `_LAST`, so that a
+caller that asks for the same multiplex several times in a row, as `verify`
+does with its three per-r checks, builds it once.  A call hits the slot after
+every argument check, the size limit and the abstract-genus warning, so it
+raises and warns as a build would, when its source is the very `Diagram`
+object of the kept build (a `Diagram` cannot change) and its r is equal; it
+returns the kept link, whose tables every hit shares, and a new `Provenance`
+with copies of the kept maps.  A miss empties the slot before it emits, so
+the old build can be freed while the new one is made, and keeps the new
+build only when it has fewer crossings than `model._INTERN_BOUND`, read at
+each call: a huge build is never pinned.  The slot is one tuple replaced in
+a single store, so threads that share it never read a torn entry; a race
+between them can only cost a spare build.
+
 The braid orientation is a single global bit: at a virtual tile the bundle
 that the other bundle crosses left to right shifts its copies one step, the
 other bundle shifts the opposite way.  `_SHIFT_ORIENTATION` fixes which step
@@ -34,6 +48,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from . import model
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import crossing_indices
 from .model import _THROUGH, Diagram, _passage, _record
@@ -44,6 +59,11 @@ _SHIFT_ORIENTATION = -1
 # `multiplex` refuses an output of more passages than this (of more circles,
 # for a crossing-free source) before it allocates any of it.
 MAX_PASSAGES = 10**6
+
+# The last build that `multiplex` kept: one tuple (source, r, link,
+# provenance), replaced in a single store, or None.  Its provenance is never
+# handed out, only copies of it.
+_LAST = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,9 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     """Build the r-component multiplexed link of a knot diagram, with provenance.
 
     Raises TooLarge when the link would have more than MAX_PASSAGES passages,
-    or a crossing-free source more than MAX_PASSAGES circles."""
+    or a crossing-free source more than MAX_PASSAGES circles.  A repeated
+    call on the same diagram object and r returns the kept link of the last
+    call and a copy of its provenance (see the module docstring)."""
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
@@ -122,6 +144,12 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     size = m * rr + 2 * (r - 1) * sum(p.role is _THROUGH for p in comp) if m else r
     if size > MAX_PASSAGES:
         raise TooLarge(f"{r}-fold multiplex: {size} passages or circles, over {MAX_PASSAGES}")
+    global _LAST
+    last = _LAST
+    if last is not None and last[0] is d and last[1] == r:
+        return last[2], _copied(last[3])
+    # Drop the old build before emitting, so that it is not alive beside the new one.
+    _LAST = last = None
 
     crossings: dict[int, CrossingRecord] = {}
     crossing_map: dict[int, tuple] = {}
@@ -193,7 +221,16 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         out_frames.append(frame)
 
     prov = Provenance(r, crossing_map, edge_map, component_map={i: i for i in range(1, r + 1)})
-    return Diagram._made(tuple(out_components), crossings, index, out_frames), prov
+    out = Diagram._made(tuple(out_components), crossings, index, out_frames)
+    if len(crossings) < model._INTERN_BOUND:
+        _LAST = (d, r, out, prov)
+    return out, _copied(prov)
+
+
+def _copied(prov: Provenance) -> Provenance:
+    return Provenance(
+        prov.r, dict(prov.crossing_map), dict(prov.edge_map), dict(prov.component_map)
+    )
 
 
 def covering(d: Diagram, r: int) -> Diagram:

@@ -59,6 +59,8 @@ only the ids that builds used and are filed without a lock.
 `constructions.multiplex` and `covering` emit through them, so the repeated
 builds of one (diagram, r) share every passage and record; `parse_vgc`, the
 moves, `planar`'s layouts and the public constructors build fresh values.
+The same bound decides which build `multiplex` keeps for its next call: a
+link of fewer crossings than `_INTERN_BOUND`, whose values are all interned.
 """
 
 from __future__ import annotations

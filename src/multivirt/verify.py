@@ -150,9 +150,14 @@ def verify_theorems(
     catalog knots are used by default; a `Diagram` is checked when it is
     made, so a fixture is a valid diagram.  Raises ValidationError for an
     argument that is not an iterable, a fixture of another kind, or an
-    unknown theorem, and MultivirtError for a non-knot fixture."""
-    if isinstance(names, str):
-        raise ValidationError(f"names must be an iterable of names, got the string {names!r}")
+    unknown theorem, and MultivirtError for a non-knot fixture.  A `str` or
+    `bytes` is refused for every argument, not read as its characters."""
+    for what, value, of in (
+        ("names", names, "names"), ("r_range", r_range, "ints"),
+        ("n_range", n_range, "ints"), ("theorems", theorems, "theorem names"),
+    ):
+        if isinstance(value, (str, bytes)):
+            raise ValidationError(f"{what} must be an iterable of {of}, got the string {value!r}")
     try:
         theorems = set(theorems)
         r_range, n_range = tuple(r_range), tuple(n_range)

@@ -1,13 +1,14 @@
 import sys
 import threading
 import warnings
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
-from multivirt import catalog, model, verify_theorems
+from conftest import JUNK, diagrams
+from multivirt import catalog, constructions, model, verify_theorems
 from multivirt.constructions import (
     _SHIFT_ORIENTATION,
     MAX_PASSAGES,
@@ -16,7 +17,15 @@ from multivirt.constructions import (
     extract_component,
     multiplex,
 )
-from multivirt.errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
+from multivirt.errors import (
+    BadComponent,
+    BadR,
+    MultivirtError,
+    NotAKnot,
+    TooLarge,
+    ValidationError,
+    checked,
+)
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
 from multivirt.moves import random_walk
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, canonical_form, parse_vgc, serialize_vgc
@@ -183,6 +192,28 @@ class TestInterning:
         assert list(cold._passage_index.items()) == list(warm._passage_index.items())
         assert cold._frames == warm._frames
 
+    @pytest.mark.parametrize("name", ["trefoil", "vtrefoil", "asym3"])
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_builds_from_two_equal_diagrams_share_every_value(self, name, r):
+        first, second = multiplex(catalog.diagram(name), r)[0], multiplex(catalog.diagram(name), r)[0]
+        assert first is not second
+        for a, b in zip(_values(first), _values(second), strict=True):
+            assert a is b
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_cold_and_warm_builds_from_two_equal_diagrams_agree(self, empty_tables, name, r):
+        # Two parses, so the second multiplex is emitted from warm tables,
+        # not handed back from the last build.
+        assert not any(_tables())
+        cold, cold_prov = multiplex(catalog.diagram(name), r)
+        warm, warm_prov = multiplex(catalog.diagram(name), r)
+        assert warm is not cold
+        assert serialize_vgc(cold) == serialize_vgc(warm)
+        assert cold_prov.to_json() == warm_prov.to_json()
+        assert list(cold._passage_index.items()) == list(warm._passage_index.items())
+        assert cold._frames == warm._frames
+
     def test_ids_at_or_above_the_bound_come_back_fresh(self, empty_tables, monkeypatch):
         monkeypatch.setattr(model, "_INTERN_BOUND", 8)
         d = catalog.diagram("trefoil")
@@ -238,6 +269,141 @@ class TestInterning:
     def test_parsing_and_walking_intern_nothing(self, empty_tables):
         random_walk(catalog.diagram("asym3"), 20, 0, size_cap=10**9)
         assert not any(_tables())
+
+
+def _mixed_calls(out: list, pairs, rounds: int) -> None:
+    for _ in range(rounds):
+        for d, r in pairs:
+            link, prov = multiplex(d, r)
+            out.append((d, r, serialize_vgc(link), prov.to_json()))
+
+
+class TestLastBuild:
+    """`multiplex` keeps its last build: a repeated call on the same diagram
+    object and r returns the kept link and a fresh copy of its provenance,
+    after every check that a build makes."""
+
+    def test_a_repeat_call_returns_the_kept_link_and_an_equal_distinct_provenance(self):
+        d = catalog.diagram("asym3")
+        (first, first_prov), (second, second_prov) = multiplex(d, 3), multiplex(d, 3)
+        assert second is first
+        assert second_prov == first_prov and second_prov is not first_prov
+        for name in ("crossing_map", "edge_map", "component_map"):
+            assert getattr(second_prov, name) is not getattr(first_prov, name)
+
+    def test_a_caller_that_changes_its_provenance_leaves_the_next_call_alone(self):
+        d = catalog.diagram("vtrefoil")
+        want = _multiplex_oracle(d, 2)[1]
+        for _ in range(2):
+            prov = multiplex(d, 2)[1]
+            assert prov == want
+            prov.crossing_map.clear()
+            prov.edge_map[(99, 1)] = (0, 0)
+            prov.component_map[1] = 2
+
+    def test_an_abstract_source_warns_on_every_call(self):
+        d = parse_vgc("O1+ O2+ U1+ U2+")
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="abstract"):
+                multiplex(d, 2)
+
+    @pytest.mark.parametrize("r", [2.0, 2.5, "2", None, True, [2]])
+    def test_a_non_integer_r_is_refused_with_d_and_2_kept(self, trefoil, r):
+        kept = multiplex(trefoil, 2)[0]
+        with pytest.raises(BadR):
+            multiplex(trefoil, r)
+        assert constructions._LAST[2] is kept
+
+    def test_a_build_at_or_above_the_bound_is_not_kept(self, monkeypatch):
+        d = catalog.diagram("trefoil")
+        crossings = len(multiplex(d, 3)[0].crossings)
+        multiplex(d, 2)
+        monkeypatch.setattr(model, "_INTERN_BOUND", crossings)
+        first = multiplex(d, 3)[0]
+        assert constructions._LAST is None
+        assert multiplex(d, 3)[0] is not first
+        monkeypatch.setattr(model, "_INTERN_BOUND", crossings + 1)
+        kept = multiplex(d, 3)[0]
+        assert multiplex(d, 3)[0] is kept
+
+    def test_the_old_link_is_freed_before_the_next_build_emits(self, monkeypatch):
+        d = catalog.diagram("asym3")
+        old = weakref.ref(multiplex(d, 2)[0])
+        assert old() is not None
+        alive_at_emission = []
+
+        def record(*args):
+            alive_at_emission.append(old() is not None)
+            return model._record(*args)
+
+        monkeypatch.setattr(constructions, "_record", record)
+        multiplex(d, 3)
+        assert alive_at_emission and not any(alive_at_emission)
+        assert old() is None
+
+    def test_threads_that_mix_sources_and_r_get_what_the_oracle_gives(self):
+        pairs = [(catalog.diagram(name), r) for name in ("trefoil", "vtrefoil", "asym3") for r in (2, 3)]
+        want = {
+            (id(d), r): (serialize_vgc(link), prov.to_json())
+            for d, r in pairs
+            for link, prov in [_multiplex_oracle(d, r)]
+        }
+        outs = [[] for _ in range(6)]
+        workers = [
+            threading.Thread(target=_mixed_calls, args=(out, pairs[k:] + pairs[:k], 3))
+            for k, out in enumerate(outs)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for out in outs:
+            assert len(out) == 3 * len(pairs)
+            for d, r, text, prov in out:
+                assert (text, prov) == want[(id(d), r)]
+
+
+def _construction_calls():
+    """Each argument slot of `multiplex`, `covering` and `extract_component`:
+    a call that puts its argument there, and the valid values it can take.
+    Building the calls leaves (d, 2) in the slot of `multiplex`."""
+    d = catalog.diagram("vtrefoil")
+    L, _ = multiplex(d, 2)
+    return {
+        "multiplex-diagram": (lambda x: multiplex(x, 2), ()),
+        "multiplex-r": (lambda x: multiplex(d, x), range(2, 41)),
+        "covering-diagram": (lambda x: covering(x, 2), ()),
+        "covering-r": (lambda x: covering(d, x), range(1, 41)),
+        "extract_component-diagram": (lambda x: extract_component(x, 1), ()),
+        "extract_component-component": (lambda x: extract_component(L, x), (1, 2)),
+    }
+
+
+@pytest.mark.parametrize("slot", list(_construction_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+@example(junk=2.0)
+@example(junk=1.0)
+@example(junk=True)
+@example(junk=[2])
+def test_construction_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
+    """Junk in any argument slot of a construction raises a MultivirtError
+    or gives what the valid value that it equals gives, with the multiplex
+    of the same source kept from the call before."""
+    call, valid = _construction_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert got == call(equal[0])
 
 
 class TestCovering:

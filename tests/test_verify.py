@@ -37,6 +37,24 @@ class TestVerifyArguments:
         with pytest.raises(ValidationError, match="names must be an iterable of names"):
             verify_theorems(names="trefoil", r_range=(2,))
 
+    # Read item by item, theorems="colorings" reported the unknown theorems
+    # 'c', 'g', ... and r_range=b"\x02\x03" ran r = 2 and 3.
+    @pytest.mark.parametrize(
+        "what,value",
+        [
+            ("theorems", "colorings"),
+            ("theorems", b"linking"),
+            ("r_range", "23"),
+            ("r_range", b"\x02\x03"),
+            ("n_range", "3"),
+            ("n_range", b"\x03"),
+            ("names", b"trefoil"),
+        ],
+    )
+    def test_a_str_or_bytes_argument_rejected_by_name(self, what, value):
+        with pytest.raises(ValidationError, match=f"^{what} must be an iterable of .*, got the string"):
+            verify_theorems(**{"names": ["kink"], "r_range": (2,), what: value})
+
     @pytest.mark.parametrize("name", [5, None, ("kink",)])
     def test_fixture_of_another_kind_rejected(self, name):
         with pytest.raises(ValidationError):

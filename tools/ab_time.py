@@ -9,12 +9,15 @@ under the name `multivirt_base` next to this tree's `src/multivirt`; that
 works because every import inside the package is relative.  Each round runs
 one pass of the op list on each side, the side that goes first alternating,
 and times the pass.  Both sides must give equal op digests.
-With `--multiplex KNOT:R` the op list is one call,
-`constructions.multiplex(catalog.diagram(KNOT), R)`, digested by the SHA-256
-of the multiplex's VGC text; parsing the catalog entry is set-up.  The
-multiplex interns its passages and records, so every build after the first
-in a process times warm tables; timing a cold build needs a fresh process
-per build.  An op list too short to time against the host's noise is
+With `--multiplex KNOT:R` the op list is two calls,
+`constructions.multiplex(d, R)` on two equal diagrams `d` parsed from the
+catalog entry KNOT, each digested by the SHA-256 of the multiplex's VGC
+text; parsing is set-up.  `multiplex` keeps its last build and returns it to
+a repeated call on the same diagram object, so alternating the two makes
+every call a build, on a base without that cache as well.  The multiplex
+interns its passages and records, so every build after the first in a
+process times warm tables; timing a cold build needs a fresh process per
+build.  An op list too short to time against the host's noise is
 repeated within a pass: the count is doubled from 1 until one pass of this
 tree takes at least 0.2 s, printed on the first line, and used on both sides
 in every round, so an op list that already takes 0.2 s runs once per pass.
@@ -87,14 +90,18 @@ def one_pass(mv, ops, inputs, reps: int = 1) -> tuple[float, list]:
     return elapsed, [op.digest(mv, inputs, out) for op, out in zip(ops, outputs)]
 
 
-def multiplex_op(knot: str, r: int) -> wl.Op:
-    """The op that multiplexes catalog entry `knot` r times."""
-    return wl.Op(
-        f"{knot}/r{r}",
-        knot,
-        lambda mv, inputs: mv.constructions.multiplex(inputs[knot], r),
-        lambda mv, inputs, out: wl.sha256(mv.model.serialize_vgc(out[0])),
-    )
+def multiplex_ops(knot: str, r: int) -> list[wl.Op]:
+    """The two ops that multiplex catalog entry `knot` r times: one from the
+    parsed entry, one from the equal copy that set-up parses as well."""
+    return [
+        wl.Op(
+            f"{knot}/r{r}{suffix}",
+            knot,
+            lambda mv, inputs, key=key: mv.constructions.multiplex(inputs[key], r),
+            lambda mv, inputs, out: wl.sha256(mv.model.serialize_vgc(out[0])),
+        )
+        for key, suffix in ((knot, ""), ((knot, "copy"), "/copy"))
+    ]
 
 
 def multiplex_spec(text: str) -> tuple[str, int]:
@@ -122,7 +129,11 @@ def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = build_ops(mv)
         codes = wl.input_codes(mv, ops)
-        sides[label] = (mv, ops, {f: mv.model.parse_vgc(code) for f, code in codes.items()})
+        inputs = {f: mv.model.parse_vgc(code) for f, code in codes.items()}
+        # A second, equal parse of each input, under (fixture, "copy"), for
+        # `multiplex_ops`, whose two ops must not call on one diagram object.
+        inputs |= {(f, "copy"): mv.model.parse_vgc(code) for f, code in codes.items()}
+        sides[label] = (mv, ops, inputs)
     reps = calibrate(sides["tree"])
     print(f"repetitions per pass: {reps} (one pass of the tree takes at least {CALIBRATION_S} s)",
           flush=True)
@@ -183,7 +194,7 @@ def main(argv=None) -> int:
             source = checkout(args.base, Path(tmp))
         base = import_base(source.resolve())
         if args.multiplex:
-            runs = ab_time(base, lambda mv: [multiplex_op(*args.multiplex)], args.rounds)
+            runs = ab_time(base, lambda mv: multiplex_ops(*args.multiplex), args.rounds)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
