@@ -607,6 +607,73 @@ class TestEnumerationMatchesOracle:
         _assert_enumeration_pinned(sys_)
 
 
+def _pruned_enumerate_oracle(sys_: ColoringSystem, n: int) -> list[Coloring]:
+    """The pruned search that `enumerate_colorings` ran before it solved each
+    due unknown from one row: every surviving partial assignment is extended
+    by 0..n-1, and a relation is tested as soon as its lowest unknown has a
+    value."""
+    due: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    for r in sys_.rows:
+        if r:
+            due.setdefault(r[0][0], []).append(r)
+    found: list[tuple[int, ...]] = [()]
+    for j in reversed(range(sys_.n_unknowns)):
+        rows = due.get(j, ())
+        found = [
+            t
+            for p in found
+            for v in range(n)
+            for t in [(v, *p)]
+            if all(sum(c * t[i - j] for i, c in r) % n == 0 for r in rows)
+        ]
+    return [Coloring(t, n) for t in found]
+
+
+# Leads that are no unit mod n (2 at even n, 3 at n = 6 and 9), multiples of
+# n (18 at n = 1, 2, 3, 6, 9; 36 at 4 more), negative, or above n.
+_LEAD_POOL = (1, -1, 2, -2, 3, -3, 4, 6, -6, 9, 10, -11, 18, -18, 36)
+
+
+@st.composite
+def sparse_systems(draw, max_cols=5, max_rows=6):
+    """Sparse rows over few unknowns, so that several rows often share their
+    lowest unknown; leads from `_LEAD_POOL`, other entries small, empty rows
+    and k = 0 included."""
+    n_cols = draw(st.integers(0, max_cols))
+    if not n_cols:
+        return [()] * draw(st.integers(0, 2)), 0
+    lead = st.integers(0, n_cols - 1)
+    tail = st.sampled_from((1, -1, 2, -2, 3, 5, -9))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(())
+            continue
+        j = draw(lead)
+        rest = draw(st.dictionaries(st.integers(j + 1, n_cols), tail, max_size=3))
+        rest.pop(n_cols, None)  # so that a lead on the last unknown can stand alone
+        rows.append(((j, draw(st.sampled_from(_LEAD_POOL))), *sorted(rest.items())))
+    return rows, n_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_systems())
+@example(case=([((0, 2), (1, 1)), ((1, 3), (2, -1))], 3))  # leads that are no units
+@example(case=([((0, 18), (1, 1)), ((1, -6), (2, 2)), ((2, 11),)], 3))  # multiple, negative, above
+@example(case=([((0, 2), (1, 1)), ((0, 3), (2, 1)), ((0, 1), (1, 1), (2, 1))], 3))  # one unknown due
+@example(case=([(), ((1, 4),), ()], 2))  # empty rows
+@example(case=([(), ()], 0))  # k = 0
+@example(case=([((0, 5), (1, -9))], 2))  # n = 1, as in every case
+def test_enumeration_matches_the_pruned_oracle(case):
+    """Same list in the same order as the pruned search, for n = 1..9
+    wherever n^k <= 10**6."""
+    rows, n_cols = case
+    sys_ = _system(rows, n_cols)
+    for n in range(1, 10):
+        if n**n_cols <= 10**6:
+            assert enumerate_colorings(sys_, n) == _pruned_enumerate_oracle(sys_, n), n
+
+
 class TestPairingMap:
     def test_crossing_free_circle(self):
         d = parse_vgc(".")
