@@ -47,10 +47,14 @@ The Smith diagonal is unique, d_1 ... d_k being the gcd of all k x k minors,
 so any pivot order gives the same divisors, and the three phases give those
 of the dense form on the whole matrix.  That dense form and an exhaustive
 search are the independent oracles for the same counts.  The search assigns
-the unknowns from the last to the first in exact integers and tests each
-relation as soon as its lowest unknown has a value, so it lists the solutions
-in index order (x_{k-1} varies slowest) without trying every one of the n^k
-assignments; n^k is still what its `limit` bounds.
+the unknowns from the last to the first in exact integers, and a relation is
+due at its lowest unknown.  A due unknown is solved from one due relation,
+the one whose lead coefficient has the least gcd with n, which gives its
+values as one arithmetic progression mod n; only those are tested against
+the other relations due there.  An unknown with no due relation takes every
+residue.  So the search lists the solutions in index order (x_{k-1} varies
+slowest) without trying every one of the n^k assignments; n^k is still what
+its `limit` bounds.
 """
 
 from __future__ import annotations
@@ -433,11 +437,16 @@ def enumerate_colorings(
 ) -> list[Coloring]:
     """All solutions mod n by exhaustive search (the independent oracle).
 
-    Unknown k-1 gets its values first and unknown 0 last; every surviving
-    partial assignment is extended by 0..n-1, and a relation is tested as
-    soon as its lowest unknown has a value.  The solutions come out in index
-    order, x_{k-1} varying slowest.  Raises TooLarge when n^k exceeds `limit`,
-    however few assignments the search itself visits."""
+    Unknown k-1 gets its values first and unknown 0 last.  A relation is due
+    at its lowest unknown.  An unknown with no due relation extends every
+    surviving partial assignment by 0..n-1.  Otherwise one due relation, the
+    one whose lead coefficient c has the least g = gcd(c, n), is solved for
+    it: with s the sum of its other terms, c v + s = 0 (mod n) has no
+    solution unless g divides s, and else the n/g values v0, v0 + n/g, ...
+    below n, v0 = -(s/g) (c/g)^-1 mod n/g; only those are tested against the
+    other due relations.  The solutions come out in index order, x_{k-1}
+    varying slowest.  Raises TooLarge when n^k exceeds `limit`, however few
+    assignments the search itself visits."""
     sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
     n = _modulus(n)
     limit = checked(limit, int, ValidationError, "limit")
@@ -450,14 +459,27 @@ def enumerate_colorings(
             due.setdefault(r[0][0], []).append(r)
     found: list[tuple[int, ...]] = [()]
     for j in reversed(range(k)):
-        rows = due.get(j, ())
-        found = [
-            t
-            for p in found
-            for v in range(n)
-            for t in [(v, *p)]
-            if all(sum(c * t[i - j] for i, c in r) % n == 0 for r in rows)
-        ]
+        rows = due.get(j)
+        if not rows:
+            found = [(v, *p) for p in found for v in range(n)]
+            continue
+        # p holds x_{j+1}, x_{j+2}, ..., so unknown i > j is p[i - j - 1].
+        lead = min(range(len(rows)), key=lambda q: gcd(rows[q][0][1], n))
+        (_, c), *rest = rows[lead]
+        g = gcd(c, n)
+        step = n // g
+        inv = pow(c // g, -1, step)
+        others = rows[:lead] + rows[lead + 1 :]
+        nxt = []
+        for p in found:
+            s = sum(ci * p[i - j - 1] for i, ci in rest)
+            if s % g:
+                continue
+            for v in range(-(s // g) * inv % step, n, step):
+                t = (v, *p)
+                if all(sum(ci * t[i - j] for i, ci in r) % n == 0 for r in others):
+                    nxt.append(t)
+        found = nxt
     return [Coloring(t, n) for t in found]
 
 

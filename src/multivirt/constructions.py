@@ -117,6 +117,14 @@ class Provenance:
         }
 
 
+def _fold(r, least: int) -> int:
+    """`r` as an int if it is an integer >= `least`; else raise BadR."""
+    r = checked(r, int, BadR, "r")
+    if r < least:
+        raise BadR(f"need r >= {least}, got {r}")
+    return r
+
+
 def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     """Build the r-component multiplexed link of a knot diagram, with provenance.
 
@@ -127,9 +135,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
-    r = checked(r, int, BadR, "r")
-    if r < 2:
-        raise BadR(f"need r >= 2, got {r}")
+    r = _fold(r, 2)
     if d.crossings and genus(d) != 0:
         warnings.warn(
             "multiplexing an abstract (positive genus) code; "
@@ -239,9 +245,7 @@ def covering(d: Diagram, r: int) -> Diagram:
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("coverings are defined for one-component diagrams")
-    r = checked(r, int, BadR, "r")
-    if r < 1:
-        raise BadR(f"need r >= 1, got {r}")
+    r = _fold(r, 1)
     if r == 1:
         return d
     to_virtualize = [

@@ -29,13 +29,14 @@ from itertools import permutations
 from . import catalog
 from .colorings import (
     ColoringMode,
+    _modulus,
     build_system,
     count_colorings,
     enumerate_colorings,
     is_solution,
     pairing_map,
 )
-from .constructions import covering, extract_component, multiplex
+from .constructions import _fold, covering, extract_component, multiplex
 from .errors import MultivirtError, TooLarge, ValidationError, checked
 from .invariants import WritheTable, invariant_report, linking_and_lambda, n_writhes
 from .model import Diagram, canonical_form, serialize_vgc
@@ -151,7 +152,11 @@ def verify_theorems(
     made, so a fixture is a valid diagram.  Raises ValidationError for an
     argument that is not an iterable, a fixture of another kind, or an
     unknown theorem, and MultivirtError for a non-knot fixture.  A `str` or
-    `bytes` is refused for every argument, not read as its characters."""
+    `bytes` is refused for every argument, not read as its characters.
+    Before any check runs, every r is read as the int it equals or refused
+    with BadR unless it is an integer >= 2, when a per-r theorem is asked
+    for, and every modulus likewise with BadModulus unless it is an integer
+    >= 1, when `colorings` is."""
     for what, value, of in (
         ("names", names, "names"), ("r_range", r_range, "ints"),
         ("n_range", n_range, "ints"), ("theorems", theorems, "theorem names"),
@@ -171,6 +176,9 @@ def verify_theorems(
         raise ValidationError(
             f"unknown theorems {sorted(map(repr, unknown))}; known: {', '.join(THEOREMS)}"
         )
+    per_r = [(thm, check) for thm, check in _PER_R.items() if thm in theorems]
+    r_range = tuple(_fold(r, 2) for r in r_range) if per_r else ()
+    n_range = tuple(map(_modulus, n_range)) if "colorings" in theorems else ()
     report = VerifyReport()
     for name in names:
         if isinstance(name, str):
@@ -180,16 +188,11 @@ def verify_theorems(
             label = serialize_vgc(d)
         if d.n_components() != 1:
             raise MultivirtError(f"fixture {label!r} is not a knot")
+        # The coloring check runs first, so that the r = 2 checks reuse the
+        # 2-fold multiplex that `multiplex` keeps; its result still comes last.
+        last = [("colorings", 2, _colorings(d, n_range))] if "colorings" in theorems else []
         J = n_writhes(d)
-        checks = [
-            (thm, r, check, (d, J, r))
-            for r in r_range
-            for thm, check in _PER_R.items()
-            if thm in theorems
-        ]
-        if "colorings" in theorems:
-            checks.append(("colorings", 2, _colorings, (d, n_range)))
-        for thm, r, check, args in checks:
-            detail = check(*args)
+        checks = [(thm, r, check(d, J, r)) for r in r_range for thm, check in per_r]
+        for thm, r, detail in checks + last:
             report.results.append(CheckResult(label, thm, r, not detail, detail))
     return report

@@ -1,9 +1,12 @@
 import json
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
 
-from multivirt import colorings, verify
+from conftest import JUNK
+from multivirt import catalog, colorings, verify
 from multivirt.colorings import (
     Coloring,
     ColoringMode,
@@ -12,10 +15,11 @@ from multivirt.colorings import (
     enumerate_colorings,
     pairing_map,
 )
-from multivirt.errors import MultivirtError, ValidationError
+from multivirt.constructions import multiplex
+from multivirt.errors import BadModulus, BadR, MultivirtError, ValidationError
 from multivirt.invariants import WritheTable, linking_and_lambda, n_writhes
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, parse_vgc
-from multivirt.verify import verify_theorems
+from multivirt.verify import THEOREMS, verify_theorems
 
 
 class TestVerifyArguments:
@@ -96,6 +100,38 @@ class TestVerifyArguments:
         # The diagram is refused when it is made, before verify sees it.
         with pytest.raises(ValidationError):
             verify_theorems(names=[build()], r_range=(2,))
+
+    # asym3 at r = 2..16 made 46 `multiplex` calls before the modulus 0 was
+    # refused.
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"r_range": (*range(2, 17), 1)}, BadR, r"^need r >= 2, got 1$"),
+            ({"r_range": (2, 3, 2.0)}, BadR, r"^r must be of type int, got 2\.0$"),
+            ({"n_range": (2, 3, 0)}, BadModulus, r"^modulus must be >= 1, got 0$"),
+            ({"n_range": (2, 3, None)}, BadModulus, r"^modulus must be of type int, got None$"),
+        ],
+        ids=["r-1", "r-float", "n-0", "n-None"],
+    )
+    def test_a_bad_r_or_modulus_is_refused_before_any_multiplex(
+        self, monkeypatch, kwargs, error, message
+    ):
+        calls = []
+
+        def counted(d, r):
+            calls.append(r)
+            return multiplex(d, r)
+
+        monkeypatch.setattr(verify, "multiplex", counted)
+        with pytest.raises(error, match=message):
+            verify_theorems(**{"names": ["asym3"], "r_range": range(2, 17), **kwargs})
+        assert calls == []
+
+    def test_r_and_moduli_are_read_only_for_the_theorems_that_use_them(self):
+        rep = verify_theorems(names=["kink"], r_range=(1, None), theorems=("colorings",))
+        assert _results(rep) == [("kink", "colorings", 2, True, "")]
+        rep = verify_theorems(names=["kink"], r_range=(2,), n_range=(0,), theorems=("linking",))
+        assert _results(rep) == [("kink", "linking", 2, True, "")]
 
 
 def _results(rep):
@@ -225,3 +261,39 @@ def test_colorings_builds_the_source_system_once(monkeypatch):
     monkeypatch.setattr(colorings, "build_system", counted)
     assert verify_theorems(names=["trefoil", "kishino"], r_range=(), n_range=(2, 3)).ok
     assert modes == [ColoringMode.VIRTUAL_FOX, ColoringMode.CONSTRAINED] * 2
+
+
+@cache
+def _hostile_calls():
+    """Per element slot of `verify_theorems`: a call that puts the junk in
+    that slot of an otherwise valid call, and the valid values of the slot
+    that junk may equal."""
+    return {
+        "names": (lambda x: verify_theorems(names=[x], r_range=(2,), n_range=(3,)), catalog.names()),
+        "r_range": (lambda x: verify_theorems(names=["kink"], r_range=(x,), n_range=(3,)), range(2, 41)),
+        "n_range": (lambda x: verify_theorems(names=["trefoil"], r_range=(2,), n_range=(x,)), range(1, 41)),
+        "theorems": (
+            lambda x: verify_theorems(names=["kink"], r_range=(2,), n_range=(3,), theorems=(x,)),
+            THEOREMS,
+        ),
+    }
+
+
+@pytest.mark.parametrize("slot", list(_hostile_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+@example(junk=True)
+@example(junk=2.0)
+@example(junk=None)
+def test_verify_refuses_junk_or_reads_it_as_its_equal(slot, junk):
+    """Junk in an element of any argument of `verify_theorems` raises a
+    MultivirtError or gives, byte for byte, the report of the valid value
+    that it equals: True in `n_range` reads as the modulus 1."""
+    call, valid = _hostile_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert json.dumps(got.to_json()) == json.dumps(call(equal[0]).to_json())
