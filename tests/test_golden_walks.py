@@ -4,7 +4,8 @@ A digest runs over the JSON of the trace and the VGC of the final diagram,
 as `perfbench` digests its walks.  Pinned: 150-step walks from every catalog
 entry with every move kind but FU, size cap 64, seeds 0 and 1; and 20-step
 walks with every move kind, size cap 10**9, seed 0, from the asym3 and
-index2 multiplexes at r = 2..4.  Refactors of `moves`, `planar` and `model`
+index2 multiplexes at r = 2..4 and the asym3 and trefoil multiplexes at
+r = 8.  Refactors of `moves`, `planar` and `model`
 must leave it unchanged.  To write it from the current code (only when the
 output is meant to change):
 
@@ -35,6 +36,9 @@ def walks():
         for r in (2, 3, 4):
             L, _ = multiplex(catalog.diagram(name), r)
             out.append((f"{name} r{r} seed0", L, 20, 0, None, 10**9))
+    for name in ("asym3", "trefoil"):
+        L, _ = multiplex(catalog.diagram(name), 8)
+        out.append((f"{name} r8 seed0", L, 20, 0, None, 10**9))
     return out
 
 
