@@ -438,15 +438,17 @@ def enumerate_colorings(
     """All solutions mod n by exhaustive search (the independent oracle).
 
     Unknown k-1 gets its values first and unknown 0 last.  A relation is due
-    at its lowest unknown.  An unknown with no due relation extends every
-    surviving partial assignment by 0..n-1.  Otherwise one due relation, the
-    one whose lead coefficient c has the least g = gcd(c, n), is solved for
-    it: with s the sum of its other terms, c v + s = 0 (mod n) has no
-    solution unless g divides s, and else the n/g values v0, v0 + n/g, ...
-    below n, v0 = -(s/g) (c/g)^-1 mod n/g; only those are tested against the
-    other due relations.  The solutions come out in index order, x_{k-1}
-    varying slowest.  Raises TooLarge when n^k exceeds `limit`, however few
-    assignments the search itself visits."""
+    at its lowest unknown, and a repeated one is filed once, where it first
+    occurs (`build_system` writes some pairing rows more than once).  An
+    unknown with no due relation extends every surviving partial assignment
+    by 0..n-1.  Otherwise one due relation, the one whose lead coefficient c
+    has the least g = gcd(c, n), is solved for it: with s the sum of its
+    other terms, c v + s = 0 (mod n) has no solution unless g divides s, and
+    else the n/g values v0, v0 + n/g, ... below n, v0 = -(s/g) (c/g)^-1 mod
+    n/g; only those are tested against the other due relations.  The
+    solutions come out in index order, x_{k-1} varying slowest.  Raises
+    TooLarge when n^k exceeds `limit`, however few assignments the search
+    itself visits."""
     sys = checked(sys, ColoringSystem, ValidationError, "coloring system")
     n = _modulus(n)
     limit = checked(limit, int, ValidationError, "limit")
@@ -454,7 +456,7 @@ def enumerate_colorings(
     if n**k > limit:
         raise TooLarge(f"{n}^{k} assignments exceed limit {limit}")
     due: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-    for r in sys.rows:
+    for r in dict.fromkeys(sys.rows):
         if r:
             due.setdefault(r[0][0], []).append(r)
     found: list[tuple[int, ...]] = [()]

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from . import model
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import crossing_indices
-from .model import _THROUGH, Diagram, _passage, _record
+from .model import _THROUGH, Diagram, _passage, _record, _tables
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -271,12 +271,13 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
     ci, pos = i - 1, d._passage_index
-    comp, frames, index = [], [], {}
+    comp, frames = [], []
     for p, f in zip(d.components[ci], d._frames[ci]):
         # A crossing lies on the component when both of its passages do; they
         # keep their order, so each keeps the frame read from it.
         if pos[p.crossing][0][0] == ci == pos[p.crossing][1][0]:
-            index[p.crossing] = (*index.get(p.crossing, ()), (0, len(comp)))
             comp.append(p)
             frames.append(f)
-    return Diagram._made((tuple(comp),), {c: d.crossings[c] for c in index}, index, [frames])
+    comps, crossings = (tuple(comp),), {p.crossing: d.crossings[p.crossing] for p in comp}
+    index, _ = _tables(comps, crossings, [frames], ())
+    return Diagram._made(comps, crossings, index, [frames])

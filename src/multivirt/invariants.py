@@ -38,7 +38,8 @@ class WritheTable:
     because it is not preserved by the first Reidemeister move.  The table
     keeps a copy of the entries it is given, and refuses with
     ValidationError entries that are not a dict of nonzero int keys and int
-    values (bools are no ints here, as in `Diagram.validate`)."""
+    values, and a J_0 that is not an int (bools are no ints here, as in
+    `Diagram.validate`)."""
 
     entries: dict[int, int]
     j0: int
@@ -47,6 +48,8 @@ class WritheTable:
         entries = dict(checked(self.entries, dict, ValidationError, "writhe entries"))
         if 0 in entries or any(type(x) is not int for x in (*entries, *entries.values())):
             raise ValidationError(f"writhe entries must map nonzero ints to ints, got {entries!r}")
+        if type(self.j0) is not int:
+            raise ValidationError(f"J_0 must be an int, got {self.j0!r}")
         object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, n: int) -> int:

@@ -11,13 +11,14 @@ its first passage, "first" meaning lexicographically smaller (component
 index, position); read from the other passage the frame is the negative.
 The diagram keeps the frame read from each passage in a frame table, one
 list per component, which `Diagram.frame` and every module that needs a
-frame read.  The rule is written where the table is: `Diagram.validate`
-writes it as it checks each crossing, `moves._rewrite` for the crossings it
-rewrote, and `constructions.multiplex` writes the frames and signs of the
-passages it emits, while `covering` hands the source's table over and
-`extract_component` filters it.  Rotating a
-basepoint past exactly one passage of a virtual crossing therefore negates
-the stored sign; `rotate` takes care of that.
+frame read.  The rule is written where the table is: `_tables` writes it
+for each crossing it checks, which is every crossing for `Diagram.validate`
+and the crossings of the patch for `moves._rewrite`, and
+`constructions.multiplex` writes the frames and signs of the passages it
+emits, while `covering` hands the source's table over and
+`extract_component` filters it.  Rotating a basepoint past exactly one
+passage of a virtual crossing therefore negates the stored sign; `rotate`
+takes care of that.
 
 VGC grammar (serialized form is bit-exact):
 
@@ -35,15 +36,18 @@ The check also gives the two tables that the diagram keeps in plain fields:
 the passage index `_passage_index`, crossing id -> positions (component,
 index) of its passages in canonical order, keyed in order of first
 appearance (`planar._rail_layout` numbers its stations in that key order),
-and the frame table `_frames`.  A producer that builds a
-diagram from a checked one, and so knows both tables as it writes it, hands
-them over through `Diagram._made`, which keeps them unchecked:
+and the frame table `_frames`.  One routine, `_tables`, sweeps the index,
+checks the crossings it is given with the per-crossing rule `_frame`,
+writes their frames and refuses a record that is never passed; `validate`
+runs it on every crossing.  A producer that builds a diagram from a
+checked one, and so knows both tables as it writes it, hands them over
+through `Diagram._made`, which keeps them unchecked:
 `constructions.multiplex` writes them as it emits passages, `covering`
-keeps the source's and `extract_component` filters them, and every move of
-`moves` sweeps the index once and checks and writes only the crossings it
-rewrote, with the per-crossing rule `_frame` that `validate` applies to
-every crossing.  Either way the diagram keeps its components as tuples of
-tuples and its crossings as a read-only dict, so nothing can change it
+keeps the source's, `extract_component` filters the frames and takes the
+index from `_tables`, checking no crossing, and every move of `moves` runs
+`_tables` on the crossings it rewrote and keeps the rest of the parent's
+tables.  Either way the diagram keeps its components as tuples of tuples
+and its crossings as a read-only dict, so nothing can change it
 afterwards.  `positions_of`,
 `real_positions`, `frame` and every module that needs to know where a
 crossing sits or which frame it reads use the tables; they are read, never
@@ -202,9 +206,9 @@ class Diagram:
         and `index` and `frames` exactly what `validate` would return, the
         index keyed in order of first appearance.  Only a producer that wrote
         all four from a checked diagram may call it: `constructions.multiplex`,
-        `covering` and `extract_component`, and `moves._rewrite`, which checks
-        the crossings of its patch with `_frame` and keeps the rest of the
-        parent's tables."""
+        `covering` and `extract_component`, whose index `_tables` sweeps, and
+        `moves._rewrite`, which checks the crossings of its patch with
+        `_tables` and keeps the rest of the parent's tables."""
         return _fill(object.__new__(cls), components, _Crossings(crossings), [], index, frames)
 
     # -- basic queries ----------------------------------------------------
@@ -281,32 +285,54 @@ class Diagram:
           order, and a virtual one twice Through;
         - every record in the table is passed.
 
-        Each passed crossing is checked by `_frame`, in the order of the
-        passage index.  Return the passage index, swept first, and the frame
-        table, the frame read from each passage, which the crossing loop
-        writes.  The diagram keeps the tables of the check run when it is
-        made, so a later call checks again and changes nothing."""
+        The check is `_tables` run on every crossing, the routine that
+        `moves._rewrite` runs on the crossings of its patch: it sweeps the
+        passage index and checks each passed crossing by `_frame`, in the
+        order of the index.  Return the passage index and the frame table,
+        the frame read from each passage, which the crossing loop writes.
+        The diagram keeps the tables of the check run when it is made, so a
+        later call checks again and changes nothing."""
         try:
             comps = self.components
-            sweep: dict[int, list[tuple[int, int]]] = {}
-            for ci, comp in enumerate(comps):
-                for i, p in enumerate(comp):
-                    sweep.setdefault(p.crossing, []).append((ci, i))
-            index = {cid: tuple(ps) for cid, ps in sweep.items()}
-            built = [[0] * len(comp) for comp in comps]
-            for cid, ps in index.items():
-                f = _frame(comps, self.crossings, cid, ps)
-                (c1, i1), (c2, i2) = ps
-                built[c1][i1], built[c2][i2] = f, -f
-            # Every passed crossing has its record, so any other record is unused.
-            if len(self.crossings) != len(index):
-                unused = [cid for cid in self.crossings if cid not in index]
-                raise ValidationError(f"crossings recorded but never passed: {unused!r}")
-        except (AttributeError, TypeError):
+            return _tables(comps, self.crossings, [[0] * len(comp) for comp in comps])
+        except (AttributeError, KeyError, TypeError):
+            # KeyError: a dict given as a component or as the component list.
             raise ValidationError(
                 "components must be sequences of passages and crossings a dict of records"
             ) from None
-        return index, built
+
+
+def _tables(components, crossings, frames, cids=None, shared=None):
+    """Sweep the passage index of `components`, crossing id -> positions of
+    its passages in canonical order, keyed in order of first appearance,
+    and check and write the crossings of `cids` (every crossing when None)
+    in the order of the index: each is checked by `_frame`, and the frames
+    read from its two passages are written into `frames`, one row per
+    component, a row that is still the row of `shared` (the parent's frame
+    table) being copied first.  Raise ValidationError as `_frame` does, or
+    for a record that is never passed.  Return the index and `frames`.
+    `Diagram.validate` runs it on every crossing, `moves._rewrite` on the
+    crossings of its patch, and `constructions.extract_component` on none,
+    for the index alone."""
+    sweep: dict[int, list[tuple[int, int]]] = {}
+    for ci, comp in enumerate(components):
+        for i, p in enumerate(comp):
+            sweep.setdefault(p.crossing, []).append((ci, i))
+    index = {cid: tuple(ps) for cid, ps in sweep.items()}
+    for cid in index if cids is None else [cid for cid in index if cid in cids]:
+        ps = index[cid]
+        f = _frame(components, crossings, cid, ps)
+        (c1, i1), (c2, i2) = ps
+        if shared:
+            for ci in (c1, c2):
+                if frames[ci] is shared[ci]:
+                    frames[ci] = frames[ci][:]
+        frames[c1][i1], frames[c2][i2] = f, -f
+    # Every passed crossing has its record, so any other record is unused.
+    if len(crossings) != len(index):
+        unused = [cid for cid in crossings if cid not in index]
+        raise ValidationError(f"crossings recorded but never passed: {unused!r}")
+    return index, frames
 
 
 def _frame(comps, crossings, cid, ps) -> int:
@@ -319,8 +345,8 @@ def _frame(comps, crossings, cid, ps) -> int:
     once Under, in either order (real), or twice Through (virtual).  The
     roles of a crossing with a bool `virtual` flag and two passages are
     compared by identity; any other flag or count is looked up among the
-    passing patterns, with the same rules and messages.  `validate` checks
-    every crossing with it, and `moves._rewrite` the crossings it rewrote."""
+    passing patterns, with the same rules and messages.  `_tables` runs it
+    on each crossing it checks, for `validate` and `moves._rewrite`."""
     rec = crossings.get(cid)
     if not isinstance(rec, CrossingRecord) or rec.cid != cid:
         raise ValidationError(f"crossing {cid!r} has no record filed under its id")

@@ -37,12 +37,12 @@ deletion replaces every passage of the crossings it removes by nothing, a
 kink or poke places a pair of new passages after a gap, and a triangle slide
 swaps the two passages of each of its three bound gaps.  New crossing signs
 follow the frame rule of `model`.  `_rewrite` checks its patch, not the
-whole diagram: each crossing that the edits or the new records touch is
-checked as `Diagram.validate` checks a crossing, and both its frames are
-written by the frame rule; the count of the passage index, swept once,
-against the crossing table refuses a record left without passages.  It then
-hands its tables over to `Diagram._made`, sharing every frame row it did not
-write with the diagram it rewrote.
+whole diagram: it hands the crossings that the edits or the new records
+touch to `model._tables`, the routine that `Diagram.validate` runs on every
+crossing, which sweeps the passage index, checks each of those crossings,
+writes both its frames by the frame rule and refuses a record left without
+passages.  It then hands its tables over to `Diagram._made`, sharing every
+frame row it did not write with the diagram it rewrote.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -73,7 +73,7 @@ from functools import cache
 from itertools import accumulate, permutations, product
 
 from .errors import ParseError, StaleSite, ValidationError, checked
-from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _frame
+from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _tables
 from .planar import _trace, faces
 
 MOVE_KINDS = (
@@ -256,14 +256,14 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     the positions of the edits are those of `d`; the frame rows are spliced
     alike.
 
-    The patch is checked, not the diagram: the crossings it touches, those
-    of the passages an edit replaces or places and those of `records`, are
-    checked by `model._frame` as `validate` checks them, and both frames of
-    each are written by the frame rule into rows copied first.  Every other
-    crossing keeps its passages, record and frames from `d`, and its rows
-    stay shared with `d`.  The passage index is swept once, keyed in order
-    of first appearance, and a record left without passages fails the count
-    of the index against the table.  The tables go to `Diagram._made`."""
+    The patch is checked, not the diagram: `model._tables`, the routine
+    that `Diagram.validate` runs on every crossing, sweeps the passage index
+    and checks and writes the crossings the patch touches, those of the
+    passages an edit replaces or places and those of `records`, and refuses
+    a record left without passages, with `validate`'s messages.  Every
+    other crossing keeps its passages, record and frames from `d`, and each
+    frame row that no write reaches stays shared with `d`.  The tables go
+    to `Diagram._made`."""
     components, frames, touched = list(d.components), list(d._frames), set(records)
     for (ci, i), new in sorted(edits.items(), reverse=True):
         touched.update(p.crossing for p in components[ci][i : i + 1] + new)
@@ -272,24 +272,8 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     crossings = {**d.crossings, **records}
     for cid in [cid for cid, rec in records.items() if rec is None]:
         del crossings[cid]
-    index = {}
-    for ci, comp in enumerate(components):
-        for i, p in enumerate(comp):
-            c = p.crossing
-            index[c] = (index[c], (ci, i)) if c in index else (ci, i)
-    for cid in touched & index.keys():
-        f = _frame(components, crossings, cid, ps := _positions(index[cid]))
-        for (ci, i), fi in zip(ps, (f, -f)):
-            frames[ci] = [*frames[ci][:i], fi, *frames[ci][i + 1 :]]  # a copy, never d's row
-    if len(crossings) != len(index):
-        raise ValidationError(f"crossings recorded but never passed: {crossings.keys() - index}")
+    index, frames = _tables(components, crossings, frames, touched, d._frames)
     return Diagram._made(tuple(components), crossings, index, frames)
-
-
-def _positions(ps) -> tuple:
-    """The positions of one crossing as the index sweep of `_rewrite` nests
-    them, `(earlier, position)` for every passage after the first, in order."""
-    return (*_positions(ps[0]), ps[1]) if type(ps[0]) is tuple else (ps,)
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:

@@ -664,6 +664,7 @@ def sparse_systems(draw, max_cols=5, max_rows=6):
 @example(case=([(), ((1, 4),), ()], 2))  # empty rows
 @example(case=([(), ()], 0))  # k = 0
 @example(case=([((0, 5), (1, -9))], 2))  # n = 1, as in every case
+@example(case=([((0, 3), (1, 1)), ((0, 2), (2, 1)), ((0, 3), (1, 1)), ((0, 2), (2, 1))], 3))  # repeated rows
 def test_enumeration_matches_the_pruned_oracle(case):
     """Same list in the same order as the pruned search, for n = 1..9
     wherever n^k <= 10**6."""

@@ -148,6 +148,15 @@ class TestWritheTable:
         with pytest.raises(ValidationError):
             WritheTable(entries, 1)
 
+    # The constructor checked the entries but kept any J_0: WritheTable({}, "x")
+    # printed "x" as J_0, and WritheTable({}, None)[0] read None.
+    @pytest.mark.parametrize("j0", ["x", None, True, False, 1.0, [0], (0,)], ids=repr)
+    def test_a_j0_that_is_not_an_int_is_refused(self, j0):
+        with pytest.raises(ValidationError, match="J_0 must be an int"):
+            WritheTable({}, j0)
+        with pytest.raises(ValidationError, match="J_0 must be an int"):
+            WritheTable({2: 1}, j0)
+
     def test_the_entries_are_copied(self):
         entries = {2: 5, -1: 3}
         table = WritheTable(entries, 0)

@@ -112,6 +112,19 @@ class TestParse:
         with pytest.raises(ValidationError):
             Diagram(components, crossings).validate()
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            ({Passage(1, Role.THROUGH): 0},),
+            {(Passage(1, Role.THROUGH), Passage(1, Role.THROUGH)): 0},
+        ],
+        ids=["dict-component", "dict-component-list"],
+    )
+    def test_a_dict_of_passages_is_refused_as_malformed(self, components):
+        # Iterating a dict gives its keys, but indexing it by position does not.
+        with pytest.raises(ValidationError, match="components must be sequences of passages"):
+            Diagram(components, {1: CrossingRecord(1, True, 1)})
+
     def test_malformed_tokens(self):
         huge = "9" * 5000  # more digits than CPython converts to an int
         for bad in ("X1+", "O0+", "O1", "O1*", "", "O1+ ;; U1+", f"O{huge}+ U{huge}+", b"O1+ U1+"):

@@ -939,6 +939,28 @@ def test_rewrite_refuses_a_patch_that_breaks_the_model(patch, monkeypatch):
         moves._rewrite(d, edits, records)
 
 
+def _spliced(d, edits, records):
+    """The parts that `_rewrite` splices from `d`, spliced by hand: each
+    edit's passages in place of the passage at its position, and the
+    crossing table with `records` merged in and None dropped."""
+    components = [list(comp) for comp in d.components]
+    for (ci, i), new in sorted(edits.items(), reverse=True):
+        components[ci][i : i + 1] = new
+    table = {**d.crossings, **records}
+    return components, {cid: rec for cid, rec in table.items() if rec is not None}
+
+
+@pytest.mark.parametrize("patch", list(_bad_patches()[1]))
+def test_rewrite_refuses_a_patch_with_the_message_of_the_full_check(patch):
+    d, patches = _bad_patches()
+    edits, records = patches[patch]
+    with pytest.raises(ValidationError) as full:
+        Diagram(*_spliced(d, edits, records))
+    with pytest.raises(ValidationError) as patched:
+        moves._rewrite(d, edits, records)
+    assert str(patched.value) == str(full.value)
+
+
 def test_rewrite_hands_over_a_good_patch():
     # The session oracle compares the tables it hands over with `validate`.
     d = parse_vgc(TREFOIL)
