@@ -51,8 +51,13 @@ and its crossings as a read-only dict, so nothing can change it
 afterwards.  `positions_of`,
 `real_positions`, `frame` and every module that needs to know where a
 crossing sits or which frame it reads use the tables; they are read, never
-written, outside their producer.  A third field keeps the integer face
-trace that `planar._trace` builds on first use.
+written, outside their producer.  A third field, the memo, keeps what the
+face and site searches derive once: the integer face trace of
+`planar._trace` and the deletion and triangle entries of `moves`.  Each
+part is computed on first use and never changed after; a diagram that
+`moves._rewrite` made is handed the site entries it carried from its
+parent's memo, with its face trace, by `_made`, before anyone else can see
+it.
 
 `Passage` and `CrossingRecord` are frozen slotted dataclasses.  The values
 that a producer emits are interned: `_passage(cid, role)` and
@@ -184,8 +189,10 @@ class Diagram:
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: Mapping[int, CrossingRecord]
-    # The integer face trace of `planar._trace`, filled on first use.
-    _face_trace: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
+    # What the face and site searches derived once: the integer face trace
+    # of `planar._trace` under "trace", and the entries of `moves`' deletion
+    # and triangle stages under "deletions" and "triangles".
+    _memo: dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
     # The passage index, keyed in order of first appearance, and the frame
     # table that `validate` sweeps or a producer hands to `_made`.  A plain
     # dict is kept, not a mappingproxy: a mappingproxy cannot be pickled.
@@ -197,10 +204,10 @@ class Diagram:
     def __post_init__(self):
         # Called through `self`, so a wrapper put on the class sees every check.
         tables = self.validate()
-        _fill(self, tuple(map(tuple, self.components)), _Crossings(self.crossings), [], *tables)
+        _fill(self, tuple(map(tuple, self.components)), _Crossings(self.crossings), {}, *tables)
 
     @classmethod
-    def _made(cls, components, crossings, index, frames) -> Diagram:
+    def _made(cls, components, crossings, index, frames, memo=None) -> Diagram:
         """The diagram whose tables a producer has just written, kept without
         the full check: `components` a tuple of tuples, `crossings` a dict,
         and `index` and `frames` exactly what `validate` would return, the
@@ -208,8 +215,12 @@ class Diagram:
         all four from a checked diagram may call it: `constructions.multiplex`,
         `covering` and `extract_component`, whose index `_tables` sweeps, and
         `moves._rewrite`, which checks the crossings of its patch with
-        `_tables` and keeps the rest of the parent's tables."""
-        return _fill(object.__new__(cls), components, _Crossings(crossings), [], index, frames)
+        `_tables` and keeps the rest of the parent's tables.  `memo` holds
+        the parts of the memo that `moves._rewrite` derived from its
+        parent's; no part it holds is changed after, and a part it lacks is
+        computed from scratch on first use, as for any other diagram."""
+        memo = {} if memo is None else memo
+        return _fill(object.__new__(cls), components, _Crossings(crossings), memo, index, frames)
 
     # -- basic queries ----------------------------------------------------
 
@@ -419,17 +430,13 @@ def parse_vgc(text: str) -> Diagram:
 def serialize_vgc(d: Diagram) -> str:
     """Serialize to the canonical textual form (single spaces, ' ; ' separators)."""
     d = checked(d, Diagram, ValidationError, "diagram")
-    parts = []
-    for comp in d.components:
-        if not comp:
-            parts.append(".")
-            continue
-        tokens = []
-        for p in comp:
-            rec = d.crossings[p.crossing]
-            tokens.append(f"{p.role._value_}{p.crossing}{'+' if rec.sign > 0 else '-'}")
-        parts.append(" ".join(tokens))
-    return " ; ".join(parts)
+    # One plain dict of sign characters: the read-only crossing table is a
+    # dict subclass, which the interpreter reads slower than a dict.
+    sign = {cid: "+" if rec.sign > 0 else "-" for cid, rec in d.crossings.items()}
+    return " ; ".join(
+        " ".join([f"{p.role._value_}{p.crossing}{sign[p.crossing]}" for p in comp]) if comp else "."
+        for comp in d.components
+    )
 
 
 # -- rotation and renaming -----------------------------------------------

@@ -30,7 +30,9 @@ sites of every deletion kind (R1del, VR1del, R2del, VR2del), testing each
 gap where it sits: a cancelling pair is found at its first gap, and its
 partner gap is read off the passage index.  The site search reads frames
 off the diagram's frame table and compares roles by identity rather than
-hashing them.
+hashing them.  Both stages list the entries of every kind of their stage
+and keep them in the diagram's memo, beside the face trace, so a diagram
+is searched once.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`: a
 deletion replaces every passage of the crossings it removes by nothing, a
@@ -43,6 +45,24 @@ crossing, which sweeps the passage index, checks each of those crossings,
 writes both its frames by the frame rule and refuses a record left without
 passages.  It then hands its tables over to `Diagram._made`, sharing every
 frame row it did not write with the diagram it rewrote.
+
+A rewrite also carries the site entries of the diagram it rewrote, as far
+as its memo holds them, to the diagram it makes (`_carry`).  The splice cuts
+the gaps next to a passage it removes or inside which it places passages,
+and lays the gaps that run to or from a placed passage or join two passages
+that a removal left adjacent (`_Patch`); every other gap is kept, shifted by
+the splice.  An entry that reads only kept gaps is carried with its
+positions shifted.  The triangle stage tests only the 3-dart faces of the
+new diagram that hold a laid dart, on its face trace, which the rewrite
+traces afresh and keeps; the deletion stage tests only the laid gaps, and
+the whole of a component whose length changed from or to 2, where the kink
+rule reads the length.  The results merge by the orders that the stages
+define, so a carried entry list equals the one computed afresh; the tests
+check that on every rewrite.  The stages computed from scratch remain the
+definition for a diagram that no rewrite made.  The face trace itself is
+not carried: its cycles and marks are positional, so carrying them means
+rewriting every dart after the patch, which at walk sizes costs as much as
+tracing afresh.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -71,10 +91,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, permutations, product
+from operator import itemgetter
 
 from .errors import ParseError, StaleSite, ValidationError, checked
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _tables
-from .planar import _trace, faces
+from .planar import _trace, _traced, faces
 
 MOVE_KINDS = (
     "R1+ins",
@@ -104,6 +125,7 @@ _VARIANTS = {
 }
 _POKE_KINDS = {"R2ins", "VR2ins"}
 _DELETION_KINDS = {"R1del", "VR1del", "R2del", "VR2del"}
+_KINK_KINDS = {"R1del", "VR1del"}
 _TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
 _FACE_KINDS = {*_POKE_KINDS, *_TRIANGLE_KINDS}
 
@@ -262,8 +284,11 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     passages an edit replaces or places and those of `records`, and refuses
     a record left without passages, with `validate`'s messages.  Every
     other crossing keeps its passages, record and frames from `d`, and each
-    frame row that no write reaches stays shared with `d`.  The tables go
-    to `Diagram._made`."""
+    frame row that no write reaches stays shared with `d`.
+
+    The deletion and triangle entries that `d`'s memo holds are carried to
+    the child by `_carry`, which tests again only what the patch touched.
+    The tables and the memo go to `Diagram._made`."""
     components, frames, touched = list(d.components), list(d._frames), set(records)
     for (ci, i), new in sorted(edits.items(), reverse=True):
         touched.update(p.crossing for p in components[ci][i : i + 1] + new)
@@ -273,7 +298,152 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     for cid in [cid for cid, rec in records.items() if rec is None]:
         del crossings[cid]
     index, frames = _tables(components, crossings, frames, touched, d._frames)
-    return Diagram._made(tuple(components), crossings, index, frames)
+    components = tuple(components)
+    memo = d._memo and _carry(d, components, crossings, index, frames, edits)
+    return Diagram._made(components, crossings, index, frames, memo)
+
+
+class _Patch:
+    """Where a splice of `_rewrite` changed its parent.  A gap (ci, g) runs
+    from passage g of component ci to the next; counted over the whole
+    diagram it is gap P = offset[ci] + g, and its darts are 2P and 2P + 1.
+
+    The splice cuts a gap of the parent when it removes a passage at
+    either end or places passages inside, and lays a gap of the child that
+    runs from or to a passage it placed, or between two passages it kept
+    that were not adjacent; `laid` maps each component to the gaps g it
+    lays.  Every other gap joins two passages that the splice keeps,
+    adjacent in both, and its darts turn at both ends as in the parent, so
+    a face that runs along such gaps only is a face of both.  `gap_map`
+    gives the child gap P of each parent gap P, -1 for a cut one; the shift
+    is constant between two edit positions, so the map is monotone.
+    `offset` and `parent_offset` are the child's and the parent's offsets,
+    each with the passage count last."""
+
+    def __init__(self, d: Diagram, components, edits):
+        comps = d.components
+        poff = self.parent_offset = [0, *accumulate(map(len, comps))]
+        offset = self.offset = [0, *accumulate(map(len, components))]
+        gap_map, cut, runs = [], [], []
+        start = delta = 0
+        for (ci, i), new in sorted(edits.items()):
+            # Passages start .. end - 1 keep their shift; the edit at i (at
+            # the start of an empty component when i is -1) changes it.
+            end = poff[ci] + i + 1
+            gap_map += range(start + delta, end + delta)
+            kept = i >= 0 and len(new) > 0 and new[0] is comps[ci][i]
+            if i >= 0:
+                cut.append(end - 1)
+                if not kept:
+                    cut.append(poff[ci] + (i - 1) % len(comps[ci]))
+            # From the gap before the first passage placed to the last one
+            # placed; when none is, the gap that joins the passages beside a
+            # removal.
+            first = max(end - 1, poff[ci]) + delta - offset[ci] + kept
+            runs.append((ci, first - 1, first + len(new) - kept))
+            start, delta = end, delta + len(new) - (i >= 0)
+        gap_map += range(start + delta, poff[-1] + delta)
+        for gap in cut:
+            gap_map[gap] = -1
+        self.gap_map, self.laid = gap_map, {}
+        for ci, a, b in runs:
+            n = len(components[ci])
+            if n:
+                self.laid.setdefault(ci, set()).update([g % n for g in range(a, b)])
+
+    def name(self, k: int) -> tuple[int, int, int]:
+        """The child's dart k as (component, gap, dir), as `faces` names it."""
+        ci = bisect_right(self.offset, k >> 1) - 1
+        return ci, (k >> 1) - self.offset[ci], -1 if k & 1 else 1
+
+
+def _carry(d: Diagram, components, crossings, index, frames, edits) -> dict:
+    """The child's memo, from the site entries that `d`'s memo holds.  The
+    triangle entries of the faces on kept gaps only are moved, and those of
+    the child's other 3-dart faces, which hold a laid dart, are found by
+    `_triangle_entries` on the child's face trace, traced here and kept
+    too.  The deletion entries on kept gaps only are moved, and those at a
+    laid gap are found by `_deletion_entries` testing the laid gaps; a
+    component whose length changed from or to 2, where the kink rule reads
+    the length, is tested anew whole.  Each list merges by the order its
+    stage defines.  No list of `d`'s memo is changed."""
+    parent, memo = d._memo, {}
+    patch = _Patch(d, components, edits)
+    poff, offset = patch.parent_offset, patch.offset
+    if "triangles" in parent:
+        cycles, marks = memo["trace"] = _traced(components, index, frames)
+        # The faces through a laid gap, by the marks of its two darts.
+        laid = {
+            ~marks[2 * (offset[ci] + g) + s]
+            for ci, gaps in patch.laid.items()
+            for g in gaps
+            for s in (0, 1)
+        }
+        faces3 = [list(map(patch.name, cycles[c])) for c in laid if len(cycles[c]) == 3]
+        found = _triangle_entries(components, frames, faces3) if faces3 else {}
+
+        def key(entry):
+            return _triangle_key(components, entry[1])
+
+        memo["triangles"] = {
+            fam: _merged(
+                _kept_entries(listed, patch.gap_map, poff, offset, 3), found.get(fam), key
+            )
+            for fam, listed in parent["triangles"].items()
+        }
+    if "deletions" in parent:
+        gap_map, tested = patch.gap_map, patch.laid
+        resized = [
+            ci
+            for ci in {ci for ci, _ in edits}
+            if len(d.components[ci]) != len(components[ci])
+            and 2 in (len(d.components[ci]), len(components[ci]))
+        ]
+        if resized:
+            gap_map, tested = gap_map[:], dict(tested)
+            for ci in resized:
+                gap_map[poff[ci] : poff[ci + 1]] = [-1] * (poff[ci + 1] - poff[ci])
+                tested[ci] = range(len(components[ci]))
+        found = _deletion_entries(components, crossings, index, frames, tested)
+        memo["deletions"] = {
+            kind: _merged(
+                _kept_entries(listed, gap_map, poff, offset, 1 if kind in _KINK_KINDS else 2),
+                found[kind],
+                itemgetter(1),
+            )
+            for kind, listed in parent["deletions"].items()
+        }
+    return memo
+
+
+def _kept_entries(entries, gap_map, parent_offset, offset, gaps: int) -> list:
+    """The (variant, locus) entries whose gaps (ci, g) all survive a splice,
+    each moved to the child's gap by `gap_map`, -1 standing for a cut gap:
+    a locus is one gap when `gaps` is 1, else a tuple of `gaps` gaps.
+    Written out per width, so no entry builds a list."""
+    if not entries:
+        return entries
+    gm, po, of = gap_map, parent_offset, offset  # short names keep the lines whole
+    if gaps == 1:
+        return [(v, (ci, x - of[ci])) for v, (ci, g) in entries if (x := gm[po[ci] + g]) >= 0]
+    if gaps == 2:
+        return [
+            (v, ((c1, x - of[c1]), (c2, y - of[c2])))
+            for v, ((c1, g1), (c2, g2)) in entries
+            if (x := gm[po[c1] + g1]) >= 0 and (y := gm[po[c2] + g2]) >= 0
+        ]
+    return [
+        (v, ((c1, x - of[c1]), (c2, y - of[c2]), (c3, z - of[c3])))
+        for v, ((c1, g1), (c2, g2), (c3, g3)) in entries
+        if (x := gm[po[c1] + g1]) >= 0 and (y := gm[po[c2] + g2]) >= 0
+        and (z := gm[po[c3] + g3]) >= 0
+    ]
+
+
+def _merged(kept: list, found, key) -> list:
+    """The entries kept, sorted by `key`, and those found (a list in any
+    order, or None), as one list sorted by `key`."""
+    return sorted(kept + found, key=key) if found else kept
 
 
 def _fresh_ids(d: Diagram, k: int) -> list[int]:
@@ -454,76 +624,107 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 
 
 def _deletions(d: Diagram, kinds) -> dict[str, _Group]:
-    """Deletion sites of the given kinds from one sweep over the gaps, each
-    gap tested where it sits.  A kink (R1del, VR1del) is a gap flanked twice
-    by one crossing.  A cancelling pair (R2del, VR2del) is found at its first
-    gap (ci, g): flanks p and q of one role at two crossings a != b, with
-    opposite frames read at the two passages.  Its partner is the gap between
-    the other passages of a and b, in either order, and the site is listed
-    when that gap comes later in the sweep; a circle of two passages holds
-    both gaps between its passages, and both are partners.  A real crossing
-    is passed once over and once under, so the partner's flanks share a role
-    too, and reading both frames from the other strands keeps them opposite.
-    Sites come out by the first gap, then by the second."""
+    """Deletion sites of the given kinds, read off the entries of every
+    deletion kind that `_deletion_entries` lists from one sweep over all
+    gaps, kept in the diagram's memo (or carried there by `_rewrite`)."""
     if not kinds:
         return {}
-    out: dict[str, list] = {k: [] for k in kinds}
-    components, index = d.components, d._passage_index
-    for ci, (comp, fr) in enumerate(zip(components, d._frames)):
+    memo = d._memo
+    if "deletions" not in memo:
+        gaps = {ci: range(len(comp)) for ci, comp in enumerate(d.components)}
+        entries = _deletion_entries(d.components, d.crossings, d._passage_index, d._frames, gaps)
+        memo.setdefault("deletions", entries)
+    entries = memo["deletions"]
+    return {kind: _Group(kind, entries[kind]) for kind in kinds}
+
+
+def _deletion_entries(components, crossings, index, frames, gaps) -> dict[str, list]:
+    """The (variant, locus) entries of every deletion kind at the gaps that
+    `gaps` maps each component to, each gap tested where it sits.  A kink
+    (R1del, VR1del) is a gap flanked twice by one crossing.  A cancelling
+    pair (R2del, VR2del) is found at either of its gaps (ci, g): flanks p
+    and q of one role at two crossings a != b, with opposite frames read at
+    the two passages.  Its partner is the gap between the other passages of
+    a and b, in either order; a circle of two passages holds both gaps
+    between its passages, and both are partners.  A real crossing is
+    passed once over and once under, so the partner's flanks share a role
+    too, and reading both frames from the other strands keeps them
+    opposite.  A pair is listed once, at the first of its gaps that is
+    tested, as (first gap, second gap).  Tested in order, every gap of
+    every component, the sites come out by the first gap, then by the
+    second."""
+    out: dict[str, list] = {k: [] for k in _DELETION_KINDS}
+    for ci, gs in gaps.items():
+        comp, fr = components[ci], frames[ci]
         L = len(comp)
         if L < 2:
             continue  # a lone passage is not a kink: its partner is elsewhere
-        for g in range(L):
+        for g in gs:
             h = (g + 1) % L
             p, q = comp[g], comp[h]
             a, b = p.crossing, q.crossing
             if a == b:
                 if L > 2 or g == 0:  # a length-2 kink is matched at gap 0 only
-                    kind = "VR1del" if d.crossings[a].virtual else "R1del"
-                    if kind in out:
-                        out[kind].append(((), (ci, g)))
+                    out["VR1del" if crossings[a].virtual else "R1del"].append(((), (ci, g)))
             elif p.role is q.role and fr[g] == -fr[h]:
-                kind = "VR2del" if p.role is _THROUGH else "R2del"
                 (a1, a2), (b1, b2) = index[a], index[b]
                 cx, i = a2 if a1 == (ci, g) else a1
                 cy, j = b2 if b1 == (ci, h) else b1
-                if cx != cy or kind not in out:
+                if cx != cy:
                     continue
+                listed = out["VR2del" if p.role is _THROUGH else "R2del"]
                 lo, hi = (i, j) if i < j else (j, i)
-                if hi - lo == 1 and (cx, lo) > (ci, g):
-                    out[kind].append(((), ((ci, g), (cx, lo))))
+                if hi - lo == 1:
+                    if (cx, lo) > (ci, g):
+                        listed.append(((), ((ci, g), (cx, lo))))
+                    elif lo not in gaps.get(cx, ()):
+                        listed.append(((), ((cx, lo), (ci, g))))
                 # Gap hi runs from the last passage of the circle to the first.
-                if hi - lo == len(components[cx]) - 1 and (cx, hi) > (ci, g):
-                    out[kind].append(((), ((ci, g), (cx, hi))))
-    return {kind: _Group(kind, entries) for kind, entries in out.items()}
+                if hi - lo == len(components[cx]) - 1:
+                    if (cx, hi) > (ci, g):
+                        listed.append(((), ((ci, g), (cx, hi))))
+                    elif hi not in gaps.get(cx, ()):
+                        listed.append(((), ((cx, hi), (ci, g))))
+    return out
 
 
 # -- triangle sites ----------------------------------------------------------
 
 
 def _triangle_sites(d: Diagram, kinds, named) -> dict[str, _Group]:
-    """Triangle sites of the given kinds from one pass over the 3-dart faces
-    of `named`, the face cycles that `faces` gives.  A face is a candidate
-    when its three edges join three distinct crossings.  A 3-dart face never
-    holds both darts of an edge, so its edges are distinct and sorting its
-    darts sorts them.  A slide is only geometric when its three bound edges
-    border a common empty triangle of the embedding; the role and sign
-    patterns alone cannot see strands threaded through the corner vertices.
+    """Triangle sites of the given kinds, read off the entries of every
+    family that `_triangle_entries` lists from the 3-dart faces of `named`,
+    the face cycles that `faces` gives, kept in the diagram's memo (or
+    carried there by `_rewrite`)."""
+    if not kinds:
+        return {}
+    memo = d._memo
+    if "triangles" not in memo:
+        faces3 = [face for face in named if len(face) == 3]
+        memo.setdefault("triangles", _triangle_entries(d.components, d._frames, faces3))
+    entries = memo["triangles"]
+    return {fam: _Group(fam, entries[fam]) for fam in kinds}
+
+
+def _triangle_entries(components, frames, faces3) -> dict[str, list]:
+    """The (variant, locus) entries of every triangle family at the 3-dart
+    faces `faces3`, named as `faces` names them.  A face is a candidate
+    when its three edges join three distinct crossings.  A 3-dart face
+    never holds both darts of an edge, so its edges are distinct and
+    sorting its darts sorts them.  A slide is only geometric when its three
+    bound edges border a common empty triangle of the embedding; the role
+    and sign patterns alone cannot see strands threaded through the corner
+    vertices.
 
     Each face is read once: its bound gaps in edge order, its crossing ids,
     and the pattern that keys `_triangle_table`, whose first match of each
-    family is the site.  Sites are listed by the lowest edge (ci, g), then
-    the edge that shares that edge's first crossing comp[g].crossing, then
-    the third edge.  Two 3-dart faces cannot share all three edges at
-    4-valent crossings, so no edge set is listed twice."""
-    if not kinds:
-        return {}
-    out: dict[str, list] = {k: [] for k in kinds}
-    components, frames, table = d.components, d._frames, _triangle_table()
+    family is the site.  Sites are listed by `_triangle_key`.  Two 3-dart
+    faces cannot share all three edges at 4-valent crossings, so no edge
+    set is listed twice."""
+    out: dict[str, list] = {k: [] for k in _TRIANGLE_KINDS}
+    table = _triangle_table()
     found = []
-    for face in named:
-        if len(face) != 3:
-            continue
+    for face in faces3:
         gaps = []  # (ci, g, p, q, frame at p, frame at q) per bound gap
         for ci, g, _ in sorted(face):
             comp, fr = components[ci], frames[ci]
@@ -537,20 +738,29 @@ def _triangle_sites(d: Diagram, kinds, named) -> dict[str, _Group]:
             ((cids.index(p.crossing), p.role._value_, fp), (cids.index(q.crossing), q.role._value_, fq))
             for _, _, p, q, fp, fq in gaps
         )))
-        if matches is None:
-            continue
-        first, u, v = gaps
-        if first[2].crossing not in (u[2].crossing, u[3].crossing):
-            u, v = v, u
-        found.append(((first[:2], u[:2], v[:2]), tuple(gap[:2] for gap in gaps), matches, cids))
-    found.sort(key=lambda entry: entry[0])
+        if matches is not None:
+            locus = tuple(gap[:2] for gap in gaps)
+            found.append((_triangle_key(components, locus), locus, matches, cids))
+    found.sort(key=itemgetter(0))
     for _, locus, matches, cids in found:
         seen = set()
         for fam, ti, perm in matches:
-            if fam in kinds and fam not in seen:  # later matches are symmetries
+            if fam not in seen:  # later matches are symmetries
                 seen.add(fam)
                 out[fam].append(((ti, tuple(cids[i] for i in perm)), locus))
-    return {fam: _Group(fam, entries) for fam, entries in out.items()}
+    return out
+
+
+def _triangle_key(components, locus):
+    """The order of triangle sites: the lowest bound edge (ci, g), then the
+    edge that shares that edge's first crossing comp[g].crossing, then the
+    third edge."""
+    first, u, v = locus
+    (ci, g), (cu, gu) = first, u
+    comp = components[cu]
+    if components[ci][g].crossing not in (comp[gu].crossing, comp[(gu + 1) % len(comp)].crossing):
+        u, v = v, u
+    return first, u, v
 
 
 def _apply_triangle(d: Diagram, site: MoveSite) -> Diagram:

@@ -14,20 +14,23 @@ station's ports left to right in clockwise order (the reverse of the list
 above), and face tracing applies it unrolled, with a, b in canonical order.
 
 Tracing the orbit that leaves each arrival port through the next port
-clockwise walks a face boundary.  One tracer, `_trace`, follows integer
+clockwise walks a face boundary.  One tracer, `_traced`, follows integer
 darts: the dart on gap g of component ci is 2 * (offset of ci + g), plus 1
 when it runs against the strand, so one flat list holds every successor.  It
 returns the cycles as lists of these integers and a mark per dart naming its
-cycle, and keeps them on the diagram, so a diagram is traced once.  `faces`
-turns each cycle into the public (component, gap, dir) darts.  `genus` only
-counts the cycles.  Of the move-site search of `moves`, only `_Pokes` reads
-the integer trace, to count poke loci from the cycle lengths and marks; the
-triangle stage and the darts of a site are read off `faces`, and no lookup
-from a dart name to its integer remains.  One Euler count over the whole
-4-valent graph, chi = crossings - passages + faces, gives the genus of the
-carrier surface summed over the connected pieces of the graph: pieces -
-chi / 2, since each piece counts 2 - 2g.  Genus 0 means the code is drawable
-in the plane with exactly the recorded virtual crossings.
+cycle.  `_trace` keeps them in the diagram's memo, so a diagram is traced
+once; a rewrite of `moves` that carries triangle sites traces the diagram
+it makes as it makes it.  `faces` turns each cycle into the public
+(component, gap, dir) darts.  `genus` only counts the cycles.  Of the
+move-site search of `moves`, only `_Pokes` and the carry of `_rewrite` read
+the integer trace, `_Pokes` to count poke loci from the cycle lengths and
+marks; the triangle stage and the darts of a site are read off `faces`, and
+no lookup from a dart name to its integer remains.  One Euler count over
+the whole 4-valent graph, chi = crossings - passages + faces, gives the
+genus of the carrier surface summed over the connected pieces of the
+graph: pieces - chi / 2, since each piece counts 2 - 2g.  Genus 0 means
+the code is drawable in the plane with exactly the recorded virtual
+crossings.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import ValidationError, checked
-from .model import _THROUGH, CrossingRecord, Diagram, Passage
+from .model import _THROUGH, CrossingRecord, Diagram, Passage, _tables
 
 # Dart: (component, gap, dir) with dir +1 = travel with the strand orientation
 # (arriving at the in-port of passage gap+1), dir -1 = against it (arriving at
@@ -73,27 +76,35 @@ def _darts(d: Diagram):
 
 def _trace(d: Diagram) -> tuple[list[list[int]], list[int]]:
     """The face cycles of a checked diagram as integer darts, with the face
-    mark of every dart.  Traced on first use and kept on the diagram, so
-    callers only read it.
+    mark of every dart, as `_traced` gives them for its tables.  Traced on
+    first use and kept in the diagram's memo, so callers only read it; a
+    diagram that `moves._rewrite` made may hold it from the start.
 
     Cycles are lists in the order and from the starts that `faces` gives.
     mark[k] is ~c for the cycle c that holds dart k."""
-    memo = d._face_trace
-    if memo:
-        return memo[0]
-    frames = d._frames
+    memo = d._memo
+    if "trace" in memo:
+        return memo["trace"]
+    # One store of a finished trace: another thread sees none or a whole
+    # one, and a thread that traced at the same time keeps the first.
+    return memo.setdefault("trace", _traced(d.components, d._passage_index, d._frames))
+
+
+def _traced(components, index, frames) -> tuple[list[list[int]], list[int]]:
+    """The face cycles and marks of the diagram with these components,
+    passage index and frame table, traced from scratch."""
     # Passage P is offset[ci] + i; prev[P] is 2P' for the passage P' before
     # it on ci.  Leaving P through its out-port is dart 2P, through its
     # in-port 2P' + 1, and arriving at either port is the leaving dart ^ 1.
     offset, prev = [], []
-    for comp in d.components:
+    for comp in components:
         n = len(prev)
         offset.append(n)
         prev += [2 * (n + len(comp) - 1), *range(2 * n, 2 * (n + len(comp) - 1), 2)] if comp else []
     # The dart arriving at a port of `_ccw_ports(a, b, f)` leaves through the
     # port before it, written out for f = +1 and f = -1.
     succ = [0] * (2 * len(prev))
-    for (c1, i1), (c2, i2) in d._passage_index.values():
+    for (c1, i1), (c2, i2) in index.values():
         p, q = offset[c1] + i1, offset[c2] + i2
         a, b, pa, pb = 2 * p, 2 * q, prev[p], prev[q]
         if frames[c1][i1] > 0:
@@ -114,10 +125,7 @@ def _trace(d: Diagram) -> tuple[list[list[int]], list[int]]:
             cycle.append(dart)
             succ[dart], dart = mark, succ[dart]
         cycles.append(cycle)
-    # One append of a finished trace: another thread sees none or a whole
-    # one, and a thread that traced at the same time only adds a spare copy.
-    memo.append((cycles, succ))
-    return memo[0]
+    return cycles, succ
 
 
 def faces(d: Diagram) -> list[tuple[tuple[int, int, int], ...]]:
@@ -181,11 +189,17 @@ def realize(d: Diagram) -> Diagram:
 
 
 def _strip_virtual(d: Diagram) -> Diagram:
-    components = tuple(
-        tuple(p for p in comp if p.role is not _THROUGH) for comp in d.components
-    )
+    """`d` without its virtual crossings, built from its checked tables:
+    each real passage keeps its frame, and the index is swept by
+    `model._tables`, checking no crossing."""
+    components, frames = [], []
+    for comp, row in zip(d.components, d._frames):
+        kept = [k for k, p in enumerate(comp) if p.role is not _THROUGH]
+        components.append(tuple(comp[k] for k in kept))
+        frames.append([row[k] for k in kept])
     crossings = {cid: rec for cid, rec in d.crossings.items() if not rec.virtual}
-    return Diagram(components, crossings)
+    index, _ = _tables(components, crossings, frames, ())
+    return Diagram._made(tuple(components), crossings, index, frames)
 
 
 def _rail_layout(d: Diagram) -> Diagram:

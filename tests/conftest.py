@@ -1,8 +1,39 @@
 import pytest
 from hypothesis import strategies as st
 
+from multivirt import moves
 from multivirt.colorings import ColoringSystem
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings
+from multivirt.planar import _trace, faces
+
+
+def fresh_memo(d: Diagram) -> dict:
+    """Every part of the memo of `d` computed afresh, from scratch, on the
+    equal diagram `Diagram(d.components, d.crossings)`: the face trace, and
+    the entries of every deletion kind and every triangle family."""
+    ref = Diagram(d.components, d.crossings)
+    deletions = moves._deletions(ref, moves._DELETION_KINDS)
+    triangles = moves._triangle_sites(ref, moves._TRIANGLE_KINDS, faces(ref))
+    return {
+        "trace": _trace(ref),
+        "deletions": {kind: group.entries for kind, group in deletions.items()},
+        "triangles": {fam: group.entries for fam, group in triangles.items()},
+    }
+
+
+def assert_memo_matches(d: Diagram) -> None:
+    """Each part of the memo that `d` holds equals the part computed afresh:
+    the cycles, the marks, and the entry lists of each kind, as values and
+    in order."""
+    want = fresh_memo(d)
+    for key, got in d._memo.items():
+        if key == "trace":
+            assert got[0] == want["trace"][0], "face cycles"
+            assert got[1] == want["trace"][1], "face marks"
+        else:
+            assert got.keys() == want[key].keys(), key
+            for kind, entries in got.items():
+                assert entries == want[key][kind], (key, kind)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,18 +45,22 @@ def trusted_builds_match_the_check():
     function-scoped fixtures): each trusted build is also made through the
     public, checked constructor, which must accept it, and a diagram's
     passage index must equal the checked one item for item, key order
-    included, its frame table and its components likewise."""
+    included, its frame table and its components likewise.  A diagram
+    handed a memo (one that `moves._rewrite` carried from its parent) must
+    hold what `fresh_memo` computes, part for part."""
     diagram, segments, system = (
         cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem)
     )
 
-    def made_diagram(cls, components, crossings, index, frames):
-        d = diagram(cls, components, crossings, index, frames)
+    def made_diagram(cls, components, crossings, index, frames, memo=None):
+        d = diagram(cls, components, crossings, index, frames, memo)
         ref = Diagram(components, crossings)
         assert type(d.components) is tuple and all(type(c) is tuple for c in d.components)
         assert d.components == ref.components and type(d.crossings) is _Crossings
         assert list(d._passage_index.items()) == list(ref._passage_index.items())
         assert d._frames == ref._frames
+        if memo:
+            assert_memo_matches(d)
         return d
 
     def made_segments(cls, granularity, of_gap, n_pieces):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JUNK, diagrams
+from conftest import JUNK, assert_memo_matches, diagrams
 from multivirt import catalog, moves
 from multivirt.cli import main
 from multivirt.colorings import ColoringMode, build_system, count_colorings
@@ -629,6 +630,28 @@ def test_walk_matches_the_listing_oracle_on_random_diagrams(d, seed, kinds, size
 def test_walk_matches_the_listing_oracle_on_a_large_multiplex():
     L, _ = multiplex(catalog.diagram("asym3"), 4)
     _assert_walk_matches_oracle(L, 10, 0, size_cap=10**9)
+
+
+@pytest.mark.parametrize("size_cap", WALK_SIZE_CAPS)
+@settings(max_examples=40, deadline=None)
+@given(d=diagrams(max_real=5, max_virtual=4), seed=st.integers(0, 3))
+def test_a_carried_memo_is_the_memo_computed_afresh(size_cap, d, seed):
+    """A walk with every kind, FU included: at every step the rewritten
+    diagram holds its face trace, traced as it is made, and its deletion
+    and triangle entries, carried from its parent's, and each equals the
+    part computed afresh, in order.  The parent's memo is left as it was."""
+    rng = random.Random(seed)
+    cur = d
+    for _ in range(30):
+        sites = find_moves(cur, None, size_cap)
+        if not sites:
+            break
+        before = copy.deepcopy(cur._memo)
+        child = apply_move(cur, sites[rng.randrange(len(sites))])
+        assert cur._memo == before
+        assert set(child._memo) == {"trace", "deletions", "triangles"}
+        assert_memo_matches(child)
+        cur = child
 
 
 @given(diagrams(), st.sets(st.sampled_from(MOVE_KINDS)))

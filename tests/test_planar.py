@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import JUNK, diagrams
 from multivirt import catalog
 from multivirt.constructions import multiplex
 from multivirt.errors import ValidationError
@@ -296,7 +296,7 @@ class TestKeptTrace:
 
         def trace(frame, event, arg):
             if event == "line":
-                sizes.append(len(d._face_trace))
+                sizes.append(len(d._memo))
             return trace
 
         previous = sys.gettrace()
@@ -421,3 +421,13 @@ class TestRealize:
         r = realize(parse_vgc("O1+ O2+ O3+ U1+ U2+ U3+"))
         assert parse_vgc(serialize_vgc(r)) == r
         assert canonical_form(r) == canonical_form(rotate(r, 0, 3))
+
+
+@pytest.mark.parametrize("export", [faces, genus, realize], ids=lambda f: f.__name__)
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+def test_planar_exports_refuse_junk(export, junk):
+    """A diagram is the one argument of each planar export; junk in its
+    place raises ValidationError."""
+    with pytest.raises(ValidationError):
+        export(junk)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -174,6 +175,21 @@ def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_bas
         "verdict: no gain (tree faster in 10 of 10 rounds, medians +0.0100 s apart,"
         " base quartiles 0.0450 s apart)"
     )
+
+
+def test_ab_time_walk_digest_is_the_golden_walk_digest(monkeypatch):
+    """The `--walk asym3:8` op at seed 0, run in this process, digests to
+    the pinned golden walk `asym3 r8 seed0`."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    import multivirt
+
+    (op,) = ab_time.walk_ops(multivirt, "asym3", 8, 0)
+    golden = json.loads((SCRIPT.parents[1] / "tests" / "golden" / "walks_sha256.json").read_text())
+    assert op.digest(multivirt, {}, op.run(multivirt, {})) == golden["asym3 r8 seed0"]
 
 
 def test_suite_collects_without_errors():

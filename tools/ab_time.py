@@ -1,6 +1,7 @@
 """Time a perfbench workload in one process, alternating this tree with a base.
 
-    python tools/ab_time.py --base REV_OR_DIR [--workload walk_fuzz | --multiplex KNOT:R]
+    python tools/ab_time.py --base REV_OR_DIR
+                            [--workload walk_fuzz | --multiplex KNOT:R | --walk KNOT:R]
                             [--seed 0] [--rounds 10] [--smoke]
 
 The base is a git revision of this repository or a directory that holds a
@@ -17,10 +18,16 @@ a repeated call on the same diagram object, so alternating the two makes
 every call a build, on a base without that cache as well.  The multiplex
 interns its passages and records, so every build after the first in a
 process times warm tables; timing a cold build needs a fresh process per
-build.  An op list too short to time against the host's noise is
-repeated within a pass: the count is doubled from 1 until one pass of this
-tree takes at least 0.2 s, printed on the first line, and used on both sides
-in every round, so an op list that already takes 0.2 s runs once per pass.
+build.  With `--walk KNOT:R` the op list is one 20-step walk with every
+move kind, size cap 10**9 and seed `--seed`, from the R-fold multiplex of
+the catalog entry KNOT, digested as `tests/test_golden_walks.py` digests a
+walk: the SHA-256 of the JSON of its trace and final VGC.  The multiplex is
+built as set-up and every pass walks from it, so after the first pass the
+start keeps what its first step traced.  An op list too short to time
+against the host's noise is repeated within a pass: the count is doubled
+from 1 until one pass of this tree takes at least 0.2 s, printed on the
+first line, and used on both sides in every round, so an op list that
+already takes 0.2 s runs once per pass.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least
 and the greatest, one the number of rounds in which this tree was faster,
@@ -104,6 +111,30 @@ def multiplex_ops(knot: str, r: int) -> list[wl.Op]:
     ]
 
 
+WALK_STEPS, WALK_SIZE_CAP = 20, 10**9
+
+
+def walk_ops(mv, knot: str, r: int, seed: int) -> list[wl.Op]:
+    """The op that walks from the r-fold multiplex of catalog entry `knot`,
+    built here as set-up."""
+    start, _ = mv.constructions.multiplex(mv.catalog.diagram(knot), r)
+    return [
+        wl.Op(
+            f"{knot}/r{r}/walk{WALK_STEPS}/seed{seed}",
+            knot,
+            lambda mv, inputs: mv.moves.random_walk(start, WALK_STEPS, seed, None, WALK_SIZE_CAP),
+            lambda mv, inputs, out: walk_digest(mv, *out),
+        )
+    ]
+
+
+def walk_digest(mv, final, trace) -> str:
+    """The SHA-256 of a walk as `tests/test_golden_walks.py` takes it."""
+    return wl.json_sha256(
+        {"trace": [site.to_json() for site in trace], "final": mv.model.serialize_vgc(final)}
+    )
+
+
 def multiplex_spec(text: str) -> tuple[str, int]:
     """KNOT:R as (catalog knot, r >= 2); raises ValueError otherwise."""
     knot, _, r = text.partition(":")
@@ -182,6 +213,10 @@ def main(argv=None) -> int:
         "--multiplex", type=multiplex_spec, metavar="KNOT:R",
         help="time one multiplex of a catalog knot, r >= 2, instead of a workload",
     )
+    what.add_argument(
+        "--walk", type=multiplex_spec, metavar="KNOT:R",
+        help="time a 20-step walk from the multiplex of a catalog knot, r >= 2",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's smoke-size op list")
@@ -195,6 +230,8 @@ def main(argv=None) -> int:
         base = import_base(source.resolve())
         if args.multiplex:
             runs = ab_time(base, lambda mv: multiplex_ops(*args.multiplex), args.rounds)
+        elif args.walk:
+            runs = ab_time(base, lambda mv: walk_ops(mv, *args.walk, args.seed), args.rounds)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
