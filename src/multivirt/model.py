@@ -217,8 +217,9 @@ class Diagram:
         `moves._rewrite`, which checks the crossings of its patch with
         `_tables` and keeps the rest of the parent's tables.  `memo` holds
         the parts of the memo that `moves._rewrite` derived from its
-        parent's; no part it holds is changed after, and a part it lacks is
-        computed from scratch on first use, as for any other diagram."""
+        parent's, in a dict that is never the parent's; no part it holds is
+        changed after, and a part it lacks is computed from scratch on first
+        use, as for any other diagram."""
         memo = {} if memo is None else memo
         return _fill(object.__new__(cls), components, _Crossings(crossings), memo, index, frames)
 

@@ -287,8 +287,9 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     frame row that no write reaches stays shared with `d`.
 
     The deletion and triangle entries that `d`'s memo holds are carried to
-    the child by `_carry`, which tests again only what the patch touched.
-    The tables and the memo go to `Diagram._made`."""
+    the child by `_carry`, which tests again only what the patch touched,
+    in a memo dict of the child's own.  The tables and that memo, or None
+    when `d` holds no entries, go to `Diagram._made`."""
     components, frames, touched = list(d.components), list(d._frames), set(records)
     for (ci, i), new in sorted(edits.items(), reverse=True):
         touched.update(p.crossing for p in components[ci][i : i + 1] + new)
@@ -299,7 +300,8 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
         del crossings[cid]
     index, frames = _tables(components, crossings, frames, touched, d._frames)
     components = tuple(components)
-    memo = d._memo and _carry(d, components, crossings, index, frames, edits)
+    carried = d._memo.keys() & {"deletions", "triangles"}
+    memo = _carry(d, components, crossings, index, frames, edits) if carried else None
     return Diagram._made(components, crossings, index, frames, memo)
 
 

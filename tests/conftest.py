@@ -47,10 +47,12 @@ def trusted_builds_match_the_check():
     passage index must equal the checked one item for item, key order
     included, its frame table and its components likewise.  A diagram
     handed a memo (one that `moves._rewrite` carried from its parent) must
-    hold what `fresh_memo` computes, part for part."""
+    hold what `fresh_memo` computes, part for part, and a diagram that
+    `moves._rewrite` makes never shares its parent's memo dict."""
     diagram, segments, system = (
         cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem)
     )
+    rewrite = moves._rewrite
 
     def made_diagram(cls, components, crossings, index, frames, memo=None):
         d = diagram(cls, components, crossings, index, frames, memo)
@@ -62,6 +64,11 @@ def trusted_builds_match_the_check():
         if memo:
             assert_memo_matches(d)
         return d
+
+    def rewritten(d, edits, records):
+        child = rewrite(d, edits, records)
+        assert child._memo is not d._memo
+        return child
 
     def made_segments(cls, granularity, of_gap, n_pieces):
         segs = segments(cls, granularity, of_gap, n_pieces)
@@ -77,6 +84,7 @@ def trusted_builds_match_the_check():
         mp.setattr(Diagram, "_made", classmethod(made_diagram))
         mp.setattr(Segments, "_made", classmethod(made_segments))
         mp.setattr(ColoringSystem, "_made", classmethod(made_system))
+        mp.setattr(moves, "_rewrite", rewritten)
         yield
 
 

@@ -654,6 +654,20 @@ def test_a_carried_memo_is_the_memo_computed_afresh(size_cap, d, seed):
         cur = child
 
 
+def test_a_child_of_a_diagram_with_an_empty_memo_has_a_memo_of_its_own():
+    """A kink insertion searches no face and no site, so the parent's memo
+    is still empty when it is rewritten; searching the child must not fill
+    the parent's memo, and the parent's faces stay its own."""
+    d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")
+    child = apply_move(d, MoveSite("R1+ins", ("OU", 1), (0, 0)))
+    assert child._memo is not d._memo
+    genus(child)
+    find_moves(child)
+    assert not d._memo
+    assert faces(d) == faces(Diagram(d.components, d.crossings))
+    assert find_moves(d) == find_moves(Diagram(d.components, d.crossings))
+
+
 @given(diagrams(), st.sets(st.sampled_from(MOVE_KINDS)))
 def test_find_moves_is_the_concatenation_of_the_groups(d, kinds):
     sites = find_moves(d, kinds, size_cap=10**9)
