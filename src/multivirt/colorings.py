@@ -365,8 +365,9 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
 
     Exact arbitrary-precision arithmetic throughout; returns the divisor
     chain d_1 | d_2 | ... padded with zeros to min(rows, cols).  Raises
-    BadMatrix when the rows differ in length or an entry is not an integer
-    (ints, bools and numpy integers are; floats and strings are not).
+    BadMatrix when the rows differ in length, the matrix or a row is a
+    string, or an entry is not an integer (ints, bools and numpy integers
+    are; floats and strings are not).
 
     One loop: the smallest nonzero entry moves to (0, 0) and clears its
     column by row operations and its row by column operations.  A remainder
@@ -375,7 +376,10 @@ def smith_normal_form(mat: list[list[int]]) -> SNF:
     the first row and starts over; otherwise |pivot| is the next divisor and
     its row and column drop out."""
     try:
-        m = [list(map(operator.index, r)) for r in mat]
+        rows = list(mat)
+        if isinstance(mat, (str, bytes)) or any(isinstance(r, (str, bytes)) for r in rows):
+            raise TypeError("a string is no sequence of entries")
+        m = [list(map(operator.index, r)) for r in rows]
     except TypeError as exc:
         raise BadMatrix(f"matrix entries must be integers: {exc}") from None
     nc = len(m[0]) if m else 0

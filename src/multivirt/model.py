@@ -31,7 +31,7 @@ Both tokens of one crossing carry the same sign character.
 A diagram is checked once, where it enters the package or is rewritten:
 the public constructor `Diagram(components, crossings)` runs `validate`,
 which raises ValidationError unless every rule of the model holds.
-`parse_vgc`, `relabel`, `rotate` and `planar`'s layouts build through it.
+`parse_vgc`, `relabel` and `planar._rail_layout` build through it.
 The check also gives the two tables that the diagram keeps in plain fields:
 the passage index `_passage_index`, crossing id -> positions (component,
 index) of its passages in canonical order, keyed in order of first
@@ -43,8 +43,9 @@ runs it on every crossing.  A producer that builds a diagram from a
 checked one, and so knows both tables as it writes it, hands them over
 through `Diagram._made`, which keeps them unchecked:
 `constructions.multiplex` writes them as it emits passages, `covering`
-keeps the source's, `extract_component` filters the frames and takes the
-index from `_tables`, checking no crossing, and every move of `moves` runs
+keeps the source's, `extract_component`, `rotate` and
+`planar._strip_virtual` filter or rotate the frames and take the index
+from `_tables`, checking no crossing, and every move of `moves` runs
 `_tables` on the crossings it rewrote and keeps the rest of the parent's
 tables.  Either way the diagram keeps its components as tuples of tuples
 and its crossings as a read-only dict, so nothing can change it
@@ -213,7 +214,8 @@ class Diagram:
         and `index` and `frames` exactly what `validate` would return, the
         index keyed in order of first appearance.  Only a producer that wrote
         all four from a checked diagram may call it: `constructions.multiplex`,
-        `covering` and `extract_component`, whose index `_tables` sweeps, and
+        `covering`, `extract_component`, `rotate` and
+        `planar._strip_virtual`, whose index `_tables` sweeps, and
         `moves._rewrite`, which checks the crossings of its patch with
         `_tables` and keeps the rest of the parent's tables.  `memo` holds
         the parts of the memo that `moves._rewrite` derived from its
@@ -288,8 +290,8 @@ class Diagram:
     def validate(self) -> tuple[dict[int, tuple[tuple[int, int], ...]], list[list[int]]]:
         """Raise ValidationError unless every rule of the model holds:
 
-        - the components are sequences of Passages and the crossing table is
-          a dict;
+        - the components are sequences of Passages, none of them a string,
+          and the crossing table is a dict;
         - every crossing passed has a CrossingRecord filed under its own id;
         - every crossing id is an int >= 1 (not True);
         - every sign is the int +1 or -1 (not True, 1.0 or -1.0);
@@ -306,6 +308,9 @@ class Diagram:
         later call checks again and changes nothing."""
         try:
             comps = self.components
+            # A string is no sequence of passages, not even an empty one.
+            if isinstance(comps, (str, bytes)) or any(isinstance(c, (str, bytes)) for c in comps):
+                raise TypeError
             return _tables(comps, self.crossings, [[0] * len(comp) for comp in comps])
         except (AttributeError, KeyError, TypeError):
             # KeyError: a dict given as a component or as the component list.
@@ -325,7 +330,7 @@ def _tables(components, crossings, frames, cids=None, shared=None):
     for a record that is never passed.  Return the index and `frames`.
     `Diagram.validate` runs it on every crossing, `moves._rewrite` on the
     crossings of its patch, and `constructions.extract_component` on none,
-    for the index alone."""
+    for the index alone, as do `rotate` and `planar._strip_virtual`."""
     sweep: dict[int, list[tuple[int, int]]] = {}
     for ci, comp in enumerate(components):
         for i, p in enumerate(comp):
@@ -449,7 +454,9 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
     Stored signs of virtual crossings with both passages on `ci` are negated
     whenever the rotation swaps which passage comes first.  Raises
     BadComponent unless 0 <= ci < n_components, and ValidationError unless
-    `k` is an integer.
+    `k` is an integer.  The rotated tables are handed to `Diagram._made`:
+    the frame row of `ci` rotates with it, and the index is swept by
+    `_tables`, checking no crossing.
     """
     d = checked(d, Diagram, ValidationError, "diagram")
     ci = checked(ci, int, BadComponent, "component index")
@@ -470,7 +477,11 @@ def rotate(d: Diagram, ci: int, k: int) -> Diagram:
         if rec.virtual and c1 == c2 and p2 >= k:
             crossings[p.crossing] = CrossingRecord(p.crossing, True, -rec.sign)
     components = tuple(comp[k:] + comp[:k] if j == ci else c for j, c in enumerate(d.components))
-    return Diagram(components, crossings)
+    # The frame read from a passage moves with it; the other rows are shared.
+    frames = list(d._frames)
+    frames[ci] = frames[ci][k:] + frames[ci][:k]
+    index, frames = _tables(components, crossings, frames, ())
+    return Diagram._made(components, crossings, index, frames)
 
 
 def relabel(d: Diagram, mapping: Mapping[int, int]) -> Diagram:

@@ -16,23 +16,25 @@ and a `MoveSite` is built only when it is read, so a walk step draws
 uniformly over the counted list that `find_moves` returns, in its order, and
 builds only the site it applies.  A group finds a given site by comparing
 its entry, without building a site.  Kink loci are the gaps, counted per
-component and each built when it is read.  Face sites are read off the named
-face cycles of `faces`, which trace the diagram once.  Poke loci are counted from
-the lengths of the integer cycles of `planar._trace`: a cycle that runs along
-an edge twice (it holds both darts of the edge) is the only one listed, and
-a dart pair is read off the named cycle only when it is read.  A given poke
+component and each built when it is read.  Face sites are read off the
+integer face trace of `planar._trace`, which traces the diagram once; only a
+search that asks for a poke kind has `faces` name its cycles.  Poke loci are
+counted from the lengths of the integer cycles: a cycle that runs along an
+edge twice (it holds both darts of the edge) is the only one listed, and a
+dart pair is read off the named cycle only when it is read.  A given poke
 is found in the one named cycle that holds its first dart, compared by
-equality.  The triangle stage reads each 3-dart face once, its bound gaps,
-crossing ids and pattern together, and looks the pattern up in a table built
-once from the templates and their six labelings, keyed by the pattern of the
-bound triangle with no labeling in it.  One sweep over the gaps lists the
-sites of every deletion kind (R1del, VR1del, R2del, VR2del), testing each
-gap where it sits: a cancelling pair is found at its first gap, and its
-partner gap is read off the passage index.  The site search reads frames
-off the diagram's frame table and compares roles by identity rather than
-hashing them.  Both stages list the entries of every kind of their stage
-and keep them in the diagram's memo, beside the face trace, so a diagram
-is searched once.
+equality.  The triangle stage reads each integer 3-dart cycle once, dart k
+on gap k >> 1 of the component found by bisecting the component offsets:
+its bound gaps, crossing ids and pattern together.  It looks the pattern up
+in a table built once from the templates and their six labelings, keyed by
+the pattern of the bound triangle with no labeling in it.  One sweep over
+the gaps lists the sites of every deletion kind (R1del, VR1del, R2del,
+VR2del), testing each gap where it sits: a cancelling pair is found at its
+first gap, and its partner gap is read off the passage index.  The site
+search reads frames off the diagram's frame table and compares roles by
+identity rather than hashing them.  Both stages list the entries of every
+kind of their stage and keep them in the diagram's memo, beside the face
+trace, so a diagram is searched once.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`: a
 deletion replaces every passage of the crossings it removes by nothing, a
@@ -50,19 +52,20 @@ A rewrite also carries the site entries of the diagram it rewrote, as far
 as its memo holds them, to the diagram it makes (`_carry`).  The splice cuts
 the gaps next to a passage it removes or inside which it places passages,
 and lays the gaps that run to or from a placed passage or join two passages
-that a removal left adjacent (`_Patch`); every other gap is kept, shifted by
-the splice.  An entry that reads only kept gaps is carried with its
-positions shifted.  The triangle stage tests only the 3-dart faces of the
-new diagram that hold a laid dart, on its face trace, which the rewrite
-traces afresh and keeps; the deletion stage tests only the laid gaps, and
-the whole of a component whose length changed from or to 2, where the kink
-rule reads the length.  The results merge by the orders that the stages
-define, so a carried entry list equals the one computed afresh; the tests
-check that on every rewrite.  The stages computed from scratch remain the
-definition for a diagram that no rewrite made.  The face trace itself is
-not carried: its cycles and marks are positional, so carrying them means
-rewriting every dart after the patch, which at walk sizes costs as much as
-tracing afresh.
+that a removal left adjacent (`_Patch`); a component whose length changes
+from or to 2, where the kink rule reads the length, is cut and laid whole.
+Every other gap is kept, shifted by the splice.  Both stages carry by one
+rule: an entry that reads only kept gaps is carried with its positions
+shifted, and the stage's own test runs where the splice laid gaps, the
+deletion stage on the laid gaps and the triangle stage on the 3-dart faces
+of the new diagram that hold a laid dart, on its face trace, which the
+rewrite traces afresh and keeps.  The results merge by the orders that the
+stages define, so a carried entry list equals the one computed afresh; the
+tests check that on every rewrite.  The stages computed from scratch remain
+the definition for a diagram that no rewrite made.  The face trace itself
+is not carried: its cycles and marks are positional, so carrying them
+means rewriting every dart after the patch, which at walk sizes costs as
+much as tracing afresh.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -125,9 +128,7 @@ _VARIANTS = {
 }
 _POKE_KINDS = {"R2ins", "VR2ins"}
 _DELETION_KINDS = {"R1del", "VR1del", "R2del", "VR2del"}
-_KINK_KINDS = {"R1del", "VR1del"}
 _TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
-_FACE_KINDS = {*_POKE_KINDS, *_TRIANGLE_KINDS}
 
 
 def size_cap_from_env() -> int:
@@ -314,13 +315,15 @@ class _Patch:
     either end or places passages inside, and lays a gap of the child that
     runs from or to a passage it placed, or between two passages it kept
     that were not adjacent; `laid` maps each component to the gaps g it
-    lays.  Every other gap joins two passages that the splice keeps,
-    adjacent in both, and its darts turn at both ends as in the parent, so
-    a face that runs along such gaps only is a face of both.  `gap_map`
-    gives the child gap P of each parent gap P, -1 for a cut one; the shift
-    is constant between two edit positions, so the map is monotone.
-    `offset` and `parent_offset` are the child's and the parent's offsets,
-    each with the passage count last."""
+    lays.  A component whose length changes from or to 2 is cut and laid
+    whole, since the kink rule of `_deletion_entries` reads that length.
+    Every other gap joins two passages that the splice keeps, adjacent in
+    both, and its darts turn at both ends as in the parent, so a face that
+    runs along such gaps only is a face of both.  `gap_map` gives the child
+    gap P of each parent gap P, -1 for a cut one; the shift is constant
+    between two edit positions, so the kept gaps map in order.  `offset`
+    and `parent_offset` are the child's and the parent's offsets, each with
+    the passage count last."""
 
     def __init__(self, d: Diagram, components, edits):
         comps = d.components
@@ -345,6 +348,11 @@ class _Patch:
             runs.append((ci, first - 1, first + len(new) - kept))
             start, delta = end, delta + len(new) - (i >= 0)
         gap_map += range(start + delta, poff[-1] + delta)
+        for ci in {ci for ci, _ in edits}:
+            n, m = len(comps[ci]), len(components[ci])
+            if n != m and 2 in (n, m):
+                cut += range(poff[ci], poff[ci + 1])
+                runs.append((ci, 0, m))
         for gap in cut:
             gap_map[gap] = -1
         self.gap_map, self.laid = gap_map, {}
@@ -353,67 +361,46 @@ class _Patch:
             if n:
                 self.laid.setdefault(ci, set()).update([g % n for g in range(a, b)])
 
-    def name(self, k: int) -> tuple[int, int, int]:
-        """The child's dart k as (component, gap, dir), as `faces` names it."""
-        ci = bisect_right(self.offset, k >> 1) - 1
-        return ci, (k >> 1) - self.offset[ci], -1 if k & 1 else 1
+
+# How many gaps the locus of a site of each kind that `_carry` carries reads.
+_LOCUS_GAPS = {"R1del": 1, "VR1del": 1, "R2del": 2, "VR2del": 2}
+_LOCUS_GAPS |= dict.fromkeys(_TRIANGLE_KINDS, 3)
 
 
 def _carry(d: Diagram, components, crossings, index, frames, edits) -> dict:
-    """The child's memo, from the site entries that `d`'s memo holds.  The
-    triangle entries of the faces on kept gaps only are moved, and those of
-    the child's other 3-dart faces, which hold a laid dart, are found by
-    `_triangle_entries` on the child's face trace, traced here and kept
-    too.  The deletion entries on kept gaps only are moved, and those at a
-    laid gap are found by `_deletion_entries` testing the laid gaps; a
-    component whose length changed from or to 2, where the kink rule reads
-    the length, is tested anew whole.  Each list merges by the order its
-    stage defines.  No list of `d`'s memo is changed."""
-    parent, memo = d._memo, {}
+    """The child's memo, from the site entries that `d`'s memo holds.  Both
+    stages carry by one rule over the gaps that `_Patch` keeps and lays:
+    the entries on kept gaps only are moved by `_kept_entries` and merged,
+    by the order the stage defines, with those that the stage's own test
+    finds at the laid gaps.  The deletion stage tests the laid gaps with
+    `_deletion_entries`; the triangle stage tests the child's 3-dart faces
+    that hold a laid dart, found by the marks of the child's face trace,
+    with `_triangle_entries`, and keeps that trace.  No list of `d`'s memo
+    is changed."""
+    parent, memo, stages = d._memo, {}, {}
     patch = _Patch(d, components, edits)
-    poff, offset = patch.parent_offset, patch.offset
+    laid, offset, poff = patch.laid, patch.offset, patch.parent_offset
     if "triangles" in parent:
         cycles, marks = memo["trace"] = _traced(components, index, frames)
-        # The faces through a laid gap, by the marks of its two darts.
-        laid = {
-            ~marks[2 * (offset[ci] + g) + s]
-            for ci, gaps in patch.laid.items()
-            for g in gaps
-            for s in (0, 1)
-        }
-        faces3 = [list(map(patch.name, cycles[c])) for c in laid if len(cycles[c]) == 3]
-        found = _triangle_entries(components, frames, faces3) if faces3 else {}
-
-        def key(entry):
-            return _triangle_key(components, entry[1])
-
-        memo["triangles"] = {
-            fam: _merged(
-                _kept_entries(listed, patch.gap_map, poff, offset, 3), found.get(fam), key
-            )
-            for fam, listed in parent["triangles"].items()
-        }
+        darts = [2 * (offset[ci] + g) + s for ci in laid for g in laid[ci] for s in (0, 1)]
+        faces3 = [cycles[c] for c in {~marks[k] for k in darts} if len(cycles[c]) == 3]
+        stages["triangles"] = (
+            _triangle_entries(components, frames, offset, faces3),
+            lambda entry: _triangle_key(components, entry[1]),
+        )
     if "deletions" in parent:
-        gap_map, tested = patch.gap_map, patch.laid
-        resized = [
-            ci
-            for ci in {ci for ci, _ in edits}
-            if len(d.components[ci]) != len(components[ci])
-            and 2 in (len(d.components[ci]), len(components[ci]))
-        ]
-        if resized:
-            gap_map, tested = gap_map[:], dict(tested)
-            for ci in resized:
-                gap_map[poff[ci] : poff[ci + 1]] = [-1] * (poff[ci + 1] - poff[ci])
-                tested[ci] = range(len(components[ci]))
-        found = _deletion_entries(components, crossings, index, frames, tested)
-        memo["deletions"] = {
+        stages["deletions"] = (
+            _deletion_entries(components, crossings, index, frames, laid),
+            itemgetter(1),
+        )
+    for stage, (found, key) in stages.items():
+        memo[stage] = {
             kind: _merged(
-                _kept_entries(listed, gap_map, poff, offset, 1 if kind in _KINK_KINDS else 2),
+                _kept_entries(listed, patch.gap_map, poff, offset, _LOCUS_GAPS[kind]),
                 found[kind],
-                itemgetter(1),
+                key,
             )
-            for kind, listed in parent["deletions"].items()
+            for kind, listed in parent[stage].items()
         }
     return memo
 
@@ -693,26 +680,29 @@ def _deletion_entries(components, crossings, index, frames, gaps) -> dict[str, l
 # -- triangle sites ----------------------------------------------------------
 
 
-def _triangle_sites(d: Diagram, kinds, named) -> dict[str, _Group]:
+def _triangle_sites(d: Diagram, kinds) -> dict[str, _Group]:
     """Triangle sites of the given kinds, read off the entries of every
-    family that `_triangle_entries` lists from the 3-dart faces of `named`,
-    the face cycles that `faces` gives, kept in the diagram's memo (or
-    carried there by `_rewrite`)."""
+    family that `_triangle_entries` lists from the 3-dart cycles of the
+    diagram's integer face trace, kept in the diagram's memo (or carried
+    there by `_rewrite`)."""
     if not kinds:
         return {}
     memo = d._memo
     if "triangles" not in memo:
-        faces3 = [face for face in named if len(face) == 3]
-        memo.setdefault("triangles", _triangle_entries(d.components, d._frames, faces3))
+        offset = [0, *accumulate(map(len, d.components))]
+        faces3 = [cycle for cycle in _trace(d)[0] if len(cycle) == 3]
+        memo.setdefault("triangles", _triangle_entries(d.components, d._frames, offset, faces3))
     entries = memo["triangles"]
     return {fam: _Group(fam, entries[fam]) for fam in kinds}
 
 
-def _triangle_entries(components, frames, faces3) -> dict[str, list]:
+def _triangle_entries(components, frames, offset, faces3) -> dict[str, list]:
     """The (variant, locus) entries of every triangle family at the 3-dart
-    faces `faces3`, named as `faces` names them.  A face is a candidate
-    when its three edges join three distinct crossings.  A 3-dart face
-    never holds both darts of an edge, so its edges are distinct and
+    faces `faces3`, integer cycles of `planar._traced`: dart k lies on gap
+    P = k >> 1, of the last component ci whose offset (`offset`, the
+    passage count last) is at most P, at g = P - offset[ci].  A face is a
+    candidate when its three edges join three distinct crossings.  A 3-dart
+    face never holds both darts of an edge, so its edges are distinct and
     sorting its darts sorts them.  A slide is only geometric when its three
     bound edges border a common empty triangle of the embedding; the role
     and sign patterns alone cannot see strands threaded through the corner
@@ -728,8 +718,9 @@ def _triangle_entries(components, frames, faces3) -> dict[str, list]:
     found = []
     for face in faces3:
         gaps = []  # (ci, g, p, q, frame at p, frame at q) per bound gap
-        for ci, g, _ in sorted(face):
-            comp, fr = components[ci], frames[ci]
+        for k in sorted(face):
+            ci = bisect_right(offset, k >> 1) - 1
+            comp, fr, g = components[ci], frames[ci], (k >> 1) - offset[ci]
             h = (g + 1) % len(comp)
             gaps.append((ci, g, comp[g], comp[h], fr[g], fr[h]))
         cids = sorted({c for gap in gaps for c in (gap[2].crossing, gap[3].crossing)})
@@ -829,13 +820,13 @@ class _Gaps(_Counted):
         return self.ends[ci] + range(self.ends[ci + 1] - self.ends[ci]).index(g)
 
 
-def _insertions(d: Diagram, kinds, named) -> dict[str, _Insertions]:
+def _insertions(d: Diagram, kinds) -> dict[str, _Insertions]:
     """Insertion sites of the given kinds: every variant at every gap for a
     kink (an empty component has one gap) and at every poke candidate of the
-    face cycles `named` for a poke, the gaps counted per component and the
-    candidates per cycle."""
+    face cycles that `faces` names for a poke, the gaps counted per
+    component and the candidates per cycle."""
     gaps = _Gaps(d) if kinds - _POKE_KINDS else ()
-    pokes = _Pokes(_trace(d), named) if kinds & _POKE_KINDS else ()
+    pokes = _Pokes(_trace(d), faces(d)) if kinds & _POKE_KINDS else ()
     return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
 
 
@@ -852,14 +843,14 @@ _REWRITES = {
 def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     """The sites of the given kinds as one group per kind, in MOVE_KINDS
     order: the one definition of a site, shared by find_moves and apply_move.
-    Faces are traced at most once (`faces` keeps the integer trace on the
-    diagram), and the gaps are swept once for all deletion kinds.  No group
-    builds a site before it is read."""
-    named = faces(d) if kinds & _FACE_KINDS else None
+    Faces are traced at most once (`planar._trace` keeps the integer trace
+    on the diagram) and named by `faces` only for a poke kind, and the gaps
+    are swept once for all deletion kinds.  No group builds a site before
+    it is read."""
     by_kind = {
-        **_insertions(d, kinds & _VARIANTS.keys(), named),
+        **_insertions(d, kinds & _VARIANTS.keys()),
         **_deletions(d, kinds & _DELETION_KINDS),
-        **_triangle_sites(d, kinds & _TRIANGLE_KINDS, named),
+        **_triangle_sites(d, kinds & _TRIANGLE_KINDS),
     }
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 

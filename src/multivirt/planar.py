@@ -21,10 +21,11 @@ returns the cycles as lists of these integers and a mark per dart naming its
 cycle.  `_trace` keeps them in the diagram's memo, so a diagram is traced
 once; a rewrite of `moves` that carries triangle sites traces the diagram
 it makes as it makes it.  `faces` turns each cycle into the public
-(component, gap, dir) darts.  `genus` only counts the cycles.  Of the
-move-site search of `moves`, only `_Pokes` and the carry of `_rewrite` read
-the integer trace, `_Pokes` to count poke loci from the cycle lengths and
-marks; the triangle stage and the darts of a site are read off `faces`, and
+(component, gap, dir) darts.  `genus` only counts the cycles.  The
+move-site search of `moves` reads the integer trace: the triangle stage,
+fresh or carried, decodes the darts of each 3-dart cycle itself, and
+`_Pokes` counts poke loci from the cycle lengths and marks.  Only a poke
+search names the faces, to read the darts of a poke site off `faces`, and
 no lookup from a dart name to its integer remains.  One Euler count over
 the whole 4-valent graph, chi = crossings - passages + faces, gives the
 genus of the carrier surface summed over the connected pieces of the

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from multivirt import moves
 from multivirt.colorings import ColoringSystem
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings
-from multivirt.planar import _trace, faces
+from multivirt.planar import _trace
 
 
 def fresh_memo(d: Diagram) -> dict:
@@ -13,7 +13,7 @@ def fresh_memo(d: Diagram) -> dict:
     the entries of every deletion kind and every triangle family."""
     ref = Diagram(d.components, d.crossings)
     deletions = moves._deletions(ref, moves._DELETION_KINDS)
-    triangles = moves._triangle_sites(ref, moves._TRIANGLE_KINDS, faces(ref))
+    triangles = moves._triangle_sites(ref, moves._TRIANGLE_KINDS)
     return {
         "trace": _trace(ref),
         "deletions": {kind: group.entries for kind, group in deletions.items()},

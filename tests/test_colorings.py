@@ -865,7 +865,8 @@ def _count_checked(segs: Segments) -> Segments:
 def _hostile_calls():
     """Per argument slot of a coloring export: a call that puts the junk in
     that slot of an otherwise valid call on the trefoil (or its 2-fold
-    multiplex, mod 3), and the valid values of that slot that junk may equal."""
+    multiplex, mod 3, or a matrix of one or two rows), and the valid values
+    of that slot that junk may equal."""
     d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")
     l2, prov = multiplex(d, 2)
     vsys = build_system(d, ColoringMode.VIRTUAL_FOX)
@@ -925,6 +926,12 @@ def _hostile_calls():
         "enumerate_colorings-system": (lambda x: enumerate_colorings(x, 3), ()),
         "enumerate_colorings-modulus": (lambda x: enumerate_colorings(vsys, x), counts),
         "enumerate_colorings-limit": (lambda x: enumerate_colorings(vsys, 3, x), range(-100, 100)),
+        "smith_normal_form-matrix": (smith_normal_form, [[]]),
+        "smith_normal_form-row": (
+            lambda x: smith_normal_form([x, [0, 1]]),
+            [[a, b] for a in range(3) for b in range(3)],
+        ),
+        "smith_normal_form-entry": (lambda x: smith_normal_form([[x, 1]]), range(-5, 41)),
     }
 
 

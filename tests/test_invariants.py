@@ -1,14 +1,16 @@
 import json
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import JUNK, diagrams
 from multivirt import catalog
 from multivirt.errors import (
     BadComponent,
     MixedCrossing,
+    MultivirtError,
     NotAKnot,
     NotReal,
     UnknownCrossing,
@@ -333,3 +335,49 @@ def test_matches_oracle_on_walk_states(name):
         for site in trace:
             cur = apply_move(cur, site)
             _assert_matches_oracle(cur)
+
+
+@cache
+def _invariant_calls():
+    """One call per argument slot of the invariants exports, junk going into
+    that slot, and the valid values of the slot that junk may equal: the
+    real self-crossings of a knot with a virtual crossing for a crossing
+    id, and both components of a link for a component number."""
+    k, link = catalog.diagram("vtrefoil"), catalog.diagram("vhopf")
+    real = [cid for cid, rec in k.crossings.items() if not rec.virtual]
+    return {
+        "writhe-diagram": (writhe, ()),
+        "crossing_indices-diagram": (lambda x: crossing_indices(x, real[0]), ()),
+        "crossing_indices-crossing": (lambda x: crossing_indices(k, x), real),
+        "specified_path-diagram": (lambda x: specified_path(x, real[0]), ()),
+        "specified_path-crossing": (lambda x: specified_path(k, x), real),
+        "n_writhes-diagram": (n_writhes, ()),
+        "ith_n_writhes-diagram": (lambda x: ith_n_writhes(x, 1), ()),
+        "ith_n_writhes-component": (lambda x: ith_n_writhes(link, x), (1, 2)),
+        "invariant_report-diagram": (invariant_report, ()),
+        "linking_and_lambda-diagram": (linking_and_lambda, ()),
+        "WritheTable-entries": (lambda x: WritheTable(x, 0), ()),
+        "WritheTable-value": (lambda x: WritheTable({1: x}, 0), range(-5, 41)),
+        "WritheTable-j0": (lambda x: WritheTable({}, x), range(-5, 41)),
+    }
+
+
+@pytest.mark.parametrize("slot", list(_invariant_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+@example(junk=True)
+@example(junk=1.0)
+@example(junk=[])
+def test_invariant_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
+    """Junk in any argument slot of an invariants export raises a
+    MultivirtError or gives what the valid value that it equals gives: a
+    crossing id of 1.0 names crossing 1, and a component number of True
+    names component 1."""
+    call, valid = _invariant_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert got == call(equal[0])

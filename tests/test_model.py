@@ -3,18 +3,20 @@ import dataclasses
 import itertools
 import pickle
 from collections import namedtuple
+from functools import cache
 from operator import attrgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import JUNK, diagrams
 import multivirt
 from multivirt import catalog
 from multivirt.constructions import covering, extract_component, multiplex
 from multivirt.errors import (
     BadComponent,
+    MultivirtError,
     NotReal,
     ParseError,
     UnknownCrossing,
@@ -820,3 +822,60 @@ _DIAGRAM_FIRST = [
 def test_non_diagram_rejected(name, args, value):
     with pytest.raises(ValidationError, match="diagram"):
         attrgetter(name)(multivirt)(value, *args)
+
+
+# The texts of at most two characters that parse: one empty circle, padded
+# by one character that `str.strip` drops.
+_CIRCLE_TEXTS = [
+    text for c in map(chr, range(0x110000)) if c.isspace() for text in (c + ".", "." + c)
+] + ["."]
+
+
+@cache
+def _model_calls():
+    """One call per argument slot of the model exports, junk going into
+    that slot, and the valid values of the slot that junk may equal.  The
+    diagram is a knot beside a virtual circle, so both components of
+    `rotate` hold passages; `segments` and `Segments` are covered among the
+    coloring exports."""
+    d = parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+ ; V4+ V4+")
+    kink = (Passage(1, Role.OVER), Passage(1, Role.UNDER))
+    ids = {1: 1, 2: 2, 3: 3, 4: 4}
+    return {
+        "Diagram-components": (lambda x: Diagram(x, {}), [(), []]),
+        "Diagram-component": (
+            lambda x: Diagram((kink, x), {1: CrossingRecord(1, False, 1)}), [(), []]
+        ),
+        "Diagram-crossings": (lambda x: Diagram(d.components, x), ()),
+        "parse_vgc-text": (parse_vgc, _CIRCLE_TEXTS),
+        "serialize_vgc-diagram": (serialize_vgc, ()),
+        "rotate-diagram": (lambda x: rotate(x, 0, 1), ()),
+        "rotate-component": (lambda x: rotate(d, x, 1), range(2)),
+        "rotate-step": (lambda x: rotate(d, 0, x), range(-5, 41)),
+        "canonical_form-diagram": (canonical_form, ()),
+        "relabel-diagram": (lambda x: relabel(x, ids), ()),
+        "relabel-mapping": (lambda x: relabel(d, x), ()),
+        "relabel-id": (lambda x: relabel(d, {**ids, 1: x}), [1, *range(5, 41)]),
+    }
+
+
+@pytest.mark.parametrize("slot", list(_model_calls()))
+@settings(max_examples=40, deadline=None)
+@given(junk=JUNK)
+@example(junk="")
+@example(junk=[])
+@example(junk=True)
+@example(junk=1.0)
+def test_model_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
+    """Junk in any argument slot of a model export raises a MultivirtError
+    or gives what the valid value that it equals gives: an empty list of
+    components, or an empty list as a component, is a sequence like any
+    other, and a step of True rotates by 1."""
+    call, valid = _model_calls()[slot]
+    try:
+        got = call(junk)
+    except MultivirtError:
+        return
+    equal = [v for v in valid if v == junk]
+    assert equal, f"{slot} accepted {junk!r}"
+    assert got == call(equal[0])

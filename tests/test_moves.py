@@ -668,6 +668,27 @@ def test_a_child_of_a_diagram_with_an_empty_memo_has_a_memo_of_its_own():
     assert find_moves(d) == find_moves(Diagram(d.components, d.crossings))
 
 
+@pytest.mark.parametrize("name, r", [*((name, 1) for name in catalog.names()), ("asym3", 2)])
+def test_a_search_without_poke_kinds_names_no_face(name, r, monkeypatch):
+    """Only a poke reads named face cycles.  With `faces` refusing every
+    call, a search for every other kind, the rewrite of each listed
+    triangle and deletion site, and a walk that never falls below its size
+    cap all run on the integer face trace alone, on each catalog entry and
+    the 2-fold multiplex of asym3."""
+    d = catalog.diagram(name) if r == 1 else multiplex(catalog.diagram(name), r)[0]
+    d = Diagram(d.components, d.crossings)  # an empty memo: every stage runs afresh
+
+    def refuse(d):
+        raise AssertionError("a search without a poke kind named the faces")
+
+    monkeypatch.setattr(moves, "faces", refuse)
+    kinds = set(MOVE_KINDS) - {"R2ins", "VR2ins"}
+    for site in find_moves(d, kinds, size_cap=10**9):
+        if site.kind in moves._DELETION_KINDS | moves._TRIANGLE_KINDS:
+            apply_move(d, site)
+    random_walk(d, 20, 0, size_cap=0)
+
+
 @given(diagrams(), st.sets(st.sampled_from(MOVE_KINDS)))
 def test_find_moves_is_the_concatenation_of_the_groups(d, kinds):
     sites = find_moves(d, kinds, size_cap=10**9)

@@ -423,7 +423,10 @@ class TestRealize:
         assert canonical_form(r) == canonical_form(rotate(r, 0, 3))
 
 
-@pytest.mark.parametrize("export", [faces, genus, realize], ids=lambda f: f.__name__)
+_PLANAR_EXPORTS = (faces, genus, realize)
+
+
+@pytest.mark.parametrize("export", _PLANAR_EXPORTS, ids=lambda f: f.__name__)
 @settings(max_examples=40, deadline=None)
 @given(junk=JUNK)
 def test_planar_exports_refuse_junk(export, junk):
