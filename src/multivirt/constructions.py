@@ -21,6 +21,13 @@ and the two passages of a virtual output crossing are one shared `Passage`,
 shared across builds too.  Both classes are frozen, so sharing is not
 observable.  `covering` takes its virtualized crossings' values from there.
 
+The build emits only the link: `Provenance.crossing_map` is read off the slot
+tables on first use.  A slot's index k gives (a, b) = divmod(k, r), and its
+first-visit passage gives the kind: a passage that is not THROUGH is a
+diagonal, a row a >= r is a shift slot, and a `None` slot is a shift slot
+that no copy takes.  Until a caller reads the map, it costs one reference to
+the tables.
+
 `multiplex` keeps its last build in a one-slot cache, `_LAST`, so that a
 caller that asks for the same multiplex several times in a row, as `verify`
 does with its three per-r checks, builds it once.  A call hits the slot after
@@ -28,12 +35,13 @@ every argument check, the size limit and the abstract-genus warning, so it
 raises and warns as a build would, when its source is the very `Diagram`
 object of the kept build (a `Diagram` cannot change) and its r is equal; it
 returns the kept link, whose tables every hit shares, and a new `Provenance`
-with copies of the kept maps.  A miss empties the slot before it emits, so
-the old build can be freed while the new one is made, and keeps the new
-build only when it has fewer crossings than `model._INTERN_BOUND`, read at
-each call: a huge build is never pinned.  The slot is one tuple replaced in
-a single store, so threads that share it never read a torn entry; a race
-between them can only cost a spare build.
+with copies of the kept edge and component maps and a fresh, unfilled
+crossing map over the kept slot tables.  A miss empties the slot before it
+emits, so the old build can be freed while the new one is made, and keeps
+the new build only when it has fewer crossings than `model._INTERN_BOUND`,
+read at each call: a huge build is never pinned.  The slot is one tuple
+replaced in a single store, so threads that share it never read a torn
+entry; a race between them can only cost a spare build.
 
 The braid orientation is a single global bit: at a virtual tile the bundle
 that the other bundle crosses left to right shifts its copies one step, the
@@ -46,6 +54,7 @@ flip that congruence to j - i.
 from __future__ import annotations
 
 import warnings
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 
 from . import model
@@ -62,8 +71,60 @@ MAX_PASSAGES = 10**6
 
 # The last build that `multiplex` kept: one tuple (source, r, link,
 # provenance), replaced in a single store, or None.  Its provenance is never
-# handed out, only copies of it.
+# handed out, only copies of it, so its crossing map is never filled.
 _LAST = None
+
+
+class _CrossingMap(MutableMapping):
+    """The crossing map of one build, read off its slot tables (source
+    crossing id -> the first-visit passage of each slot, or None) on first
+    use.  The first read fills a plain dict in id order, and every read,
+    comparison, print, pickle and change goes to that dict."""
+
+    __slots__ = ("_r", "_tables", "_map")
+
+    def __init__(self, r: int, tables: dict[int, list]):
+        self._r, self._tables, self._map = r, tables, None
+
+    def _filled(self) -> dict[int, tuple]:
+        if self._map is None:
+            r, keys = self._r, {}
+            for c, slots in self._tables.items():
+                for k, op in enumerate(slots):
+                    if op is not None:
+                        a, b = divmod(k, r)
+                        keys[op.crossing] = ("diag", c, a + 1) if op.role is not _THROUGH else (
+                            ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
+            self._map = dict(sorted(keys.items()))
+        return self._map
+
+    def fresh(self) -> _CrossingMap:
+        """An unfilled view over the same tables."""
+        return _CrossingMap(self._r, self._tables)
+
+    def __getitem__(self, cid):
+        return self._filled()[cid]
+
+    def __setitem__(self, cid, value):
+        self._filled()[cid] = value
+
+    def __delitem__(self, cid):
+        del self._filled()[cid]
+
+    def __iter__(self):
+        return iter(self._filled())
+
+    def __len__(self):
+        return len(self._filled())
+
+    def __repr__(self):
+        return repr(self._filled())
+
+    def __reduce__(self):
+        return dict, (self._filled(),)
+
+    def clear(self):  # MutableMapping's pops one entry at a time
+        self._filled().clear()
 
 
 @dataclass(frozen=True)
@@ -71,14 +132,17 @@ class Provenance:
     """Where every crossing and edge of a multiplexed diagram came from.
 
     crossing_map: output crossing id -> ("diag", source id, copy)
-                  | ("off", source id, a, b) | ("shift", source id, bundle, p)
+                  | ("off", source id, a, b) | ("shift", source id, bundle, p);
+                  a plain dict, or in a `multiplex` result a mapping that
+                  reads it off the build's slot tables on first use and then
+                  acts as that dict
     edge_map:     (source edge index, copy position) -> (component, gap index)
                   with gap None for a crossing-free circle
     component_map: output component (1-based) -> copy position at the basepoint
     """
 
     r: int
-    crossing_map: dict[int, tuple]
+    crossing_map: MutableMapping[int, tuple]
     edge_map: dict[tuple[int, int], tuple[int, int | None]]
     component_map: dict[int, int]
 
@@ -131,7 +195,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     Raises TooLarge when the link would have more than MAX_PASSAGES passages,
     or a crossing-free source more than MAX_PASSAGES circles.  A repeated
     call on the same diagram object and r returns the kept link of the last
-    call and a copy of its provenance (see the module docstring)."""
+    call and a fresh provenance (see the module docstring)."""
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
@@ -158,13 +222,14 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     _LAST = last = None
 
     crossings: dict[int, CrossingRecord] = {}
-    crossing_map: dict[int, tuple] = {}
+    nid = 1  # the next crossing id
     # The slots of a source crossing, in one table of rows of r: grid slot
     # (a, b) at (a - 1) * r + b - 1, then for a virtual crossing shift slot
     # (bundle, q) at (r + bundle - 1) * r + q - 1.  A slot holds the output
     # passage emitted at its first visit.  Passages are emitted in canonical
     # order, so that visit fixes the id and the record: the frame read there,
-    # or the source sign for a diagonal crossing.
+    # or the source sign for a diagonal crossing.  The tables are kept as the
+    # crossing map of the provenance.
     tables = {c: [None] * (rr + 2 * r if rec.virtual else rr) for c, rec in d.crossings.items()}
     grid = [divmod(k, r) for k in range(rr + 2 * r)]  # slot index -> (row, column)
     # The tables that `validate` would sweep, written as passages are emitted:
@@ -175,7 +240,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
     for ell in range(1, r + 1):
         cur = ell
-        trace, frame = [], []
+        trace, frame, pos = [], [], 0  # pos: the next position on the circle
         # A passage rides bundle 1 when it is the over passage of a real
         # crossing or the first passage of a virtual one, that is when the
         # frame f read from it is the stored sign.  It meets the other
@@ -205,28 +270,29 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                 for k in ks:
                     op = slots[k]
                     if op is None:
-                        cid = len(crossings) + 1
+                        cid, nid = nid, nid + 1
                         a, b = grid[k]
                         diag = a == b and not rec.virtual
                         crossings[cid] = _record(cid, not diag, rec.sign if diag else sign)
-                        crossing_map[cid] = ("diag", c, a + 1) if diag else (
-                            ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
                         op = slots[k] = _passage(cid, p.role if diag else _THROUGH)
-                        index[cid] = (ell - 1, len(trace))
+                        index[cid] = (ell - 1, pos)
                     else:
-                        index[op.crossing] = (index[op.crossing], (ell - 1, len(trace)))
+                        index[op.crossing] = (index[op.crossing], (ell - 1, pos))
                         if op.role is not _THROUGH:
                             op = _passage(op.crossing, p.role)  # a diagonal's other passage
                     trace.append(op)
-                frame += [sign] * (len(trace) - len(frame))
-            edge_map[(t, cur)] = (ell - 1, len(trace) - 1)
+                    pos += 1
+                frame += [sign] * (pos - len(frame))
+            edge_map[(t, cur)] = (ell - 1, pos - 1)
         if m == 0:
             edge_map[(0, ell)] = (ell - 1, None)
         assert cur == ell, "bundle shifts around the circle must cancel"
         out_components.append(tuple(trace))
         out_frames.append(frame)
 
-    prov = Provenance(r, crossing_map, edge_map, component_map={i: i for i in range(1, r + 1)})
+    prov = Provenance(
+        r, _CrossingMap(r, tables), edge_map, component_map={i: i for i in range(1, r + 1)}
+    )
     out = Diagram._made(tuple(out_components), crossings, index, out_frames)
     if len(crossings) < model._INTERN_BOUND:
         _LAST = (d, r, out, prov)
@@ -234,8 +300,10 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
 
 
 def _copied(prov: Provenance) -> Provenance:
+    """A provenance for a caller: copies of the kept edge and component maps,
+    and an unfilled crossing map over the kept tables."""
     return Provenance(
-        prov.r, dict(prov.crossing_map), dict(prov.edge_map), dict(prov.component_map)
+        prov.r, prov.crossing_map.fresh(), dict(prov.edge_map), dict(prov.component_map)
     )
 
 

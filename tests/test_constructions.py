@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import sys
 import threading
 import warnings
@@ -300,6 +303,45 @@ class TestLastBuild:
             prov.crossing_map.clear()
             prov.edge_map[(99, 1)] = (0, 0)
             prov.component_map[1] = 2
+
+    def test_pickle_and_deepcopy_round_trips_equal_the_oracle(self):
+        d = catalog.diagram("asym3")
+        want = _multiplex_oracle(d, 3)[1]
+        for round_trip in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
+            got = round_trip(multiplex(d, 3)[1])
+            assert got == want
+            assert list(got.crossing_map.items()) == list(want.crossing_map.items())
+
+    def test_a_provenance_and_the_oracles_are_equal_both_ways(self):
+        d = catalog.diagram("vtrefoil")
+        want = _multiplex_oracle(d, 3)[1]
+        prov = multiplex(d, 3)[1]
+        assert prov == want and want == prov
+        prov = multiplex(d, 3)[1]
+        assert prov.crossing_map == want.crossing_map and want.crossing_map == prov.crossing_map
+        prov.crossing_map[1] = ("diag", 0, 0)
+        assert prov != want and want != prov
+
+    def test_a_provenance_prints_as_it_does_with_a_plain_dict(self):
+        d = catalog.diagram("asym3")
+        prov = multiplex(d, 2)[1]
+        text = repr(prov)
+        assert text == repr(dataclasses.replace(prov, crossing_map=dict(prov.crossing_map)))
+        assert text == repr(_multiplex_oracle(d, 2)[1])
+
+    def test_two_provenances_of_one_kept_build_change_independently(self):
+        d = catalog.diagram("asym3")
+        want = _multiplex_oracle(d, 2)[1]
+        (link, first), (again, second) = multiplex(d, 2), multiplex(d, 2)
+        assert again is link
+        first.crossing_map.clear()
+        assert first.crossing_map == {} and len(first.crossing_map) == 0
+        assert second == want
+        assert multiplex(d, 2)[1] == want
+        del second.crossing_map[1]
+        second.crossing_map[0] = ("diag", 0, 0)
+        assert 1 not in second.crossing_map and second.crossing_map.get(0) == ("diag", 0, 0)
+        assert first.crossing_map == {} and multiplex(d, 2)[1] == want
 
     def test_an_abstract_source_warns_on_every_call(self):
         d = parse_vgc("O1+ O2+ U1+ U2+")
@@ -635,6 +677,42 @@ def _assert_same_multiplex(d: Diagram, r: int) -> None:
         piece, want_piece = extract_component(got, i), _extract_oracle(want, i)
         assert piece.components == want_piece.components
         assert piece.crossings == want_piece.crossings
+
+
+class TestCrossingMapOnFirstUse:
+    """The build emits only the link; its crossing map is read off the slot
+    tables when a caller first reads it."""
+
+    def test_a_build_and_a_repeat_call_hand_out_unfilled_maps(self):
+        d = parse_vgc(catalog.CATALOG["asym3"].code)
+        prov = multiplex(d, 3)[1]
+        assert isinstance(prov.crossing_map, constructions._CrossingMap)
+        assert prov.crossing_map._map is None
+        len(prov.crossing_map)
+        assert multiplex(d, 3)[1].crossing_map._map is None
+
+    def test_verify_fills_no_crossing_map(self, monkeypatch):
+        fills, filled = [], constructions._CrossingMap._filled
+
+        def counted(cmap):
+            if cmap._map is None:
+                fills.append(cmap)
+            return filled(cmap)
+
+        monkeypatch.setattr(constructions._CrossingMap, "_filled", counted)
+        assert verify_theorems(r_range=range(2, 13)).ok
+        assert fills == []
+        len(multiplex(catalog.diagram("trefoil"), 2)[1].crossing_map)
+        assert len(fills) == 1
+
+    @pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_a_read_map_census_and_json_equal_the_oracles(self, name, r):
+        d = catalog.diagram(name)
+        prov, want = multiplex(d, r)[1], _multiplex_oracle(d, r)[1]
+        assert list(prov.crossing_map.items()) == list(want.crossing_map.items())
+        assert list(prov.tile_census().items()) == list(want.tile_census().items())
+        assert prov.to_json() == want.to_json()
 
 
 class TestAgainstTheOracles:

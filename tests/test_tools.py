@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import re
@@ -152,6 +153,44 @@ def test_ab_time_refuses_a_multiplex_that_is_not_a_catalog_knot_and_r_of_2_or_mo
     )
     assert out.returncode == 2 and out.stdout == ""
     assert "argument --multiplex" in out.stderr
+
+
+def test_ab_time_pairs_one_verify_op_against_the_trees_own_source():
+    src = SCRIPT.parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, str(AB_TIME), "--base", str(src), "--verify", "trefoil", "--rounds", "2"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert re.fullmatch(
+        r"repetitions per pass: \d+ \(one pass of the tree takes at least 0\.2 s\)", out[0]
+    )
+    assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
+    assert out[7].startswith("verdict: ")
+    assert len(out) == 8
+
+
+@pytest.mark.parametrize("spec", ["vhopf", "nope", "trefoil:2", ""])
+def test_ab_time_refuses_a_verify_op_that_is_not_a_catalog_knot(spec):
+    out = subprocess.run(
+        [sys.executable, str(AB_TIME), "--base", "HEAD", "--verify", spec],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert "argument --verify" in out.stderr
+
+
+def test_ab_time_verify_digest_is_the_report_json_digest(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    import multivirt
+
+    (op,) = ab_time.verify_ops("trefoil")
+    report = multivirt.verify_theorems(names=["trefoil"], r_range=range(2, 13), n_range=range(2, 10))
+    text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+    assert op.digest(multivirt, {}, op.run(multivirt, {})) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_base_spread(

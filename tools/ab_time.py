@@ -1,7 +1,8 @@
 """Time a perfbench workload in one process, alternating this tree with a base.
 
     python tools/ab_time.py --base REV_OR_DIR
-                            [--workload walk_fuzz | --multiplex KNOT:R | --walk KNOT:R]
+                            [--workload walk_fuzz | --multiplex KNOT:R | --walk KNOT:R
+                             | --verify KNOT]
                             [--seed 0] [--rounds 10] [--smoke]
 
 The base is a git revision of this repository or a directory that holds a
@@ -23,10 +24,12 @@ move kind, size cap 10**9 and seed `--seed`, from the R-fold multiplex of
 the catalog entry KNOT, digested as `tests/test_golden_walks.py` digests a
 walk: the SHA-256 of the JSON of its trace and final VGC.  The multiplex is
 built as set-up and every pass walks from it, so after the first pass the
-start keeps what its first step traced.  An op list too short to time
-against the host's noise is repeated within a pass: the count is doubled
-from 1 until one pass of this tree takes at least 0.2 s, printed on the
-first line, and used on both sides in every round, so an op list that
+start keeps what its first step traced.  With `--verify KNOT` the op list is
+one verify_ladder op, `verify_theorems(names=[KNOT])` at the workload's r and
+moduli, digested by the SHA-256 of the report's JSON.  An op list too short
+to time against the host's noise is repeated within a pass: the count is
+doubled from 1 until one pass of this tree takes at least 0.2 s, printed on
+the first line, and used on both sides in every round, so an op list that
 already takes 0.2 s runs once per pass.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least
@@ -135,12 +138,33 @@ def walk_digest(mv, final, trace) -> str:
     )
 
 
+def verify_ops(knot: str) -> list[wl.Op]:
+    """The op that runs verify_ladder's checks on catalog entry `knot`."""
+    return [
+        wl.Op(
+            f"{knot}/verify",
+            knot,
+            lambda mv, inputs: mv.verify.verify_theorems(
+                names=[knot], r_range=wl.VERIFY_R, n_range=wl.MODULI
+            ),
+            lambda mv, inputs, report: wl.json_sha256(report.to_json()),
+        )
+    ]
+
+
+def knot_spec(text: str) -> str:
+    """A catalog knot; raises ValueError otherwise."""
+    if text not in multivirt.catalog.KNOT_NAMES:
+        raise ValueError(text)
+    return text
+
+
 def multiplex_spec(text: str) -> tuple[str, int]:
     """KNOT:R as (catalog knot, r >= 2); raises ValueError otherwise."""
     knot, _, r = text.partition(":")
-    if knot not in multivirt.catalog.KNOT_NAMES or int(r) < 2:
+    if int(r) < 2:
         raise ValueError(text)
-    return knot, int(r)
+    return knot_spec(knot), int(r)
 
 
 def calibrate(side) -> int:
@@ -217,6 +241,10 @@ def main(argv=None) -> int:
         "--walk", type=multiplex_spec, metavar="KNOT:R",
         help="time a 20-step walk from the multiplex of a catalog knot, r >= 2",
     )
+    what.add_argument(
+        "--verify", type=knot_spec, metavar="KNOT",
+        help="time verify_ladder's op on one catalog knot",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's smoke-size op list")
@@ -232,6 +260,8 @@ def main(argv=None) -> int:
             runs = ab_time(base, lambda mv: multiplex_ops(*args.multiplex), args.rounds)
         elif args.walk:
             runs = ab_time(base, lambda mv: walk_ops(mv, *args.walk, args.seed), args.rounds)
+        elif args.verify:
+            runs = ab_time(base, lambda mv: verify_ops(args.verify), args.rounds)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
