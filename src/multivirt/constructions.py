@@ -15,11 +15,13 @@ Each output crossing is made once, at its first passage, in a slot looked up
 by an integer index in a table per source crossing (its r^2 grid slots, then
 its shift slots).  Its passages and its record come from `model._passage`
 and `model._record`, which intern every value whose crossing id is below
-`model._INTERN_BOUND` (2**14): every multiplex after the first reuses the
-values of the ids it shares with earlier builds instead of allocating them,
-and the two passages of a virtual output crossing are one shared `Passage`,
-shared across builds too.  Both classes are frozen, so sharing is not
-observable.  `covering` takes its virtualized crossings' values from there.
+`model._INTERN_BOUND` (2**14); the values of a virtual one are first
+looked up in the intern tables inline, which saves two calls per crossing.
+Every multiplex after the first reuses the values of the ids it shares
+with earlier builds instead of allocating them, and the two passages of a
+virtual output crossing are one shared `Passage`, shared across builds too.
+Both classes are frozen, so sharing is not observable.  `covering` takes
+its virtualized crossings' values from there.
 
 The build emits only the link: `Provenance.crossing_map` is read off the slot
 tables on first use.  A slot's index k gives (a, b) = divmod(k, r), and its
@@ -232,6 +234,9 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     # crossing map of the provenance.
     tables = {c: [None] * (rr + 2 * r if rec.virtual else rr) for c, rec in d.crossings.items()}
     grid = [divmod(k, r) for k in range(rr + 2 * r)]  # slot index -> (row, column)
+    # The intern tables of virtual values, read inline: most output crossings
+    # are virtual, and a warm build finds each of them there.
+    vpassages, vrecs = model._PASSAGES[_THROUGH._value_], model._RECORDS[True]
     # The tables that `validate` would sweep, written as passages are emitted:
     # a crossing's first position when its slot is made, so that the index
     # is keyed in id order, which is first-appearance order, and its second
@@ -272,9 +277,13 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                     if op is None:
                         cid, nid = nid, nid + 1
                         a, b = grid[k]
-                        diag = a == b and not rec.virtual
-                        crossings[cid] = _record(cid, not diag, rec.sign if diag else sign)
-                        op = slots[k] = _passage(cid, p.role if diag else _THROUGH)
+                        if a == b and not rec.virtual:
+                            crossings[cid] = _record(cid, False, rec.sign)
+                            op = _passage(cid, p.role)
+                        else:
+                            crossings[cid] = vrecs[sign].get(cid) or _record(cid, True, sign)
+                            op = vpassages.get(cid) or _passage(cid, _THROUGH)
+                        slots[k] = op
                         index[cid] = (ell - 1, pos)
                     else:
                         index[op.crossing] = (index[op.crossing], (ell - 1, pos))
@@ -341,9 +350,11 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     ci, pos = i - 1, d._passage_index
     comp, frames = [], []
     for p, f in zip(d.components[ci], d._frames[ci]):
-        # A crossing lies on the component when both of its passages do; they
-        # keep their order, so each keeps the frame read from it.
-        if pos[p.crossing][0][0] == ci == pos[p.crossing][1][0]:
+        # A crossing lies on the component when both of its passages lie on
+        # one component, since p lies on this one; they keep their order, so
+        # each keeps the frame read from it.
+        (c1, _), (c2, _) = pos[p.crossing]
+        if c1 == c2:
             comp.append(p)
             frames.append(f)
     comps, crossings = (tuple(comp),), {p.crossing: d.crossings[p.crossing] for p in comp}

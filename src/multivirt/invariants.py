@@ -13,7 +13,7 @@ every real self-crossing.  No such constraint holds for abstract (positive
 genus) codes, which are accepted everywhere here.
 
 Every other fact comes from one sweep of the real crossings in id order,
-`_sweep`, which costs O(crossings) after sorting the ids.  It gives the
+`_sweep`, which costs O(crossings) after sorting the real ids.  It gives the
 linking matrix, from which lambda is read, and the real self-crossings of
 each component, whose indices fill the writhe tables.
 """
@@ -147,15 +147,13 @@ def _sweep(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
     r = d.n_components()
     lk = [[0] * r for _ in range(r)]
     own: list[list[int]] = [[] for _ in range(r)]
-    for cid in sorted(d.crossings):
-        rec = d.crossings[cid]
-        if rec.virtual:
-            continue
+    crossings = d.crossings
+    for cid in sorted([c for c, rec in crossings.items() if not rec.virtual]):
         (co, _), (cu, _) = d.real_positions(cid)
         if co == cu:
             own[co].append(cid)
         else:
-            lk[co][cu] += rec.sign
+            lk[co][cu] += crossings[cid].sign
     return lk, own
 
 

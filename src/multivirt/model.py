@@ -520,11 +520,12 @@ def canonical_form(d: Diagram) -> str:
     dropped at the first token that differs: every token ends in its sign, so
     no token is a prefix of another and the first differing token orders the
     strings.  Rotations that differ by a period of the component's
-    rotation-equivariant code (per passage: role, frame read from it, and the
-    offset to its partner) read alike, so only rotations below the least
+    rotation-equivariant code read alike, so only rotations below the least
     period, found with a KMP failure function, are read; this is the least
     circular shift idea of Booth (1980) applied to labels assigned while
-    reading.  A component that passes a crossing once is linked to another
+    reading.  The code is shared: `_code` writes it (per passage: role,
+    printed sign, and the offset to its partner), and `verify` matches knots
+    by it.  A component that passes a crossing once is linked to another
     one, and no rotation below L maps that passage to one of the same
     crossing, so its period is L and none is sought.
 
@@ -569,11 +570,7 @@ def canonical_form(d: Diagram) -> str:
                 del live[c]
         period = L
         if all(c1 == c2 for (c1, _), (c2, _) in spots):
-            code = [
-                (roles[i], frames[i], ((p2 if i == p1 else p1) - i) % L)
-                for i, ((_, p1), (_, p2)) in enumerate(spots)
-            ]
-            period = _least_period(code)
+            period = _least_period(_code(d, ci))
         roles, cids, frames = roles * 2, cids * 2, frames * 2
 
         def read(labels: dict[int, str], k: int, new: dict[int, str]):
@@ -624,6 +621,35 @@ def canonical_form(d: Diagram) -> str:
             merged.setdefault(tuple(tails.values()), tails)
         ties = list(merged.values())
     return " ; ".join(parts)
+
+
+# A passage's role letter and the sign it is printed with, keyed by its role
+# and the frame read from it: a real crossing prints the frame read from its
+# over passage, a virtual one the frame read from the passage itself.
+_PRINTED = {
+    (role, f): role._value_ + ("+" if (f > 0) != (role is _UNDER) else "-")
+    for role in Role
+    for f in (1, -1)
+}
+
+
+def _code(d: Diagram, ci: int = 0) -> list[str]:
+    """The rotation-equivariant code of component `ci`, whose crossings all
+    lie on it: per passage, its role, the sign it is printed with and the
+    offset to the other passage of its crossing, ended by ",".  The code of a
+    rotation is the rotated code, and the canonical string of a rotation is
+    a function of its code that determines the code back.  So two knot
+    diagrams have equal canonical forms exactly when their codes are
+    rotations of each other: when one joined code occurs in the other joined
+    code written twice, and the two have equal lengths, since a role letter
+    begins each token and occurs nowhere else in it."""
+    comp, index = d.components[ci], d._passage_index
+    L = len(comp)
+    code = []
+    for i, (p, f) in enumerate(zip(comp, d._frames[ci])):
+        (_, p1), (_, p2) = index[p.crossing]
+        code.append(f"{_PRINTED[p.role, f]}{(p1 + p2 - 2 * i) % L},")
+    return code
 
 
 def _least_period(seq: list) -> int:

@@ -6,6 +6,10 @@ tie.  It is the definition of the canonical form, so the fast function must
 return exactly its string.  `_token_oracle` spells the same definition on
 plain token tuples, with no diagram built per rotation; it is pinned to the
 first oracle here and checks the thousands of random-walk states.
+
+On one-component diagrams, `canonical_form` is also the oracle of the
+passage code that `verify` matches knots by: a code must be a rotation of
+another exactly when the two canonical forms are equal.
 """
 
 import random
@@ -16,8 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import diagrams
 from multivirt import catalog
-from multivirt.constructions import covering, multiplex
+from multivirt.constructions import covering, extract_component, multiplex
 from multivirt.model import (
+    CrossingRecord,
+    Diagram,
+    Passage,
+    Role,
+    _code,
     canonical_form,
     parse_vgc,
     relabel,
@@ -201,3 +210,74 @@ def test_large_inputs_are_invariant_under_rotation_and_relabeling(name):
     rnd = random.Random(7)
     for _ in range(3):
         assert canonical_form(_scramble(d, rnd)) == want
+
+
+# -- the passage code of a knot -----------------------------------------------
+
+
+def _code_match(a, b):
+    """Whether the code of knot `b` is a rotation of the code of knot `a`,
+    tested as `verify._components` tests it."""
+    x, y = "".join(_code(a)), "".join(_code(b))
+    return len(x) == len(y) and (x + x).find(y) >= 0
+
+
+def _near_misses(d):
+    """Every knot one edit away from knot `d`: one crossing's sign flipped,
+    one real crossing's over and under passages swapped, or one virtual
+    crossing made real, its first passage over."""
+    (comp,) = d.components
+    for cid, rec in d.crossings.items():
+        flipped = {**d.crossings, cid: CrossingRecord(cid, rec.virtual, -rec.sign)}
+        yield Diagram(d.components, flipped)
+        if rec.virtual:
+            roles = iter((Role.OVER, Role.UNDER))
+            real = {**d.crossings, cid: CrossingRecord(cid, False, rec.sign)}
+        else:
+            swap = {Role.OVER: Role.UNDER, Role.UNDER: Role.OVER}
+            roles = (swap[p.role] for p in comp if p.crossing == cid)
+            real = d.crossings
+        edited = tuple(Passage(cid, next(roles)) if p.crossing == cid else p for p in comp)
+        yield Diagram((edited,), real)
+
+
+def _assert_code_matches_canonical_form(d, rnd):
+    """A scrambled copy of knot `d` matches it, and each near miss, scrambled
+    as well, matches it exactly when the canonical forms are equal."""
+    want = canonical_form(d)
+    assert _code_match(d, _scramble(d, rnd))
+    for miss in _near_misses(d):
+        miss = _scramble(miss, rnd)
+        assert _code_match(d, miss) == (canonical_form(miss) == want), serialize_vgc(miss)
+
+
+@settings(max_examples=300)
+@given(diagrams(max_real=6, max_virtual=6, max_components=1), st.randoms(use_true_random=False))
+@example(parse_vgc("."), random.Random(0))
+@example(parse_vgc("V1+ V1+"), random.Random(0))
+@example(parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+"), random.Random(0))
+def test_code_match_agrees_with_canonical_form_on_random_knots(d, rnd):
+    _assert_code_matches_canonical_form(d, rnd)
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+def test_code_match_agrees_with_canonical_form_on_extracted_components(name):
+    d = catalog.diagram(name)
+    rnd = random.Random(3)
+    for r in range(2, 9):
+        L, _ = multiplex(d, r)
+        cover = covering(d, r)
+        for i in range(1, r + 1):
+            comp = extract_component(L, i)
+            assert _code_match(cover, comp), (r, i)
+            _assert_code_matches_canonical_form(comp, rnd)
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+def test_code_match_agrees_with_canonical_form_on_walk_states(name):
+    rnd = random.Random(5)
+    cur = catalog.diagram(name)
+    _, trace = random_walk(cur, 20, 0)
+    for site in trace:
+        cur = apply_move(cur, site)
+        _assert_code_matches_canonical_form(cur, rnd)

@@ -15,10 +15,10 @@ from multivirt.colorings import (
     enumerate_colorings,
     pairing_map,
 )
-from multivirt.constructions import multiplex
+from multivirt.constructions import extract_component, multiplex
 from multivirt.errors import BadModulus, BadR, MultivirtError, ValidationError
 from multivirt.invariants import WritheTable, linking_and_lambda, n_writhes
-from multivirt.model import CrossingRecord, Diagram, Passage, Role, parse_vgc
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, parse_vgc, rotate
 from multivirt.verify import THEOREMS, verify_theorems
 
 
@@ -188,6 +188,33 @@ class TestFailureDetails:
             ("vtrefoil", "components", 2, False, "component 1 differs from the covering"),
             ("vtrefoil", "components", 3, False, "component 1 differs from the covering"),
         ]
+
+    def test_one_flipped_sign_on_component_2_breaks_components(self, monkeypatch):
+        def flipped(L, i):
+            comp = extract_component(L, i)
+            if i != 2:
+                return comp
+            cid, rec = next(iter(comp.crossings.items()))
+            crossings = {**comp.crossings, cid: CrossingRecord(cid, rec.virtual, -rec.sign)}
+            return Diagram(comp.components, crossings)
+
+        monkeypatch.setattr(verify, "extract_component", flipped)
+        names = [name for name in catalog.KNOT_NAMES if catalog.diagram(name).crossings]
+        rep = verify_theorems(names=names, r_range=(2, 3, 5), theorems={"components"})
+        assert _results(rep) == [
+            (name, "components", r, False, "component 2 differs from the covering")
+            for name in names
+            for r in (2, 3, 5)
+        ]
+
+    def test_a_rotated_component_2_still_passes_components(self, monkeypatch):
+        def rotated(L, i):
+            comp = extract_component(L, i)
+            return rotate(comp, 0, len(comp.components[0]) // 2 + 1) if i == 2 else comp
+
+        monkeypatch.setattr(verify, "extract_component", rotated)
+        rep = verify_theorems(r_range=(2, 3, 5), theorems={"components"})
+        assert rep.ok and len(rep.results) == 3 * len(catalog.KNOT_NAMES)
 
     @pytest.mark.parametrize(
         "modes, detail",
