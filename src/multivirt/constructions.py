@@ -21,7 +21,16 @@ Every multiplex after the first reuses the values of the ids it shares
 with earlier builds instead of allocating them, and the two passages of a
 virtual output crossing are one shared `Passage`, shared across builds too.
 Both classes are frozen, so sharing is not observable.  `covering` takes
-its virtualized crossings' values from there.
+its virtualized crossings' values from there.  The ids of the diagonal
+crossings, the link's real ones, are listed as they are made, in id order,
+and handed to `Diagram._made` with the tables: the link's memo holds them
+from the start, so its invariants and `n_real` never scan its virtual
+crossings.
+
+`covering` reads the index of each real crossing off the memoized prefix
+sums of `invariants._indices`, and `extract_component` reads what it keeps
+off one memoized sweep of the passage index (`_own`), so the r extractions
+of one link read its index once.
 
 The build emits only the link: `Provenance.crossing_map` is read off the slot
 tables on first use.  A slot's index k gives (a, b) = divmod(k, r), and its
@@ -61,8 +70,8 @@ from dataclasses import dataclass
 
 from . import model
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
-from .invariants import crossing_indices
-from .model import _THROUGH, Diagram, _passage, _record, _tables
+from .invariants import _indices
+from .model import _THROUGH, Diagram, _passage, _record
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -242,6 +251,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     # is keyed in id order, which is first-appearance order, and its second
     # at the second visit; the frame of a passage is the frame of its run.
     out_components, out_frames, index = [], [], {}
+    real = []  # the diagonal crossings of the real tiles, in id order
     edge_map: dict[tuple[int, int], tuple[int, int | None]] = {}
     for ell in range(1, r + 1):
         cur = ell
@@ -280,6 +290,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
                         if a == b and not rec.virtual:
                             crossings[cid] = _record(cid, False, rec.sign)
                             op = _passage(cid, p.role)
+                            real.append(cid)
                         else:
                             crossings[cid] = vrecs[sign].get(cid) or _record(cid, True, sign)
                             op = vpassages.get(cid) or _passage(cid, _THROUGH)
@@ -302,7 +313,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     prov = Provenance(
         r, _CrossingMap(r, tables), edge_map, component_map={i: i for i in range(1, r + 1)}
     )
-    out = Diagram._made(tuple(out_components), crossings, index, out_frames)
+    out = Diagram._made(tuple(out_components), crossings, index, out_frames, {"real": real})
     if len(crossings) < model._INTERN_BOUND:
         _LAST = (d, r, out, prov)
     return out, _copied(prov)
@@ -325,9 +336,7 @@ def covering(d: Diagram, r: int) -> Diagram:
     r = _fold(r, 1)
     if r == 1:
         return d
-    to_virtualize = [
-        c for c, rec in d.crossings.items() if not rec.virtual and crossing_indices(d, c).ind % r
-    ]
+    to_virtualize = [c for c, n in _indices(d).items() if n % r]
     if not to_virtualize:
         return d
     crossings = dict(d.crossings)
@@ -347,16 +356,32 @@ def extract_component(d: Diagram, i: int) -> Diagram:
     i = checked(i, int, BadComponent, "component index")
     if not 1 <= i <= d.n_components():
         raise BadComponent(f"component {i} of {d.n_components()}")
-    ci, pos = i - 1, d._passage_index
-    comp, frames = [], []
-    for p, f in zip(d.components[ci], d._frames[ci]):
-        # A crossing lies on the component when both of its passages lie on
-        # one component, since p lies on this one; they keep their order, so
-        # each keeps the frame read from it.
-        (c1, _), (c2, _) = pos[p.crossing]
+    kept, spots = _own(d)[i - 1]
+    # The kept crossings keep their order, so each keeps the frame read from it.
+    comp, frames = d.components[i - 1], d._frames[i - 1]
+    comps = (tuple([comp[k] for k in kept]),)
+    index = {cid: ((0, a), (0, b)) for cid, a, b in spots}
+    crossings = {cid: d.crossings[cid] for cid in index}
+    return Diagram._made(comps, crossings, index, [[frames[k] for k in kept]])
+
+
+def _own(d: Diagram) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """Per component of `d`, what `extract_component` keeps of it: the
+    positions of the passages whose crossing lies entirely on it, in order,
+    and each such crossing with the positions of its passages among them,
+    in order of first appearance.  One sweep of the passage index, kept in
+    the memo, so that the r extractions of an r-component link read it
+    once."""
+    memo = d._memo
+    if "own" in memo:
+        return memo["own"]
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in d.components]
+    for cid, ((c1, i1), (c2, i2)) in d._passage_index.items():
         if c1 == c2:
-            comp.append(p)
-            frames.append(f)
-    comps, crossings = (tuple(comp),), {p.crossing: d.crossings[p.crossing] for p in comp}
-    index, _ = _tables(comps, crossings, [frames], ())
-    return Diagram._made(comps, crossings, index, [frames])
+            rows[c1].append((cid, i1, i2))
+    own = []
+    for row in rows:
+        kept = sorted([i for _, i1, i2 in row for i in (i1, i2)])
+        at = {k: n for n, k in enumerate(kept)}
+        own.append((kept, [(cid, at[i1], at[i2]) for cid, i1, i2 in row]))
+    return memo.setdefault("own", own)

@@ -12,10 +12,21 @@ On genus-0 diagrams the real and virtual counts cancel: ind + ind_v = 0 for
 every real self-crossing.  No such constraint holds for abstract (positive
 genus) codes, which are accepted everywhere here.
 
-Every other fact comes from one sweep of the real crossings in id order,
-`_sweep`, which costs O(crossings) after sorting the real ids.  It gives the
-linking matrix, from which lambda is read, and the real self-crossings of
-each component, whose indices fill the writhe tables.
+Cost.  `crossing_indices` walks the path, O(passages) per crossing, and
+stays the oracle.  Every other fact reads the sorted ids of the real
+crossings, which the diagram keeps in its memo (`model._real`: handed over
+by `constructions.multiplex`, made by one scan of the crossing table on
+first use otherwise), and from there costs O(R log R) for R real
+crossings, whatever the number of virtual ones:
+- `_indices` gives the `ind` of every real self-crossing from prefix sums
+  of the frames read from the real passages of each component, in order
+  along it, built once per diagram and kept in its memo; the sum along a
+  path is the difference of two of them, plus the component's total when
+  the path wraps past its end.  `constructions.covering` reads it too.
+- `_sweep`, one pass over the real crossings in id order, gives the linking
+  matrix, from which lambda is read, and the real self-crossings of each
+  component, whose indices fill the writhe tables.
+`index_defect` still walks each path for `ind_v`.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadComponent, MixedCrossing, NotAKnot, ValidationError, checked
-from .model import Diagram, Passage
+from .model import _OVER, Diagram, Passage, _real
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,8 @@ def crossing_indices(d: Diagram, cid: int) -> IndexPair:
 
 def writhe(d: Diagram) -> int:
     d = checked(d, Diagram, ValidationError, "diagram")
-    return sum(rec.sign for rec in d.crossings.values() if not rec.virtual)
+    crossings = d.crossings
+    return sum([crossings[cid].sign for cid in _real(d)])
 
 
 def _sweep(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
@@ -147,26 +159,64 @@ def _sweep(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
     r = d.n_components()
     lk = [[0] * r for _ in range(r)]
     own: list[list[int]] = [[] for _ in range(r)]
-    crossings = d.crossings
-    for cid in sorted([c for c, rec in crossings.items() if not rec.virtual]):
-        (co, _), (cu, _) = d.real_positions(cid)
-        if co == cu:
-            own[co].append(cid)
+    index = d._passage_index
+    for cid in _real(d):
+        (c1, _), (c2, _) = index[cid]
+        if c1 == c2:
+            own[c1].append(cid)
         else:
-            lk[co][cu] += crossings[cid].sign
+            (co, _), (cu, _) = d.real_positions(cid)
+            lk[co][cu] += d.crossings[cid].sign
     return lk, own
+
+
+def _indices(d: Diagram) -> dict[int, int]:
+    """The `ind` of every real self-crossing of `d`, keyed in id order and
+    kept in its memo: the sum of minus the frames read from the real
+    passages strictly between its over and its under passage, which
+    `crossing_indices` counts along the path, read off prefix sums."""
+    memo = d._memo
+    if "ind" in memo:
+        return memo["ind"]
+    real, index, comps, frames = _real(d), d._passage_index, d.components, d._frames
+    # The real passages of each component, in order along it.
+    rows: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for cid in real:
+        for pos in index[cid]:
+            rows[pos[0]].append(pos)
+    # Per real passage, the sum of the frames read from those before it.
+    before: dict[tuple[int, int], int] = {}
+    total = []
+    for ci, row in enumerate(rows):
+        row.sort()
+        s, f = 0, frames[ci]
+        for pos in row:
+            before[pos] = s
+            s += f[pos[1]]
+        total.append(s)
+    ind = {}
+    for cid in real:
+        a, b = index[cid]
+        if a[0] == b[0]:
+            o, u = (a, b) if comps[a[0]][a[1]].role is _OVER else (b, a)
+            # The over passage reads the stored sign; a path that runs past
+            # the end of the component takes in the rest of it.
+            s = before[u] - before[o] - d.crossings[cid].sign
+            ind[cid] = -(s + total[o[0]] if u[1] < o[1] else s)
+    return memo.setdefault("ind", ind)
 
 
 def _lam(lk: list[list[int]]) -> tuple[int, ...]:
     """lambda_i = sum_j (lk[j][i] - lk[i][j]); the diagonal of lk is zero."""
-    return tuple(sum(row[i] for row in lk) - sum(lk[i]) for i in range(len(lk)))
+    return tuple(sum(col) - sum(row) for col, row in zip(zip(*lk), lk))
 
 
 def _writhe_table(d: Diagram, cids: list[int]) -> WritheTable:
     entries: dict[int, int] = {}
     j0 = 0
+    ind = _indices(d)
     for cid in cids:
-        n = crossing_indices(d, cid).ind
+        n = ind[cid]
         s = d.crossings[cid].sign
         if n == 0:
             j0 += s

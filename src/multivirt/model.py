@@ -43,22 +43,24 @@ runs it on every crossing.  A producer that builds a diagram from a
 checked one, and so knows both tables as it writes it, hands them over
 through `Diagram._made`, which keeps them unchecked:
 `constructions.multiplex` writes them as it emits passages, `covering`
-keeps the source's, `extract_component`, `rotate` and
-`planar._strip_virtual` filter or rotate the frames and take the index
-from `_tables`, checking no crossing, and every move of `moves` runs
-`_tables` on the crossings it rewrote and keeps the rest of the parent's
-tables.  Either way the diagram keeps its components as tuples of tuples
-and its crossings as a read-only dict, so nothing can change it
-afterwards.  `positions_of`,
+keeps the source's, `extract_component` reads both off one memoized sweep
+of its source's index, `rotate` and `planar._strip_virtual` rotate or
+filter the frames and take the index from `_tables`, checking no
+crossing, and every move of `moves` runs `_tables` on the crossings it
+rewrote and keeps the rest of the parent's tables.  Either way the diagram
+keeps its components as tuples of tuples and its crossings as a read-only
+dict, so nothing can change it afterwards.  `positions_of`,
 `real_positions`, `frame` and every module that needs to know where a
 crossing sits or which frame it reads use the tables; they are read, never
 written, outside their producer.  A third field, the memo, keeps what the
-face and site searches derive once: the integer face trace of
-`planar._trace` and the deletion and triangle entries of `moves`.  Each
-part is computed on first use and never changed after; a diagram that
+searches and invariants derive once: the sorted ids of the real crossings
+(`_real`), the integer face trace of `planar._trace`, the deletion and
+triangle entries of `moves`, the crossing indices of `invariants` and the
+passages that `constructions.extract_component` keeps.  Each part is
+computed on first use and never changed after; a diagram that
 `moves._rewrite` made is handed the site entries it carried from its
-parent's memo, with its face trace, by `_made`, before anyone else can see
-it.
+parent's memo, with its face trace, and one that `constructions.multiplex`
+made its real crossings, by `_made`, before anyone else can see it.
 
 `Passage` and `CrossingRecord` are frozen slotted dataclasses.  The values
 that a producer emits are interned: `_passage(cid, role)` and
@@ -190,9 +192,12 @@ class Diagram:
 
     components: tuple[tuple[Passage, ...], ...]
     crossings: Mapping[int, CrossingRecord]
-    # What the face and site searches derived once: the integer face trace
-    # of `planar._trace` under "trace", and the entries of `moves`' deletion
-    # and triangle stages under "deletions" and "triangles".
+    # What the searches and invariants derived once: the sorted real
+    # crossing ids under "real", the integer face trace of `planar._trace`
+    # under "trace", the entries of `moves`' deletion and triangle stages
+    # under "deletions" and "triangles", the index of each real
+    # self-crossing under "ind" (`invariants._indices`), and the passages
+    # that `extract_component` keeps of each component under "own".
     _memo: dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
     # The passage index, keyed in order of first appearance, and the frame
     # table that `validate` sweeps or a producer hands to `_made`.  A plain
@@ -214,14 +219,15 @@ class Diagram:
         and `index` and `frames` exactly what `validate` would return, the
         index keyed in order of first appearance.  Only a producer that wrote
         all four from a checked diagram may call it: `constructions.multiplex`,
-        `covering`, `extract_component`, `rotate` and
-        `planar._strip_virtual`, whose index `_tables` sweeps, and
+        `covering` and `extract_component`; `rotate` and
+        `planar._strip_virtual`, whose index `_tables` sweeps; and
         `moves._rewrite`, which checks the crossings of its patch with
         `_tables` and keeps the rest of the parent's tables.  `memo` holds
         the parts of the memo that `moves._rewrite` derived from its
-        parent's, in a dict that is never the parent's; no part it holds is
-        changed after, and a part it lacks is computed from scratch on first
-        use, as for any other diagram."""
+        parent's, in a dict that is never the parent's, or the real
+        crossings that `constructions.multiplex` emitted; no part it holds
+        is changed after, and a part it lacks is computed from scratch on
+        first use, as for any other diagram."""
         memo = {} if memo is None else memo
         return _fill(object.__new__(cls), components, _Crossings(crossings), memo, index, frames)
 
@@ -231,10 +237,10 @@ class Diagram:
         return len(self.components)
 
     def n_real(self) -> int:
-        return sum(1 for c in self.crossings.values() if not c.virtual)
+        return len(_real(self))
 
     def n_virtual(self) -> int:
-        return sum(1 for c in self.crossings.values() if c.virtual)
+        return len(self.crossings) - len(_real(self))
 
     def n_passages(self) -> int:
         return sum(len(c) for c in self.components)
@@ -319,6 +325,18 @@ class Diagram:
             ) from None
 
 
+def _real(d: Diagram) -> list[int]:
+    """The ids of the real crossings of `d` in increasing order, kept in its
+    memo: handed over by `constructions.multiplex`, which emits them in that
+    order, or listed on first use.  `n_real`, `n_virtual` and every
+    invariant of `invariants` read it, so a diagram's crossing table is
+    scanned for them at most once."""
+    memo = d._memo
+    if "real" in memo:
+        return memo["real"]
+    return memo.setdefault("real", sorted([c for c, rec in d.crossings.items() if not rec.virtual]))
+
+
 def _tables(components, crossings, frames, cids=None, shared=None):
     """Sweep the passage index of `components`, crossing id -> positions of
     its passages in canonical order, keyed in order of first appearance,
@@ -329,8 +347,8 @@ def _tables(components, crossings, frames, cids=None, shared=None):
     table) being copied first.  Raise ValidationError as `_frame` does, or
     for a record that is never passed.  Return the index and `frames`.
     `Diagram.validate` runs it on every crossing, `moves._rewrite` on the
-    crossings of its patch, and `constructions.extract_component` on none,
-    for the index alone, as do `rotate` and `planar._strip_virtual`."""
+    crossings of its patch, and `rotate` and `planar._strip_virtual` on
+    none, for the index alone."""
     sweep: dict[int, list[tuple[int, int]]] = {}
     for ci, comp in enumerate(components):
         for i, p in enumerate(comp):

@@ -3,37 +3,74 @@ from hypothesis import strategies as st
 
 from multivirt import moves
 from multivirt.colorings import ColoringSystem
-from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings
+from multivirt.invariants import crossing_indices
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings, parse_vgc
 from multivirt.planar import _trace
 
 
-def fresh_memo(d: Diagram) -> dict:
-    """Every part of the memo of `d` computed afresh, from scratch, on the
-    equal diagram `Diagram(d.components, d.crossings)`: the face trace, and
-    the entries of every deletion kind and every triangle family."""
-    ref = Diagram(d.components, d.crossings)
-    deletions = moves._deletions(ref, moves._DELETION_KINDS)
-    triangles = moves._triangle_sites(ref, moves._TRIANGLE_KINDS)
-    return {
-        "trace": _trace(ref),
-        "deletions": {kind: group.entries for kind, group in deletions.items()},
-        "triangles": {fam: group.entries for fam, group in triangles.items()},
+def fresh_memo(d: Diagram, parts=None, ref=None) -> dict:
+    """The parts of the memo of `d` named in `parts` (every part when None)
+    computed afresh, from scratch, on the equal diagram `ref`, by default
+    `Diagram(d.components, d.crossings)`: the real crossings, read off the
+    over passages; the face trace; the entries of every deletion kind and
+    every triangle family; the index of every real self-crossing, walked
+    along its path by `crossing_indices`; and what `extract_component`
+    keeps of each component, found passage by passage."""
+    ref = Diagram(d.components, d.crossings) if ref is None else ref
+    makers = {
+        "real": lambda: sorted(p.crossing for _, _, p in ref.passages() if p.role is Role.OVER),
+        "trace": lambda: _trace(ref),
+        "deletions": lambda: {
+            kind: group.entries
+            for kind, group in moves._deletions(ref, moves._DELETION_KINDS).items()
+        },
+        "triangles": lambda: {
+            fam: group.entries
+            for fam, group in moves._triangle_sites(ref, moves._TRIANGLE_KINDS).items()
+        },
+        "ind": lambda: {
+            cid: crossing_indices(ref, cid).ind
+            for cid in sorted(ref.crossings)
+            if not ref.crossings[cid].virtual
+            and len({ci for ci, _ in ref.positions_of(cid)}) == 1
+        },
+        "own": lambda: [_kept(ref, ci) for ci in range(ref.n_components())],
     }
+    return {part: makers[part]() for part in (makers if parts is None else parts)}
 
 
-def assert_memo_matches(d: Diagram) -> None:
-    """Each part of the memo that `d` holds equals the part computed afresh:
-    the cycles, the marks, and the entry lists of each kind, as values and
-    in order."""
-    want = fresh_memo(d)
+def _kept(d: Diagram, ci: int):
+    """The positions on component `ci` of the passages whose crossing lies
+    entirely on it, and each such crossing with the positions of its
+    passages among them, in order of first appearance."""
+    kept = [
+        i for i, p in enumerate(d.components[ci])
+        if {c for c, _ in d.positions_of(p.crossing)} == {ci}
+    ]
+    at: dict[int, list[int]] = {}
+    for n, i in enumerate(kept):
+        at.setdefault(d.components[ci][i].crossing, []).append(n)
+    return kept, [(cid, a, b) for cid, (a, b) in at.items()]
+
+
+def assert_memo_matches(d: Diagram, ref=None) -> None:
+    """Each part of the memo that `d` holds equals the part computed afresh
+    (on `ref`, as `fresh_memo` takes it): the cycles, the marks, the entry
+    lists of each kind, the real crossings, the indices and the kept
+    passages, as values and in order."""
+    want = fresh_memo(d, d._memo.keys(), ref)
     for key, got in d._memo.items():
         if key == "trace":
             assert got[0] == want["trace"][0], "face cycles"
             assert got[1] == want["trace"][1], "face marks"
-        else:
+        elif key in ("deletions", "triangles"):
             assert got.keys() == want[key].keys(), key
             for kind, entries in got.items():
                 assert entries == want[key][kind], (key, kind)
+        elif key == "ind":  # a dict, compared in key order too
+            assert list(got.items()) == list(want[key].items()), key
+        else:
+            assert got == want[key], key
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -46,8 +83,9 @@ def trusted_builds_match_the_check():
     public, checked constructor, which must accept it, and a diagram's
     passage index must equal the checked one item for item, key order
     included, its frame table and its components likewise.  A diagram
-    handed a memo (one that `moves._rewrite` carried from its parent) must
-    hold what `fresh_memo` computes, part for part, and a diagram that
+    handed a memo (the parts that `moves._rewrite` carried from its parent,
+    or the real crossings that `constructions.multiplex` emitted) must hold
+    what `fresh_memo` computes, part for part, and a diagram that
     `moves._rewrite` makes never shares its parent's memo dict."""
     diagram, segments, system = (
         cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem)
@@ -62,7 +100,7 @@ def trusted_builds_match_the_check():
         assert list(d._passage_index.items()) == list(ref._passage_index.items())
         assert d._frames == ref._frames
         if memo:
-            assert_memo_matches(d)
+            assert_memo_matches(d, ref)
         return d
 
     def rewritten(d, edits, records):
@@ -134,8 +172,11 @@ def diagrams(draw, max_real=4, max_virtual=3, max_components=3):
     return d
 
 
+def torus_2(n: int) -> Diagram:
+    """The closed 2-braid T(2, n), n odd: crossing c is passed at c - 1 and n + c - 1."""
+    return parse_vgc(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+
+
 @pytest.fixture
 def trefoil():
-    from multivirt.model import parse_vgc
-
     return parse_vgc("O1+ U2+ O3+ U1+ O2+ U3+")

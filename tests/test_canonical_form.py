@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagrams
+from conftest import diagrams, torus_2
 from multivirt import catalog
 from multivirt.constructions import covering, extract_component, multiplex
 from multivirt.model import (
@@ -191,14 +191,9 @@ def test_matches_oracle_on_walk_states(name):
             assert canonical_form(cur) == _token_oracle(cur), (seed, site)
 
 
-def _torus_2(n):
-    """The closed 2-braid T(2, n), n odd: crossing c is passed at c - 1 and n + c - 1."""
-    return parse_vgc(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
-
-
 LARGE = {
     "asym3-r16": lambda: multiplex(catalog.diagram("asym3"), 16)[0],
-    "T(2,801)": lambda: _torus_2(801),
+    "T(2,801)": lambda: torus_2(801),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JUNK, diagrams
+from conftest import JUNK, assert_memo_matches, diagrams
 from multivirt import catalog, constructions, model, verify_theorems
 from multivirt.constructions import (
     _SHIFT_ORIENTATION,
@@ -677,6 +677,25 @@ def _assert_same_multiplex(d: Diagram, r: int) -> None:
         piece, want_piece = extract_component(got, i), _extract_oracle(want, i)
         assert piece.components == want_piece.components
         assert piece.crossings == want_piece.crossings
+
+
+@pytest.mark.parametrize("name", catalog.KNOT_NAMES)
+def test_extraction_gives_the_same_diagram_on_first_and_repeated_calls(name):
+    """`extract_component` reads one memoized sweep of the link; the first
+    call, which makes it, and every later one give equal diagrams with
+    equal tables, and the oracle's."""
+    for r in range(2, 9):
+        L, _ = multiplex(catalog.diagram(name), r)
+        fresh = Diagram(L.components, L.crossings)  # a memo with no sweep yet
+        first = [extract_component(fresh, i) for i in range(1, r + 1)]
+        assert "own" in fresh._memo
+        again = [extract_component(fresh, i) for i in range(1, r + 1)]
+        for i, a, b in zip(range(1, r + 1), first, again):
+            assert a == b == _extract_oracle(L, i)
+            assert list(a.crossings.items()) == list(b.crossings.items())
+            assert list(a._passage_index.items()) == list(b._passage_index.items())
+            assert a._frames == b._frames
+        assert_memo_matches(fresh)
 
 
 class TestCrossingMapOnFirstUse:

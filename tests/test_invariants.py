@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JUNK, diagrams
+from conftest import JUNK, assert_memo_matches, diagrams, torus_2
 from multivirt import catalog
 from multivirt.errors import (
     BadComponent,
@@ -30,7 +30,7 @@ from multivirt.invariants import (
     specified_path,
     writhe,
 )
-from multivirt.model import Diagram, Role, parse_vgc
+from multivirt.model import Diagram, Role, parse_vgc, rotate
 from multivirt.moves import apply_move, random_walk
 from multivirt.planar import realize
 
@@ -335,6 +335,56 @@ def test_matches_oracle_on_walk_states(name):
         for site in trace:
             cur = apply_move(cur, site)
             _assert_matches_oracle(cur)
+
+
+# -- the prefix sums against the path walk ------------------------------------
+
+
+def test_torus_knot_matches_oracle():
+    d = torus_2(201)
+    _assert_matches_oracle(d)
+    assert_memo_matches(d)  # the memoized indices, each walked along its path
+
+
+def test_long_torus_knot_n_writhes_matches_oracle_table():
+    d = torus_2(801)
+    table = n_writhes(d)
+    want = _oracle_table(d, sorted(d.crossings))
+    assert _ordered(table) == _ordered(want)
+    assert table.entries == {} and table.j0 == 801
+
+
+def test_a_path_that_wraps_past_the_end_of_its_component():
+    # Crossing 1 is passed over at 4 and under at 1, so its path runs
+    # through U3- (frame +1) and, past the end, O2+ (frame +1).
+    d = parse_vgc("O2+ U1+ O3- U2+ O1+ U3-")
+    assert [(p.crossing, p.role) for p in specified_path(d, 1)] == [(3, Role.UNDER), (2, Role.OVER)]
+    assert crossing_indices(d, 1).ind == -2
+    assert invariant_report(d).jn[-2] == 1
+    assert covering(d, 2).crossings[1].virtual is False
+    assert covering(d, 3).crossings[1].virtual is True
+    _assert_matches_oracle(d)
+    for k in range(6):
+        _assert_matches_oracle(rotate(d, 0, k))
+
+
+def test_a_path_that_holds_a_real_passage_of_a_crossing_between_two_components():
+    # The path of crossing 1 on component 1 holds the over passage of
+    # crossing 2, whose under passage lies on component 2.
+    d = parse_vgc("O1+ O2- U1+ V3+ ; U2- V3+")
+    assert crossing_indices(d, 1).ind == 1
+    cw = ith_n_writhes(d, 1)
+    assert cw.table.entries == {1: 1} and cw.lambda_i == 1
+    assert ith_n_writhes(d, 2).table.entries == {}
+    _assert_matches_oracle(d)
+    assert_memo_matches(d)
+
+
+def test_counts_read_the_memoized_real_crossings(trefoil):
+    for d in (trefoil, catalog.diagram("vhopf"), multiplex(catalog.diagram("asym3"), 3)[0]):
+        real = [cid for cid, rec in d.crossings.items() if not rec.virtual]
+        assert d.n_real() == len(real) and d.n_virtual() == len(d.crossings) - len(real)
+        assert d._memo["real"] == sorted(real)
 
 
 @cache

@@ -101,6 +101,18 @@ def test_script_rejects_what_is_not_a_directory(tmp_path, args):
 AB_TIME = SCRIPT.parent / "ab_time.py"
 
 
+@pytest.fixture
+def ab_time(monkeypatch):
+    """The tool imported in this process, with the import path and the
+    bytecode flag it changes put back afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    return ab_time
+
+
 def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
     src = SCRIPT.parents[1] / "src"
     out = subprocess.run(
@@ -179,12 +191,7 @@ def test_ab_time_refuses_a_verify_op_that_is_not_a_catalog_knot(spec):
     assert "argument --verify" in out.stderr
 
 
-def test_ab_time_verify_digest_is_the_report_json_digest(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
-    ab_time = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_time)
+def test_ab_time_verify_digest_is_the_report_json_digest(ab_time):
     import multivirt
 
     (op,) = ab_time.verify_ops("trefoil")
@@ -193,14 +200,7 @@ def test_ab_time_verify_digest_is_the_report_json_digest(monkeypatch):
     assert op.digest(multivirt, {}, op.run(multivirt, {})) == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_base_spread(
-    monkeypatch,
-):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
-    ab_time = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_time)
+def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_base_spread(ab_time):
     base = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # quartiles 0.045 s apart
     faster = [b - 0.1 for b in base]
     assert ab_time.verdict(base, faster).startswith("verdict: gain (tree faster in 10 of 10 ")
@@ -216,19 +216,45 @@ def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_bas
     )
 
 
-def test_ab_time_walk_digest_is_the_golden_walk_digest(monkeypatch):
+def test_ab_time_walk_digest_is_the_golden_walk_digest(ab_time):
     """The `--walk asym3:8` op at seed 0, run in this process, digests to
     the pinned golden walk `asym3 r8 seed0`."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ and perfbench/ first
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    spec = importlib.util.spec_from_file_location("ab_time", AB_TIME)
-    ab_time = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_time)
     import multivirt
 
     (op,) = ab_time.walk_ops(multivirt, "asym3", 8, 0)
     golden = json.loads((SCRIPT.parents[1] / "tests" / "golden" / "walks_sha256.json").read_text())
     assert op.digest(multivirt, {}, op.run(multivirt, {})) == golden["asym3 r8 seed0"]
+
+
+def test_ab_time_torus_digest_is_the_report_and_covering_digest(ab_time):
+    """The `--torus 201` op digests the invariant report and the 3-fold
+    covering of T(2, 201), and reads both afresh on every run."""
+    import multivirt
+    from conftest import torus_2
+
+    (op,) = ab_time.torus_ops(multivirt, 201)
+    d = torus_2(201)
+    assert multivirt.serialize_vgc(d) == ab_time.torus_code(201)
+    want = {
+        "report": multivirt.invariant_report(d).to_json(),
+        "cover": multivirt.serialize_vgc(multivirt.covering(d, 3)),
+    }
+    text = json.dumps(want, sort_keys=True, separators=(",", ":"))
+    first, second = op.run(multivirt, {}), op.run(multivirt, {})
+    for out in (first, second):
+        assert op.digest(multivirt, {}, out) == hashlib.sha256(text.encode()).hexdigest()
+    # Every index of T(2, n) is 0, so `covering` gives back its input: each
+    # run had a diagram of its own.
+    assert first[1] == d and first[1] is not second[1]
+
+
+@pytest.mark.parametrize("spec", ["4", "0", "-3", "x", "3.0", ""])
+def test_ab_time_refuses_a_torus_that_is_not_an_odd_n(ab_time, capsys, spec):
+    with pytest.raises(SystemExit) as exit_:
+        ab_time.main(["--base", "HEAD", "--torus", spec])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "argument --torus" in out.err
 
 
 def test_suite_collects_without_errors():

@@ -2,7 +2,7 @@
 
     python tools/ab_time.py --base REV_OR_DIR
                             [--workload walk_fuzz | --multiplex KNOT:R | --walk KNOT:R
-                             | --verify KNOT]
+                             | --verify KNOT | --torus N]
                             [--seed 0] [--rounds 10] [--smoke]
 
 The base is a git revision of this repository or a directory that holds a
@@ -26,11 +26,17 @@ walk: the SHA-256 of the JSON of its trace and final VGC.  The multiplex is
 built as set-up and every pass walks from it, so after the first pass the
 start keeps what its first step traced.  With `--verify KNOT` the op list is
 one verify_ladder op, `verify_theorems(names=[KNOT])` at the workload's r and
-moduli, digested by the SHA-256 of the report's JSON.  An op list too short
-to time against the host's noise is repeated within a pass: the count is
-doubled from 1 until one pass of this tree takes at least 0.2 s, printed on
-the first line, and used on both sides in every round, so an op list that
-already takes 0.2 s runs once per pass.
+moduli, digested by the SHA-256 of the report's JSON.  With `--torus N` (N
+odd) the op list is one op on the torus knot T(2, N), the closed 2-braid,
+parsed as set-up: `invariants.invariant_report` and
+`constructions.covering(·, 3)`, each on its own fresh diagram equal to
+T(2, N), made from the parsed one's tables by `Diagram._made`, so that no
+call reads what an earlier call kept in a diagram's memo; it is digested by
+the SHA-256 of the JSON of the report and the covering's VGC text.  An op
+list too short to time against the host's noise is repeated within a pass:
+the count is doubled from 1 until one pass of this tree takes at least
+0.2 s, printed on the first line, and used on both sides in every round, so
+an op list that already takes 0.2 s runs once per pass.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least
 and the greatest, one the number of rounds in which this tree was faster,
@@ -152,6 +158,40 @@ def verify_ops(knot: str) -> list[wl.Op]:
     ]
 
 
+def torus_code(n: int) -> str:
+    """VGC text of T(2, n), n odd: crossing c is passed at c - 1 and n + c - 1."""
+    return " ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n))
+
+
+def torus_ops(mv, n: int) -> list[wl.Op]:
+    """The op that reads the invariant report and the 3-fold covering of
+    T(2, n), parsed here as set-up, each from a fresh equal diagram."""
+    d = mv.model.parse_vgc(torus_code(n))
+
+    def fresh():
+        return mv.model.Diagram._made(d.components, d.crossings, d._passage_index, d._frames)
+
+    return [
+        wl.Op(
+            f"T(2,{n})",
+            f"T(2,{n})",
+            lambda mv, inputs: (
+                mv.invariants.invariant_report(fresh()), mv.constructions.covering(fresh(), 3)
+            ),
+            lambda mv, inputs, out: wl.json_sha256(
+                {"report": out[0].to_json(), "cover": mv.model.serialize_vgc(out[1])}
+            ),
+        )
+    ]
+
+
+def torus_spec(text: str) -> int:
+    """An odd N >= 1; raises ValueError otherwise."""
+    if int(text) < 1 or int(text) % 2 == 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def knot_spec(text: str) -> str:
     """A catalog knot; raises ValueError otherwise."""
     if text not in multivirt.catalog.KNOT_NAMES:
@@ -183,7 +223,8 @@ def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = build_ops(mv)
-        codes = wl.input_codes(mv, ops)
+        # A torus op parses its own input; every other op starts from a catalog entry.
+        codes = wl.input_codes(mv, [op for op in ops if op.fixture in mv.catalog.CATALOG])
         inputs = {f: mv.model.parse_vgc(code) for f, code in codes.items()}
         # A second, equal parse of each input, under (fixture, "copy"), for
         # `multiplex_ops`, whose two ops must not call on one diagram object.
@@ -245,6 +286,10 @@ def main(argv=None) -> int:
         "--verify", type=knot_spec, metavar="KNOT",
         help="time verify_ladder's op on one catalog knot",
     )
+    what.add_argument(
+        "--torus", type=torus_spec, metavar="N",
+        help="time invariant_report and covering(., 3) on the torus knot T(2, N), N odd",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's smoke-size op list")
@@ -262,6 +307,8 @@ def main(argv=None) -> int:
             runs = ab_time(base, lambda mv: walk_ops(mv, *args.walk, args.seed), args.rounds)
         elif args.verify:
             runs = ab_time(base, lambda mv: verify_ops(args.verify), args.rounds)
+        elif args.torus:
+            runs = ab_time(base, lambda mv: torus_ops(mv, args.torus), args.rounds)
         else:
             runs = ab_time(
                 base, lambda mv: wl.build_ops(mv, args.workload, args.seed, args.smoke), args.rounds
