@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import warnings
@@ -32,6 +33,7 @@ from multivirt.moves import (
     MOVE_KINDS,
     MoveSite,
     _sites,
+    _triangle_table,
     apply_move,
     find_moves,
     random_walk,
@@ -322,6 +324,25 @@ SHARED_LOWEST_EDGE = (
 def test_triangle_sites_match_a_brute_force_over_gap_triples(d):
     sites = find_moves(d, TRIANGLE_KINDS, size_cap=10**9)
     assert sites == _brute_force_triangle_sites(d)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_triangle_templates_and_their_table_are_pinned():
+    """The templates feed both the triangle stage and its oracle, so a
+    changed template would pass every agreement test; their fields, family
+    by family in order (each virtual set sorted), and the lookup table are
+    pinned by digest."""
+    templates = {
+        fam: [(t.orders, t.roles, tuple(sorted(t.virtual)), t.frames) for t in tpls]
+        for fam, tpls in _TRIANGLE_TEMPLATES.items()
+    }
+    assert _sha256(templates) == "f588acdd3cf69a4b6773e409b15b6f34e5835d891fd0985e5a9bd66193f4ee6d"
+    assert _sha256(list(_triangle_table().items())) == (
+        "e4f2ad11056d0908a3094d2e10be41295133003b98cf9d761653d1fba148b501"
+    )
 
 
 def _match_triangle_oracle(d, trio):
