@@ -548,6 +548,39 @@ class TestValidateAgainstTheOracle:
         assert got is not None
 
 
+_UNPASSED = "crossing {} must be passed once Over and once Under (real) or twice Through (virtual)"
+_NOT_SEQUENCES = "components must be sequences of passages and crossings a dict of records"
+
+
+@pytest.mark.parametrize("code, flags, want", [
+    ("O1 V2 U1 V2", (False, 1), [[1, -1, -1, 1]]),
+    ("O1 V2 U1 V2", (False, 1.0), [[1, -1, -1, 1]]),
+    ("O1 V2 U1 V2", (0, True), [[1, -1, -1, 1]]),
+    ("U1 V2 O1 V2", (False, True), [[-1, -1, 1, 1]]),
+    ("O1 V2 U1 V2", (False, 2), _UNPASSED.format(2)),
+    ("O1 V2 U1 V2", (None, True), _UNPASSED.format(1)),
+    ("O1 V2 O1 V2", (False, True), _UNPASSED.format(1)),
+    ("O1 V2 V2", (False, True), _UNPASSED.format(1)),
+    ("O1 V2 U1 O1 V2", (False, True), _UNPASSED.format(1)),
+    ("O1 O2 U1 U2", (False, True), _UNPASSED.format(2)),
+    ("O1 V2 U1 V2", (False, []), _NOT_SEQUENCES),
+], ids=repr)
+def test_the_crossing_check_is_pinned(code, flags, want):
+    """What building a diagram does with `virtual` flags that are not a
+    bool and with passing patterns of the wrong roles or counts: the frame
+    table it fills, or the message it raises.  Crossing 1 has sign +1,
+    crossing 2 sign -1."""
+    comps = (tuple(Passage(int(token[1:]), _ROLE[token[0]]) for token in code.split()),)
+    crossings = {
+        cid: CrossingRecord(cid, flag, sign) for cid, flag, sign in zip((1, 2), flags, (1, -1))
+    }
+    try:
+        got = Diagram(comps, crossings)._frames
+    except ValidationError as e:
+        got = str(e)
+    assert got == want
+
+
 def _index_oracle(d):
     """The passage index by a brute-force sweep over the passages."""
     index = {}
