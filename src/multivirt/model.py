@@ -378,10 +378,12 @@ def _frame(comps, crossings, cid, ps) -> int:
     `crossings` files a CrossingRecord under `cid`, `cid` is an int >= 1,
     the sign is the int +1 or -1, and the crossing is passed once Over and
     once Under, in either order (real), or twice Through (virtual).  The
-    roles of a crossing with a bool `virtual` flag and two passages are
-    compared by identity; any other flag or count is looked up among the
-    passing patterns, with the same rules and messages.  `_tables` runs it
-    on each crossing it checks, for `validate` and `moves._rewrite`."""
+    list of the roles of its passages is looked up among the passing
+    patterns `_PASSES` under its `virtual` flag, so a flag equal to a bool
+    (1, 1.0, 0) reads as that bool, any other passes no crossing, and an
+    unhashable one raises TypeError, which `validate` reports.  `_tables`
+    runs it on each crossing it checks, for `validate` and
+    `moves._rewrite`."""
     rec = crossings.get(cid)
     if not isinstance(rec, CrossingRecord) or rec.cid != cid:
         raise ValidationError(f"crossing {cid!r} has no record filed under its id")
@@ -389,20 +391,13 @@ def _frame(comps, crossings, cid, ps) -> int:
         raise ValidationError(f"crossing ids must be integers >= 1, got {cid!r}")
     if type(rec.sign) is not int or rec.sign not in (+1, -1):
         raise ValidationError(f"crossing {cid}: sign must be +1 or -1")
-    v = rec.virtual
-    if (v is True or v is False) and len(ps) == 2:
-        (c1, i1), (c2, i2) = ps
-        x, y = comps[c1][i1].role, comps[c2][i2].role
-        ok = x is y is _THROUGH if v else x is _OVER and y is _UNDER or x is _UNDER and y is _OVER
-    else:
-        roles = [comps[ci][i].role for ci, i in ps]
-        ok, x = roles in _PASSES.get(v, ()), roles[0]
-    if not ok:
+    roles = [comps[ci][i].role for ci, i in ps]
+    if roles not in _PASSES.get(rec.virtual, ()):
         raise ValidationError(
             f"crossing {cid} must be passed once Over and once Under (real)"
             " or twice Through (virtual)"
         )
-    return rec.sign if v or x is _OVER else -rec.sign
+    return rec.sign if rec.virtual or roles[0] is _OVER else -rec.sign
 
 
 def _fill(obj, *values):

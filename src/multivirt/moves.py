@@ -75,7 +75,12 @@ crossing is the cross product of the two strand directions.  A slide
 transposes the two passages inside each of the three bound gaps, so templates
 are recorded together with their transposed forms.
 
-Families (by which crossings are virtual and who is on top):
+Each triangle family is one or more rows of `_FAMILY_ROLES`, a role
+character (O, U or V) per passage of the drawing: x on A, x on B, y on A,
+y on C, z on B, z on C.  A template's roles, its virtual set (the crossings
+passed V) and the family's move kind are all derived from its row, so a new
+family is one more row.  The families, by which crossings are virtual and
+who is on top:
 
   R3   all real; one strand over both its crossings, one under both
   VR3  all virtual
@@ -128,7 +133,6 @@ _VARIANTS = {
 }
 _POKE_KINDS = {"R2ins", "VR2ins"}
 _DELETION_KINDS = {"R1del", "VR1del", "R2del", "VR2del"}
-_TRIANGLE_KINDS = {"R3", "VR3", "VR4", "FU"}
 
 
 def size_cap_from_env() -> int:
@@ -177,6 +181,18 @@ def _deep_tuple(x):
 
 _STRANDS = ("A", "B", "C")
 _PAIR_OF = {"x": ("A", "B"), "y": ("A", "C"), "z": ("B", "C")}
+# The passages of the drawing, (strand, crossing), in the order of a row of
+# `_FAMILY_ROLES`: x on A, x on B, y on A, y on C, z on B, z on C.
+_SLOTS = tuple((s, c) for c, pair in _PAIR_OF.items() for s in pair)
+# One row per role pattern of a triangle family: the role of each slot.
+_FAMILY_ROLES = (
+    ("R3", "OUOUOU"),
+    ("VR3", "VVVVVV"),
+    ("VR4", "VVVVOU"),
+    ("VR4", "VVVVUO"),
+    ("FU", "UOUOVV"),
+)
+_TRIANGLE_KINDS = {fam for fam, _ in _FAMILY_ROLES}
 
 
 @dataclass(frozen=True)
@@ -188,41 +204,23 @@ class _Template:
 
 
 def _generate_triangle_templates() -> dict[str, tuple[_Template, ...]]:
-    out: dict[str, list[_Template]] = {"R3": [], "VR3": [], "VR4": [], "FU": []}
+    """The templates of every family, each row of `_FAMILY_ROLES` under all
+    eight orientations, each with its orders transposed too; a crossing is
+    virtual when its passages are "V"."""
+    out: dict[str, list[_Template]] = {fam: [] for fam, _ in _FAMILY_ROLES}
     for dA, dB, dC in product((1, -1), repeat=3):
         orders = {
             "A": ("y", "x") if dA > 0 else ("x", "y"),
             "B": ("z", "x") if dB > 0 else ("x", "z"),
             "C": ("z", "y") if dC > 0 else ("y", "z"),
         }
-        frames = {"x": dA * dB, "y": dA * dC, "z": dB * dC}
-        configs = [
-            ("R3", {("A", "x"): "O", ("B", "x"): "U", ("A", "y"): "O",
-                    ("C", "y"): "U", ("B", "z"): "O", ("C", "z"): "U"}, frozenset()),
-            ("VR3", {(s, c): "V" for c, (s1, s2) in _PAIR_OF.items() for s in (s1, s2)},
-             frozenset({"x", "y", "z"})),
-            ("VR4", {("A", "x"): "V", ("B", "x"): "V", ("A", "y"): "V",
-                     ("C", "y"): "V", ("B", "z"): "O", ("C", "z"): "U"},
-             frozenset({"x", "y"})),
-            ("VR4", {("A", "x"): "V", ("B", "x"): "V", ("A", "y"): "V",
-                     ("C", "y"): "V", ("B", "z"): "U", ("C", "z"): "O"},
-             frozenset({"x", "y"})),
-            ("FU", {("A", "x"): "U", ("B", "x"): "O", ("A", "y"): "U",
-                    ("C", "y"): "O", ("B", "z"): "V", ("C", "z"): "V"},
-             frozenset({"z"})),
-        ]
-        for family, roles, virt in configs:
+        frames = (("x", dA * dB), ("y", dA * dC), ("z", dB * dC))
+        for family, row in _FAMILY_ROLES:
+            roles = tuple(sorted((s, c, r) for (s, c), r in zip(_SLOTS, row)))
+            virtual = frozenset(c for (_, c), r in zip(_SLOTS, row) if r == "V")
             for flip in (False, True):
-                o = {
-                    s: (orders[s][1], orders[s][0]) if flip else orders[s]
-                    for s in _STRANDS
-                }
-                tpl = _Template(
-                    orders=tuple(o[s] for s in _STRANDS),
-                    roles=tuple(sorted((s, c, r) for (s, c), r in roles.items())),
-                    virtual=virt,
-                    frames=tuple(sorted(frames.items())),
-                )
+                o = tuple(orders[s][::-1] if flip else orders[s] for s in _STRANDS)
+                tpl = _Template(o, roles, virtual, frames)
                 if tpl not in out[family]:
                     out[family].append(tpl)
     return {k: tuple(v) for k, v in out.items()}
@@ -663,17 +661,13 @@ def _deletion_entries(components, crossings, index, frames, gaps) -> dict[str, l
                     continue
                 listed = out["VR2del" if p.role is _THROUGH else "R2del"]
                 lo, hi = (i, j) if i < j else (j, i)
-                if hi - lo == 1:
-                    if (cx, lo) > (ci, g):
-                        listed.append(((), ((ci, g), (cx, lo))))
-                    elif lo not in gaps.get(cx, ()):
-                        listed.append(((), ((cx, lo), (ci, g))))
-                # Gap hi runs from the last passage of the circle to the first.
-                if hi - lo == len(components[cx]) - 1:
-                    if (cx, hi) > (ci, g):
-                        listed.append(((), ((ci, g), (cx, hi))))
-                    elif hi not in gaps.get(cx, ()):
-                        listed.append(((), ((cx, hi), (ci, g))))
+                # Gap lo joins adjacent passages; gap hi runs from the last
+                # passage of the circle to the first.
+                for k in [lo] * (hi - lo == 1) + [hi] * (hi - lo == len(components[cx]) - 1):
+                    if (cx, k) > (ci, g):
+                        listed.append(((), ((ci, g), (cx, k))))
+                    elif k not in gaps.get(cx, ()):
+                        listed.append(((), ((cx, k), (ci, g))))
     return out
 
 

@@ -121,7 +121,7 @@ def test_ab_time_runs_a_smoke_workload_against_the_trees_own_source():
     ).stdout.splitlines()
     # Every op list is calibrated, a whole workload as well as one multiplex.
     assert re.fullmatch(
-        r"repetitions per pass: \d+ \(one pass of the tree takes at least 0\.2 s\)", out[0]
+        r"repetitions per pass: \d+ \(one pass of the slower side takes at least 0\.2 s\)", out[0]
     )
     assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
     assert re.fullmatch(
@@ -145,10 +145,10 @@ def test_ab_time_pairs_one_multiplex_against_the_trees_own_source():
         [sys.executable, str(AB_TIME), "--base", str(src), "--multiplex", "trefoil:2", "--rounds", "2"],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    # One multiplex is repeated, the count doubled until a pass of the tree
-    # takes 0.2 s, and both sides run it that often in every round.
+    # One multiplex is repeated, the count doubled until a pass of the
+    # slower side takes 0.2 s, and both sides run it that often in every round.
     reps = re.fullmatch(
-        r"repetitions per pass: (\d+) \(one pass of the tree takes at least 0\.2 s\)", out[0]
+        r"repetitions per pass: (\d+) \(one pass of the slower side takes at least 0\.2 s\)", out[0]
     )
     assert int(reps[1]) > 1 and int(reps[1]) & (int(reps[1]) - 1) == 0
     assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
@@ -174,7 +174,7 @@ def test_ab_time_pairs_one_verify_op_against_the_trees_own_source():
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert re.fullmatch(
-        r"repetitions per pass: \d+ \(one pass of the tree takes at least 0\.2 s\)", out[0]
+        r"repetitions per pass: \d+ \(one pass of the slower side takes at least 0\.2 s\)", out[0]
     )
     assert [line.split(":")[0] for line in out[1:3]] == ["round  0 (base first)", "round  1 (tree first)"]
     assert out[7].startswith("verdict: ")
@@ -214,6 +214,17 @@ def test_ab_time_verdict_needs_nine_tenths_of_the_rounds_and_a_gap_above_the_bas
         "verdict: no gain (tree faster in 10 of 10 rounds, medians +0.0100 s apart,"
         " base quartiles 0.0450 s apart)"
     )
+
+
+def test_ab_time_calibrates_on_the_slower_side(ab_time, monkeypatch):
+    """A base 16 times slower per repetition than the tree sets the count:
+    its pass lands in [0.2, 0.4) s, where calibrating on the tree would
+    make it about 4 s."""
+    per_rep = {"base": 0.016, "tree": 0.001}
+    monkeypatch.setattr(ab_time, "one_pass", lambda mv, ops, inputs, reps: (reps * per_rep[mv], []))
+    reps = ab_time.calibrate(("base", [], {}), ("tree", [], {}))
+    assert 0.2 <= reps * per_rep["base"] < 0.4
+    assert ab_time.calibrate(("tree", [], {}), ("base", [], {})) == reps
 
 
 def test_ab_time_walk_digest_is_the_golden_walk_digest(ab_time):

@@ -34,9 +34,11 @@ T(2, N), made from the parsed one's tables by `Diagram._made`, so that no
 call reads what an earlier call kept in a diagram's memo; it is digested by
 the SHA-256 of the JSON of the report and the covering's VGC text.  An op
 list too short to time against the host's noise is repeated within a pass:
-the count is doubled from 1 until one pass of this tree takes at least
-0.2 s, printed on the first line, and used on both sides in every round, so
-an op list that already takes 0.2 s runs once per pass.
+the count is doubled from 1 until one pass of the slower side takes at
+least 0.2 s, printed on the first line, and used on both sides in every
+round, so an op list that already takes 0.2 s on either side runs once per
+pass, and a side much faster than the other does not stretch the other's
+passes.
 One line per round gives both times and the ratio base / tree (above 1 means
 this tree is faster).  Then one line gives the median ratio with the least
 and the greatest, one the number of rounds in which this tree was faster,
@@ -207,19 +209,19 @@ def multiplex_spec(text: str) -> tuple[str, int]:
     return knot_spec(knot), int(r)
 
 
-def calibrate(side) -> int:
-    """Repetitions of the op list, doubled from 1 until one pass of `side`
-    takes at least CALIBRATION_S."""
+def calibrate(*sides) -> int:
+    """Repetitions of the op list, doubled from 1 until one pass of the
+    slower of `sides` takes at least CALIBRATION_S."""
     reps = 1
-    while one_pass(*side, reps)[0] < CALIBRATION_S:
+    while max(one_pass(*side, reps)[0] for side in sides) < CALIBRATION_S:
         reps *= 2
     return reps
 
 
 def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
     """Per-round pass times of each side, running the ops that `build_ops`
-    makes for each side's package as often as `calibrate` finds on this
-    tree; raises if the digests differ."""
+    makes for each side's package as often as `calibrate` finds on the
+    slower side; raises if the digests differ."""
     sides = {}
     for label, mv in (("base", base), ("tree", multivirt)):
         ops = build_ops(mv)
@@ -230,9 +232,12 @@ def ab_time(base, build_ops, rounds: int) -> dict[str, list[float]]:
         # `multiplex_ops`, whose two ops must not call on one diagram object.
         inputs |= {(f, "copy"): mv.model.parse_vgc(code) for f, code in codes.items()}
         sides[label] = (mv, ops, inputs)
-    reps = calibrate(sides["tree"])
-    print(f"repetitions per pass: {reps} (one pass of the tree takes at least {CALIBRATION_S} s)",
-          flush=True)
+    reps = calibrate(*sides.values())
+    print(
+        f"repetitions per pass: {reps}"
+        f" (one pass of the slower side takes at least {CALIBRATION_S} s)",
+        flush=True,
+    )
     runs: dict[str, list[float]] = {"base": [], "tree": []}
     for k in range(rounds):
         order = ("base", "tree") if k % 2 == 0 else ("tree", "base")
