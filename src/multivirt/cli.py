@@ -27,17 +27,16 @@ from .moves import MoveSite, apply_move, find_moves, random_walk
 from .planar import genus, realize
 from .verify import THEOREMS, verify_theorems
 
+# The paper's numbers, each theorem's name with "-" for "_", and "all".
 _THEOREM_ALIASES = {
     "1.2": ("linking",),
     "1.3": ("self_writhe",),
     "1.4": ("components",),
     "1.5": ("colorings",),
-    "linking": ("linking",),
-    "self-writhe": ("self_writhe",),
-    "components": ("components",),
-    "colorings": ("colorings",),
+    **{name.replace("_", "-"): (name,) for name in THEOREMS},
     "all": THEOREMS,
 }
+
 
 def _add_input(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)

@@ -37,7 +37,7 @@ tables on first use.  A slot's index k gives (a, b) = divmod(k, r), and its
 first-visit passage gives the kind: a passage that is not THROUGH is a
 diagonal, a row a >= r is a shift slot, and a `None` slot is a shift slot
 that no copy takes.  Until a caller reads the map, it costs one reference to
-the tables.
+the tables.  Like every map of a `Provenance`, it refuses every change.
 
 `multiplex` keeps its last build in a one-slot cache, `_LAST`, so that a
 caller that asks for the same multiplex several times in a row, as `verify`
@@ -45,14 +45,13 @@ does with its three per-r checks, builds it once.  A call hits the slot after
 every argument check, the size limit and the abstract-genus warning, so it
 raises and warns as a build would, when its source is the very `Diagram`
 object of the kept build (a `Diagram` cannot change) and its r is equal; it
-returns the kept link, whose tables every hit shares, and a new `Provenance`
-with copies of the kept edge and component maps and a fresh, unfilled
-crossing map over the kept slot tables.  A miss empties the slot before it
-emits, so the old build can be freed while the new one is made, and keeps
-the new build only when it has fewer crossings than `model._INTERN_BOUND`,
-read at each call: a huge build is never pinned.  The slot is one tuple
-replaced in a single store, so threads that share it never read a torn
-entry; a race between them can only cost a spare build.
+returns the kept link and provenance themselves, which nothing can change.
+A miss empties the slot before it emits, so the old build can be freed
+while the new one is made, and keeps the new build only when it has fewer
+crossings than `model._INTERN_BOUND`, read at each call: a huge build is
+never pinned.  The slot is one tuple replaced in a single store, so threads
+that share it never read a torn entry; a race between them can only cost a
+spare build.
 
 The braid orientation is a single global bit: at a virtual tile the bundle
 that the other bundle crosses left to right shifts its copies one step, the
@@ -65,13 +64,13 @@ flip that congruence to j - i.
 from __future__ import annotations
 
 import warnings
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import model
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import _indices
-from .model import _THROUGH, Diagram, _passage, _record
+from .model import _THROUGH, Diagram, _memoized, _passage, _ReadOnly, _record
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -81,16 +80,16 @@ _SHIFT_ORIENTATION = -1
 MAX_PASSAGES = 10**6
 
 # The last build that `multiplex` kept: one tuple (source, r, link,
-# provenance), replaced in a single store, or None.  Its provenance is never
-# handed out, only copies of it, so its crossing map is never filled.
+# provenance), replaced in a single store, or None.
 _LAST = None
 
 
-class _CrossingMap(MutableMapping):
+class _CrossingMap(Mapping):
     """The crossing map of one build, read off its slot tables (source
     crossing id -> the first-visit passage of each slot, or None) on first
-    use.  The first read fills a plain dict in id order, and every read,
-    comparison, print, pickle and change goes to that dict."""
+    use.  The first read fills a read-only dict in id order, and every read,
+    comparison, print and pickle goes to that dict; every change is refused
+    as that dict refuses it."""
 
     __slots__ = ("_r", "_tables", "_map")
 
@@ -106,21 +105,15 @@ class _CrossingMap(MutableMapping):
                         a, b = divmod(k, r)
                         keys[op.crossing] = ("diag", c, a + 1) if op.role is not _THROUGH else (
                             ("off", c, a + 1, b + 1) if a < r else ("shift", c, a - r + 1, b + 1))
-            self._map = dict(sorted(keys.items()))
+            self._map = _ReadOnly(sorted(keys.items()))
         return self._map
 
-    def fresh(self) -> _CrossingMap:
-        """An unfilled view over the same tables."""
-        return _CrossingMap(self._r, self._tables)
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = (
+        _ReadOnly._refuse
+    )
 
     def __getitem__(self, cid):
         return self._filled()[cid]
-
-    def __setitem__(self, cid, value):
-        self._filled()[cid] = value
-
-    def __delitem__(self, cid):
-        del self._filled()[cid]
 
     def __iter__(self):
         return iter(self._filled())
@@ -132,10 +125,7 @@ class _CrossingMap(MutableMapping):
         return repr(self._filled())
 
     def __reduce__(self):
-        return dict, (self._filled(),)
-
-    def clear(self):  # MutableMapping's pops one entry at a time
-        self._filled().clear()
+        return self._filled().__reduce__()
 
 
 @dataclass(frozen=True)
@@ -144,18 +134,31 @@ class Provenance:
 
     crossing_map: output crossing id -> ("diag", source id, copy)
                   | ("off", source id, a, b) | ("shift", source id, bundle, p);
-                  a plain dict, or in a `multiplex` result a mapping that
-                  reads it off the build's slot tables on first use and then
-                  acts as that dict
+                  in a `multiplex` result a mapping that reads it off the
+                  build's slot tables on first use and then acts as that
+                  table
     edge_map:     (source edge index, copy position) -> (component, gap index)
                   with gap None for a crossing-free circle
     component_map: output component (1-based) -> copy position at the basepoint
+
+    The constructor reads r as `multiplex` does, refuses with ValidationError
+    a map that is not a `Mapping`, and keeps a copy of each map in a table
+    that refuses every change (`model._ReadOnly`), the crossing map of a
+    `multiplex` result as it is.  A provenance is checked once and never
+    changed, so `multiplex` hands out the one it keeps.
     """
 
     r: int
-    crossing_map: MutableMapping[int, tuple]
-    edge_map: dict[tuple[int, int], tuple[int, int | None]]
-    component_map: dict[int, int]
+    crossing_map: Mapping[int, tuple]
+    edge_map: Mapping[tuple[int, int], tuple[int, int | None]]
+    component_map: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", _fold(self.r, 2))
+        for name in ("crossing_map", "edge_map", "component_map"):
+            table = checked(getattr(self, name), Mapping, ValidationError, name)
+            if type(table) is not _CrossingMap:
+                object.__setattr__(self, name, _ReadOnly(table))
 
     def tile_census(self) -> dict[int, dict[str, int]]:
         census: dict[int, dict[str, int]] = {}
@@ -205,8 +208,8 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
 
     Raises TooLarge when the link would have more than MAX_PASSAGES passages,
     or a crossing-free source more than MAX_PASSAGES circles.  A repeated
-    call on the same diagram object and r returns the kept link of the last
-    call and a fresh provenance (see the module docstring)."""
+    call on the same diagram object and r returns the kept link and
+    provenance of the last call (see the module docstring)."""
     d = checked(d, Diagram, ValidationError, "diagram")
     if d.n_components() != 1:
         raise NotAKnot("multiplexing is defined for one-component diagrams")
@@ -228,7 +231,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     global _LAST
     last = _LAST
     if last is not None and last[0] is d and last[1] == r:
-        return last[2], _copied(last[3])
+        return last[2], last[3]
     # Drop the old build before emitting, so that it is not alive beside the new one.
     _LAST = last = None
 
@@ -316,15 +319,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
     out = Diagram._made(tuple(out_components), crossings, index, out_frames, {"real": real})
     if len(crossings) < model._INTERN_BOUND:
         _LAST = (d, r, out, prov)
-    return out, _copied(prov)
-
-
-def _copied(prov: Provenance) -> Provenance:
-    """A provenance for a caller: copies of the kept edge and component maps,
-    and an unfilled crossing map over the kept tables."""
-    return Provenance(
-        prov.r, prov.crossing_map.fresh(), dict(prov.edge_map), dict(prov.component_map)
-    )
+    return out, prov
 
 
 def covering(d: Diagram, r: int) -> Diagram:
@@ -372,9 +367,11 @@ def _own(d: Diagram) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     in order of first appearance.  One sweep of the passage index, kept in
     the memo, so that the r extractions of an r-component link read it
     once."""
-    memo = d._memo
-    if "own" in memo:
-        return memo["own"]
+    return _memoized(d, "own", _swept)
+
+
+def _swept(d: Diagram) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """What `_own` keeps, computed afresh."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in d.components]
     for cid, ((c1, i1), (c2, i2)) in d._passage_index.items():
         if c1 == c2:
@@ -384,4 +381,4 @@ def _own(d: Diagram) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
         kept = sorted([i for _, i1, i2 in row for i in (i1, i2)])
         at = {k: n for n, k in enumerate(kept)}
         own.append((kept, [(cid, at[i1], at[i2]) for cid, i1, i2 in row]))
-    return memo.setdefault("own", own)
+    return own

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadComponent, MixedCrossing, NotAKnot, ValidationError, checked
-from .model import _OVER, Diagram, Passage, _real
+from .model import _OVER, Diagram, Passage, _memoized, _ReadOnly, _real
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,16 @@ class IndexPair:
 class WritheTable:
     """Finite-support map n -> J_n for nonzero n; J_0 is reported separately
     because it is not preserved by the first Reidemeister move.  The table
-    keeps a copy of the entries it is given, and refuses with
-    ValidationError entries that are not a dict of nonzero int keys and int
-    values, and a J_0 that is not an int (bools are no ints here, as in
-    `Diagram.validate`)."""
+    keeps a copy of the entries it is given, in a dict that refuses every
+    change (`model._ReadOnly`), and refuses with ValidationError entries
+    that are not a dict of nonzero int keys and int values, and a J_0 that
+    is not an int (bools are no ints here, as in `Diagram.validate`)."""
 
     entries: dict[int, int]
     j0: int
 
     def __post_init__(self):
-        entries = dict(checked(self.entries, dict, ValidationError, "writhe entries"))
+        entries = _ReadOnly(checked(self.entries, dict, ValidationError, "writhe entries"))
         if 0 in entries or any(type(x) is not int for x in (*entries, *entries.values())):
             raise ValidationError(f"writhe entries must map nonzero ints to ints, got {entries!r}")
         if type(self.j0) is not int:
@@ -175,9 +175,11 @@ def _indices(d: Diagram) -> dict[int, int]:
     kept in its memo: the sum of minus the frames read from the real
     passages strictly between its over and its under passage, which
     `crossing_indices` counts along the path, read off prefix sums."""
-    memo = d._memo
-    if "ind" in memo:
-        return memo["ind"]
+    return _memoized(d, "ind", _index_sums)
+
+
+def _index_sums(d: Diagram) -> dict[int, int]:
+    """The `ind` of every real self-crossing of `d`, computed afresh."""
     real, index, comps, frames = _real(d), d._passage_index, d.components, d._frames
     # The real passages of each component, in order along it.
     rows: list[list[tuple[int, int]]] = [[] for _ in comps]
@@ -203,7 +205,7 @@ def _indices(d: Diagram) -> dict[int, int]:
             # the end of the component takes in the rest of it.
             s = before[u] - before[o] - d.crossings[cid].sign
             ind[cid] = -(s + total[o[0]] if u[1] < o[1] else s)
-    return memo.setdefault("ind", ind)
+    return ind
 
 
 def _lam(lk: list[list[int]]) -> tuple[int, ...]:

@@ -48,8 +48,11 @@ of its source's index, `rotate` and `planar._strip_virtual` rotate or
 filter the frames and take the index from `_tables`, checking no
 crossing, and every move of `moves` runs `_tables` on the crossings it
 rewrote and keeps the rest of the parent's tables.  Either way the diagram
-keeps its components as tuples of tuples and its crossings as a read-only
-dict, so nothing can change it afterwards.  `positions_of`,
+keeps its components as tuples of tuples and its crossings in a `_ReadOnly`
+dict, so nothing can change it afterwards.  `_ReadOnly` is the one type of
+a checked value's tables: it also keeps the maps of a
+`constructions.Provenance` and the entries of an `invariants.WritheTable`,
+and refuses every change to them with TypeError.  `positions_of`,
 `real_positions`, `frame` and every module that needs to know where a
 crossing sits or which frame it reads use the tables; they are read, never
 written, outside their producer.  A third field, the memo, keeps what the
@@ -57,10 +60,11 @@ searches and invariants derive once: the sorted ids of the real crossings
 (`_real`), the integer face trace of `planar._trace`, the deletion and
 triangle entries of `moves`, the crossing indices of `invariants` and the
 passages that `constructions.extract_component` keeps.  Each part is
-computed on first use and never changed after; a diagram that
-`moves._rewrite` made is handed the site entries it carried from its
-parent's memo, with its face trace, and one that `constructions.multiplex`
-made its real crossings, by `_made`, before anyone else can see it.
+computed on first use, through `_memoized`, and never changed after; a
+diagram that `moves._rewrite` made is handed the site entries it carried
+from its parent's memo, with its face trace, and one that
+`constructions.multiplex` made its real crossings, by `_made`, before
+anyone else can see it.
 
 `Passage` and `CrossingRecord` are frozen slotted dataclasses.  The values
 that a producer emits are interned: `_passage(cid, role)` and
@@ -166,18 +170,19 @@ def _record(cid: int, virtual: bool, sign: int) -> CrossingRecord:
     return rec
 
 
-class _Crossings(dict):
-    """The crossing table of a checked diagram: a dict that refuses every
-    change, so that no answer can go stale after the check.  It pickles and
-    copies as the dict it holds."""
+class _ReadOnly(dict):
+    """A table of a checked value: a dict that refuses every change, so that
+    no answer can go stale after the check.  It keeps the crossings of a
+    `Diagram`, the maps of a `constructions.Provenance` and the entries of
+    an `invariants.WritheTable`, and pickles and copies as itself."""
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("the crossing table of a Diagram is read-only")
+        raise TypeError("the tables of a checked value are read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):
-        return _Crossings, (dict(self),)
+        return _ReadOnly, (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ class Diagram:
     def __post_init__(self):
         # Called through `self`, so a wrapper put on the class sees every check.
         tables = self.validate()
-        _fill(self, tuple(map(tuple, self.components)), _Crossings(self.crossings), {}, *tables)
+        _fill(self, tuple(map(tuple, self.components)), _ReadOnly(self.crossings), {}, *tables)
 
     @classmethod
     def _made(cls, components, crossings, index, frames, memo=None) -> Diagram:
@@ -229,7 +234,7 @@ class Diagram:
         is changed after, and a part it lacks is computed from scratch on
         first use, as for any other diagram."""
         memo = {} if memo is None else memo
-        return _fill(object.__new__(cls), components, _Crossings(crossings), memo, index, frames)
+        return _fill(object.__new__(cls), components, _ReadOnly(crossings), memo, index, frames)
 
     # -- basic queries ----------------------------------------------------
 
@@ -325,16 +330,26 @@ class Diagram:
             ) from None
 
 
+def _memoized(d: Diagram, key: str, make):
+    """The part `key` of the memo of `d`, made by `make(d)` on first use and
+    kept.  A part is filed in one store when it is finished, so another
+    thread sees none or a whole one, and a thread that made it at the same
+    time reads the first."""
+    memo = d._memo
+    if key in memo:
+        return memo[key]
+    return memo.setdefault(key, make(d))
+
+
 def _real(d: Diagram) -> list[int]:
     """The ids of the real crossings of `d` in increasing order, kept in its
     memo: handed over by `constructions.multiplex`, which emits them in that
     order, or listed on first use.  `n_real`, `n_virtual` and every
     invariant of `invariants` read it, so a diagram's crossing table is
     scanned for them at most once."""
-    memo = d._memo
-    if "real" in memo:
-        return memo["real"]
-    return memo.setdefault("real", sorted([c for c, rec in d.crossings.items() if not rec.virtual]))
+    return _memoized(
+        d, "real", lambda d: sorted([c for c, rec in d.crossings.items() if not rec.virtual])
+    )
 
 
 def _tables(components, crossings, frames, cids=None, shared=None):

@@ -102,7 +102,7 @@ from itertools import accumulate, permutations, product
 from operator import itemgetter
 
 from .errors import ParseError, StaleSite, ValidationError, checked
-from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _tables
+from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _memoized, _tables
 from .planar import _trace, _traced, faces
 
 MOVE_KINDS = (
@@ -616,12 +616,10 @@ def _deletions(d: Diagram, kinds) -> dict[str, _Group]:
     gaps, kept in the diagram's memo (or carried there by `_rewrite`)."""
     if not kinds:
         return {}
-    memo = d._memo
-    if "deletions" not in memo:
-        gaps = {ci: range(len(comp)) for ci, comp in enumerate(d.components)}
-        entries = _deletion_entries(d.components, d.crossings, d._passage_index, d._frames, gaps)
-        memo.setdefault("deletions", entries)
-    entries = memo["deletions"]
+    entries = _memoized(d, "deletions", lambda d: _deletion_entries(
+        d.components, d.crossings, d._passage_index, d._frames,
+        {ci: range(len(comp)) for ci, comp in enumerate(d.components)}
+    ))
     return {kind: _Group(kind, entries[kind]) for kind in kinds}
 
 
@@ -681,12 +679,10 @@ def _triangle_sites(d: Diagram, kinds) -> dict[str, _Group]:
     there by `_rewrite`)."""
     if not kinds:
         return {}
-    memo = d._memo
-    if "triangles" not in memo:
-        offset = [0, *accumulate(map(len, d.components))]
-        faces3 = [cycle for cycle in _trace(d)[0] if len(cycle) == 3]
-        memo.setdefault("triangles", _triangle_entries(d.components, d._frames, offset, faces3))
-    entries = memo["triangles"]
+    entries = _memoized(d, "triangles", lambda d: _triangle_entries(
+        d.components, d._frames, [0, *accumulate(map(len, d.components))],
+        [cycle for cycle in _trace(d)[0] if len(cycle) == 3]
+    ))
     return {fam: _Group(fam, entries[fam]) for fam in kinds}
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import ValidationError, checked
-from .model import _THROUGH, CrossingRecord, Diagram, Passage, _tables
+from .model import _THROUGH, CrossingRecord, Diagram, Passage, _memoized, _tables
 
 # Dart: (component, gap, dir) with dir +1 = travel with the strand orientation
 # (arriving at the in-port of passage gap+1), dir -1 = against it (arriving at
@@ -83,12 +83,7 @@ def _trace(d: Diagram) -> tuple[list[list[int]], list[int]]:
 
     Cycles are lists in the order and from the starts that `faces` gives.
     mark[k] is ~c for the cycle c that holds dart k."""
-    memo = d._memo
-    if "trace" in memo:
-        return memo["trace"]
-    # One store of a finished trace: another thread sees none or a whole
-    # one, and a thread that traced at the same time keeps the first.
-    return memo.setdefault("trace", _traced(d.components, d._passage_index, d._frames))
+    return _memoized(d, "trace", lambda d: _traced(d.components, d._passage_index, d._frames))
 
 
 def _traced(components, index, frames) -> tuple[list[list[int]], list[int]]:

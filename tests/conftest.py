@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from multivirt import moves
 from multivirt.colorings import ColoringSystem
 from multivirt.invariants import crossing_indices
-from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _Crossings, parse_vgc
+from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _ReadOnly, parse_vgc
 from multivirt.planar import _trace
 
 
@@ -96,7 +96,7 @@ def trusted_builds_match_the_check():
         d = diagram(cls, components, crossings, index, frames, memo)
         ref = Diagram(components, crossings)
         assert type(d.components) is tuple and all(type(c) is tuple for c in d.components)
-        assert d.components == ref.components and type(d.crossings) is _Crossings
+        assert d.components == ref.components and type(d.crossings) is _ReadOnly
         assert list(d._passage_index.items()) == list(ref._passage_index.items())
         assert d._frames == ref._frames
         if memo:

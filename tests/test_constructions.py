@@ -31,7 +31,16 @@ from multivirt.errors import (
 )
 from multivirt.invariants import index_defect, linking_and_lambda, n_writhes
 from multivirt.moves import random_walk
-from multivirt.model import CrossingRecord, Diagram, Passage, Role, canonical_form, parse_vgc, serialize_vgc
+from multivirt.model import (
+    CrossingRecord,
+    Diagram,
+    Passage,
+    Role,
+    _ReadOnly,
+    canonical_form,
+    parse_vgc,
+    serialize_vgc,
+)
 from multivirt.planar import genus
 
 
@@ -283,26 +292,27 @@ def _mixed_calls(out: list, pairs, rounds: int) -> None:
 
 class TestLastBuild:
     """`multiplex` keeps its last build: a repeated call on the same diagram
-    object and r returns the kept link and a fresh copy of its provenance,
-    after every check that a build makes."""
+    object and r returns the kept link and provenance themselves, after
+    every check that a build makes."""
 
-    def test_a_repeat_call_returns_the_kept_link_and_an_equal_distinct_provenance(self):
+    def test_a_repeat_call_returns_the_kept_link_and_provenance(self):
         d = catalog.diagram("asym3")
         (first, first_prov), (second, second_prov) = multiplex(d, 3), multiplex(d, 3)
-        assert second is first
-        assert second_prov == first_prov and second_prov is not first_prov
-        for name in ("crossing_map", "edge_map", "component_map"):
-            assert getattr(second_prov, name) is not getattr(first_prov, name)
+        assert second is first and second_prov is first_prov
+        assert second_prov == _multiplex_oracle(d, 3)[1]
 
-    def test_a_caller_that_changes_its_provenance_leaves_the_next_call_alone(self):
+    def test_a_caller_cannot_change_its_provenance(self):
         d = catalog.diagram("vtrefoil")
         want = _multiplex_oracle(d, 2)[1]
         for _ in range(2):
             prov = multiplex(d, 2)[1]
             assert prov == want
-            prov.crossing_map.clear()
-            prov.edge_map[(99, 1)] = (0, 0)
-            prov.component_map[1] = 2
+            with pytest.raises(TypeError):
+                prov.crossing_map.clear()
+            with pytest.raises(TypeError):
+                prov.edge_map[(99, 1)] = (0, 0)
+            with pytest.raises(TypeError):
+                prov.component_map[1] = 2
 
     def test_pickle_and_deepcopy_round_trips_equal_the_oracle(self):
         d = catalog.diagram("asym3")
@@ -319,8 +329,9 @@ class TestLastBuild:
         assert prov == want and want == prov
         prov = multiplex(d, 3)[1]
         assert prov.crossing_map == want.crossing_map and want.crossing_map == prov.crossing_map
-        prov.crossing_map[1] = ("diag", 0, 0)
-        assert prov != want and want != prov
+        other = dataclasses.replace(want, crossing_map={**want.crossing_map, 1: ("diag", 0, 0)})
+        assert prov != other and other != prov
+        assert prov.crossing_map != other.crossing_map and other.crossing_map != prov.crossing_map
 
     def test_a_provenance_prints_as_it_does_with_a_plain_dict(self):
         d = catalog.diagram("asym3")
@@ -329,19 +340,19 @@ class TestLastBuild:
         assert text == repr(dataclasses.replace(prov, crossing_map=dict(prov.crossing_map)))
         assert text == repr(_multiplex_oracle(d, 2)[1])
 
-    def test_two_provenances_of_one_kept_build_change_independently(self):
+    def test_a_refused_change_leaves_the_kept_provenance_as_the_oracle_gives_it(self):
         d = catalog.diagram("asym3")
         want = _multiplex_oracle(d, 2)[1]
         (link, first), (again, second) = multiplex(d, 2), multiplex(d, 2)
-        assert again is link
-        first.crossing_map.clear()
-        assert first.crossing_map == {} and len(first.crossing_map) == 0
-        assert second == want
-        assert multiplex(d, 2)[1] == want
-        del second.crossing_map[1]
-        second.crossing_map[0] = ("diag", 0, 0)
-        assert 1 not in second.crossing_map and second.crossing_map.get(0) == ("diag", 0, 0)
-        assert first.crossing_map == {} and multiplex(d, 2)[1] == want
+        assert again is link and second is first
+        with pytest.raises(TypeError):
+            first.crossing_map.clear()
+        with pytest.raises(TypeError):
+            del second.crossing_map[1]
+        with pytest.raises(TypeError):
+            second.crossing_map[0] = ("diag", 0, 0)
+        assert 1 in second.crossing_map and 0 not in second.crossing_map
+        assert multiplex(d, 2)[1] is first == want
 
     def test_an_abstract_source_warns_on_every_call(self):
         d = parse_vgc("O1+ O2+ U1+ U2+")
@@ -412,12 +423,19 @@ class TestLastBuild:
 
 
 def _construction_calls():
-    """Each argument slot of `multiplex`, `covering` and `extract_component`:
-    a call that puts its argument there, and the valid values it can take.
-    Building the calls leaves (d, 2) in the slot of `multiplex`."""
+    """Each argument slot of `multiplex`, `covering`, `extract_component` and
+    `Provenance`: a call that puts its argument there, and the valid values
+    it can take.  Building the calls leaves (d, 2) in the slot of
+    `multiplex`."""
     d = catalog.diagram("vtrefoil")
     L, _ = multiplex(d, 2)
+    maps = {"crossing_map": {}, "edge_map": {}, "component_map": {}}
     return {
+        "Provenance-r": (lambda x: Provenance(x, **maps), range(2, 41)),
+        **{
+            f"Provenance-{name}": (lambda x, name=name: Provenance(2, **{**maps, name: x}), ())
+            for name in maps
+        },
         "multiplex-diagram": (lambda x: multiplex(x, 2), ()),
         "multiplex-r": (lambda x: multiplex(d, x), range(2, 41)),
         "covering-diagram": (lambda x: covering(x, 2), ()),
@@ -446,6 +464,83 @@ def test_construction_exports_refuse_junk_or_read_it_as_its_equal(slot, junk):
     equal = [v for v in valid if v == junk]
     assert equal, f"{slot} accepted {junk!r}"
     assert got == call(equal[0])
+
+
+# Unchecked, Provenance("x", 1, 2, 3) was accepted; its `to_json()` then
+# raised a bare TypeError and its `tile_census()` an AttributeError.
+def test_a_provenance_of_junk_is_refused():
+    with pytest.raises(BadR):
+        Provenance("x", 1, 2, 3)
+    for maps in ((1, 2, 3), ({}, 2, 3), ({}, {}, 3), ({}, {}, [(1, 1)])):
+        with pytest.raises(ValidationError, match="must be of type Mapping"):
+            Provenance(2, *maps)
+    prov = Provenance(2, {1: ("diag", 1, 1)}, {(0, 1): (0, 0)}, {1: 1})
+    assert prov.tile_census() == {1: {"diag": 1, "off": 0, "shift": 0}}
+    assert prov.to_json()["component_map"] == {"1": 1}
+
+
+def _set(table):
+    table[1] = 2
+
+
+def _delete(table):
+    del table[1]
+
+
+def _merge(table):
+    table |= {1: 2}
+
+
+# Every way to change a dict in place.
+_WRITES = {
+    "[]=": _set,
+    "del": _delete,
+    "update": lambda table: table.update({1: 2}),
+    "setdefault": lambda table: table.setdefault(1, 2),
+    "pop": lambda table: table.pop(1),
+    "popitem": lambda table: table.popitem(),
+    "clear": lambda table: table.clear(),
+    "|=": _merge,
+}
+
+# The checked values whose tables refuse every change, and the name of each table.
+_OWNERS = {
+    "WritheTable": (lambda: n_writhes(catalog.diagram("asym3")), ("entries",)),
+    "multiplex-Provenance": (
+        lambda: multiplex(parse_vgc(catalog.CATALOG["asym3"].code), 2)[1],
+        ("crossing_map", "edge_map", "component_map"),
+    ),
+    "Provenance": (
+        lambda: Provenance(2, {1: ("diag", 1, 1)}, {(0, 1): (0, 0)}, {1: 1}),
+        ("crossing_map", "edge_map", "component_map"),
+    ),
+}
+
+_TWINS = {
+    "itself": lambda value: value,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("twin", list(_TWINS))
+@pytest.mark.parametrize("owner", list(_OWNERS))
+def test_every_table_of_a_checked_value_refuses_every_write(owner, twin):
+    """The entries of a writhe table and each map of a provenance, of the
+    value itself and of its twins made by `pickle`, `copy` and `deepcopy`,
+    refuse every change with TypeError and stay as they were."""
+    make, names = _OWNERS[owner]
+    value = make()
+    want = {name: dict(getattr(value, name)) for name in names}
+    value = _TWINS[twin](value)
+    for name in names:
+        table = getattr(value, name)
+        for write, change in _WRITES.items():
+            with pytest.raises(TypeError):
+                change(table)
+            assert dict(table) == want[name], (name, write)
+    assert value == make()
 
 
 class TestCovering:
@@ -702,13 +797,15 @@ class TestCrossingMapOnFirstUse:
     """The build emits only the link; its crossing map is read off the slot
     tables when a caller first reads it."""
 
-    def test_a_build_and_a_repeat_call_hand_out_unfilled_maps(self):
+    def test_a_build_hands_out_an_unfilled_map_that_a_repeat_call_shares(self):
         d = parse_vgc(catalog.CATALOG["asym3"].code)
         prov = multiplex(d, 3)[1]
         assert isinstance(prov.crossing_map, constructions._CrossingMap)
         assert prov.crossing_map._map is None
+        assert multiplex(d, 3)[1].crossing_map is prov.crossing_map
         len(prov.crossing_map)
-        assert multiplex(d, 3)[1].crossing_map._map is None
+        assert type(prov.crossing_map._map) is _ReadOnly
+        assert multiplex(d, 3)[1].crossing_map is prov.crossing_map
 
     def test_verify_fills_no_crossing_map(self, monkeypatch):
         fills, filled = [], constructions._CrossingMap._filled

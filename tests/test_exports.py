@@ -19,7 +19,6 @@ _VALUE_TYPES = {
     "InvariantReport": "invariant_report",
     "MoveSite": "apply_move",
     "Passage": "Diagram",
-    "Provenance": "build_system",
     "Role": "Diagram",
     "SNF": "smith_normal_form",
 }

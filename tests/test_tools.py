@@ -158,13 +158,14 @@ def test_ab_time_pairs_one_multiplex_against_the_trees_own_source():
 
 
 @pytest.mark.parametrize("spec", ["trefoil", "trefoil:1", "trefoil:x", "vhopf:2", "nope:2"])
-def test_ab_time_refuses_a_multiplex_that_is_not_a_catalog_knot_and_r_of_2_or_more(spec):
-    out = subprocess.run(
-        [sys.executable, str(AB_TIME), "--base", "HEAD", "--multiplex", spec],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 2 and out.stdout == ""
-    assert "argument --multiplex" in out.stderr
+def test_ab_time_refuses_a_multiplex_that_is_not_a_catalog_knot_and_r_of_2_or_more(
+    ab_time, capsys, spec
+):
+    with pytest.raises(SystemExit) as exit_:
+        ab_time.main(["--base", "HEAD", "--multiplex", spec])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "argument --multiplex" in out.err
 
 
 def test_ab_time_pairs_one_verify_op_against_the_trees_own_source():
@@ -182,13 +183,12 @@ def test_ab_time_pairs_one_verify_op_against_the_trees_own_source():
 
 
 @pytest.mark.parametrize("spec", ["vhopf", "nope", "trefoil:2", ""])
-def test_ab_time_refuses_a_verify_op_that_is_not_a_catalog_knot(spec):
-    out = subprocess.run(
-        [sys.executable, str(AB_TIME), "--base", "HEAD", "--verify", spec],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 2 and out.stdout == ""
-    assert "argument --verify" in out.stderr
+def test_ab_time_refuses_a_verify_op_that_is_not_a_catalog_knot(ab_time, capsys, spec):
+    with pytest.raises(SystemExit) as exit_:
+        ab_time.main(["--base", "HEAD", "--verify", spec])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "argument --verify" in out.err
 
 
 def test_ab_time_verify_digest_is_the_report_json_digest(ab_time):
