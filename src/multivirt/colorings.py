@@ -77,6 +77,7 @@ from .errors import (
     TooLarge,
     ValidationError,
     checked,
+    iterated,
 )
 from .model import Diagram, Granularity, Segments, _fill, segments
 
@@ -151,6 +152,11 @@ class ColoringSystem:
         return SNF(diagonal + (0,) * (size - len(diagonal)), units + rest.rank)
 
     def to_json(self, moduli: tuple[int, ...] = ()) -> dict:
+        """The system's sizes, divisors and coloring counts modulo each of
+        `moduli`.  Raises ValidationError unless `moduli` is an iterable
+        other than a `str` or `bytes`, and BadModulus unless each modulus is
+        an integer >= 1."""
+        moduli = tuple(map(_modulus, iterated(moduli, "moduli", "ints")))
         s = self.snf()
         return {
             "mode": self.mode.value,

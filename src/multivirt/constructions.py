@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from . import model
 from .errors import BadComponent, BadR, NotAKnot, TooLarge, ValidationError, checked
 from .invariants import _indices
-from .model import _THROUGH, Diagram, _memoized, _passage, _ReadOnly, _record
+from .model import _THROUGH, Diagram, _fill, _memoized, _passage, _ReadOnly, _record
 from .planar import genus
 
 _SHIFT_ORIENTATION = -1
@@ -141,11 +141,15 @@ class Provenance:
                   with gap None for a crossing-free circle
     component_map: output component (1-based) -> copy position at the basepoint
 
-    The constructor reads r as `multiplex` does, refuses with ValidationError
-    a map that is not a `Mapping`, and keeps a copy of each map in a table
-    that refuses every change (`model._ReadOnly`), the crossing map of a
-    `multiplex` result as it is.  A provenance is checked once and never
-    changed, so `multiplex` hands out the one it keeps.
+    The constructor reads r as `multiplex` does and refuses with
+    ValidationError a map that is not a `Mapping` or an entry of another
+    shape than the above: crossing ids and source ids ints >= 1, copies in
+    1..r, a bundle 1 or 2, edge indices, components and gaps ints >= 0, a
+    number equal to such an int being read as it, as `colorings` reads a
+    gap.  It keeps a copy of each map in a table that refuses every change
+    (`model._ReadOnly`).  `multiplex` hands over the maps it has just
+    written through `_made`, unchecked.  A provenance is checked once and
+    never changed, so `multiplex` hands out the one it keeps.
     """
 
     r: int
@@ -154,11 +158,23 @@ class Provenance:
     component_map: Mapping[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _fold(self.r, 2))
+        r = _fold(self.r, 2)
+        maps = []
         for name in ("crossing_map", "edge_map", "component_map"):
             table = checked(getattr(self, name), Mapping, ValidationError, name)
-            if type(table) is not _CrossingMap:
-                object.__setattr__(self, name, _ReadOnly(table))
+            for key, value in table.items():
+                if not _fits(name, key, value, r):
+                    raise ValidationError(f"{name}: {key!r} -> {value!r} is no entry at r = {r}")
+            maps.append(_ReadOnly(table))
+        _fill(self, r, *maps)
+
+    @classmethod
+    def _made(cls, r, crossing_map, edge_map, component_map) -> Provenance:
+        """The provenance of the maps that `multiplex` has just written, kept
+        without the check: `crossing_map` a `_CrossingMap`, the other two
+        dicts, which are kept as `_ReadOnly` copies."""
+        edge_map, component_map = _ReadOnly(edge_map), _ReadOnly(component_map)
+        return _fill(object.__new__(cls), r, crossing_map, edge_map, component_map)
 
     def tile_census(self) -> dict[int, dict[str, int]]:
         census: dict[int, dict[str, int]] = {}
@@ -193,6 +209,37 @@ class Provenance:
             "edge_map": emap,
             "component_map": {str(k): v for k, v in sorted(self.component_map.items())},
         }
+
+
+def _fits(name: str, key, value, r: int) -> bool:
+    """Whether `key` -> `value` has the shape of an entry of the map `name`
+    of a `Provenance` at r."""
+    one, copy, some = (1, None), (1, r), (0, None)  # (least, greatest) of an int
+    if name == "crossing_map":
+        tile = {"diag": (one, copy), "off": (one, copy, copy), "shift": (one, (1, 2), copy)}
+        kind = value[0] if type(value) is tuple and value and type(value[0]) is str else ""
+        return _ints((key,), one) and kind in tile and _ints(value[1:], *tile[kind])
+    if name == "edge_map":  # a gap of None is read as 0
+        at = (*value[:1], 0) if type(value) is tuple and value[1:] == (None,) else value
+        return _ints(key, some, copy) and _ints(at, some, some)
+    return _ints((key, value), copy, copy)
+
+
+def _ints(values, *bounds) -> bool:
+    """Whether `values` is a tuple of numbers equal to ints (1.0 and True
+    equal 1), one per (least, greatest) pair of `bounds`, each within its
+    pair; a greatest of None bounds nothing."""
+    one_each = type(values) is tuple and len(values) == len(bounds)
+    return one_each and all(map(_within, values, bounds))
+
+
+def _within(v, bounds) -> bool:
+    """Whether `v` equals an int within the (least, greatest) pair `bounds`."""
+    lo, hi = bounds
+    try:
+        return v == int(v) and lo <= v and (hi is None or v <= hi)
+    except (TypeError, ValueError, OverflowError):  # no number, or not finite
+        return False
 
 
 def _fold(r, least: int) -> int:
@@ -313,9 +360,7 @@ def multiplex(d: Diagram, r: int) -> tuple[Diagram, Provenance]:
         out_components.append(tuple(trace))
         out_frames.append(frame)
 
-    prov = Provenance(
-        r, _CrossingMap(r, tables), edge_map, component_map={i: i for i in range(1, r + 1)}
-    )
+    prov = Provenance._made(r, _CrossingMap(r, tables), edge_map, {i: i for i in range(1, r + 1)})
     out = Diagram._made(tuple(out_components), crossings, index, out_frames, {"real": real})
     if len(crossings) < model._INTERN_BOUND:
         _LAST = (d, r, out, prov)

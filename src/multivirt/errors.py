@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package, and the argument check
+"""Exception hierarchy shared by the whole package, and the argument checks
 that entry points use to turn a wrong-kind argument into one of them."""
 
 import operator
@@ -84,3 +84,15 @@ def checked(value, kind: type, error: type[MultivirtError], what: str):
     elif isinstance(value, kind):
         return value
     raise error(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+def iterated(value, what: str, of: str, into: type = tuple):
+    """`into(value)`, the items of `value` in a tuple or a set, if `value`
+    is an iterable other than a `str` or `bytes`, which would be read as its
+    characters; else raise ValidationError naming it."""
+    if isinstance(value, (str, bytes)):
+        raise ValidationError(f"{what} must be an iterable of {of}, got the string {value!r}")
+    try:
+        return into(value)
+    except TypeError:  # not iterable, or holding an unhashable item of a set
+        raise ValidationError(f"{what} must be an iterable of {of}, got {value!r}") from None

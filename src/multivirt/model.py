@@ -13,9 +13,9 @@ The diagram keeps the frame read from each passage in a frame table, one
 list per component, which `Diagram.frame` and every module that needs a
 frame read.  The rule is written where the table is: `_tables` writes it
 for each crossing it checks, which is every crossing for `Diagram.validate`
-and the crossings of the patch for `moves._rewrite`, and
-`constructions.multiplex` writes the frames and signs of the passages it
-emits, while `covering` hands the source's table over and
+and the crossings that the splice of `moves._rewrite` places or replaces,
+and `constructions.multiplex` writes the frames and signs of the passages
+it emits, while `covering` hands the source's table over and
 `extract_component` filters it.  Rotating a basepoint past exactly one
 passage of a virtual crossing therefore negates the stored sign; `rotate`
 takes care of that.
@@ -352,18 +352,17 @@ def _real(d: Diagram) -> list[int]:
     )
 
 
-def _tables(components, crossings, frames, cids=None, shared=None):
+def _tables(components, crossings, frames, cids=None):
     """Sweep the passage index of `components`, crossing id -> positions of
     its passages in canonical order, keyed in order of first appearance,
     and check and write the crossings of `cids` (every crossing when None)
     in the order of the index: each is checked by `_frame`, and the frames
     read from its two passages are written into `frames`, one row per
-    component, a row that is still the row of `shared` (the parent's frame
-    table) being copied first.  Raise ValidationError as `_frame` does, or
-    for a record that is never passed.  Return the index and `frames`.
-    `Diagram.validate` runs it on every crossing, `moves._rewrite` on the
-    crossings of its patch, and `rotate` and `planar._strip_virtual` on
-    none, for the index alone."""
+    component.  Raise ValidationError as `_frame` does, or for a record that
+    is never passed.  Return the index and `frames`.  `Diagram.validate`
+    runs it on every crossing, `moves._rewrite` on the crossings its splice
+    places or replaces, whose rows it has copied, and `rotate` and
+    `planar._strip_virtual` on none, for the index alone."""
     sweep: dict[int, list[tuple[int, int]]] = {}
     for ci, comp in enumerate(components):
         for i, p in enumerate(comp):
@@ -373,10 +372,6 @@ def _tables(components, crossings, frames, cids=None, shared=None):
         ps = index[cid]
         f = _frame(components, crossings, cid, ps)
         (c1, i1), (c2, i2) = ps
-        if shared:
-            for ci in (c1, c2):
-                if frames[ci] is shared[ci]:
-                    frames[ci] = frames[ci][:]
         frames[c1][i1], frames[c2][i2] = f, -f
     # Every passed crossing has its record, so any other record is unused.
     if len(crossings) != len(index):
@@ -652,10 +647,12 @@ def canonical_form(d: Diagram) -> str:
 
 
 # A passage's role letter and the sign it is printed with, keyed by its role
-# and the frame read from it: a real crossing prints the frame read from its
-# over passage, a virtual one the frame read from the passage itself.
+# character and the frame read from it (a role itself would hash through
+# `Enum.__hash__`, which is Python code): a real crossing prints the frame
+# read from its over passage, a virtual one the frame read from the passage
+# itself.
 _PRINTED = {
-    (role, f): role._value_ + ("+" if (f > 0) != (role is _UNDER) else "-")
+    (role._value_, f): role._value_ + ("+" if (f > 0) != (role is _UNDER) else "-")
     for role in Role
     for f in (1, -1)
 }
@@ -676,7 +673,7 @@ def _code(d: Diagram, ci: int = 0) -> list[str]:
     code = []
     for i, (p, f) in enumerate(zip(comp, d._frames[ci])):
         (_, p1), (_, p2) = index[p.crossing]
-        code.append(f"{_PRINTED[p.role, f]}{(p1 + p2 - 2 * i) % L},")
+        code.append(f"{_PRINTED[p.role._value_, f]}{(p1 + p2 - 2 * i) % L},")
     return code
 
 

@@ -32,21 +32,28 @@ the gaps lists the sites of every deletion kind (R1del, VR1del, R2del,
 VR2del), testing each gap where it sits: a cancelling pair is found at its
 first gap, and its partner gap is read off the passage index.  The site
 search reads frames off the diagram's frame table and compares roles by
-identity rather than hashing them.  Both stages list the entries of every
-kind of their stage and keep them in the diagram's memo, beside the face
+identity rather than hashing them.  One table, `_STAGES`, names both stages
+by the part of the memo that keeps their entries, with the kinds of each
+and how a diagram that no rewrite made lists them; `_sites` reads it and
+builds the insertion groups itself.  Each stage lists the entries of every
+kind of it at once and keeps them in the diagram's memo, beside the face
 trace, so a diagram is searched once.
 
 A rewrite is a set of position edits applied by one splice, `_rewrite`: a
 deletion replaces every passage of the crossings it removes by nothing, a
 kink or poke places a pair of new passages after a gap, and a triangle slide
 swaps the two passages of each of its three bound gaps.  New crossing signs
-follow the frame rule of `model`.  `_rewrite` checks its patch, not the
-whole diagram: it hands the crossings that the edits or the new records
-touch to `model._tables`, the routine that `Diagram.validate` runs on every
-crossing, which sweeps the passage index, checks each of those crossings,
-writes both its frames by the frame rule and refuses a record left without
-passages.  It then hands its tables over to `Diagram._made`, sharing every
-frame row it did not write with the diagram it rewrote.
+follow the frame rule of `model`.  A kink or poke keeps the passage before
+the pair it places, with its frame (`_keeps`, the rule that `_Patch` reads
+too).  `_rewrite` checks its patch, not the whole diagram: it hands only
+the crossings of the passages it places or replaces, and those of the new
+records, to `model._tables`, the routine that `Diagram.validate` runs on
+every crossing, which sweeps the passage index, checks each of those
+crossings, writes both its frames by the frame rule and refuses a record
+left without passages.  So a kink or poke hands over its new crossings,
+a slide its three and a deletion the crossings it removes.  It then hands
+its tables over to `Diagram._made`, sharing every frame row that no edit
+reaches with the diagram it rewrote.
 
 A rewrite also carries the site entries of the diagram it rewrote, as far
 as its memo holds them, to the diagram it makes (`_carry`).  The splice cuts
@@ -56,16 +63,16 @@ that a removal left adjacent (`_Patch`); a component whose length changes
 from or to 2, where the kink rule reads the length, is cut and laid whole.
 Every other gap is kept, shifted by the splice.  Both stages carry by one
 rule: an entry that reads only kept gaps is carried with its positions
-shifted, and the stage's own test runs where the splice laid gaps, the
-deletion stage on the laid gaps and the triangle stage on the 3-dart faces
-of the new diagram that hold a laid dart, on its face trace, which the
-rewrite traces afresh and keeps.  The results merge by the orders that the
-stages define, so a carried entry list equals the one computed afresh; the
-tests check that on every rewrite.  The stages computed from scratch remain
-the definition for a diagram that no rewrite made.  The face trace itself
-is not carried: its cycles and marks are positional, so carrying them
-means rewriting every dart after the patch, which at walk sizes costs as
-much as tracing afresh.
+shifted, by one loop whatever its width (`_kept_entries`), and the stage's
+own test runs where the splice laid gaps, the deletion stage on the laid
+gaps and the triangle stage on the 3-dart faces of the new diagram that
+hold a laid dart, on its face trace, which the rewrite traces afresh and
+keeps.  The results merge by the orders that the stages define, so a
+carried entry list equals the one computed afresh; the tests check that on
+every rewrite.  The stages computed from scratch remain the definition for
+a diagram that no rewrite made.  The face trace itself is not carried: its
+cycles and marks are positional, so carrying them means rewriting every
+dart after the patch, which at walk sizes costs as much as tracing afresh.
 
 The triangle template table is generated from an explicit drawing: three
 oriented lines A(t) = (t, 1-t), B(t) = (t, 0), C(t) = (t, 1+t) meeting at
@@ -101,7 +108,7 @@ from functools import cache
 from itertools import accumulate, permutations, product
 from operator import itemgetter
 
-from .errors import ParseError, StaleSite, ValidationError, checked
+from .errors import ParseError, StaleSite, ValidationError, checked, iterated
 from .model import _OVER, _THROUGH, CrossingRecord, Diagram, Passage, Role, _memoized, _tables
 from .planar import _trace, _traced, faces
 
@@ -277,13 +284,17 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     the positions of the edits are those of `d`; the frame rows are spliced
     alike.
 
-    The patch is checked, not the diagram: `model._tables`, the routine
-    that `Diagram.validate` runs on every crossing, sweeps the passage index
-    and checks and writes the crossings the patch touches, those of the
-    passages an edit replaces or places and those of `records`, and refuses
-    a record left without passages, with `validate`'s messages.  Every
-    other crossing keeps its passages, record and frames from `d`, and each
-    frame row that no write reaches stays shared with `d`.
+    An edit keeps the passage at its position when its first new passage
+    is that passage (`_keeps`), and the passage keeps its frame.  The patch
+    is checked, not the diagram: `model._tables`, the routine that
+    `Diagram.validate` runs on every crossing, sweeps the passage index and
+    checks and writes the crossings of the passages an edit places or
+    replaces and those of `records`, and refuses a record left without
+    passages, with `validate`'s messages.  Both passages of each such
+    crossing lie in rows that an edit spliced, so `_tables` writes only
+    rows of the child; every other crossing keeps its passages, record and
+    frames from `d`, and each row that no edit reaches stays shared with
+    `d`.
 
     The deletion and triangle entries that `d`'s memo holds are carried to
     the child by `_carry`, which tests again only what the patch touched,
@@ -291,17 +302,25 @@ def _rewrite(d: Diagram, edits, records) -> Diagram:
     when `d` holds no entries, go to `Diagram._made`."""
     components, frames, touched = list(d.components), list(d._frames), set(records)
     for (ci, i), new in sorted(edits.items(), reverse=True):
-        touched.update(p.crossing for p in components[ci][i : i + 1] + new)
-        components[ci] = components[ci][:i] + new + components[ci][i + 1 :]
-        frames[ci] = frames[ci][:i] + [0] * len(new) + frames[ci][i + 1 :]
+        comp, k = components[ci], _keeps(components[ci], i, new)
+        touched.update(p.crossing for p in comp[i + k : i + 1] + new[k:])
+        components[ci] = comp[:i] + new + comp[i + 1 :]
+        frames[ci] = frames[ci][: i + k] + [0] * (len(new) - k) + frames[ci][i + 1 :]
     crossings = {**d.crossings, **records}
     for cid in [cid for cid, rec in records.items() if rec is None]:
         del crossings[cid]
-    index, frames = _tables(components, crossings, frames, touched, d._frames)
+    index, frames = _tables(components, crossings, frames, touched)
     components = tuple(components)
-    carried = d._memo.keys() & {"deletions", "triangles"}
+    carried = d._memo.keys() & _STAGES.keys()
     memo = _carry(d, components, crossings, index, frames, edits) if carried else None
     return Diagram._made(components, crossings, index, frames, memo)
+
+
+def _keeps(comp, i: int, new) -> bool:
+    """Whether the edit that puts the passages `new` at position i of `comp`
+    keeps the passage there: when its first new passage is that passage.
+    Position -1, the start of an empty component, holds none."""
+    return i >= 0 and len(new) > 0 and new[0] is comp[i]
 
 
 class _Patch:
@@ -334,7 +353,7 @@ class _Patch:
             # the start of an empty component when i is -1) changes it.
             end = poff[ci] + i + 1
             gap_map += range(start + delta, end + delta)
-            kept = i >= 0 and len(new) > 0 and new[0] is comps[ci][i]
+            kept = _keeps(comps[ci], i, new)
             if i >= 0:
                 cut.append(end - 1)
                 if not kept:
@@ -358,11 +377,6 @@ class _Patch:
             n = len(components[ci])
             if n:
                 self.laid.setdefault(ci, set()).update([g % n for g in range(a, b)])
-
-
-# How many gaps the locus of a site of each kind that `_carry` carries reads.
-_LOCUS_GAPS = {"R1del": 1, "VR1del": 1, "R2del": 2, "VR2del": 2}
-_LOCUS_GAPS |= dict.fromkeys(_TRIANGLE_KINDS, 3)
 
 
 def _carry(d: Diagram, components, crossings, index, frames, edits) -> dict:
@@ -393,38 +407,28 @@ def _carry(d: Diagram, components, crossings, index, frames, edits) -> dict:
         )
     for stage, (found, key) in stages.items():
         memo[stage] = {
-            kind: _merged(
-                _kept_entries(listed, patch.gap_map, poff, offset, _LOCUS_GAPS[kind]),
-                found[kind],
-                key,
-            )
+            kind: _merged(_kept_entries(listed, patch.gap_map, poff, offset), found[kind], key)
             for kind, listed in parent[stage].items()
         }
     return memo
 
 
-def _kept_entries(entries, gap_map, parent_offset, offset, gaps: int) -> list:
+def _kept_entries(entries, gap_map, parent_offset, offset) -> list:
     """The (variant, locus) entries whose gaps (ci, g) all survive a splice,
-    each moved to the child's gap by `gap_map`, -1 standing for a cut gap:
-    a locus is one gap when `gaps` is 1, else a tuple of `gaps` gaps.
-    Written out per width, so no entry builds a list."""
-    if not entries:
-        return entries
-    gm, po, of = gap_map, parent_offset, offset  # short names keep the lines whole
-    if gaps == 1:
-        return [(v, (ci, x - of[ci])) for v, (ci, g) in entries if (x := gm[po[ci] + g]) >= 0]
-    if gaps == 2:
-        return [
-            (v, ((c1, x - of[c1]), (c2, y - of[c2])))
-            for v, ((c1, g1), (c2, g2)) in entries
-            if (x := gm[po[c1] + g1]) >= 0 and (y := gm[po[c2] + g2]) >= 0
-        ]
-    return [
-        (v, ((c1, x - of[c1]), (c2, y - of[c2]), (c3, z - of[c3])))
-        for v, ((c1, g1), (c2, g2), (c3, g3)) in entries
-        if (x := gm[po[c1] + g1]) >= 0 and (y := gm[po[c2] + g2]) >= 0
-        and (z := gm[po[c3] + g3]) >= 0
-    ]
+    each moved to the child's gap by `gap_map`, -1 standing for a cut gap.
+    A locus is one gap, told by its int first item, or a tuple of gaps."""
+    kept = []
+    for variant, locus in entries:
+        lone = type(locus[0]) is int
+        moved = []
+        for ci, g in (locus,) if lone else locus:
+            x = gap_map[parent_offset[ci] + g]
+            if x < 0:
+                break
+            moved.append((ci, x - offset[ci]))
+        else:
+            kept.append((variant, moved[0] if lone else tuple(moved)))
+    return kept
 
 
 def _merged(kept: list, found, key) -> list:
@@ -610,19 +614,6 @@ def _apply_poke(d: Diagram, site: MoveSite) -> Diagram:
 # -- deletion sites ----------------------------------------------------------
 
 
-def _deletions(d: Diagram, kinds) -> dict[str, _Group]:
-    """Deletion sites of the given kinds, read off the entries of every
-    deletion kind that `_deletion_entries` lists from one sweep over all
-    gaps, kept in the diagram's memo (or carried there by `_rewrite`)."""
-    if not kinds:
-        return {}
-    entries = _memoized(d, "deletions", lambda d: _deletion_entries(
-        d.components, d.crossings, d._passage_index, d._frames,
-        {ci: range(len(comp)) for ci, comp in enumerate(d.components)}
-    ))
-    return {kind: _Group(kind, entries[kind]) for kind in kinds}
-
-
 def _deletion_entries(components, crossings, index, frames, gaps) -> dict[str, list]:
     """The (variant, locus) entries of every deletion kind at the gaps that
     `gaps` maps each component to, each gap tested where it sits.  A kink
@@ -670,20 +661,6 @@ def _deletion_entries(components, crossings, index, frames, gaps) -> dict[str, l
 
 
 # -- triangle sites ----------------------------------------------------------
-
-
-def _triangle_sites(d: Diagram, kinds) -> dict[str, _Group]:
-    """Triangle sites of the given kinds, read off the entries of every
-    family that `_triangle_entries` lists from the 3-dart cycles of the
-    diagram's integer face trace, kept in the diagram's memo (or carried
-    there by `_rewrite`)."""
-    if not kinds:
-        return {}
-    entries = _memoized(d, "triangles", lambda d: _triangle_entries(
-        d.components, d._frames, [0, *accumulate(map(len, d.components))],
-        [cycle for cycle in _trace(d)[0] if len(cycle) == 3]
-    ))
-    return {fam: _Group(fam, entries[fam]) for fam in kinds}
 
 
 def _triangle_entries(components, frames, offset, faces3) -> dict[str, list]:
@@ -810,16 +787,6 @@ class _Gaps(_Counted):
         return self.ends[ci] + range(self.ends[ci + 1] - self.ends[ci]).index(g)
 
 
-def _insertions(d: Diagram, kinds) -> dict[str, _Insertions]:
-    """Insertion sites of the given kinds: every variant at every gap for a
-    kink (an empty component has one gap) and at every poke candidate of the
-    face cycles that `faces` names for a poke, the gaps counted per
-    component and the candidates per cycle."""
-    gaps = _Gaps(d) if kinds - _POKE_KINDS else ()
-    pokes = _Pokes(_trace(d), faces(d)) if kinds & _POKE_KINDS else ()
-    return {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in kinds}
-
-
 # -- public API ---------------------------------------------------------------
 
 
@@ -830,18 +797,42 @@ _REWRITES = {
 }
 
 
+# The stages that list the entries of their kinds, keyed by the part of the
+# memo that keeps them: the kinds of the stage, and how a diagram that no
+# rewrite made lists the entries of every kind, from one sweep over all gaps
+# or from the 3-dart cycles of the integer face trace.
+_STAGES = {
+    "deletions": (_DELETION_KINDS, lambda d: _deletion_entries(
+        d.components, d.crossings, d._passage_index, d._frames,
+        {ci: range(len(comp)) for ci, comp in enumerate(d.components)}
+    )),
+    "triangles": (_TRIANGLE_KINDS, lambda d: _triangle_entries(
+        d.components, d._frames, [0, *accumulate(map(len, d.components))],
+        [cycle for cycle in _trace(d)[0] if len(cycle) == 3]
+    )),
+}
+
+
 def _sites(d: Diagram, kinds) -> list[Sequence[MoveSite]]:
     """The sites of the given kinds as one group per kind, in MOVE_KINDS
     order: the one definition of a site, shared by find_moves and apply_move.
-    Faces are traced at most once (`planar._trace` keeps the integer trace
-    on the diagram) and named by `faces` only for a poke kind, and the gaps
-    are swept once for all deletion kinds.  No group builds a site before
-    it is read."""
-    by_kind = {
-        **_insertions(d, kinds & _VARIANTS.keys()),
-        **_deletions(d, kinds & _DELETION_KINDS),
-        **_triangle_sites(d, kinds & _TRIANGLE_KINDS),
-    }
+    An insertion group is every variant at every gap for a kink (an empty
+    component has one gap) and at every poke candidate of the face cycles
+    that `faces` names for a poke, the gaps counted per component and the
+    candidates per cycle.  The group of a kind of a stage of `_STAGES` reads
+    the entries that the stage lists for every kind of it at once, kept in
+    the diagram's memo (or carried there by `_rewrite`).  Faces are traced
+    at most once (`planar._trace` keeps the integer trace on the diagram)
+    and named only for a poke kind.  No group builds a site before it is
+    read."""
+    inserts = kinds & _VARIANTS.keys()
+    gaps = _Gaps(d) if inserts - _POKE_KINDS else ()
+    pokes = _Pokes(_trace(d), faces(d)) if inserts & _POKE_KINDS else ()
+    by_kind = {kind: _Insertions(kind, pokes if kind in _POKE_KINDS else gaps) for kind in inserts}
+    for part, (stage, lister) in _STAGES.items():
+        if kinds & stage:
+            entries = _memoized(d, part, lister)
+            by_kind.update((kind, _Group(kind, entries[kind])) for kind in kinds & stage)
     return [by_kind[kind] for kind in MOVE_KINDS if kind in kinds]
 
 
@@ -849,12 +840,7 @@ def _move_args(d, kinds, size_cap) -> tuple[Diagram, set, int]:
     """The checked diagram, set of move kinds and size cap (from
     MULTIVIRT_SIZE_CAP when None) of a site search."""
     d = checked(d, Diagram, ValidationError, "diagram")
-    if isinstance(kinds, str):
-        raise ValidationError(f"move kinds must be an iterable of names, got the string {kinds!r}")
-    try:
-        kinds = set(MOVE_KINDS if kinds is None else kinds)
-    except TypeError:  # not iterable, or holding an unhashable kind
-        raise ValidationError(f"move kinds must be an iterable of names, got {kinds!r}") from None
+    kinds = iterated(MOVE_KINDS if kinds is None else kinds, "move kinds", "names", set)
     unknown = kinds - set(MOVE_KINDS)
     if unknown:
         raise ValidationError(f"unknown move kinds: {sorted(unknown, key=str)}")

@@ -38,7 +38,7 @@ from .colorings import (
     pairing_map,
 )
 from .constructions import _fold, covering, extract_component, multiplex
-from .errors import MultivirtError, TooLarge, ValidationError, checked
+from .errors import MultivirtError, TooLarge, ValidationError, checked, iterated
 from .invariants import WritheTable, invariant_report, linking_and_lambda, n_writhes
 from .model import Diagram, _code, serialize_vgc
 
@@ -161,20 +161,9 @@ def verify_theorems(
     with BadR unless it is an integer >= 2, when a per-r theorem is asked
     for, and every modulus likewise with BadModulus unless it is an integer
     >= 1, when `colorings` is."""
-    for what, value, of in (
-        ("names", names, "names"), ("r_range", r_range, "ints"),
-        ("n_range", n_range, "ints"), ("theorems", theorems, "theorem names"),
-    ):
-        if isinstance(value, (str, bytes)):
-            raise ValidationError(f"{what} must be an iterable of {of}, got the string {value!r}")
-    try:
-        theorems = set(theorems)
-        r_range, n_range = tuple(r_range), tuple(n_range)
-        names = catalog.KNOT_NAMES if names is None else tuple(names)
-    except TypeError:
-        raise ValidationError(
-            "names, r_range, n_range and theorems must be iterables"
-        ) from None
+    names = catalog.KNOT_NAMES if names is None else iterated(names, "names", "names")
+    r_range, n_range = iterated(r_range, "r_range", "ints"), iterated(n_range, "n_range", "ints")
+    theorems = iterated(theorems, "theorems", "theorem names", set)
     unknown = theorems - set(THEOREMS)
     if unknown:
         raise ValidationError(

@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from multivirt import moves
 from multivirt.colorings import ColoringSystem
+from multivirt.constructions import Provenance, _CrossingMap
 from multivirt.invariants import crossing_indices
 from multivirt.model import CrossingRecord, Diagram, Passage, Role, Segments, _ReadOnly, parse_vgc
 from multivirt.planar import _trace
@@ -20,14 +21,7 @@ def fresh_memo(d: Diagram, parts=None, ref=None) -> dict:
     makers = {
         "real": lambda: sorted(p.crossing for _, _, p in ref.passages() if p.role is Role.OVER),
         "trace": lambda: _trace(ref),
-        "deletions": lambda: {
-            kind: group.entries
-            for kind, group in moves._deletions(ref, moves._DELETION_KINDS).items()
-        },
-        "triangles": lambda: {
-            fam: group.entries
-            for fam, group in moves._triangle_sites(ref, moves._TRIANGLE_KINDS).items()
-        },
+        **{part: lambda lister=lister: lister(ref) for part, (_, lister) in moves._STAGES.items()},
         "ind": lambda: {
             cid: crossing_indices(ref, cid).ind
             for cid in sorted(ref.crossings)
@@ -77,20 +71,23 @@ def assert_memo_matches(d: Diagram, ref=None) -> None:
 def trusted_builds_match_the_check():
     """The oracle on every table that a producer hands over unchecked.
 
-    `Diagram._made`, `Segments._made` and `ColoringSystem._made` are wrapped
-    for the whole session (session scope, as hypothesis refuses
-    function-scoped fixtures): each trusted build is also made through the
-    public, checked constructor, which must accept it, and a diagram's
-    passage index must equal the checked one item for item, key order
-    included, its frame table and its components likewise.  A diagram
+    `Diagram._made`, `Segments._made`, `ColoringSystem._made` and
+    `Provenance._made` are wrapped for the whole session (session scope, as
+    hypothesis refuses function-scoped fixtures): each trusted build is also
+    made through the public, checked constructor, which must accept it (a
+    provenance's crossing map read off the same slot tables by a map of its
+    own, so that the build's map stays unfilled and a test that counts
+    fills sees none), and a diagram's passage index must equal the checked
+    one item for item, key order included, its frame table and its
+    components likewise.  A diagram
     handed a memo (the parts that `moves._rewrite` carried from its parent,
     or the real crossings that `constructions.multiplex` emitted) must hold
     what `fresh_memo` computes, part for part, and a diagram that
     `moves._rewrite` makes never shares its parent's memo dict."""
-    diagram, segments, system = (
-        cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem)
+    diagram, segments, system, provenance = (
+        cls._made.__func__ for cls in (Diagram, Segments, ColoringSystem, Provenance)
     )
-    rewrite = moves._rewrite
+    rewrite, fill = moves._rewrite, _CrossingMap._filled
 
     def made_diagram(cls, components, crossings, index, frames, memo=None):
         d = diagram(cls, components, crossings, index, frames, memo)
@@ -118,10 +115,19 @@ def trusted_builds_match_the_check():
         assert sys == ColoringSystem(mode, unknowns, rows)
         return sys
 
+    def made_provenance(cls, r, crossing_map, edge_map, component_map):
+        prov = provenance(cls, r, crossing_map, edge_map, component_map)
+        ref = Provenance(r, fill(_CrossingMap(r, crossing_map._tables)), edge_map, component_map)
+        assert type(prov.edge_map) is _ReadOnly and type(prov.component_map) is _ReadOnly
+        assert (prov.r, prov.edge_map) == (ref.r, ref.edge_map)
+        assert prov.component_map == ref.component_map
+        return prov
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Diagram, "_made", classmethod(made_diagram))
         mp.setattr(Segments, "_made", classmethod(made_segments))
         mp.setattr(ColoringSystem, "_made", classmethod(made_system))
+        mp.setattr(Provenance, "_made", classmethod(made_provenance))
         mp.setattr(moves, "_rewrite", rewritten)
         yield
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 from pathlib import Path
 
@@ -748,15 +748,21 @@ class TestPairingMap:
             with pytest.raises(MissingProvenance):
                 build_system(target, ColoringMode.CONSTRAINED, p)
 
-    def test_an_unhashable_gap_is_missing_provenance(self, trefoil):
-        # Before, both raised a bare TypeError: unhashable type: 'list'.
+    def test_an_unhashable_gap_is_refused(self, trefoil):
+        # Before, `build_system` and `psi` raised a bare TypeError:
+        # unhashable type: 'list'.  A provenance refuses a list gap when it
+        # is made; a 0-d array equals the int gap 1, so it is kept, but it
+        # cannot be hashed.
+        np = pytest.importorskip("numpy")
         l2, prov = multiplex(trefoil, 2)
+        with pytest.raises(ValidationError, match="edge_map"):
+            replace(prov, edge_map={**prov.edge_map, (0, 1): [0, 1]})
         zero = Coloring((0,) * build_system(trefoil, ColoringMode.VIRTUAL_FOX).n_unknowns, 3)
-        listed = replace(prov, edge_map={**prov.edge_map, (0, 1): [0, 1]})
+        arrayed = replace(prov, edge_map={**prov.edge_map, (0, 1): (0, np.array(1))})
         with pytest.raises(MissingProvenance):
-            build_system(l2, ColoringMode.CONSTRAINED, listed)
+            build_system(l2, ColoringMode.CONSTRAINED, arrayed)
         with pytest.raises(MissingProvenance):
-            psi(trefoil, zero, l2, listed)
+            psi(trefoil, zero, l2, arrayed)
 
     def test_rejects_an_edge_map_without_both_copies_of_an_edge(self, trefoil):
         l2, prov = multiplex(trefoil, 2)
@@ -921,6 +927,10 @@ def _hostile_calls():
         "psi-gap": (lambda x: psi(d, col, l2, _moved_edge(prov, (0, x))), gaps),
         "psi-component": (lambda x: psi(d, col, l2, _moved_edge(prov, (x, 1))), (0, 1)),
         "psi-edge": (lambda x: psi(d, col, l2, _moved_edge(prov, x)), ()),
+        "ColoringSystem.to_json-moduli": (
+            vsys.to_json,
+            [list(ns) for k in range(3) for ns in product((1, 2), repeat=k)],
+        ),
         "count_colorings-system": (lambda x: count_colorings(x, 3), ()),
         "count_colorings-modulus": (lambda x: count_colorings(csys, x), counts),
         "enumerate_colorings-system": (lambda x: enumerate_colorings(x, 3), ()),

@@ -329,7 +329,8 @@ class TestLastBuild:
         assert prov == want and want == prov
         prov = multiplex(d, 3)[1]
         assert prov.crossing_map == want.crossing_map and want.crossing_map == prov.crossing_map
-        other = dataclasses.replace(want, crossing_map={**want.crossing_map, 1: ("diag", 0, 0)})
+        assert want.crossing_map[1] != ("diag", 1, 2)
+        other = dataclasses.replace(want, crossing_map={**want.crossing_map, 1: ("diag", 1, 2)})
         assert prov != other and other != prov
         assert prov.crossing_map != other.crossing_map and other.crossing_map != prov.crossing_map
 
@@ -474,7 +475,28 @@ def test_a_provenance_of_junk_is_refused():
     for maps in ((1, 2, 3), ({}, 2, 3), ({}, {}, 3), ({}, {}, [(1, 1)])):
         with pytest.raises(ValidationError, match="must be of type Mapping"):
             Provenance(2, *maps)
-    prov = Provenance(2, {1: ("diag", 1, 1)}, {(0, 1): (0, 0)}, {1: 1})
+    # Unchecked entries were accepted; `tile_census()` and `to_json()` then
+    # raised a bare TypeError.
+    junk = (
+        ({1: 5}, {1: 2}, {"a": None}),
+        ({0: ("diag", 1, 1)}, {}, {}),
+        ({1: ("diag", 1, 3)}, {}, {}),
+        ({1: ("off", 1.5, 1, 2)}, {}, {}),
+        ({1: ("diag", "1", 1)}, {}, {}),
+        ({1: ("shift", 1, 3, 1)}, {}, {}),
+        ({1: ["diag", 1, 1]}, {}, {}),
+        ({}, {(0, 3): (0, 0)}, {}),
+        ({}, {(0, 1): (0, -1)}, {}),
+        ({}, {(0, 1): [0, 0]}, {}),
+        ({}, {(0.5, 1): (0, None)}, {}),
+        ({}, {(0, 1): (0, float("nan"))}, {}),
+        ({}, {}, {1: 3}),
+        ({}, {}, {2.5: 1}),
+    )
+    for maps in junk:
+        with pytest.raises(ValidationError, match="is no entry at r = 2"):
+            Provenance(2, *maps)
+    prov = Provenance(2, {1: ("diag", 1, 1)}, {(0, 1): (0, 0), (0, 2): (1, None)}, {1: 1})
     assert prov.tile_census() == {1: {"diag": 1, "off": 0, "shift": 0}}
     assert prov.to_json()["component_map"] == {"1": 1}
 

@@ -530,7 +530,7 @@ def _deletions_oracle(d, kinds):
 def _assert_deletions_match_the_oracle(d, kinds=DELETION_KINDS):
     kinds = set(kinds)
     want = _deletions_oracle(d, kinds)
-    assert moves._deletions(d, kinds) == want
+    assert dict(zip(sorted(kinds, key=MOVE_KINDS.index), moves._sites(d, kinds))) == want
     assert list(find_moves(d, kinds)) == [s for k in MOVE_KINDS if k in kinds for s in want[k]]
 
 
@@ -1096,6 +1096,55 @@ def test_every_listed_site_goes_through_the_patch_check(d):
     for site in find_moves(d, size_cap=10**9):
         apply_move(d, site)  # checked against `validate` by the oracle
     assert list(d._passage_index.items()) == index and d._frames == frames
+
+
+def _placed_or_removed(d, site, out) -> set:
+    """The crossings a rewrite of `site` places or removes, read off `d`
+    and its rewrite `out`: the new crossings of a kink or poke, the removed
+    crossings of a deletion, and the three crossings of a slide, those that
+    flank its bound gaps."""
+    if site.kind in moves._VARIANTS:
+        return out.crossings.keys() - d.crossings.keys()
+    if site.kind in moves._DELETION_KINDS:
+        return d.crossings.keys() - out.crossings.keys()
+    comps = d.components
+    return {comps[ci][k % len(comps[ci])].crossing for ci, g in site.locus for k in (g, g + 1)}
+
+
+def _walk_states():
+    """RICH, every catalog diagram, and the states of a seeded 4-step walk
+    from each catalog diagram."""
+    states = [parse_vgc(RICH)]
+    for name in catalog.names():
+        cur = catalog.diagram(name)
+        states.append(cur)
+        for site in random_walk(cur, 4, seed=len(states))[1]:
+            cur = apply_move(cur, site)
+            states.append(cur)
+    return states
+
+
+def test_a_splice_checks_only_the_crossings_it_places_or_removes(monkeypatch):
+    """Every listed site hands `model._tables` exactly the crossings that
+    its rewrite places or removes: a kink or poke keeps the passage before
+    its new ones, with its frame, and does not check that passage's
+    crossing again."""
+    handed = []
+
+    def spy(*args):
+        handed.append(args[3])  # the crossings to check
+        return tables(*args)
+
+    tables = moves._tables
+    monkeypatch.setattr(moves, "_tables", spy)
+    checked_sites = 0
+    for d in _walk_states():
+        for site in find_moves(d, size_cap=10**9):
+            handed.clear()
+            out = apply_move(d, site)
+            assert handed == [_placed_or_removed(d, site, out)], site
+            checked_sites += 1
+    assert checked_sites > 1000
 
 
 # -- hostile input to the move exports -----------------------------------------

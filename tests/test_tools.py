@@ -271,9 +271,11 @@ def test_ab_time_refuses_a_torus_that_is_not_an_odd_n(ab_time, capsys, spec):
 def test_suite_collects_without_errors():
     # The suite runs with --continue-on-collection-errors, so a test module
     # that raises at import would lose all its tests without failing a run.
+    # The suite collects `tests/` and `perfbench/`, so both are collected here.
     root = SCRIPT.parents[1]
+    dirs = [str(root / "tests"), str(root / "perfbench")]
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", str(root / "tests")],
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *dirs],
         capture_output=True, text=True, cwd=root,
     )
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
